@@ -483,6 +483,12 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate "-1,0" for an option: join it to its flag.
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--endpoint", "--p0", "--u") and argv[i][:1] == "-" \
+                and argv[i][1:2] in "0123456789.":
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     parser = build_parser()
     args = parser.parse_args(argv)
     env_seed = os.environ.get("DESCENT_GEOM_SEED")

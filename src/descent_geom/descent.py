@@ -65,22 +65,12 @@ def rel_depth_many(K: ConvexBody, X):
     return depth, off
 
 
-def rel_depth(K: ConvexBody, x) -> float:
-    return float(rel_depth_many(K, as_point(x, K.dim))[0][0])
-
-
 def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
     """Two-sided band test: on Aff(K), inside K up to tol, within tol of
     the relative boundary."""
     tol = _bd_tol(K) if tol is None else tol
     depth, off = rel_depth_many(K, as_point(x, K.dim))
     return off[0] <= tol and abs(depth[0]) <= tol
-
-
-def in_relint(K: ConvexBody, x, tol=None) -> bool:
-    tol = _bd_tol(K) if tol is None else tol
-    depth, off = rel_depth_many(K, as_point(x, K.dim))
-    return off[0] <= tol and depth[0] > tol
 
 
 # -- segment / body clipping ---------------------------------------------------

@@ -245,49 +245,64 @@ def interpolate(K1: ConvexBody, K2: ConvexBody, f: float, arc_points: int = 32) 
 # -- completion to a connected family -----------------------------------------
 
 
-def _solve_width(K1, K2, target, grid, arc_points, tol_rel=1e-6, max_iter=200):
-    """Monotone bisection of f -> mean_width(interpolate(K1, K2, f))."""
-    w1 = mean_width(K1, grid)
-    w2 = mean_width(K2, grid)
-    gap = w2 - w1
-    if gap <= 0:
-        raise NumericalFailure("interpolation gap has nonpositive width")
+def _solve_gap(K1, K2, idx, w1, w2, targets, grid, arc_points, max_iter=200):
+    """(body, width) at each sorted target width in the gap (w1, w2)
+    between chain bodies idx and idx + 1.
+
+    The width of interpolate(K1, K2, f) is monotone in f: target j is
+    bracketed by target j - 1's solution and f = 1, and solved to 1e-6 of
+    the gap by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+    """
     d = hausdorff(K1, K2)
 
     def body_at(f):
-        if f <= 0.0:
-            return K1
-        return _intersect_bodies(outer_parallel(K1, f * d, arc_points), K2)
+        B = _intersect_bodies(outer_parallel(K1, f * d, arc_points), K2)
+        return B, mean_width(B, grid)
 
-    tol = tol_rel * gap
-    lo, hi = 0.0, 1.0
-    body_hi = body_at(1.0)
-    w_hi = mean_width(body_hi, grid)
-    if target >= w_hi - tol:
-        return body_hi
-    best = None
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        B = body_at(mid)
-        w = mean_width(B, grid)
-        best = B
-        if abs(w - target) <= tol:
-            return B
-        if w < target:
-            lo = mid
+    tol = 1e-6 * (w2 - w1)
+    top, w_top = body_at(1.0)
+    f_lo, w_lo = 0.0, w1
+    members = []
+    for target in targets:
+        if target >= w_top - tol:
+            members.append((top, w_top))
+            continue
+        fa, ra, fb, rb, side = f_lo, w_lo - target, 1.0, w_top - target, 0
+        for step in range(1, max_iter + 1):
+            f = (fa * rb - fb * ra) / (rb - ra) if rb > ra else fa
+            if not fa < f < fb:
+                f = 0.5 * (fa + fb)
+            B, w = body_at(f)
+            r = w - target
+            if abs(r) <= tol:
+                break
+            # Illinois: when f replaces the same end twice in a row, halve
+            # the residual of the end that was kept.
+            if r < 0:
+                if side < 0:
+                    rb *= 0.5
+                fa, ra, side = f, r, -1
+            else:
+                if side > 0:
+                    ra *= 0.5
+                fb, rb, side = f, r, 1
         else:
-            hi = mid
-    if best is None:
-        raise NumericalFailure("width bisection produced no iterate")
-    raise NumericalFailure("width bisection did not converge within its cap")
+            raise NumericalFailure(
+                f"width solve between chain bodies {idx} and {idx + 1} missed "
+                f"target {target:.12g} after {step} steps: last residual {r:.3g}, "
+                f"tolerance {tol:.3g}"
+            )
+        members.append((B, w))
+        f_lo, w_lo = f, w
+    return members
 
 
 def complete(strat: Stratification, h: float, grid: SphereGrid = None, arc_points: int = 32) -> Family:
     """Fill a stratification into a sampled connected family of step <= h.
 
     Original bodies appear at their own mean widths; each gap wider than h
-    is subdivided and the interpolation fraction solved by bisection so the
-    new members hit the width grid.
+    is subdivided, and the interpolation fraction of each new member is
+    solved by warm-bracketed Illinois regula falsi so it hits the width grid.
     """
     if h <= 0:
         raise InvalidInput("resolution h must be positive")
@@ -303,11 +318,10 @@ def complete(strat: Stratification, h: float, grid: SphereGrid = None, arc_point
         if gap <= h:
             continue
         pieces = int(math.ceil(gap / (0.9 * h)))
-        for j in range(1, pieces):
-            target = w1 + gap * j / pieces
-            B = _solve_width(K1, K2, target, grid, arc_points)
+        targets = [w1 + gap * j / pieces for j in range(1, pieces)]
+        for B, w in _solve_gap(K1, K2, idx, w1, w2, targets, grid, arc_points):
             bodies.append(B)
-            params.append(mean_width(B, grid))
+            params.append(w)
     bodies.append(strat.bodies[-1])
     params.append(ws[-1])
     for a, b in zip(params, params[1:]):

@@ -197,12 +197,6 @@ def support(K: ConvexBody, x) -> float:
     return float(np.max(K.vertices @ x))
 
 
-def support_vertex(K: ConvexBody, x):
-    """A vertex of K attaining the support value in direction x."""
-    x = as_point(x, K.dim)
-    return K.vertices[int(np.argmax(K.vertices @ x))]
-
-
 def _project_segment(a, b, p):
     d = b - a
     dd = d @ d

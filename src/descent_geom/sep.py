@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PreconditionViolated
-from .geom_core import TAU_PT, ConvexBody, as_points, hull
+from .geom_core import TAU_PT, as_points, hull
 from .mean_width import SphereGrid, lipschitz_constant, mean_width
 
 
@@ -190,7 +190,3 @@ def length_bound_check(gamma: Polyline, grid: SphereGrid = None, tol: float = 1e
         "bound": c * w_hull,
         "bound_ok": length <= c * w_hull + max(tol, 1e-9 * (1.0 + w_hull)),
     }
-
-
-def hull_of_path(gamma: Polyline) -> ConvexBody:
-    return hull(gamma.points)

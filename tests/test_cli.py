@@ -154,6 +154,33 @@ class TestPipelines:
         assert len(lines) == 7
 
 
+class TestNegativeCoordinates:
+    def test_descend_endpoint(self, tmp_path, capsys):
+        code, fam_json, _ = run_cli(["gen", "disks", "--levels", "6"], capsys=capsys)
+        fpath = tmp_path / "fam.json"
+        fpath.write_text(fam_json)
+        base = ["descend", "--family", str(fpath), "--knots", "6"]
+        code, spaced, err = run_cli(base + ["--endpoint", "-1,0"], capsys=capsys)
+        assert code == 0, err
+        code, joined, _ = run_cli(base + ["--endpoint=-1,0"], capsys=capsys)
+        assert code == 0
+        assert spaced == joined
+        assert json.loads(spaced)["points"][-1][0] < 0
+
+    def test_cone_limit_p0_and_u(self, tmp_path, capsys):
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps({"dim": 2, "vertices": [[-1, 0], [0, 0], [0, 1], [-1, 1]]}))
+        base = ["report", "cone-limit", "--body", str(body), "--eps", "0.5,0.25,0.1",
+                "--grid-size", "2000"]
+        code, spaced, err = run_cli(base + ["--p0", "-1,0.5", "--u", "-1,0"], capsys=capsys)
+        assert code == 0, err
+        code, joined, _ = run_cli(base + ["--p0=-1,0.5", "--u=-1,0"], capsys=capsys)
+        assert code == 0
+        assert spaced == joined
+        doc = json.loads(spaced)
+        assert doc["sandwich_ok"] and doc["metric_decreasing"]
+
+
 class TestErrorsAndDeterminism:
     def test_unknown_input_exit_2(self, capsys, monkeypatch):
         code, _, err = run_cli(

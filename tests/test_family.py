@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from descent_geom import family
 from descent_geom.errors import (
     Degenerate,
     InvalidInput,
     NotAChain,
+    NumericalFailure,
     PreconditionViolated,
 )
 from descent_geom.geom_core import hausdorff, hull, includes
@@ -180,6 +182,84 @@ class TestComplete:
         s = validate_stratification(bodies)
         fam = complete(s, h=(s.params[-1] - s.params[0]) / 6)
         assert np.all(np.diff(fam.params) > 0)
+
+
+def random_chain_3d(rng, npts=8, levels=3):
+    """Nested R^3 polytopes shrunk about their centroids (outer-first)."""
+    pts = rng.standard_normal((npts, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    bodies = [hull(pts * (1.0 + 0.2 * rng.random(npts))[:, None])]
+    for _ in range(levels - 1):
+        K = bodies[-1]
+        c = K.centroid()
+        bodies.append(hull(c + (K.vertices - c) * (0.55 + 0.25 * rng.random())))
+    return bodies
+
+
+class TestCompleteSolver:
+    def test_members_hit_width_grid(self, rng):
+        g3 = SphereGrid.make(3, 2000, 0)
+        cases = [(clipped_chain(rng, levels=4), None) for _ in range(4)]
+        cases.append((random_chain_3d(rng), g3))
+        for bodies, grid in cases:
+            s = validate_stratification(bodies, grid=grid)
+            h = (s.params[-1] - s.params[0]) / 5
+            fam = complete(s, h, grid)
+            k = 0
+            for K1, K2, w1, w2 in zip(s.bodies, s.bodies[1:], s.params, s.params[1:]):
+                assert fam.bodies[k] is K1 and fam.params[k] == w1
+                gap = w2 - w1
+                pieces = int(np.ceil(gap / (0.9 * h))) if gap > h else 1
+                for j in range(1, pieces):
+                    K, p = fam.bodies[k + j], fam.params[k + j]
+                    assert abs(p - (w1 + gap * j / pieces)) <= 1e-6 * gap
+                    assert p == mean_width(K, grid)
+                k += pieces
+            assert k == len(fam) - 1 and fam.bodies[k] is s.bodies[-1]
+            for A, B in zip(fam.bodies, fam.bodies[1:]):
+                assert includes(B, A, 1e-7)
+
+    def test_evaluation_budget(self, rng, monkeypatch):
+        calls = []
+        real = family.outer_parallel
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(family, "outer_parallel", counted)
+        added = 0
+        for _ in range(6):
+            s = validate_stratification(clipped_chain(rng, levels=4))
+            fam = complete(s, h=(s.params[-1] - s.params[0]) / 8)
+            added += len(fam) - len(s)
+        assert added > 0
+        assert len(calls) <= 6 * added
+
+    def test_stalled_width_fails_with_context(self, monkeypatch):
+        s = validate_stratification([disk_polygon(1.0), disk_polygon(2.0)])
+        K1 = s.bodies[0]
+        real = family._intersect_bodies
+        # Every interpolant is K1: the f = 1 body is K1 as well, so completion
+        # reports the width step it cannot close.
+        monkeypatch.setattr(family, "_intersect_bodies", lambda A, B: K1)
+        with pytest.raises(NumericalFailure, match="width step"):
+            complete(s, h=0.2)
+        # The f = 1 body is real but no iterate moves off K1's width: the
+        # solver stops at its cap and names the gap, target and residual.
+        calls = []
+
+        def stalled(A, B):
+            calls.append(1)
+            return real(A, B) if len(calls) == 1 else K1
+
+        monkeypatch.setattr(family, "_intersect_bodies", stalled)
+        with pytest.raises(NumericalFailure) as ei:
+            complete(s, h=0.2)
+        msg = str(ei.value)
+        assert "chain bodies 0 and 1" in msg and "after 200 steps" in msg
+        assert "target 2.1657" in msg and "last residual -0.167" in msg
+        assert len(calls) == 1 + 200
 
 
 class TestIsConnected:
