@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DescentGeomError, InvalidInput
 from .cones import normal_cone_limit_report
 from .geom_core import body_from_dict, hull, project
-from .mean_width import SphereGrid
+from .mean_width import default_grid
 from .sep import (
     is_sep,
     length_bound_check,
@@ -98,7 +98,7 @@ def _config(args):
 def _grid_for(args, n):
     if n <= 2:
         return None
-    return SphereGrid.make(n, args.grid_size, args.seed)
+    return default_grid(n, args.grid_size, args.seed)
 
 
 def _snap_to_boundary(K, p):
@@ -159,17 +159,13 @@ def render_svg(path, bodies=(), curves=(), size=640):
                 'stroke="#4477aa" stroke-width="1"/>'
             )
         else:
-            from scipy.spatial import ConvexHull
-
-            if K.dim_affine == K.dim:
-                edges = set()
-                for s in ConvexHull(K.vertices).simplices:
-                    for a in range(len(s)):
-                        for b in range(a + 1, len(s)):
-                            edges.add((min(s[a], s[b]), max(s[a], s[b])))
-            else:
-                idx = list(range(K.nvertices))
-                edges = {(i, j) for i in idx for j in idx if i < j}
+            # a segment is its own edge; other bodies draw their facets' edges
+            cells = K.facets.simplices if K.dim_affine >= 2 else [range(K.nvertices)]
+            edges = set()
+            for s in cells:
+                for a in range(len(s)):
+                    for b in range(a + 1, len(s)):
+                        edges.add((min(s[a], s[b]), max(s[a], s[b])))
             Q = tx(K.vertices)
             for i, j in sorted(edges):
                 parts.append(
@@ -207,8 +203,8 @@ def _cmd_gen(args):
             K = bodies[-1]
             c = K.centroid()
             bodies.append(hull(c + (K.vertices - c) * (0.55 + 0.25 * rng.random())))
-        strat = validate_stratification(bodies)
         grid = _grid_for(args, args.n)
+        strat = validate_stratification(bodies, grid=grid)
         dw = strat.params[-1] - strat.params[0]
         fam = complete(strat, args.step or dw / (2 * args.levels), grid)
     else:
@@ -352,7 +348,7 @@ def _cmd_family(args):
         return 0
     if args.what == "check":
         fam = _load_family(args.family)
-        ok = is_connected(fam, args.tol if args.tol > 1 else 1.5)
+        ok = is_connected(fam, args.tol if args.tol > 1 else 1.5, _grid_for(args, fam.dim))
         _emit({"check": "family", "connected": ok, "size": len(fam),
                "interval": list(fam.interval), "config": _config(args)})
         return 0 if ok else 1

@@ -211,28 +211,10 @@ def cone_intersect_halfspace(C: PolyCone, u) -> PolyCone:
 
 
 def _vertex_adjacency_dirs(K: ConvexBody, vi: int):
-    """Unit directions from vertex vi to its hull neighbors."""
-    from scipy.spatial import ConvexHull
-
-    from .geom_core import affine_basis
-
-    V = K.vertices
-    k = K.dim_affine
-    q = V[vi]
-    if K.dim == 2 and k == 2:
-        m = len(V)
-        nb = [V[(vi - 1) % m], V[(vi + 1) % m]]
-    else:
-        c, B = affine_basis(V)
-        proj = (V - c) @ B.T
-        h = ConvexHull(proj)
-        nbs = set()
-        for simplex in h.simplices:
-            if vi in simplex:
-                nbs.update(int(j) for j in simplex if j != vi)
-        nb = [V[j] for j in sorted(nbs)]
-    dirs = np.array(nb) - q
-    return _unit_rows(dirs)
+    """Unit directions from vertex vi to the vertices sharing a facet with it."""
+    S = K.facets.simplices
+    nb = np.unique(S[np.any(S == vi, axis=1)])
+    return _unit_rows(K.vertices[nb[nb != vi]] - K.vertices[vi])
 
 
 def tangent_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:

@@ -14,14 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput, PreconditionViolated
 from .geom_core import (
     TAU_PT,
     ConvexBody,
-    affine_basis,
     as_point,
     contains,
     dist_to_body,
@@ -48,21 +46,12 @@ def rel_depth_many(K: ConvexBody, X):
     Aff(K) itself.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    k = K.dim_affine
-    c, B = affine_basis(K.vertices)
-    inplane = (X - c) @ B.T if k > 0 else np.zeros((len(X), 0))
-    recon = c + inplane @ B if k > 0 else np.broadcast_to(c, X.shape)
-    off = np.linalg.norm(X - recon, axis=1)
-    if k == 0:
+    c, B, eqs, _ = K.facets
+    inplane = (X - c) @ B.T
+    off = np.linalg.norm(X - c - inplane @ B, axis=1)
+    if len(eqs) == 0:
         return np.zeros(len(X)), off
-    V = (K.vertices - c) @ B.T
-    if k == 1:
-        lo, hi = V[:, 0].min(), V[:, 0].max()
-        depth = np.minimum(inplane[:, 0] - lo, hi - inplane[:, 0])
-    else:
-        eqs = ConvexHull(V).equations
-        depth = -(inplane @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1)
-    return depth, off
+    return -(X @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1), off
 
 
 def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
@@ -76,12 +65,6 @@ def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
 # -- segment / body clipping ---------------------------------------------------
 
 
-def _facet_equations(K: ConvexBody):
-    if K.dim_affine < K.dim:
-        return None
-    return ConvexHull(K.vertices).equations
-
-
 def _segment_inside_interval_eqs(eqs, a, b, tol=1e-12):
     """Parameter interval of {t in [0,1] : a + t(b-a) in K} from facet
     equations; None when the segment misses K."""
@@ -90,7 +73,8 @@ def _segment_inside_interval_eqs(eqs, a, b, tol=1e-12):
     beta = eqs[:, :-1] @ d
     lo, hi = 0.0, 1.0
     scale = 1.0 + np.abs(alpha).max()
-    for al, be in zip(alpha, beta):
+    # on a polygon's few facets a loop over floats beats array operations
+    for al, be in zip(alpha.tolist(), beta.tolist()):
         if abs(be) <= 1e-14 * scale:
             if al > tol * scale:
                 return None
@@ -159,15 +143,18 @@ def _bisect_boundary(dist, t_in, t_out, tol):
     return t_in
 
 
+def _segment_interval(K: ConvexBody, a, b, tol=None):
+    """Inside interval of the segment a->b: exact facet clipping for
+    full-dimensional K, membership bisection at tol otherwise."""
+    if K.dim_affine < K.dim:
+        tol = TAU_PT * (1.0 + K.diameter()) if tol is None else tol
+        return _segment_inside_interval_bisect(K, a, b, tol)
+    return _segment_inside_interval_eqs(K.facets.equations, a, b)
+
+
 def segment_inside_interval(K: ConvexBody, a, b, tol=None):
     """Interval of the segment a->b lying inside K ((t0, t1) or None)."""
-    a = as_point(a, K.dim)
-    b = as_point(b, K.dim)
-    tol = TAU_PT * (1.0 + K.diameter()) if tol is None else tol
-    eqs = _facet_equations(K)
-    if eqs is not None:
-        return _segment_inside_interval_eqs(eqs, a, b)
-    return _segment_inside_interval_bisect(K, a, b, tol)
+    return _segment_interval(K, as_point(a, K.dim), as_point(b, K.dim), tol)
 
 
 def clip_length_outside(gamma: Polyline, K: ConvexBody, tol=None) -> float:
@@ -176,8 +163,6 @@ def clip_length_outside(gamma: Polyline, K: ConvexBody, tol=None) -> float:
     P = gamma.points
     if len(P) < 2:
         return 0.0
-    eqs = _facet_equations(K)
-    tol = TAU_PT * (1.0 + K.diameter()) if tol is None else tol
     total = gamma.length()
     inside = 0.0
     for i in range(len(P) - 1):
@@ -185,10 +170,7 @@ def clip_length_outside(gamma: Polyline, K: ConvexBody, tol=None) -> float:
         seglen = float(np.linalg.norm(b - a))
         if seglen <= 0:
             continue
-        if eqs is not None:
-            iv = _segment_inside_interval_eqs(eqs, a, b)
-        else:
-            iv = _segment_inside_interval_bisect(K, a, b, tol)
+        iv = _segment_interval(K, a, b, tol)
         if iv is not None:
             inside += (iv[1] - iv[0]) * seglen
     return total - inside
@@ -212,24 +194,20 @@ def align_curve(curve: Polyline, bodies, tol=None):
     """Last curve point (by arc length) inside each body.
 
     Returns (s_values, points); raises InvalidInput when some body contains
-    no point of the curve.  Facet equations are computed once per body.
+    no point of the curve.
     """
     P = curve.points
     cums = curve.arclengths()
     s_out, x_out = [], []
     for K in bodies:
         t = _bd_tol(K) if tol is None else tol
-        eqs = _facet_equations(K)
         found = None
         if len(P) == 1:
             if contains(K, P[0], t):
                 found = (0.0, P[0].copy())
         else:
             for i in reversed(range(len(P) - 1)):
-                if eqs is not None:
-                    iv = _segment_inside_interval_eqs(eqs, P[i], P[i + 1])
-                else:
-                    iv = _segment_inside_interval_bisect(K, P[i], P[i + 1], t)
+                iv = _segment_interval(K, P[i], P[i + 1], t)
                 if iv is None:
                     continue
                 seglen = cums[i + 1] - cums[i]
@@ -300,20 +278,16 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     top = strat.bodies[-1]
     for Q in strat.bodies:
         qtol = max(tol, _bd_tol(Q))
-        eqs = _facet_equations(Q)
-        hit = len(P) == 1 and contains(Q, P[0], qtol)
-        if not hit:
-            for i in range(len(P) - 1):
-                if eqs is not None:
-                    iv = _segment_inside_interval_eqs(eqs, P[i], P[i + 1])
-                else:
-                    iv = _segment_inside_interval_bisect(Q, P[i], P[i + 1], qtol)
-                if iv is not None:
-                    hit = True
-                    break
+        if len(P) == 1:
+            hit = contains(Q, P[0], qtol)
+        else:
+            hit = any(_segment_interval(Q, P[i], P[i + 1], qtol) is not None
+                      for i in range(len(P) - 1))
         if not hit:
             return {"ok": False, "condition": "i", "witness": {"body_width": mean_width(Q)}}
-    if not any(on_rel_boundary(top, p, max(tol, _bd_tol(top))) for p in P):
+    btol = max(tol, _bd_tol(top))
+    depth, off = rel_depth_many(top, P)
+    if not np.any((off <= btol) & (np.abs(depth) <= btol)):
         return {"ok": False, "condition": "ii", "witness": None}
     worst = None
     scale = 1.0 + top.diameter()

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .errors import (
     Degenerate,
@@ -195,15 +196,11 @@ def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
         if len(pts) == 0:
             raise NumericalFailure("empty intersection")
         return hull(pts)
-    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
-
     if A.dim_affine < n or B.dim_affine < n:
         raise NumericalFailure(
             "halfspace intersection requires full-dimensional bodies in n >= 3"
         )
-    eqA = ConvexHull(A.vertices).equations
-    eqB = ConvexHull(B.vertices).equations
-    halfspaces = np.vstack([eqA, eqB])
+    halfspaces = np.vstack([A.facets.equations, B.facets.equations])
     interior = None
     for cand in (B.centroid(), 0.5 * (A.centroid() + B.centroid()), A.centroid()):
         margins = halfspaces[:, :-1] @ cand + halfspaces[:, -1]

@@ -1,12 +1,15 @@
 """V-polytope geometry: convex hulls, support functions, nearest-point
 projection, containment and Hausdorff distance.
 
-Bodies are stored canonically as the extreme points of their convex hull.
+Bodies are stored canonically as the extreme points of their convex hull;
+each builds its facet structure (`ConvexBody.facets`) once, on first use.
 All operations are pure functions over immutable arrays; nothing here keeps
 global state, so concurrent use on shared bodies is safe.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -84,6 +87,56 @@ def affine_basis(P):
     return c, Vt[:k]
 
 
+class Facets(NamedTuple):
+    """Facet structure of a body inside its affine hull Aff(K).
+
+    center and basis (orthonormal rows) span Aff(K).  Each row (a, b) of
+    equations, in ambient coordinates, is a facet halfspace a.x + b <= 0 of
+    the cylinder over K, with a unit normal a in span(basis).  simplices
+    holds, per row, the indices into K.vertices of the vertices on that
+    facet (Qhull's triangulation when K has dimension >= 2).
+    """
+
+    center: np.ndarray
+    basis: np.ndarray
+    equations: np.ndarray
+    simplices: np.ndarray
+
+
+def _qhull(P):
+    try:
+        return ConvexHull(P)
+    except QhullError:
+        try:
+            return ConvexHull(P, qhull_options="QJ")
+        except QhullError as e:  # pragma: no cover - pathological data
+            raise NumericalFailure(f"convex hull computation failed: {e}")
+
+
+def _facets(V, k) -> Facets:
+    n = V.shape[1]
+    if k == n:
+        c, B = V.mean(axis=0), np.eye(n)
+    else:
+        c, B = affine_basis(V)
+        k = B.shape[0]
+    if k == 0:
+        return Facets(c, B, np.zeros((0, n + 1)), np.zeros((0, 1), dtype=int))
+    if k == 1:
+        t = (V - c) @ B[0]
+        lo, hi = int(np.argmin(t)), int(np.argmax(t))
+        inplane = np.array([[1.0, -t[hi]], [-1.0, t[lo]]])
+        simplices = np.array([[hi], [lo]])
+    elif k == n:
+        h = _qhull(V)  # full-dimensional: hull in original coordinates
+        return Facets(c, B, h.equations, h.simplices)
+    else:
+        h = _qhull((V - c) @ B.T)
+        inplane, simplices = h.equations, h.simplices
+    normals = inplane[:, :-1] @ B
+    return Facets(c, B, np.column_stack([normals, inplane[:, -1] - normals @ c]), simplices)
+
+
 @dataclass(frozen=True)
 class ConvexBody:
     """Convex body given by the extreme points of its hull (canonical form).
@@ -103,6 +156,11 @@ class ConvexBody:
     @property
     def nvertices(self):
         return self.vertices.shape[0]
+
+    @cached_property
+    def facets(self) -> Facets:
+        """The body's Facets, computed on first use and kept."""
+        return _facets(self.vertices, self.dim_affine)
 
     def centroid(self):
         return self.vertices.mean(axis=0)
@@ -168,14 +226,7 @@ def hull(points) -> ConvexBody:
     proj = (P - c) @ B.T
     if k == n:
         proj = P  # full-dimensional: hull in original coordinates
-    try:
-        h = ConvexHull(proj)
-    except QhullError:
-        try:
-            h = ConvexHull(proj, qhull_options="QJ")
-        except QhullError as e:  # pragma: no cover - pathological data
-            raise NumericalFailure(f"convex hull computation failed: {e}")
-    idx = h.vertices  # CCW when k == 2
+    idx = _qhull(proj).vertices  # CCW when k == 2
     V = P[idx]
     if k == 2:
         # order canonically within the (possibly embedded) plane

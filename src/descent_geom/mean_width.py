@@ -21,6 +21,7 @@ from .geom_core import (
     as_point,
     contains,
     hausdorff,
+    hull,
     includes,
     unit_directions,
 )
@@ -119,15 +120,13 @@ def mean_width_ratio(n: int, k: int) -> float:
 
 def mean_width_intrinsic(K: ConvexBody, grid: SphereGrid = None) -> float:
     """Mean width of K computed inside its own affine hull."""
-    from .geom_core import affine_basis, hull
-
     k = K.dim_affine
     if k == 0:
         return 0.0
     if k == K.dim:
         return mean_width(K, grid)
-    c, B = affine_basis(K.vertices)
-    flat = hull((K.vertices - c) @ B.T)
+    F = K.facets
+    flat = hull((K.vertices - F.center) @ F.basis.T)
     return mean_width(flat, grid)
 
 

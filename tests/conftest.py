@@ -1,7 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
+import scipy.spatial
 
 from descent_geom.geom_core import hull
+
+MODULES = ("geom_core", "cones", "mean_width", "sep", "family", "descent", "cli")
 
 
 @pytest.fixture
@@ -36,3 +41,23 @@ def nested_pair(rng, n=2, npts=16):
     f = 0.3 + 0.5 * rng.random()
     A = hull(c + f * (B.vertices - c))
     return A, B
+
+
+@pytest.fixture
+def qhull_calls(monkeypatch):
+    """List that grows by one per ConvexHull construction, wherever in the
+    package it is made (scipy.spatial and every module-level binding)."""
+    calls = []
+    real = scipy.spatial.ConvexHull
+
+    class Counted(real):
+        def __init__(self, *args, **kwargs):
+            calls.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", Counted)
+    for name in MODULES:
+        mod = importlib.import_module(f"descent_geom.{name}")
+        if hasattr(mod, "ConvexHull"):
+            monkeypatch.setattr(mod, "ConvexHull", Counted)
+    return calls

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import sys
@@ -5,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from descent_geom.cli import main
+from descent_geom.cli import main, render_svg
+from descent_geom.geom_core import hull
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -222,3 +224,42 @@ class TestErrorsAndDeterminism:
         code, out, _ = run_cli(["check", "sep", "--curve", str(cpath)], capsys=capsys)
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+
+class TestConfigReach:
+    def test_grid_size_reaches_chain_and_family_check(self, tmp_path, capsys, monkeypatch):
+        mean_width = importlib.import_module("descent_geom.mean_width")
+        sizes = []
+        real = mean_width.mean_width_quadrature
+
+        def recorded(K, grid):
+            sizes.append(grid.size)
+            return real(K, grid)
+
+        monkeypatch.setattr(mean_width, "mean_width_quadrature", recorded)
+        code, fam_json, _ = run_cli(
+            ["gen", "random", "--n", "3", "--levels", "3", "--npoints", "12",
+             "--grid-size", "3000"], capsys=capsys)
+        assert code == 0 and sizes
+        fpath = tmp_path / "fam.json"
+        fpath.write_text(fam_json)
+        n_gen = len(sizes)
+        code, _, _ = run_cli(["family", "check", "--family", str(fpath), "--grid-size", "3000"],
+                             capsys=capsys)
+        assert len(sizes) > n_gen
+        assert set(sizes) == {3000}
+
+
+class TestSvg:
+    def test_flat_polygon_in_r3_draws_its_edges(self, tmp_path):
+        ang = np.arange(24) * 2 * np.pi / 24
+        K = hull(np.column_stack([np.cos(ang), np.sin(ang), 0.3 * np.cos(ang)]))
+        assert K.dim_affine == 2
+        path = tmp_path / "flat.svg"
+        render_svg(path, bodies=(K,))
+        assert path.read_text().count("<line") == 24
+
+    def test_segment_in_r3_is_one_line(self, tmp_path):
+        path = tmp_path / "seg.svg"
+        render_svg(path, bodies=(hull([(0, 0, 0), (1, 2, 3)]),))
+        assert path.read_text().count("<line") == 1

@@ -272,6 +272,20 @@ class TestAnnulus:
         assert clip_length_outside(g, seg) == pytest.approx(2.0, abs=1e-7)
 
 
+class TestQhullBudget:
+    def test_validators_build_facets_once_per_member(self, qhull_calls):
+        strat = rotated_squares(4)
+        fam = complete(strat, h=(strat.params[-1] - strat.params[0]) / 8)
+        curve = construct_descent(fam, fam.bodies[-1].vertices[0], len(fam))
+        qhull_calls.clear()
+        ec = make_expanding_couple(curve, fam)
+        assert is_expanding_couple(curve, fam)["ok"]
+        assert is_viable_sdc(curve, fam)["ok"]
+        an = annulus_length_check(ec, 0)
+        assert an["bound_i_ok"] and an["bound_ii_ok"]
+        assert len(fam) > 4 and len(qhull_calls) <= len(fam)
+
+
 class TestFixtures:
     def test_registry(self):
         reg = fixtures()

@@ -236,6 +236,24 @@ class TestCompleteSolver:
         assert added > 0
         assert len(calls) <= 6 * added
 
+    def test_qhull_budget_3d(self, rng, monkeypatch, qhull_calls):
+        # Per interpolant: the outer parallel body's hull and facets and the
+        # intersection's hull; the outer chain body's facets once per gap.
+        ops = []
+        real = family.outer_parallel
+
+        def counted(*args, **kwargs):
+            ops.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(family, "outer_parallel", counted)
+        grid = SphereGrid.make(3, 2000, 0)
+        s = validate_stratification(random_chain_3d(rng), grid=grid)
+        qhull_calls.clear()
+        fam = complete(s, (s.params[-1] - s.params[0]) / 6, grid)
+        assert len(fam) > len(s)
+        assert len(qhull_calls) <= 3 * len(ops) + len(s) - 1
+
     def test_stalled_width_fails_with_context(self, monkeypatch):
         s = validate_stratification([disk_polygon(1.0), disk_polygon(2.0)])
         K1 = s.bodies[0]

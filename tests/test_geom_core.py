@@ -1,8 +1,14 @@
+import functools
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
+from descent_geom import geom_core
+from descent_geom.descent import rel_depth_many, segment_inside_interval
 from descent_geom.errors import DimensionMismatch, InvalidInput
 from descent_geom.geom_core import (
     ConvexBody,
@@ -17,8 +23,9 @@ from descent_geom.geom_core import (
     unit_directions,
 )
 
+from . import oracles
 from .conftest import disk_polygon, nested_pair, random_polytope
-from .oracles import extreme_points_bruteforce, hausdorff_sampling
+from .oracles import extreme_points_bruteforce, hausdorff_sampling, in_convex_hull_lp
 
 
 class TestHull:
@@ -206,3 +213,106 @@ class TestSerialization:
     def test_canonicalize_on_load(self):
         K = body_from_dict({"dim": 2, "vertices": [[0, 0], [1, 0], [0.5, 0.2], [0, 1]]})
         assert K.nvertices == 3
+
+
+def _embedded(rng, n, k, npts):
+    """Random k-dimensional polytope in a random affine k-plane of R^n."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return hull(rng.standard_normal(n) + rng.standard_normal((npts, k)) @ Q.T)
+
+
+def _facet_bodies(rng):
+    bodies = [random_polytope(rng, n, 20) for n in (2, 3, 4, 5)]
+    bodies += [_embedded(rng, 3, 2, 12), _embedded(rng, 4, 3, 16), _embedded(rng, 3, 1, 5)]
+    bodies.append(hull([(0.3, -1.2, 2.0)]))
+    return bodies
+
+
+@pytest.fixture
+def tight_lp(monkeypatch):
+    """The LP oracle at a 1e-10 feasibility tolerance: HiGHS's default
+    (1e-7) cannot tell a point 1e-7 outside a facet from one on it."""
+    monkeypatch.setattr(
+        oracles, "linprog",
+        functools.partial(linprog, options={"primal_feasibility_tolerance": 1e-10}))
+
+
+class TestFacets:
+    def test_shape_and_incidence(self, rng):
+        dims = []
+        for K in _facet_bodies(rng):
+            c, B, eqs, simplices = K.facets
+            k = K.dim_affine
+            dims.append((K.dim, k))
+            assert B.shape == (k, K.dim) and eqs.shape[1] == K.dim + 1
+            assert np.allclose(B @ B.T, np.eye(k), atol=1e-12)
+            assert len(eqs) == len(simplices) and (k > 0 or len(eqs) == 0)
+            scale = 1.0 + np.abs(K.vertices).max()
+            A = eqs[:, :-1]
+            assert np.allclose(np.linalg.norm(A, axis=1), 1.0, atol=1e-12)
+            assert np.allclose(A @ B.T @ B, A, atol=1e-12)  # normals in span(basis)
+            vals = K.vertices @ A.T + eqs[:, -1]
+            assert np.all(vals <= 1e-9 * scale)
+            tight = np.abs(vals) <= 1e-9 * scale
+            assert np.all(tight.sum(axis=0) >= k)
+            for j, s in enumerate(simplices):
+                assert np.all(tight[s, j])
+        assert dims == [(2, 2), (3, 3), (4, 4), (5, 5), (3, 2), (4, 3), (3, 1), (3, 0)]
+
+    def test_full_dimensional_equations_are_qhulls(self, rng):
+        for n in (2, 3, 4):
+            K = random_polytope(rng, n, 25)
+            assert np.array_equal(K.facets.equations, ConvexHull(K.vertices).equations)
+
+    def test_cached_and_independent_of_construction(self, rng, qhull_calls):
+        K = random_polytope(rng, 3, 20)
+        qhull_calls.clear()
+        assert K.facets is K.facets
+        assert len(qhull_calls) == 1
+        L = ConvexBody(K.vertices.copy(), K.dim_affine)
+        assert np.array_equal(L.facets.equations, K.facets.equations)
+        flat = _embedded(rng, 4, 2, 9)
+        M = ConvexBody(flat.vertices.copy())  # dim_affine unknown: found by SVD
+        assert np.array_equal(M.facets.equations, flat.facets.equations)
+
+    def test_depth_sign_matches_lp(self, rng, tight_lp):
+        for K in _facet_bodies(rng):
+            c, B, eqs, simplices = K.facets
+            k = len(B)
+            if k == 0:
+                depth, off = rel_depth_many(K, [K.vertices[0], K.vertices[0] + 1.0])
+                assert np.array_equal(depth, [0.0, 0.0]) and off[1] == pytest.approx(np.sqrt(3))
+                continue
+            Y = (K.vertices - c) @ B.T
+            span = Y.max(axis=0) - Y.min(axis=0)
+            pts = [c + (Y.min(axis=0) - 0.25 * span + 1.5 * span * rng.random(k)) @ B
+                   for _ in range(20)]
+            for j in rng.choice(len(eqs), size=min(6, len(eqs)), replace=False):
+                p = K.vertices[simplices[j]].mean(axis=0)
+                pts += [p - 1e-7 * eqs[j, :-1], p + 1e-7 * eqs[j, :-1]]
+            depth, off = rel_depth_many(K, pts)
+            assert np.all(off <= 1e-12 * (1.0 + np.abs(c).max()))
+            for x, d in zip(pts, depth):
+                assert abs(d) > 1e-9 and (d > 0) == in_convex_hull_lp(x, K.vertices)
+
+    def test_segment_interval_endpoints_lp(self, rng, tight_lp):
+        for n in (2, 3, 4, 5):
+            K = random_polytope(rng, n, 20)
+            c = K.centroid()
+            R = 2.0 * K.diameter()
+            for _ in range(6):
+                u = rng.standard_normal(n)
+                u /= np.linalg.norm(u)
+                a, b = c - R * u + 0.1 * rng.standard_normal(n), c + R * u
+                t0, t1 = segment_inside_interval(K, a, b)
+                assert 0.0 < t0 < t1 < 1.0
+                step = 1e-6 / np.linalg.norm(b - a)
+                for t, beyond in ((t0, t0 - step), (t1, t1 + step)):
+                    assert in_convex_hull_lp(a + t * (b - a), K.vertices)
+                    assert not in_convex_hull_lp(a + beyond * (b - a), K.vertices)
+
+
+def test_only_geom_core_references_convexhull():
+    src = pathlib.Path(geom_core.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if "ConvexHull" in p.read_text())
+    assert users == ["geom_core.py"]
