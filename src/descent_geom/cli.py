@@ -77,8 +77,9 @@ def _load_curve(path):
     return polyline_from_dict(_load_json(path))
 
 
-def _load_family(path, grid=None):
-    return family_from_dict(_load_json(path), grid)
+def _load_family(args, path):
+    doc = _load_json(path)
+    return family_from_dict(doc, _doc_grid(args, doc))
 
 
 def _parse_point(s):
@@ -99,6 +100,15 @@ def _grid_for(args, n):
     if n <= 2:
         return None
     return default_grid(n, args.grid_size, args.seed)
+
+
+def _doc_grid(args, doc):
+    """The CLI grid for the bodies of a family or chain document."""
+    try:
+        n = len(doc["bodies"][0]["vertices"][0])
+    except (KeyError, IndexError, TypeError):
+        n = 0  # malformed: loading the bodies reports it
+    return _grid_for(args, n)
 
 
 def _snap_to_boundary(K, p):
@@ -242,18 +252,19 @@ def _cmd_check(args):
     if args.what == "ec":
         curve = _load_curve(args.curve)
         strat_doc = _load_json(args.strat or args.family)
+        grid = _doc_grid(args, strat_doc)
         try:
-            strat = family_from_dict(strat_doc) if "h" in strat_doc else \
-                stratification_from_dict(strat_doc)
+            strat = family_from_dict(strat_doc, grid) if "h" in strat_doc else \
+                stratification_from_dict(strat_doc, grid)
         except (KeyError, TypeError):
-            strat = stratification_from_dict(strat_doc)
-        res = is_expanding_couple(curve, strat, args.tol)
+            strat = stratification_from_dict(strat_doc, grid)
+        res = is_expanding_couple(curve, strat, args.tol, grid)
         _emit({"check": "ec", "ok": res["ok"], "condition": res["condition"],
                "witness": res["witness"], "config": _config(args)})
         return 0 if res["ok"] else 1
     if args.what == "sdc":
         curve = _load_curve(args.curve)
-        fam = _load_family(args.family)
+        fam = _load_family(args, args.family)
         res = is_viable_sdc(curve, fam, args.tol)
         _emit({"check": "sdc", "ok": res["ok"], "witness": res["witness"],
                "n_failures": len(res["failures"]), "config": _config(args)})
@@ -262,7 +273,7 @@ def _cmd_check(args):
 
 
 def _cmd_descend(args):
-    fam = _load_family(args.family)
+    fam = _load_family(args, args.family)
     endpoint = _parse_point(args.endpoint)
     if args.snap:
         endpoint = _snap_to_boundary(fam.bodies[-1], endpoint)
@@ -308,10 +319,10 @@ def _cmd_bounds(args):
         _emit(res)
         return 0 if res["bound_ok"] else 1
     curve = _load_curve(args.curve)
-    fam = _load_family(args.family)
+    fam = _load_family(args, args.family)
     ec = make_expanding_couple(curve, fam)
     if args.what == "annulus":
-        res = annulus_length_check(ec, args.k1_index)
+        res = annulus_length_check(ec, args.k1_index, grid=_grid_for(args, fam.dim))
         res["config"] = _config(args)
         _emit(res)
         return 0 if (res["bound_i_ok"] and res["bound_ii_ok"]) else 1
@@ -341,13 +352,13 @@ def _cmd_bounds(args):
 def _cmd_family(args):
     if args.what == "complete":
         doc = _load_json(args.strat)
-        strat = stratification_from_dict(doc)
-        grid = _grid_for(args, strat.dim)
+        grid = _doc_grid(args, doc)
+        strat = stratification_from_dict(doc, grid)
         fam = complete(strat, args.step, grid)
         _emit(fam.to_dict())
         return 0
     if args.what == "check":
-        fam = _load_family(args.family)
+        fam = _load_family(args, args.family)
         ok = is_connected(fam, args.tol if args.tol > 1 else 1.5, _grid_for(args, fam.dim))
         _emit({"check": "family", "connected": ok, "size": len(fam),
                "interval": list(fam.interval), "config": _config(args)})
@@ -371,12 +382,12 @@ def _cmd_report(args):
         _emit(rep)
         return 0 if (rep["sandwich_ok"] and rep["metric_decreasing"]) else 1
     curve = _load_curve(args.curve)
-    fam = _load_family(args.family)
+    fam = _load_family(args, args.family)
     grid = _grid_for(args, fam.dim)
     out = {"config": _config(args), "checks": {}}
     sep_res = is_sep(curve, args.tol)
     out["checks"]["sep"] = sep_res["ok"]
-    ec_res = is_expanding_couple(curve, fam, max(args.tol, 1e-7))
+    ec_res = is_expanding_couple(curve, fam, max(args.tol, 1e-7), grid)
     out["checks"]["ec"] = ec_res["ok"]
     sdc_res = is_viable_sdc(curve, fam, max(args.tol, 1e-6))
     out["checks"]["sdc"] = sdc_res["ok"]
@@ -388,7 +399,7 @@ def _cmd_report(args):
     ec = make_expanding_couple(curve, fam)
     jp = joint_parametrization(ec)
     out["checks"]["joint_lipschitz"] = jp["lipschitz_estimate"] <= 1.0 + 1e-9
-    an = annulus_length_check(ec, 0)
+    an = annulus_length_check(ec, 0, grid=grid)
     out["checks"]["annulus"] = bool(an["bound_i_ok"] and an["bound_ii_ok"])
     if args.svg and fam.dim == 2:
         render_svg(args.svg, bodies=fam.bodies, curves=(curve,))

@@ -30,7 +30,7 @@ from .geom_core import (
 )
 from .cones import in_normal_cone
 from .family import Family, Stratification, validate_stratification
-from .mean_width import lipschitz_constant, mean_width, width_gap_constant
+from .mean_width import SphereGrid, lipschitz_constant, mean_width, width_gap_constant
 from .sep import Polyline, is_sep
 
 
@@ -152,6 +152,24 @@ def _segment_interval(K: ConvexBody, a, b, tol=None):
     return _segment_inside_interval_eqs(K.facets.equations, a, b)
 
 
+def _candidate_segments(K: ConvexBody, P):
+    """Indices i, rising, of the segments P[i] -> P[i+1] that may meet K.
+
+    For full-dimensional K a segment is dropped when both its ends lie
+    beyond one facet by 1e-9 * (1 + the largest |residual| at either end),
+    which _segment_inside_interval_eqs rejects as well, so clipping the
+    remaining segments gives the same answers.  Lower-dimensional K keeps
+    every segment.
+    """
+    if K.dim_affine < K.dim:
+        return np.arange(len(P) - 1)
+    eqs = K.facets.equations
+    R = P @ eqs[:, :-1].T + eqs[:, -1]
+    scale = 1.0 + np.abs(R).max(axis=1)
+    margin = 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]
+    return np.nonzero(~((R[:-1] > margin) & (R[1:] > margin)).any(axis=1))[0]
+
+
 def segment_inside_interval(K: ConvexBody, a, b, tol=None):
     """Interval of the segment a->b lying inside K ((t0, t1) or None)."""
     return _segment_interval(K, as_point(a, K.dim), as_point(b, K.dim), tol)
@@ -206,7 +224,7 @@ def align_curve(curve: Polyline, bodies, tol=None):
             if contains(K, P[0], t):
                 found = (0.0, P[0].copy())
         else:
-            for i in reversed(range(len(P) - 1)):
+            for i in _candidate_segments(K, P)[::-1]:
                 iv = _segment_interval(K, P[i], P[i + 1], t)
                 if iv is None:
                     continue
@@ -262,14 +280,16 @@ def construct_descent(fam: Family, endpoint, m: int, tol=None) -> Polyline:
     return Polyline.make(list(reversed(pts)))
 
 
-def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-7):
+def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-7,
+                        grid: SphereGrid = None):
     """Decide whether (gamma, strat) is an expanding couple.
 
     Checks the SEP property, that the curve meets every member and the
     relative boundary of the largest one, and the distance monotonicity:
     for every member Q, vertex y of Q and curve vertex x outside the
     relative interior of Q, no later curve vertex is closer to y.  The
-    witness of a distance failure is the worst offending triple.
+    witness of a distance failure is the worst offending triple; that of a
+    missed member is its mean width on grid.
     """
     sep_chk = is_sep(gamma, tol)
     if not sep_chk["ok"]:
@@ -282,9 +302,9 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
             hit = contains(Q, P[0], qtol)
         else:
             hit = any(_segment_interval(Q, P[i], P[i + 1], qtol) is not None
-                      for i in range(len(P) - 1))
+                      for i in _candidate_segments(Q, P))
         if not hit:
-            return {"ok": False, "condition": "i", "witness": {"body_width": mean_width(Q)}}
+            return {"ok": False, "condition": "i", "witness": {"body_width": mean_width(Q, grid)}}
     btol = max(tol, _bd_tol(top))
     depth, off = rel_depth_many(top, P)
     if not np.any((off <= btol) & (np.abs(depth) <= btol)):
@@ -296,12 +316,18 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
         suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
         depth, off = rel_depth_many(Q, P)
         outside = ~((off <= _bd_tol(Q)) & (depth > _bd_tol(Q)))
-        for i in np.nonzero(outside[:-1])[0]:
-            gap = D[i] - suffix[i + 1]
-            j = int(np.argmax(gap))
-            if gap[j] > tol * scale and (worst is None or gap[j] > worst[0]):
-                later = int(i + 1 + np.argmin(D[i + 1 :, j]))
-                worst = (float(gap[j]), qi, i, j, later)
+        rows = np.nonzero(outside[:-1])[0]
+        if len(rows) == 0:
+            continue
+        # worst over this body: the first row, and in it the first vertex,
+        # of the largest gap; it replaces an earlier body's only if larger
+        gap = D[rows] - suffix[rows + 1]
+        best = gap.max(axis=1)
+        r = int(np.argmax(best))
+        if best[r] > tol * scale and (worst is None or best[r] > worst[0]):
+            i, j = int(rows[r]), int(np.argmax(gap[r]))
+            later = int(i + 1 + np.argmin(D[i + 1 :, j]))
+            worst = (float(best[r]), qi, i, j, later)
     if worst is None:
         return {"ok": True, "condition": None, "witness": None}
     gap, qi, i, j, later = worst
@@ -409,17 +435,18 @@ def stability_check(ec1: ExpandingCouple, ec2: ExpandingCouple, tol: float = 1e-
     }
 
 
-def annulus_length_check(ec: ExpandingCouple, K1_index: int, tol: float = 1e-9):
+def annulus_length_check(ec: ExpandingCouple, K1_index: int, tol: float = 1e-9,
+                         grid: SphereGrid = None):
     """Length of the curve outside an inner member against the two
     annulus bounds: 2*c1_n*dist(K1, K2) and the diameter-dependent
-    width-gap bound c * (w(K2) - w(K1))^{1/n}."""
+    width-gap bound c * (w(K2) - w(K1))^{1/n}, widths on grid."""
     K1 = ec.family.bodies[K1_index]
     K2 = ec.family.bodies[-1]
     n = K1.dim
     c1 = lipschitz_constant(n)
     len_outside = clip_length_outside(ec.curve, K1)
     dist12 = hausdorff(K1, K2)
-    delta_w = mean_width(K2) - mean_width(K1)
+    delta_w = mean_width(K2, grid) - mean_width(K1, grid)
     bound_i = 2.0 * c1 * dist12
     if n >= 2 and K2.diameter() > 0:
         c_diam = 2.0 * c1 * (K2.diameter() ** (n - 1) / width_gap_constant(n)) ** (1.0 / n)

@@ -78,9 +78,9 @@ class Family(Stratification):
         }
 
 
-def stratification_from_dict(d) -> Stratification:
+def stratification_from_dict(d, grid: SphereGrid = None) -> Stratification:
     bodies = [body_from_dict(b) for b in d["bodies"]]
-    return validate_stratification(bodies)
+    return validate_stratification(bodies, grid=grid)
 
 
 def family_from_dict(d, grid: SphereGrid = None) -> Family:

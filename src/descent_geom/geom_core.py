@@ -113,6 +113,11 @@ def _qhull(P):
             raise NumericalFailure(f"convex hull computation failed: {e}")
 
 
+def _full_facets(V, h) -> Facets:
+    """Facets of a full-dimensional body from Qhull run on its vertices V."""
+    return Facets(V.mean(axis=0), np.eye(V.shape[1]), h.equations, h.simplices)
+
+
 def _facets(V, k) -> Facets:
     n = V.shape[1]
     if k == n:
@@ -128,8 +133,7 @@ def _facets(V, k) -> Facets:
         inplane = np.array([[1.0, -t[hi]], [-1.0, t[lo]]])
         simplices = np.array([[hi], [lo]])
     elif k == n:
-        h = _qhull(V)  # full-dimensional: hull in original coordinates
-        return Facets(c, B, h.equations, h.simplices)
+        return _full_facets(V, _qhull(V))  # hull in original coordinates
     else:
         h = _qhull((V - c) @ B.T)
         inplane, simplices = h.equations, h.simplices
@@ -226,8 +230,8 @@ def hull(points) -> ConvexBody:
     proj = (P - c) @ B.T
     if k == n:
         proj = P  # full-dimensional: hull in original coordinates
-    idx = _qhull(proj).vertices  # CCW when k == 2
-    V = P[idx]
+    h = _qhull(proj)
+    V = P[h.vertices]  # CCW when k == 2
     if k == 2:
         # order canonically within the (possibly embedded) plane
         if n == 2:
@@ -239,7 +243,12 @@ def hull(points) -> ConvexBody:
             V = V[order]
     else:
         V = _canonical_order(V, n)
-    return ConvexBody(np.ascontiguousarray(V), k)
+    K = ConvexBody(np.ascontiguousarray(V), k)
+    if k == n and np.array_equal(V, P):
+        # Qhull ran on K.vertices itself (a canonical body reloaded): keep
+        # its facets rather than building the same hull again on first use.
+        K.__dict__["facets"] = _full_facets(K.vertices, h)
+    return K
 
 
 def support(K: ConvexBody, x) -> float:
@@ -374,27 +383,72 @@ def contains(K: ConvexBody, p, tol=TAU_PT) -> bool:
     return dist_to_body(K, p) <= tol
 
 
+def _facet_bounds(K: ConvexBody, X):
+    """Per row x of X: (lower, exact), lower <= dist(x, K) and exact marks
+    the rows where lower is dist(x, K) itself.
+
+    With off the distance from x to Aff(K) and depth the largest residual
+    of K's facet equations at x, dist(x, K)^2 >= off^2 + max(depth, 0)^2,
+    since the unit facet normals lie in Aff(K).  When depth <= 0 the
+    orthogonal projection of x onto Aff(K) lies in K, so the distance is
+    off.  A point body has no equations: off is its distance.
+    """
+    c, B, eqs, _ = K.facets
+    Y = X - c
+    off = np.linalg.norm(Y - (Y @ B.T) @ B, axis=1)
+    if len(eqs) == 0:
+        return off, np.ones(len(X), dtype=bool)
+    depth = (X @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1)
+    return np.hypot(off, np.maximum(depth, 0.0)), depth <= 0.0
+
+
 def includes(A: ConvexBody, B: ConvexBody, tol=TAU_PT) -> bool:
-    """True iff every vertex of B lies in A (up to tol), i.e. B is inside A."""
+    """True iff every vertex of B lies in A (up to tol), i.e. B is inside A.
+
+    A's facets decide every vertex whose lower bound exceeds tol or whose
+    distance they give exactly; the nearest-point projection decides the
+    rest.
+    """
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")
-    return all(contains(A, v, tol) for v in B.vertices)
+    if tol < 0:
+        raise InvalidInput("tol must be nonnegative")
+    lower, exact = _facet_bounds(A, B.vertices)
+    if np.any(lower > tol):
+        return False
+    return all(contains(A, v, tol) for v in B.vertices[~exact])
+
+
+def _directed_hausdorff(A: ConvexBody, B: ConvexBody) -> float:
+    """max over the vertices v of A of dist(v, B), projecting only the
+    vertices whose upper bound exceeds the largest distance found so far.
+
+    The upper bound is the exact facet distance where the facets give it,
+    and the distance to the nearest vertex of B otherwise.
+    """
+    V = A.vertices
+    upper, exact = _facet_bounds(B, V)
+    if not np.all(exact):
+        upper[~exact] = cKDTree(B.vertices).query(V[~exact])[0]
+    d = 0.0
+    for i in np.argsort(-upper, kind="stable"):
+        if upper[i] <= d:
+            break
+        d = max(d, np.linalg.norm(project(B, V[i]) - V[i]))
+    return d
 
 
 def hausdorff(A: ConvexBody, B: ConvexBody) -> float:
     """Hausdorff distance between two bodies.
 
     Exact for V-polytopes: the directed distance from a convex body is
-    attained at an extreme point, so it suffices to project vertices.
+    attained at an extreme point, so it suffices to project vertices, in
+    decreasing order of an upper bound and only while that bound can still
+    raise the maximum.  The result is a projection distance (or 0).
     """
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")
-    d = 0.0
-    for v in A.vertices:
-        d = max(d, np.linalg.norm(project(B, v) - v))
-    for v in B.vertices:
-        d = max(d, np.linalg.norm(project(A, v) - v))
-    return float(d)
+    return float(max(_directed_hausdorff(A, B), _directed_hausdorff(B, A)))
 
 
 def mix(A: ConvexBody, B: ConvexBody, lam: float) -> ConvexBody:

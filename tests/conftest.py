@@ -1,3 +1,4 @@
+import functools
 import importlib
 
 import numpy as np
@@ -61,3 +62,27 @@ def qhull_calls(monkeypatch):
         if hasattr(mod, "ConvexHull"):
             monkeypatch.setattr(mod, "ConvexHull", Counted)
     return calls
+
+
+@pytest.fixture
+def call_counter(monkeypatch):
+    """count(module, name) returns a list that grows by one per call of the
+    package function descent_geom.<module>.<name>, through every
+    module-level binding of it (internal calls included)."""
+
+    def count(module, name):
+        real = getattr(importlib.import_module(f"descent_geom.{module}"), name)
+        calls = []
+
+        @functools.wraps(real)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod_name in MODULES:
+            mod = importlib.import_module(f"descent_geom.{mod_name}")
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return count

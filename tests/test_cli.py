@@ -250,6 +250,63 @@ class TestConfigReach:
         assert set(sizes) == {3000}
 
 
+    def test_grid_size_reaches_annulus_and_ec(self, tmp_path, capsys, monkeypatch):
+        mean_width = importlib.import_module("descent_geom.mean_width")
+        sizes = []
+        real = mean_width.mean_width_quadrature
+
+        def recorded(K, grid):
+            sizes.append(grid.size)
+            return real(K, grid)
+
+        monkeypatch.setattr(mean_width, "mean_width_quadrature", recorded)
+        grid = ["--grid-size", "3000"]
+        _, fam_json, _ = run_cli(["gen", "random", "--n", "3", "--levels", "3", "--npoints",
+                                  "12", "--seed", "5"] + grid, capsys=capsys)
+        fam = json.loads(fam_json)
+        fpath, cpath, spath, mpath = (tmp_path / f for f in
+                                      ("fam.json", "curve.json", "chain.json", "miss.json"))
+        fpath.write_text(fam_json)
+        spath.write_text(json.dumps({"bodies": fam["bodies"]}))  # widths recomputed
+        top = np.array(fam["bodies"][-1]["vertices"])
+        ep = ",".join(repr(float(x)) for x in top[0])
+        code, _, _ = run_cli(["descend", "--family", str(fpath), "--knots",
+                              str(len(fam["bodies"])), f"--endpoint={ep}",
+                              "--out", str(cpath)] + grid, capsys=capsys)
+        assert code == 0
+        # a segment leaving the top body at a vertex meets no inner member
+        miss = [top[0], top[0] + 0.2 * (top[0] - top.mean(axis=0))]
+        mpath.write_text(json.dumps({"dim": 3, "points": np.array(miss).tolist()}))
+        sizes.clear()
+        code, out, _ = run_cli(["bounds", "annulus", "--curve", str(cpath), "--family",
+                                str(fpath)] + grid, capsys=capsys)
+        assert code == 0 and json.loads(out)["bound_ii_ok"]
+        for strat in (["--family", str(fpath)], ["--strat", str(spath)]):
+            code, _, _ = run_cli(["check", "ec", "--curve", str(cpath)] + strat + grid,
+                                 capsys=capsys)
+            assert code == 0
+        code, out, _ = run_cli(["check", "ec", "--curve", str(mpath), "--strat", str(spath)]
+                               + grid, capsys=capsys)
+        assert code == 1 and json.loads(out)["condition"] == "i"
+        assert len(sizes) >= 2 + 3 + 1 and set(sizes) == {3000}
+
+
+class TestQhullBudget:
+    def test_check_ec_builds_one_hull_per_loaded_member(self, tmp_path, capsys, qhull_calls):
+        fpath, cpath = tmp_path / "fam.json", tmp_path / "curve.json"
+        code, fam_json, _ = run_cli(["gen", "random", "--n", "2", "--seed", "1"], capsys=capsys)
+        fpath.write_text(fam_json)
+        fam = json.loads(fam_json)
+        ep = ",".join(repr(x) for x in fam["bodies"][-1]["vertices"][0])
+        run_cli(["descend", "--family", str(fpath), "--knots", str(len(fam["bodies"])),
+                 f"--endpoint={ep}", "--out", str(cpath)], capsys=capsys)
+        qhull_calls.clear()
+        code, _, _ = run_cli(["check", "ec", "--curve", str(cpath), "--family", str(fpath)],
+                             capsys=capsys)
+        assert code == 0
+        assert len(fam["bodies"]) == 26 and len(qhull_calls) <= 27
+
+
 class TestSvg:
     def test_flat_polygon_in_r3_draws_its_edges(self, tmp_path):
         ang = np.arange(24) * 2 * np.pi / 24

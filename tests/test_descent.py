@@ -1,14 +1,21 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from descent_geom.errors import InvalidInput, PreconditionViolated
 from descent_geom.geom_core import hull, includes
 from descent_geom.mean_width import SphereGrid, lipschitz_constant, mean_width
-from descent_geom.family import Family, complete
+from descent_geom.family import Family, complete, family_from_dict, is_connected
 from descent_geom.sep import Polyline, is_sep, length_bound_check
+from descent_geom.cli import main as cli_main
 from descent_geom.descent import (
+    _bd_tol,
+    _segment_interval,
+    align_curve,
     annulus_length_check,
     cantor_disks,
     cantor_family,
@@ -26,6 +33,7 @@ from descent_geom.descent import (
     log_spiral,
     make_expanding_couple,
     on_rel_boundary,
+    rel_depth_many,
     rotated_squares,
     scaled_family,
     stability_check,
@@ -284,6 +292,131 @@ class TestQhullBudget:
         an = annulus_length_check(ec, 0)
         assert an["bound_i_ok"] and an["bound_ii_ok"]
         assert len(fam) > 4 and len(qhull_calls) <= len(fam)
+
+
+def _align_reference(curve, K):
+    """Last curve point inside K by clipping every segment from the end;
+    None when the curve misses K."""
+    P, cums = curve.points, curve.arclengths()
+    for i in reversed(range(len(P) - 1)):
+        iv = _segment_interval(K, P[i], P[i + 1], _bd_tol(K))
+        if iv is not None:
+            return cums[i] + iv[1] * (cums[i + 1] - cums[i]), P[i] + iv[1] * (P[i + 1] - P[i])
+    return None
+
+
+def _grazing_curves():
+    """(body, curves) whose segments end on a facet plane, lie in a facet,
+    pass 1e-13 from a vertex, or have both ends just beyond one facet."""
+    sq = hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+    u = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    near = np.array([1.0, 1.0]) + 1e-13 * np.array([1.0, 1.0]) / math.sqrt(2.0)
+    sq_curves = [
+        [(-1, 0.5), (0, 0.5), (0, 2)],              # ends on x = 0, then along it
+        [(0.5, 0.5), (1, 0.5), (1, 1), (1, 3)],     # in the facet x = 1, then beyond
+        [near - 50 * u, near + 50 * u],             # 1e-13 outside the vertex (1, 1)
+        [near - 50 * u - 1e-13 * np.array([1, 1]), near + 50 * u - 1e-13 * np.array([1, 1])],
+        [(0.5, 0.5), (0.2, 1 + 1e-10), (0.8, 1 + 1e-10)],  # beyond y = 1 by 1e-10
+        [(0.5, 0.5), (0.2, 1 + 1e-7), (0.8, 1 + 1e-7)],    # beyond y = 1 by 1e-7
+        [(2, 2), (3, 3), (0.25, 0.25), (0.5, -4), (-3, -3)],
+    ]
+    cube = hull(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
+    cube_curves = [
+        [(0.5, 0.5, -1), (0.5, 0.5, 0), (0.5, 2, 0)],        # on z = 0, then in it
+        [(1, 1, 1 + 1e-13) - 20 * np.array([1, -1, 0.5]),
+         (1, 1, 1 + 1e-13) + 20 * np.array([1, -1, 0.5])],   # grazing a vertex
+        [(0.5, 0.5, 0.5), (0.5, 0.5, 1 + 1e-10), (3, 0.5, 1 + 1e-10)],
+    ]
+    flat = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    flat_curves = [[(0.2, 0.2, -1), (0.2, 0.2, 1)], [(-1, 0.5, 0), (2, 0.5, 0), (2, 2, 2)]]
+    return [(sq, sq_curves), (cube, cube_curves), (flat, flat_curves)]
+
+
+def _worst_iii_reference(P, bodies, tol):
+    """Condition (iii) of is_expanding_couple by the per-point loop: the
+    first strictly worst (gap, body, point, vertex, later point)."""
+    worst = None
+    scale = 1.0 + bodies[-1].diameter()
+    for qi, Q in enumerate(bodies):
+        D = cdist(P, Q.vertices)
+        suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
+        depth, off = rel_depth_many(Q, P)
+        outside = ~((off <= _bd_tol(Q)) & (depth > _bd_tol(Q)))
+        for i in np.nonzero(outside[:-1])[0]:
+            gap = D[i] - suffix[i + 1]
+            j = int(np.argmax(gap))
+            if gap[j] > tol * scale and (worst is None or gap[j] > worst[0]):
+                worst = (float(gap[j]), qi, i, j, int(i + 1 + np.argmin(D[i + 1:, j])))
+    return worst
+
+
+def _cli_json(argv, capsys):
+    cli_main(argv)
+    return capsys.readouterr().out
+
+
+class TestPrunedEquivalence:
+    def test_align_curve_bit_equal_to_backward_clipping(self, rng):
+        cases = _grazing_curves()
+        for n in (2, 3, 4):
+            K = hull(rng.standard_normal((14, n)))
+            cases.append((K, [rng.standard_normal((12, n)) * 1.5 for _ in range(6)]))
+        pairs = [(K, Polyline.make(np.asarray(c, dtype=float))) for K, curves in cases
+                 for c in curves]
+        pairs += [(Q, cantor_graph(5)) for Q in cantor_family(5).bodies]
+        met = 0
+        for Q, g in pairs:
+            ref = _align_reference(g, Q)
+            if ref is None:
+                with pytest.raises(InvalidInput):
+                    align_curve(g, [Q])
+                continue
+            s, x = align_curve(g, [Q])
+            assert s[0] == ref[0] and np.array_equal(x[0], ref[1])
+            met += 1
+        assert met > 60
+
+    def test_condition_iii_witness_matches_per_point_loop(self, tmp_path, capsys):
+        couples = [(cantor_graph(6), cantor_family(6))]
+        # two R^3 descent curves that fail condition (iii)
+        for seed, levels, knots, ep in (
+                (919399049, 3, 9, "0.5638436132768596,-0.4282992638992561,0.9529779140901545"),
+                (1484709635, 2, 6, "-1.01109357118367,0.14085506941196477,0.09581038875892059")):
+            fam_path = tmp_path / f"fam{seed}.json"
+            fam_path.write_text(_cli_json(["gen", "random", "--n", "3", "--npoints", "8",
+                                           "--levels", str(levels), "--seed", str(seed)], capsys))
+            curve = json.loads(_cli_json(["descend", "--family", str(fam_path), "--knots",
+                                          str(knots), f"--endpoint={ep}"], capsys))
+            fam = family_from_dict(json.loads(fam_path.read_text()))
+            couples.append((Polyline.make(curve["points"]), fam))
+        for g, fam in couples:
+            res = is_expanding_couple(g, fam, 1e-7)
+            assert res["condition"] == "iii"
+            gap, qi, i, j, later = _worst_iii_reference(g.points, fam.bodies, 1e-7)
+            w = res["witness"]
+            assert w["violation"] == gap and w["body_index"] == qi
+            assert np.array_equal(w["x"], g.points[i]) and np.array_equal(w["x1"], g.points[later])
+            assert np.array_equal(w["y"], fam.bodies[qi].vertices[j])
+
+
+class TestWorkBudget:
+    def test_is_connected_projects_disks_3d(self, call_counter):
+        fam = disk_family(n=3, m=64, levels=6)
+        calls = call_counter("geom_core", "project")
+        assert is_connected(fam)
+        assert len(calls) <= 2 * (len(fam) - 1)
+
+    def test_is_connected_projects_example61(self, ex61, call_counter):
+        fam, _ = ex61
+        calls = call_counter("geom_core", "project")
+        assert is_connected(fam)
+        assert len(calls) <= 60
+
+    def test_viable_sdc_clips_cantor(self, call_counter):
+        g, fam = cantor_graph(6), cantor_family(6)
+        calls = call_counter("descent", "_segment_inside_interval_eqs")
+        assert is_viable_sdc(g, fam)["ok"]
+        assert len(calls) <= 2 * len(fam)
 
 
 class TestFixtures:

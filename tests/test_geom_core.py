@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import pathlib
 
@@ -264,6 +265,19 @@ class TestFacets:
             K = random_polytope(rng, n, 25)
             assert np.array_equal(K.facets.equations, ConvexHull(K.vertices).equations)
 
+    def test_hull_of_its_own_vertices_keeps_its_facets(self, rng, qhull_calls):
+        for n in (2, 3, 4):
+            K = random_polytope(rng, n, 25)
+            K.facets
+            qhull_calls.clear()
+            for L in (hull(K.vertices), body_from_dict(K.to_dict())):
+                assert np.array_equal(L.vertices, K.vertices)
+                assert np.array_equal(L.facets.simplices, K.facets.simplices)
+                assert np.array_equal(L.facets.equations, ConvexHull(L.vertices).equations)
+            assert len(qhull_calls) == 2  # one per hull() call, none for their facets
+        M = hull(np.vstack([K.vertices, K.centroid()]))  # an interior input point
+        assert "facets" not in vars(M)
+
     def test_cached_and_independent_of_construction(self, rng, qhull_calls):
         K = random_polytope(rng, 3, 20)
         qhull_calls.clear()
@@ -310,6 +324,84 @@ class TestFacets:
                 for t, beyond in ((t0, t0 - step), (t1, t1 + step)):
                     assert in_convex_hull_lp(a + t * (b - a), K.vertices)
                     assert not in_convex_hull_lp(a + beyond * (b - a), K.vertices)
+
+
+def _wolfe_hausdorff(A, B):
+    """Reference: every vertex of each body projected onto the other."""
+    d = 0.0
+    for v in A.vertices:
+        d = max(d, np.linalg.norm(project(B, v) - v))
+    for v in B.vertices:
+        d = max(d, np.linalg.norm(project(A, v) - v))
+    return float(d)
+
+
+def _wolfe_includes(A, B, tol):
+    """Reference: every vertex of B within tol of A by projection."""
+    return all(contains(A, v, tol) for v in B.vertices)
+
+
+def _pair_corpus(rng):
+    """Seeded body pairs in n = 2..5: nested, identical, concentric (tied
+    vertex distances), unrelated, flat, segments and points."""
+    pairs = []
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            A, B = nested_pair(rng, n, 12 + 2 * n)
+            c = B.centroid()
+            pairs += [(A, B), (B, B), (B, hull(c + 1.5 * (B.vertices - c))),
+                      (B, random_polytope(rng, n, 10))]
+        cube = hull(np.array(list(itertools.product((-1.0, 1.0), repeat=n))))
+        seg, pt = hull(rng.standard_normal((2, n))), hull(rng.standard_normal(n))
+        pairs += [(cube, cube.scale(0.5)), (B, seg), (seg, pt), (B, pt), (pt, pt), (seg, seg)]
+    for n, k in ((3, 2), (4, 2), (4, 3)):
+        F = _embedded(rng, n, k, 10)
+        c = F.centroid()
+        pairs += [(F, hull(c + 0.6 * (F.vertices - c))), (F, random_polytope(rng, n, 12)),
+                  (F, F.translate(0.3 * rng.standard_normal(n))),
+                  (hull(F.vertices[:2]), F)]
+    return pairs
+
+
+def _near_facet_pairs(rng, tol):
+    """(A, B, inside): B's vertices lie tol/2 inside or outside A's facets
+    (inside=True), or one of them 1.5 tol outside (inside=False)."""
+    out = []
+    for A in [random_polytope(rng, n, 14) for n in (2, 3, 4, 5)] + [_embedded(rng, 3, 2, 8)]:
+        c, _, eqs, simplices = A.facets
+        mids = np.array([A.vertices[s].mean(axis=0) for s in simplices])
+        shift = 0.5 * tol * rng.choice([-1.0, 1.0], size=len(eqs))
+        P = mids + shift[:, None] * eqs[:, :-1]
+        out.append((A, hull(P), True))
+        P[0] = mids[0] + 1.5 * tol * eqs[0, :-1]
+        out.append((A, hull(P), False))
+    return out
+
+
+class TestFacetPruning:
+    def test_hausdorff_matches_per_vertex_wolfe(self, rng):
+        pairs = _pair_corpus(rng) + [(A, B) for tol in (1e-9, 1e-3, 0.1)
+                                     for A, B, _ in _near_facet_pairs(rng, tol)]
+        for A, B in pairs:
+            ref = _wolfe_hausdorff(A, B)
+            assert abs(hausdorff(A, B) - ref) <= 1e-12 * (1.0 + ref)
+
+    def test_includes_verdicts_match_wolfe(self, rng):
+        pairs = _pair_corpus(rng)
+        verdicts = []
+        for tol in (1e-9, 1e-3, 0.1):
+            for A, B in pairs:
+                for X, Y in ((A, B), (B, A)):
+                    got = includes(X, Y, tol)
+                    assert got == _wolfe_includes(X, Y, tol)
+                    verdicts.append(got)
+            for A, B, inside in _near_facet_pairs(rng, tol):
+                assert includes(A, B, tol) == _wolfe_includes(A, B, tol) == inside
+        assert any(verdicts) and not all(verdicts)
+
+    def test_negative_tol_rejected(self, unit_square):
+        with pytest.raises(InvalidInput):
+            includes(unit_square, unit_square, -1e-9)
 
 
 def test_only_geom_core_references_convexhull():
