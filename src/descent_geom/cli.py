@@ -199,7 +199,7 @@ def _cmd_gen(args):
     rng = np.random.default_rng(args.seed)
     if args.kind == "disks":
         fam = disk_family(args.rmin, args.rmax, args.levels, m=args.mesh, n=args.n,
-                          seed=args.seed)
+                          seed=args.seed, grid=_grid_for(args, args.n))
     elif args.kind == "squares":
         strat = rotated_squares(args.levels)
         dw = strat.params[-1] - strat.params[0]
@@ -232,7 +232,7 @@ def _cmd_fixtures(args):
         fam, curve = cantor_disks(args.level)
         _emit({"family": fam.to_dict(), "curve": curve.to_dict()})
     elif args.kind == "example61":
-        fam = example61_family()
+        fam = example61_family(grid=_grid_for(args, 3))
         curve = example61_curve(fam, radial=args.radial)
         _emit({"family": fam.to_dict(), "curve": curve.to_dict()})
     elif args.kind == "spiral":

@@ -22,7 +22,6 @@ from .geom_core import (
     ConvexBody,
     as_point,
     contains,
-    dist_to_body,
     hausdorff,
     hull,
     project,
@@ -65,18 +64,19 @@ def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
 # -- segment / body clipping ---------------------------------------------------
 
 
-def _segment_inside_interval_eqs(eqs, a, b, tol=1e-12):
+def _segment_inside_interval_eqs(eqs, a, b):
     """Parameter interval of {t in [0,1] : a + t(b-a) in K} from facet
-    equations; None when the segment misses K."""
+    equations; None when the segment misses K.  No equations (a point
+    body) give [0, 1]."""
     d = b - a
     alpha = eqs[:, :-1] @ a + eqs[:, -1]
     beta = eqs[:, :-1] @ d
     lo, hi = 0.0, 1.0
-    scale = 1.0 + np.abs(alpha).max()
+    scale = 1.0 + np.abs(alpha).max(initial=0.0)
     # on a polygon's few facets a loop over floats beats array operations
     for al, be in zip(alpha.tolist(), beta.tolist()):
         if abs(be) <= 1e-14 * scale:
-            if al > tol * scale:
+            if al > 1e-12 * scale:
                 return None
             continue
         t = -al / be
@@ -89,95 +89,64 @@ def _segment_inside_interval_eqs(eqs, a, b, tol=1e-12):
     return max(lo, 0.0), min(hi, 1.0)
 
 
-def _segment_inside_interval_bisect(K, a, b, tol):
-    """Inside interval for a degenerate body, by distance minimization and
-    boundary bisection.
+def _segment_interval(K: ConvexBody, a, b):
+    """Inside interval (t0, t1) of the segment a->b, or None: exact
+    clipping by K's facet equations.
 
-    Membership during bisection uses a tight threshold so the interval
-    endpoints land on the body itself, not in the outer tol-band; tol only
-    decides whether a grazing segment counts as touching at all.
+    For a lower-dimensional K the facets bound the cylinder over K, so the
+    interval is also cut to the parameters where the segment lies within
+    eps = 1e-12 * (1 + max|a - c|) of Aff(K).  With o0 and o1 the parts of
+    a - c and b - a orthogonal to Aff(K), that band is the interval of
+    half-width sqrt(eps^2 - r^2) / |o1| around the parameter t* nearest to
+    Aff(K), r = |o0 + t* o1|; a segment parallel to Aff(K) is in the band
+    everywhere or nowhere.
     """
-    d = b - a
-    seglen = np.linalg.norm(d)
-    tight = max(1e-11 * (1.0 + K.diameter()), 1e-14)
-    if seglen <= TAU_PT:
-        return (0.0, 1.0) if contains(K, a, tol) else None
-
-    def dist(t):
-        return dist_to_body(K, a + t * d)
-
-    in_a, in_b = dist(0.0) <= tight, dist(1.0) <= tight
-    if in_a and in_b:
-        return 0.0, 1.0
-    if in_a:
-        return 0.0, _bisect_boundary(dist, 0.0, 1.0, tight)
-    if in_b:
-        return _bisect_boundary(dist, 1.0, 0.0, tight), 1.0
-    # distance along the segment is convex; ternary search for its min
-    x, y = 0.0, 1.0
-    for _ in range(80):
-        m1 = x + (y - x) / 3.0
-        m2 = y - (y - x) / 3.0
-        if dist(m1) <= dist(m2):
-            y = m2
-        else:
-            x = m1
-    tm = 0.5 * (x + y)
-    dm = dist(tm)
-    if dm > tol:
+    c, B, eqs, _ = K.facets
+    iv = _segment_inside_interval_eqs(eqs, a, b)
+    if iv is None or len(B) == K.dim:
+        return iv
+    y, d = a - c, b - a
+    o0 = y - (y @ B.T) @ B
+    o1 = d - (d @ B.T) @ B
+    scale = 1.0 + np.abs(y).max()
+    eps = 1e-12 * scale
+    n1 = np.linalg.norm(o1)
+    if n1 <= 1e-14 * scale:
+        return iv if np.linalg.norm(o0) <= eps else None
+    ts = -(o0 @ o1) / (n1 * n1)
+    r = np.linalg.norm(o0 + ts * o1)
+    if r > eps:
         return None
-    if dm > tight:
-        return tm, tm  # grazing contact within the tol band
-    t0 = _bisect_boundary(dist, tm, 0.0, tight)
-    t1 = _bisect_boundary(dist, tm, 1.0, tight)
-    return t0, t1
-
-
-def _bisect_boundary(dist, t_in, t_out, tol):
-    for _ in range(60):
-        tm = 0.5 * (t_in + t_out)
-        if dist(tm) <= tol:
-            t_in = tm
-        else:
-            t_out = tm
-    return t_in
-
-
-def _segment_interval(K: ConvexBody, a, b, tol=None):
-    """Inside interval of the segment a->b: exact facet clipping for
-    full-dimensional K, membership bisection at tol otherwise."""
-    if K.dim_affine < K.dim:
-        tol = TAU_PT * (1.0 + K.diameter()) if tol is None else tol
-        return _segment_inside_interval_bisect(K, a, b, tol)
-    return _segment_inside_interval_eqs(K.facets.equations, a, b)
+    hw = math.sqrt(eps * eps - r * r) / n1
+    lo, hi = max(iv[0], ts - hw), min(iv[1], ts + hw)
+    if lo > hi:
+        return None
+    return lo, hi
 
 
 def _candidate_segments(K: ConvexBody, P):
     """Indices i, rising, of the segments P[i] -> P[i+1] that may meet K.
 
-    For full-dimensional K a segment is dropped when both its ends lie
-    beyond one facet by 1e-9 * (1 + the largest |residual| at either end),
-    which _segment_inside_interval_eqs rejects as well, so clipping the
-    remaining segments gives the same answers.  Lower-dimensional K keeps
-    every segment.
+    A segment is dropped when both its ends lie beyond one facet (of K, or
+    of the cylinder over a lower-dimensional K) by 1e-9 * (1 + the largest
+    |residual| at either end), which _segment_inside_interval_eqs rejects
+    as well, so clipping the remaining segments gives the same answers.
     """
-    if K.dim_affine < K.dim:
-        return np.arange(len(P) - 1)
     eqs = K.facets.equations
     R = P @ eqs[:, :-1].T + eqs[:, -1]
-    scale = 1.0 + np.abs(R).max(axis=1)
+    scale = 1.0 + np.abs(R).max(axis=1, initial=0.0)
     margin = 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]
     return np.nonzero(~((R[:-1] > margin) & (R[1:] > margin)).any(axis=1))[0]
 
 
-def segment_inside_interval(K: ConvexBody, a, b, tol=None):
+def segment_inside_interval(K: ConvexBody, a, b):
     """Interval of the segment a->b lying inside K ((t0, t1) or None)."""
-    return _segment_interval(K, as_point(a, K.dim), as_point(b, K.dim), tol)
+    return _segment_interval(K, as_point(a, K.dim), as_point(b, K.dim))
 
 
-def clip_length_outside(gamma: Polyline, K: ConvexBody, tol=None) -> float:
-    """Length of the part of the curve outside K (exact facet clipping for
-    full-dimensional K, membership bisection otherwise)."""
+def clip_length_outside(gamma: Polyline, K: ConvexBody) -> float:
+    """Length of the part of the curve outside K, by exact segment
+    clipping (lower-dimensional K within a relative 1e-12 of Aff(K))."""
     P = gamma.points
     if len(P) < 2:
         return 0.0
@@ -188,7 +157,7 @@ def clip_length_outside(gamma: Polyline, K: ConvexBody, tol=None) -> float:
         seglen = float(np.linalg.norm(b - a))
         if seglen <= 0:
             continue
-        iv = _segment_interval(K, a, b, tol)
+        iv = _segment_interval(K, a, b)
         if iv is not None:
             inside += (iv[1] - iv[0]) * seglen
     return total - inside
@@ -212,20 +181,20 @@ def align_curve(curve: Polyline, bodies, tol=None):
     """Last curve point (by arc length) inside each body.
 
     Returns (s_values, points); raises InvalidInput when some body contains
-    no point of the curve.
+    no point of the curve.  Segments are clipped exactly; tol (default
+    _bd_tol(K)) is the membership tolerance of a one-point curve.
     """
     P = curve.points
     cums = curve.arclengths()
     s_out, x_out = [], []
     for K in bodies:
-        t = _bd_tol(K) if tol is None else tol
         found = None
         if len(P) == 1:
-            if contains(K, P[0], t):
+            if contains(K, P[0], _bd_tol(K) if tol is None else tol):
                 found = (0.0, P[0].copy())
         else:
             for i in _candidate_segments(K, P)[::-1]:
-                iv = _segment_interval(K, P[i], P[i + 1], t)
+                iv = _segment_interval(K, P[i], P[i + 1])
                 if iv is None:
                     continue
                 seglen = cums[i + 1] - cums[i]
@@ -297,11 +266,10 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     P = gamma.points
     top = strat.bodies[-1]
     for Q in strat.bodies:
-        qtol = max(tol, _bd_tol(Q))
         if len(P) == 1:
-            hit = contains(Q, P[0], qtol)
+            hit = contains(Q, P[0], max(tol, _bd_tol(Q)))
         else:
-            hit = any(_segment_interval(Q, P[i], P[i + 1], qtol) is not None
+            hit = any(_segment_interval(Q, P[i], P[i + 1]) is not None
                       for i in _candidate_segments(Q, P))
         if not hit:
             return {"ok": False, "condition": "i", "witness": {"body_width": mean_width(Q, grid)}}
@@ -545,11 +513,13 @@ def log_spiral(b: float = 0.28, turns: float = 3.0, m: int = 1500) -> Polyline:
 
 
 def example61_family(n_psi: int = 24, n_phi: int = 9, d_steps: int = 5,
-                     e_steps: int = 5, t_min: float = 0.2) -> Family:
+                     e_steps: int = 5, t_min: float = 0.2,
+                     grid: SphereGrid = None) -> Family:
     """Revolved-pancake family in R^3: flat disks D_t (radius t, plane
     x3 = 0) followed by solids of revolution E_t with rim radius t and
     thickness 2(t - 1); the connected family admitting no viable steepest
-    descent curve from generic top endpoints."""
+    descent curve from generic top endpoints.  Params are mean widths on
+    grid."""
     psi = (np.arange(n_psi) + 0.5) * 2.0 * math.pi / n_psi
     ring = np.column_stack([np.cos(psi), np.sin(psi)])
     bodies = []
@@ -564,7 +534,7 @@ def example61_family(n_psi: int = 24, n_phi: int = 9, d_steps: int = 5,
             [np.column_stack([ri * ring, np.full(n_psi, zi)]) for ri, zi in zip(r, z)]
         )
         bodies.append(hull(pts))
-    params = tuple(mean_width(K) for K in bodies)
+    params = tuple(mean_width(K, grid) for K in bodies)
     h = float(np.max(np.diff(params)))
     return Family(tuple(bodies), params, h * (1.0 + 1e-9))
 
@@ -600,15 +570,17 @@ def rotated_squares(levels: int = 4, step_angle: float = math.radians(15.0),
     return validate_stratification(bodies)
 
 
-def disk_family(r_min=0.5, r_max=1.0, levels=10, m=64, n=2, seed=0) -> Family:
-    """Concentric balls (polygon / mesh approximations) on a width grid."""
+def disk_family(r_min=0.5, r_max=1.0, levels=10, m=64, n=2, seed=0,
+                grid: SphereGrid = None) -> Family:
+    """Concentric balls (polygon / mesh approximations); params are mean
+    widths on grid."""
     radii = np.linspace(r_min, r_max, levels)
     if n == 2:
         bodies = tuple(disk_polygon(r, m=m) for r in radii)
     else:
         dirs = unit_directions(n, max(m, 32), seed)
         bodies = tuple(hull(r * dirs) for r in radii)
-    params = tuple(mean_width(K) for K in bodies)
+    params = tuple(mean_width(K, grid) for K in bodies)
     h = float(np.max(np.diff(params)))
     return Family(bodies, params, h * (1.0 + 1e-9))
 

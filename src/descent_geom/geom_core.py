@@ -169,12 +169,18 @@ class ConvexBody:
     def centroid(self):
         return self.vertices.mean(axis=0)
 
-    def diameter(self):
+    @cached_property
+    def _diameter(self) -> float:
         V = self.vertices
         if len(V) == 1:
             return 0.0
         d2 = ((V[:, None, :] - V[None, :, :]) ** 2).sum(axis=2)
         return float(np.sqrt(d2.max()))
+
+    def diameter(self):
+        """Largest distance between two vertices, computed on first use and
+        kept."""
+        return self._diameter
 
     def translate(self, t):
         return ConvexBody(self.vertices + as_point(t, self.dim), self.dim_affine)

@@ -250,6 +250,27 @@ class TestConfigReach:
         assert set(sizes) == {3000}
 
 
+    def test_grid_size_reaches_disks_and_example61(self, capsys, monkeypatch):
+        mean_width = importlib.import_module("descent_geom.mean_width")
+        sizes = []
+        real = mean_width.mean_width_quadrature
+
+        def recorded(K, grid):
+            sizes.append(grid.size)
+            return real(K, grid)
+
+        monkeypatch.setattr(mean_width, "mean_width_quadrature", recorded)
+        outs = {}
+        for size in ("3000", "600"):
+            sizes.clear()
+            code, outs[size], _ = run_cli(["gen", "disks", "--n", "3", "--levels", "4",
+                                           "--grid-size", size], capsys=capsys)
+            assert code == 0 and len(sizes) == 4 and set(sizes) == {int(size)}
+        assert outs["3000"] != outs["600"]
+        sizes.clear()
+        code, _, _ = run_cli(["fixtures", "example61", "--grid-size", "3000"], capsys=capsys)
+        assert code == 0 and len(sizes) == 10 and set(sizes) == {3000}
+
     def test_grid_size_reaches_annulus_and_ec(self, tmp_path, capsys, monkeypatch):
         mean_width = importlib.import_module("descent_geom.mean_width")
         sizes = []

@@ -299,7 +299,7 @@ def _align_reference(curve, K):
     None when the curve misses K."""
     P, cums = curve.points, curve.arclengths()
     for i in reversed(range(len(P) - 1)):
-        iv = _segment_interval(K, P[i], P[i + 1], _bd_tol(K))
+        iv = _segment_interval(K, P[i], P[i + 1])
         if iv is not None:
             return cums[i] + iv[1] * (cums[i + 1] - cums[i]), P[i] + iv[1] * (P[i + 1] - P[i])
     return None
@@ -417,6 +417,16 @@ class TestWorkBudget:
         calls = call_counter("descent", "_segment_inside_interval_eqs")
         assert is_viable_sdc(g, fam)["ok"]
         assert len(calls) <= 2 * len(fam)
+
+    def test_viable_sdc_example61_clips_exactly(self, ex61, call_counter):
+        # five of the members are flat disks: clipped in Aff(K), never projected
+        fam, curve = ex61
+        projects = call_counter("geom_core", "project")
+        clips = call_counter("descent", "_segment_interval")
+        res = is_viable_sdc(curve, fam)
+        assert not res["ok"] and res["witness"]["knot"] == 2
+        assert len(projects) == 0
+        assert len(clips) <= 2 * len(fam)
 
 
 class TestFixtures:

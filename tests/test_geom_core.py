@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
@@ -310,20 +311,62 @@ class TestFacets:
                 assert abs(d) > 1e-9 and (d > 0) == in_convex_hull_lp(x, K.vertices)
 
     def test_segment_interval_endpoints_lp(self, rng, tight_lp):
-        for n in (2, 3, 4, 5):
-            K = random_polytope(rng, n, 20)
-            c = K.centroid()
+        def bodies():
+            for n in (2, 3, 4, 5):
+                yield random_polytope(rng, n, 20)
+            # flat polygons in R^3 and R^4, a flat 3-polytope in R^4 and in
+            # R^5, segments in R^2 and R^3
+            for n, k, npts in ((3, 2, 12), (4, 2, 10), (4, 3, 16), (5, 3, 16),
+                               (2, 1, 5), (3, 1, 5)):
+                yield _embedded(rng, n, k, npts)
+
+        for K in bodies():
+            c, B = K.facets.center, K.facets.basis
+            k = len(B)
             R = 2.0 * K.diameter()
             for _ in range(6):
-                u = rng.standard_normal(n)
+                # a segment inside Aff(K) (any segment when K is full-dimensional)
+                u = rng.standard_normal(k) @ B
                 u /= np.linalg.norm(u)
-                a, b = c - R * u + 0.1 * rng.standard_normal(n), c + R * u
+                a, b = c - R * u + 0.1 * rng.standard_normal(k) @ B, c + R * u
                 t0, t1 = segment_inside_interval(K, a, b)
                 assert 0.0 < t0 < t1 < 1.0
                 step = 1e-6 / np.linalg.norm(b - a)
                 for t, beyond in ((t0, t0 - step), (t1, t1 + step)):
                     assert in_convex_hull_lp(a + t * (b - a), K.vertices)
                     assert not in_convex_hull_lp(a + beyond * (b - a), K.vertices)
+
+    def test_segment_interval_crossing_aff(self, rng, tight_lp):
+        """A segment crossing Aff(K) of a lower-dimensional K meets K only
+        near the crossing parameter, and only when it crosses inside K."""
+        bodies = [_embedded(rng, n, k, npts) for n, k, npts in
+                  ((3, 2, 12), (4, 2, 10), (4, 3, 16), (5, 3, 16), (2, 1, 5), (3, 1, 5))]
+        bodies += [hull([(0.3, -1.2)]), hull([(0.3, -1.2, 2.0)])]
+        for K in bodies:
+            c, B = K.facets.center, K.facets.basis
+            N = null_space(B) if len(B) else np.eye(K.dim)  # normals of Aff(K)
+            far = 3.0 * (1.0 + K.diameter())
+            for _ in range(3):
+                nu = N @ rng.standard_normal(N.shape[1])
+                nu /= np.linalg.norm(nu)
+                tau = rng.standard_normal(len(B)) @ B  # zero for a point body
+                v = 2.0 * (nu + 0.3 * tau)
+                t_cross = rng.uniform(0.2, 0.8)
+                p = c + 0.05 * rng.standard_normal(len(B)) @ B
+                assert in_convex_hull_lp(p, K.vertices)
+                a, b = p - t_cross * v, p + (1.0 - t_cross) * v
+                t0, t1 = segment_inside_interval(K, a, b)
+                assert abs(t0 - t_cross) <= 1e-11 and abs(t1 - t_cross) <= 1e-11
+                assert 0.0 <= t1 - t0 <= 1e-11
+                assert in_convex_hull_lp(a + t0 * (b - a), K.vertices)
+                if len(B):  # the same segment moved in Aff(K) to cross it outside K
+                    q = c + far * tau / np.linalg.norm(tau)
+                    assert segment_inside_interval(K, q - t_cross * v, q + (1 - t_cross) * v) is None
+        pt = bodies[-1].vertices[0]
+        off = pt + [1e-6, 0.0, 0.0]
+        assert segment_inside_interval(bodies[-1], pt, pt) == (0.0, 1.0)
+        assert segment_inside_interval(bodies[-1], off, off) is None
+        assert segment_inside_interval(bodies[-1], off - [0, 0, 1], off + [0, 0, 1]) is None
 
 
 def _wolfe_hausdorff(A, B):
