@@ -1,7 +1,7 @@
 """Steepest-descent curves for nested convex families.
 
 Computational toolkit for V-polytope convex geometry: support functions,
-projections and Hausdorff distance; polyhedral normal/tangent/dual cones
+projections and Hausdorff distance; polyhedral normal/tangent cones
 and cap bodies; exact planar and quadrature mean widths with their first
 variation; self-expanding path validation with sharp length bounds;
 quasi-convex family completion; and descent-curve synthesis by successive
@@ -33,8 +33,6 @@ from .cones import (
     PolyCone,
     cap_body,
     cap_support,
-    cone_from_generators,
-    dual_cone,
     in_normal_cone,
     normal_cone,
     normal_cone_limit_report,

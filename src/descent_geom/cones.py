@@ -1,17 +1,18 @@
-"""Polyhedral cones for V-polytopes: tangent and normal cones, dual-cone
-enumeration, cap bodies, circular cones, and the closed-form spherical
-sector integrals used by the quantitative bounds.
+"""Polyhedral cones for V-polytopes: tangent and normal cones, cap bodies,
+circular cones, and the closed-form spherical sector integrals used by the
+quantitative bounds.
 
-Cones are stored by finite generator sets (nonnegative hull of unit
-vectors); membership is decided by nonnegative least squares.  Dual cones
-are enumerated by the active-set method: every extreme ray of
-{y : <g_i, y> >= 0} lies on a rank-(d-1) subset of active constraints.
-Non-pointed cones carry their lineality space as +/- generator pairs.
+A cone is taken at a point q of a body K and carries both of its
+representations, read off K: generators (unit vectors, nonnegative hull)
+and rows (x in C iff <x, row> >= 0).  They come from the facets of K
+through q and from the directions to its vertices, so nothing is ever
+dualised; the halfspace cut of the cone-limit study is one
+double-description step.  The normal cone of a lower-dimensional body
+carries the complement of its affine hull as +/- generator pairs.
 """
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
@@ -22,6 +23,7 @@ from .geom_core import (
     ConvexBody,
     as_point,
     contains,
+    dedup_points,
     hull,
     support,
     unit_directions,
@@ -37,36 +39,32 @@ def sphere_measure(k: int) -> float:
     return 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
 
 
-def _unit_rows(G, tol=TAU_PT):
-    G = np.asarray(G, dtype=float)
-    if G.size == 0:
-        return G.reshape(0, G.shape[1] if G.ndim == 2 else 0)
-    norms = np.linalg.norm(G, axis=1)
-    G = G[norms > tol] / norms[norms > tol, None]
-    out = []
-    for g in G:
-        if all(np.linalg.norm(g - h) > tol for h in out):
-            out.append(g)
-    return np.array(out) if out else G[:0]
+def _unit(G):
+    """Rows of G scaled to unit length; rows shorter than TAU_PT dropped."""
+    r = np.linalg.norm(G, axis=1)
+    return G[r > TAU_PT] / r[r > TAU_PT, None]
 
 
 @dataclass
 class PolyCone:
-    """Polyhedral cone spanned by nonnegative combinations of unit generators.
+    """Polyhedral cone at a body point, in both of its representations.
 
-    The apex records where the cone was taken; generators live at the origin.
-    An empty generator list is the zero cone.
+    generators: unit vectors whose nonnegative hull is the cone (none for
+    the zero cone).  rows: x lies in the cone iff <x, row> >= 0 for every
+    row (none for the whole space).  The apex records where the cone was
+    taken; both live at the origin.
     """
 
     dim: int
     generators: np.ndarray
+    rows: np.ndarray
     apex: np.ndarray = None
-    _dual_rows: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.apex is None:
             self.apex = np.zeros(self.dim)
         self.generators = np.asarray(self.generators, dtype=float).reshape(-1, self.dim)
+        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, self.dim)
 
     @property
     def is_zero(self):
@@ -82,20 +80,8 @@ class PolyCone:
         return res <= tol * (1.0 + nx)
 
     def member_mask(self, dirs, tol=_MEMBER_TOL):
-        """Vectorized membership of many directions, via dual inequalities."""
-        dirs = np.asarray(dirs, dtype=float)
-        if self.is_zero:
-            return np.linalg.norm(dirs, axis=1) <= tol
-        rows = self.dual_rows()
-        if rows.shape[0] == 0:
-            return np.ones(len(dirs), dtype=bool)
-        return np.min(dirs @ rows.T, axis=1) >= -tol
-
-    def dual_rows(self):
-        """Generators of the dual cone (x in C iff <x, row> >= 0 for all rows)."""
-        if self._dual_rows is None:
-            self._dual_rows = dual_cone(self).generators
-        return self._dual_rows
+        """Vectorized membership of many directions, by the rows."""
+        return np.all(np.asarray(dirs, dtype=float) @ self.rows.T >= -tol, axis=1)
 
     def angle_to(self, x) -> float:
         """Angular distance from direction x to the cone (radians)."""
@@ -114,22 +100,9 @@ class PolyCone:
         return float(math.acos(np.clip(x @ (p / npn), -1.0, 1.0)))
 
 
-def cone_from_generators(gens, dim=None, apex=None):
-    G = np.asarray(gens, dtype=float)
-    if G.size == 0:
-        if dim is None:
-            raise InvalidInput("dimension required for a zero cone")
-        return PolyCone(dim, np.zeros((0, dim)), apex)
-    if G.ndim == 1:
-        G = G[None, :]
-    return PolyCone(G.shape[1], _unit_rows(G), apex)
-
-
 def _reduce_generators(G, tol=1e-10):
     """Drop generators lying in the cone of the others (Farkas-redundant)."""
     m = len(G)
-    if m <= 2:
-        return G
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         others = G[keep & (np.arange(m) != i)]
@@ -141,110 +114,61 @@ def _reduce_generators(G, tol=1e-10):
     return G[keep]
 
 
-def dual_cone(C: PolyCone) -> PolyCone:
-    """Dual cone C* = {y : <y, g> >= 0 for every generator g of C}.
-
-    Splits off the lineality space null(G), then enumerates the extreme
-    rays of the pointed part in the row space of G.  C** == C holds at
-    tolerance for every closed convex cone handled here.
-    """
-    n = C.dim
-    G = C.generators
-    if G.shape[0] == 0:
-        eye = np.eye(n)
-        return PolyCone(n, np.vstack([eye, -eye]), C.apex.copy())
-    _, s, Vt = np.linalg.svd(G, full_matrices=True)
-    r = int(np.sum(s > 1e-10 * s[0]))
-    W = Vt[:r]          # row space: pointed part of C* lives here
-    L = Vt[r:]          # null space: lineality of C*
-    G2 = _unit_rows(G @ W.T)
-    if G2.shape[0] > max(12, 3 * r):
-        G2 = _reduce_generators(G2)
-    rays = []
-    if r == 1:
-        if np.all(G2[:, 0] >= -1e-12):
-            rays.append(np.array([1.0]))
-        elif np.all(G2[:, 0] <= 1e-12):
-            rays.append(np.array([-1.0]))
-    else:
-        m = len(G2)
-        cand = []
-        for idx in combinations(range(m), r - 1):
-            A = G2[list(idx)]
-            _, sa, Va = np.linalg.svd(A, full_matrices=True)
-            rank = int(np.sum(sa > 1e-9 * max(sa[0], 1.0))) if sa.size else 0
-            if rank != r - 1:
-                continue
-            z = Va[r - 1]
-            vals = G2 @ z
-            lo, hi = vals.min(), vals.max()
-            if lo >= -1e-9:
-                cand.append(z)
-            elif hi <= 1e-9:
-                cand.append(-z)
-        for z in cand:
-            if all(np.linalg.norm(z - y) > 1e-8 for y in rays):
-                rays.append(z)
-    gens = [z @ W for z in rays]
-    for l in L:
-        gens.append(l)
-        gens.append(-l)
-    if not gens:
-        return PolyCone(n, np.zeros((0, n)), C.apex.copy())
-    return PolyCone(n, _unit_rows(np.array(gens)), C.apex.copy())
-
-
 def cone_intersect_halfspace(C: PolyCone, u) -> PolyCone:
-    """C intersected with the halfspace {x : <x, u> >= 0}, by double duality."""
+    """C intersected with the halfspace {x : <x, u> >= 0}.
+
+    One double-description step: the generators on the kept side, plus
+    the crossing (g.u) h - (h.u) g of every pair on opposite sides,
+    pruned to a minimal generating set; the rows gain u.
+    """
     u = as_point(u, C.dim)
     nu = np.linalg.norm(u)
     if nu == 0.0:
         return C
-    D = dual_cone(C)
-    aug = cone_from_generators(
-        np.vstack([D.generators, u / nu]) if not D.is_zero else u[None, :] / nu,
-        dim=C.dim,
-    )
-    out = dual_cone(aug)
-    out.apex = C.apex.copy()
-    return out
+    u = u / nu
+    G = C.generators
+    s = G @ u
+    pos, neg = s > 1e-12, s < -1e-12
+    cross = s[pos, None, None] * G[None, neg] - s[None, neg, None] * G[pos, None]
+    gens = _unit(np.vstack([G[~neg], cross.reshape(-1, C.dim)]))
+    return PolyCone(C.dim, _reduce_generators(gens), np.vstack([C.rows, u]), C.apex.copy())
 
 
-def _vertex_adjacency_dirs(K: ConvexBody, vi: int):
-    """Unit directions from vertex vi to the vertices sharing a facet with it."""
-    S = K.facets.simplices
-    nb = np.unique(S[np.any(S == vi, axis=1)])
-    return _unit_rows(K.vertices[nb[nb != vi]] - K.vertices[vi])
+def _body_at(K: ConvexBody, q, tol):
+    """What K looks like from its point q: the unit outer normals A of the
+    facets through q, an orthonormal basis W of Aff(K)^perp, and the unit
+    directions D from q to the other vertices.
+
+    N_K(q) = cone(A, +/-W) = {x : <x, d> <= 0 for d in D}, and the tangent
+    cone T_K(q) = cone(D) = {x : <x, a> <= 0 for a in A, x perp W}.
+    """
+    tol = max(tol, TAU_PT)
+    if not contains(K, q, tol):
+        raise InvalidInput("q is not a point of K")
+    _, B, eqs, _ = K.facets
+    n, k = K.dim, len(B)
+    A = dedup_points(eqs[eqs[:, :-1] @ q + eqs[:, -1] >= -tol, :-1])
+    W = np.linalg.svd(np.eye(n) - B.T @ B)[0][:, : n - k].T if k < n else B[:0]
+    return A, W, _unit(K.vertices - q)
 
 
 def tangent_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:
     """Tangent (support) cone of K at q: closure of rays from q through K."""
     q = as_point(q, K.dim)
-    if not contains(K, q, max(tol, TAU_PT)):
-        raise InvalidInput("q is not a point of K")
-    V = K.vertices
-    if K.dim_affine == 0:
-        return PolyCone(K.dim, np.zeros((0, K.dim)), q)
-    d2 = np.linalg.norm(V - q, axis=1)
-    vi = int(np.argmin(d2))
-    if d2[vi] <= TAU_PT and K.dim_affine >= 2 and len(V) > 3:
-        gens = _vertex_adjacency_dirs(K, vi)
-    else:
-        mask = d2 > TAU_PT
-        gens = _unit_rows(V[mask] - q)
-    return PolyCone(K.dim, gens, q)
+    A, W, D = _body_at(K, q, tol)
+    return PolyCone(K.dim, D, np.vstack([-A, W, -W]), q)
 
 
 def normal_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:
     """Normal cone of K at q: outward directions x with <x, y - q> <= 0 on K.
 
-    Computed as -T_K(q)*; reduces to the zero cone at interior points of a
-    full-dimensional body.
+    Spanned by the outer normals of the facets through q and, for a
+    lower-dimensional K, the complement of its affine hull; the zero cone
+    at interior points of a full-dimensional body.
     """
-    T = tangent_cone(K, q, tol)
-    D = dual_cone(T)
-    N = PolyCone(K.dim, -D.generators, T.apex)
-    return N
+    q = as_point(q, K.dim)
+    A, W, D = _body_at(K, q, tol)
+    return PolyCone(K.dim, np.vstack([A, W, -W]), -D, q)
 
 
 def in_normal_cone(K: ConvexBody, q, x, tol=1e-8) -> bool:

@@ -118,27 +118,28 @@ def _full_facets(V, h) -> Facets:
     return Facets(V.mean(axis=0), np.eye(V.shape[1]), h.equations, h.simplices)
 
 
+def _lifted_facets(c, B, inplane, simplices) -> Facets:
+    """Facets of a body of lower dimension from equations inplane in the
+    coordinates (x - c) @ B.T of its affine hull."""
+    normals = inplane[:, :-1] @ B
+    return Facets(c, B, np.column_stack([normals, inplane[:, -1] - normals @ c]), simplices)
+
+
 def _facets(V, k) -> Facets:
     n = V.shape[1]
-    if k == n:
-        c, B = V.mean(axis=0), np.eye(n)
-    else:
+    if k != n:
         c, B = affine_basis(V)
         k = B.shape[0]
+    if k == n:
+        return _full_facets(V, _qhull(V))  # hull in original coordinates
     if k == 0:
         return Facets(c, B, np.zeros((0, n + 1)), np.zeros((0, 1), dtype=int))
     if k == 1:
         t = (V - c) @ B[0]
         lo, hi = int(np.argmin(t)), int(np.argmax(t))
-        inplane = np.array([[1.0, -t[hi]], [-1.0, t[lo]]])
-        simplices = np.array([[hi], [lo]])
-    elif k == n:
-        return _full_facets(V, _qhull(V))  # hull in original coordinates
-    else:
-        h = _qhull((V - c) @ B.T)
-        inplane, simplices = h.equations, h.simplices
-    normals = inplane[:, :-1] @ B
-    return Facets(c, B, np.column_stack([normals, inplane[:, -1] - normals @ c]), simplices)
+        return _lifted_facets(c, B, np.array([[1.0, -t[hi]], [-1.0, t[lo]]]), np.array([[hi], [lo]]))
+    h = _qhull((V - c) @ B.T)
+    return _lifted_facets(c, B, h.equations, h.simplices)
 
 
 @dataclass(frozen=True)
@@ -250,10 +251,13 @@ def hull(points) -> ConvexBody:
     else:
         V = _canonical_order(V, n)
     K = ConvexBody(np.ascontiguousarray(V), k)
-    if k == n and np.array_equal(V, P):
-        # Qhull ran on K.vertices itself (a canonical body reloaded): keep
-        # its facets rather than building the same hull again on first use.
-        K.__dict__["facets"] = _full_facets(K.vertices, h)
+    if np.array_equal(V, P):
+        # Qhull ran on K.vertices itself (a canonical body reloaded), and
+        # affine_basis(P) is affine_basis(K.vertices): keep its facets rather
+        # than building the same hull again on first use.
+        K.__dict__["facets"] = (
+            _full_facets(K.vertices, h) if k == n else _lifted_facets(c, B, h.equations, h.simplices)
+        )
     return K
 
 

@@ -35,6 +35,12 @@ def random_polytope(rng, n=2, npts=20, scale=1.0):
     return hull(pts)
 
 
+def embedded_polytope(rng, n, k, npts):
+    """Random k-dimensional polytope in a random affine k-plane of R^n."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return hull(rng.standard_normal(n) + rng.standard_normal((npts, k)) @ Q.T)
+
+
 def nested_pair(rng, n=2, npts=16):
     """Outer body and a strictly included inner body (scaled about centroid)."""
     B = random_polytope(rng, n, npts)

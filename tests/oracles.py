@@ -23,6 +23,16 @@ def in_convex_hull_lp(point, points, tol=1e-9):
     return res.status == 0 and res.success
 
 
+def in_cone_lp(x, gens):
+    """LP feasibility: x is a nonnegative combination of the rows of gens."""
+    G = np.asarray(gens, dtype=float)
+    if len(G) == 0:
+        return not np.any(x)
+    res = linprog(np.zeros(len(G)), A_eq=G.T, b_eq=np.asarray(x), bounds=[(0, None)] * len(G),
+                  method="highs")
+    return res.status == 0 and res.success
+
+
 def extreme_points_bruteforce(points, tol=1e-9):
     """A point is extreme iff it is not in the hull of the others."""
     P = np.asarray(points, dtype=float)

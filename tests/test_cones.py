@@ -9,27 +9,21 @@ from descent_geom.cones import (
     cap_body,
     cap_support,
     cap_support_batch,
-    cone_from_generators,
     cone_intersect_halfspace,
-    dual_cone,
     in_normal_cone,
     normal_cone,
     normal_cone_limit_report,
+    normal_cone_mask,
     sector_integral_exact,
     sector_integral_lower_bound,
     sphere_measure,
     tangent_cone,
 )
+from descent_geom.descent import disk_family
 from descent_geom.geom_core import hull, support, unit_directions
 
-from .conftest import disk_polygon, random_polytope
-from .oracles import sector_flux_axis_quad, sector_flux_offaxis_quad
-
-
-def wedge_membership_by_angle(lo, hi, dirs):
-    ang = np.arctan2(dirs[:, 1], dirs[:, 0])
-    rel = (ang - lo) % (2 * np.pi)
-    return rel <= (hi - lo) + 1e-9
+from .conftest import disk_polygon, embedded_polytope, random_polytope
+from .oracles import in_cone_lp, sector_flux_axis_quad, sector_flux_offaxis_quad
 
 
 class TestSphereMeasure:
@@ -89,19 +83,6 @@ class TestNormalTangent:
         with pytest.raises(InvalidInput):
             tangent_cone(unit_square, (2, 2))
 
-    def test_duality_on_probes(self, rng):
-        # dual of tangent cone equals -normal_cone on membership probes
-        for n in (2, 3):
-            K = random_polytope(rng, n, 14)
-            q = K.vertices[rng.integers(K.nvertices)]
-            T = tangent_cone(K, q)
-            N = normal_cone(K, q)
-            D = dual_cone(T)
-            probes = unit_directions(n, 1000, 13)
-            mN = N.member_mask(probes, tol=1e-8)
-            mD = D.member_mask(-probes, tol=1e-8)
-            assert np.mean(mN == mD) == 1.0
-
     def test_support_gap_membership_matches_cone(self, rng):
         K = random_polytope(rng, 2, 12)
         q = K.vertices[0]
@@ -112,40 +93,96 @@ class TestNormalTangent:
             assert in_normal_cone(K, q, d, 1e-9) == N.contains(d, 1e-9)
 
 
+def _cone_corpus(rng):
+    """(K, q) pairs: vertices, edge, facet and interior points of random
+    bodies in n = 2..5, of the cube (coplanar Qhull triangles) and of flat
+    polygons in R^3 and R^4; ends and midpoints of segments; a point body."""
+    cube = hull(np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).reshape(3, -1).T)
+    cases = [(cube, q) for q in ((1, 1, 1), (1, 1, 0.5), (1, 0.5, 0.5), (0.5, 0.5, 0.5))]
+    bodies = [random_polytope(rng, n, 12) for n in (2, 3, 3, 4, 4, 5)]
+    bodies += [embedded_polytope(rng, n, k, 9) for n, k in ((3, 2), (4, 2), (4, 3))]
+    for K in bodies:
+        V, s = K.vertices, K.facets.simplices[0]
+        cases += [(K, V[0]), (K, V[-1]), (K, V[s[:2]].mean(axis=0)), (K, V[s].mean(axis=0)),
+                  (K, V.mean(axis=0))]
+    for seg in (hull([(0, 0), (1, 2)]), hull([(0, 0, 1), (1, 2, -1)])):
+        cases += [(seg, seg.vertices[0]), (seg, seg.vertices.mean(axis=0))]
+    cases.append((hull([(0.3, -1.2, 2.0)]), np.array([0.3, -1.2, 2.0])))
+    return [(K, np.asarray(q, dtype=float)) for K, q in cases]
+
+
+def _probes(rng, n, *gen_sets):
+    """Unit directions: a sphere sample, nonnegative combinations of each
+    generator set (inside its cone) and perturbations of them (mostly
+    outside, well clear of the boundary)."""
+    P = [unit_directions(n, 200, 7)]
+    for G in gen_sets:
+        if len(G):
+            inside = rng.random((40, len(G))) @ G
+            P += [inside, inside + 0.3 * rng.standard_normal(inside.shape)]
+    P = np.vstack(P)
+    r = np.linalg.norm(P, axis=1)
+    return P[r > 1e-6] / r[r > 1e-6, None]
+
+
+def _nnls_mask(C, P):
+    return np.array([C.contains(x) for x in P])
+
+
+class TestConeOracles:
+    def test_normal_cone(self, rng):
+        for K, q in _cone_corpus(rng):
+            N = normal_cone(K, q)
+            assert np.all(normal_cone_mask(K, q, N.generators))
+            P = _probes(rng, K.dim, N.generators)
+            want = normal_cone_mask(K, q, P)
+            assert np.array_equal(_nnls_mask(N, P), want)
+            assert np.array_equal(N.member_mask(P), want)
+
+    def test_tangent_cone(self, rng):
+        # the definition: T_K(q) is the cone spanned by K - q
+        for K, q in _cone_corpus(rng):
+            T = tangent_cone(K, q)
+            P = _probes(rng, K.dim, T.generators)[::6]
+            want = np.array([in_cone_lp(x, K.vertices - q) for x in P])
+            assert np.array_equal(_nnls_mask(T, P), want)
+            assert np.array_equal(T.member_mask(P), want)
+
+    def test_halfspace_cut(self, rng):
+        for K, q in _cone_corpus(rng):
+            N = normal_cone(K, q)
+            for u in (rng.standard_normal(K.dim), q - K.vertices.mean(axis=0) + 0.1):
+                I = cone_intersect_halfspace(N, u)
+                P = _probes(rng, K.dim, N.generators, I.generators)
+                want = normal_cone_mask(K, q, P) & (P @ u >= 0.0)
+                assert np.array_equal(_nnls_mask(I, P), want)
+                assert np.array_equal(I.member_mask(P), want)
+                for i, g in enumerate(I.generators):
+                    assert not in_cone_lp(g, np.delete(I.generators, i, axis=0))
+
+
+class TestWorkBudget:
+    def test_r4_vertex_cones_do_not_grow_with_degree(self, monkeypatch):
+        # vertex degrees on this top run from 8 to 19; enumerating the dual
+        # of the tangent cone made one SVD per 3-subset of its generators
+        top = disk_family(n=4, levels=6).bodies[-1]
+        real, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        eps = [0.1, 0.01]
+        for q in top.vertices:
+            calls.clear()
+            normal_cone(top, q)
+            normal_cone_limit_report(top, q, q - top.centroid(), eps, grid_size=500)
+            # at most one SVD per cone built (4 + len(eps)) and per cap hull
+            assert len(calls) <= 4 + 2 * len(eps)
+
+
 class TestDualCone:
-    def test_halfline_to_halfspace(self):
-        H = dual_cone(cone_from_generators([[0.0, 1.0]]))
-        dirs = unit_directions(2, 720, 1)
-        assert np.array_equal(H.member_mask(dirs), dirs[:, 1] >= -1e-9)
-
-    def test_full_space_to_zero(self):
-        C = cone_from_generators([[1, 0], [-1, 0], [0, 1], [0, -1]])
-        assert dual_cone(C).is_zero
-
-    def test_zero_to_full(self):
-        Z = cone_from_generators([], dim=3)
-        D = dual_cone(Z)
-        dirs = unit_directions(3, 500, 2)
-        assert np.all(D.member_mask(dirs))
-
-    def test_2d_wedge_angles(self):
-        # dual of the wedge [0, pi/3] is the wedge [pi/3 - pi/2, pi/2]
-        C = cone_from_generators([[1, 0], [np.cos(np.pi / 3), np.sin(np.pi / 3)]])
-        D = dual_cone(C)
-        dirs = unit_directions(2, 360, 9)
-        expected = wedge_membership_by_angle(np.pi / 3 - np.pi / 2, np.pi / 2, dirs)
-        assert np.array_equal(D.member_mask(dirs), expected)
-
-    def test_involution(self, rng):
-        for n in (2, 3, 4):
-            G = rng.standard_normal((5, n))
-            C = cone_from_generators(G)
-            CC = dual_cone(dual_cone(C))
-            dirs = unit_directions(n, 800, 21)
-            assert np.array_equal(
-                C.member_mask(dirs, 1e-7), CC.member_mask(dirs, 1e-7)
-            )
-
     def test_circular_cone_law(self):
         c = CircularCone(np.array([0.0, 0.0, 1.0]), np.pi / 6)
         d = c.dual()
@@ -156,10 +193,12 @@ class TestDualCone:
         for u in dirs[d.member_mask(dirs)][:50]:
             assert np.all(inner @ u >= -1e-9)
 
-    def test_intersect_halfspace(self):
-        C = cone_from_generators([[1, 0], [0, 1]])
+    def test_intersect_halfspace(self, unit_square):
+        C = normal_cone(unit_square, (1, 1))
         u = np.array([1.0, -1.0]) / np.sqrt(2)
         I = cone_intersect_halfspace(C, u)
+        assert sorted(map(tuple, np.round(I.generators, 9))) == [
+            (0.707106781, 0.707106781), (1.0, 0.0)]
         dirs = unit_directions(2, 720, 5)
         expected = C.member_mask(dirs) & (dirs @ u >= -1e-9)
         assert np.array_equal(I.member_mask(dirs), expected)

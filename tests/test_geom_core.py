@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from descent_geom import geom_core
-from descent_geom.descent import rel_depth_many, segment_inside_interval
+from descent_geom.descent import example61_family, rel_depth_many, segment_inside_interval
 from descent_geom.errors import DimensionMismatch, InvalidInput
 from descent_geom.geom_core import (
     ConvexBody,
@@ -26,7 +26,7 @@ from descent_geom.geom_core import (
 )
 
 from . import oracles
-from .conftest import disk_polygon, nested_pair, random_polytope
+from .conftest import disk_polygon, embedded_polytope, nested_pair, random_polytope
 from .oracles import extreme_points_bruteforce, hausdorff_sampling, in_convex_hull_lp
 
 
@@ -217,15 +217,9 @@ class TestSerialization:
         assert K.nvertices == 3
 
 
-def _embedded(rng, n, k, npts):
-    """Random k-dimensional polytope in a random affine k-plane of R^n."""
-    Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return hull(rng.standard_normal(n) + rng.standard_normal((npts, k)) @ Q.T)
-
-
 def _facet_bodies(rng):
     bodies = [random_polytope(rng, n, 20) for n in (2, 3, 4, 5)]
-    bodies += [_embedded(rng, 3, 2, 12), _embedded(rng, 4, 3, 16), _embedded(rng, 3, 1, 5)]
+    bodies += [embedded_polytope(rng, 3, 2, 12), embedded_polytope(rng, 4, 3, 16), embedded_polytope(rng, 3, 1, 5)]
     bodies.append(hull([(0.3, -1.2, 2.0)]))
     return bodies
 
@@ -267,17 +261,28 @@ class TestFacets:
             assert np.array_equal(K.facets.equations, ConvexHull(K.vertices).equations)
 
     def test_hull_of_its_own_vertices_keeps_its_facets(self, rng, qhull_calls):
-        for n in (2, 3, 4):
-            K = random_polytope(rng, n, 25)
-            K.facets
+        bodies = [random_polytope(rng, n, 25) for n in (2, 3, 4)]
+        bodies += [embedded_polytope(rng, 3, 2, 12), embedded_polytope(rng, 4, 3, 16)]  # flat
+        for K in bodies:
+            fresh = ConvexBody(K.vertices.copy(), K.dim_affine).facets
+            if K.dim_affine == K.dim:
+                assert np.array_equal(fresh.equations, ConvexHull(K.vertices).equations)
             qhull_calls.clear()
             for L in (hull(K.vertices), body_from_dict(K.to_dict())):
                 assert np.array_equal(L.vertices, K.vertices)
-                assert np.array_equal(L.facets.simplices, K.facets.simplices)
-                assert np.array_equal(L.facets.equations, ConvexHull(L.vertices).equations)
+                assert np.array_equal(L.facets.simplices, fresh.simplices)
+                assert np.array_equal(L.facets.equations, fresh.equations)
             assert len(qhull_calls) == 2  # one per hull() call, none for their facets
-        M = hull(np.vstack([K.vertices, K.centroid()]))  # an interior input point
-        assert "facets" not in vars(M)
+            M = hull(np.vstack([K.vertices, K.centroid()]))  # an interior input point
+            assert "facets" not in vars(M)
+
+    def test_reloaded_example61_runs_qhull_once_per_member(self, qhull_calls):
+        # five of its members are flat disks in R^3
+        fam = example61_family()
+        qhull_calls.clear()
+        for K in fam.bodies:
+            body_from_dict(K.to_dict()).facets
+        assert len(qhull_calls) == len(fam)
 
     def test_cached_and_independent_of_construction(self, rng, qhull_calls):
         K = random_polytope(rng, 3, 20)
@@ -286,7 +291,7 @@ class TestFacets:
         assert len(qhull_calls) == 1
         L = ConvexBody(K.vertices.copy(), K.dim_affine)
         assert np.array_equal(L.facets.equations, K.facets.equations)
-        flat = _embedded(rng, 4, 2, 9)
+        flat = embedded_polytope(rng, 4, 2, 9)
         M = ConvexBody(flat.vertices.copy())  # dim_affine unknown: found by SVD
         assert np.array_equal(M.facets.equations, flat.facets.equations)
 
@@ -318,7 +323,7 @@ class TestFacets:
             # R^5, segments in R^2 and R^3
             for n, k, npts in ((3, 2, 12), (4, 2, 10), (4, 3, 16), (5, 3, 16),
                                (2, 1, 5), (3, 1, 5)):
-                yield _embedded(rng, n, k, npts)
+                yield embedded_polytope(rng, n, k, npts)
 
         for K in bodies():
             c, B = K.facets.center, K.facets.basis
@@ -339,7 +344,7 @@ class TestFacets:
     def test_segment_interval_crossing_aff(self, rng, tight_lp):
         """A segment crossing Aff(K) of a lower-dimensional K meets K only
         near the crossing parameter, and only when it crosses inside K."""
-        bodies = [_embedded(rng, n, k, npts) for n, k, npts in
+        bodies = [embedded_polytope(rng, n, k, npts) for n, k, npts in
                   ((3, 2, 12), (4, 2, 10), (4, 3, 16), (5, 3, 16), (2, 1, 5), (3, 1, 5))]
         bodies += [hull([(0.3, -1.2)]), hull([(0.3, -1.2, 2.0)])]
         for K in bodies:
@@ -398,7 +403,7 @@ def _pair_corpus(rng):
         seg, pt = hull(rng.standard_normal((2, n))), hull(rng.standard_normal(n))
         pairs += [(cube, cube.scale(0.5)), (B, seg), (seg, pt), (B, pt), (pt, pt), (seg, seg)]
     for n, k in ((3, 2), (4, 2), (4, 3)):
-        F = _embedded(rng, n, k, 10)
+        F = embedded_polytope(rng, n, k, 10)
         c = F.centroid()
         pairs += [(F, hull(c + 0.6 * (F.vertices - c))), (F, random_polytope(rng, n, 12)),
                   (F, F.translate(0.3 * rng.standard_normal(n))),
@@ -410,7 +415,7 @@ def _near_facet_pairs(rng, tol):
     """(A, B, inside): B's vertices lie tol/2 inside or outside A's facets
     (inside=True), or one of them 1.5 tol outside (inside=False)."""
     out = []
-    for A in [random_polytope(rng, n, 14) for n in (2, 3, 4, 5)] + [_embedded(rng, 3, 2, 8)]:
+    for A in [random_polytope(rng, n, 14) for n in (2, 3, 4, 5)] + [embedded_polytope(rng, 3, 2, 8)]:
         c, _, eqs, simplices = A.facets
         mids = np.array([A.vertices[s].mean(axis=0) for s in simplices])
         shift = 0.5 * tol * rng.choice([-1.0, 1.0], size=len(eqs))
