@@ -4,7 +4,10 @@ A stratification is a strictly nested chain of bodies; a family is a
 stratification indexed by mean width on a grid of resolution h.  Gaps are
 filled by interpolation: the body at fraction f between nested K1 and K2
 is K2 intersected with the outer parallel body of K1 at distance
-f * dist(K1, K2), realized as a V-polytope.
+f * dist(K1, K2), realized as a V-polytope.  In the plane both steps read
+their result off as a counterclockwise ring (geom_core.ring_hull), with no
+Qhull run: the parallel body as a merge of two edge sequences, the
+intersection as the output of a Sutherland-Hodgman clip.
 """
 
 import math
@@ -28,6 +31,7 @@ from .geom_core import (
     hausdorff,
     hull,
     includes,
+    ring_hull,
     unit_directions,
 )
 from .mean_width import SphereGrid, mean_width, width_gap_constant
@@ -128,10 +132,14 @@ def validate_stratification(bodies, tol=TAU_PT, grid: SphereGrid = None) -> Stra
 
 
 def outer_parallel(K: ConvexBody, r: float, arc_points: int = 32) -> ConvexBody:
-    """V-polytope approximation of K + r*B, by a ball mesh at each vertex.
+    """V-polytope approximation of K + r*B: the hull of the sums of K's
+    vertices and the vertices of a polytope inscribed in r*B.
 
-    In the plane the mesh is an exact arc polygonalization with arc_points
-    per vertex; the approximation is inscribed in the true parallel body.
+    In the plane that polytope is the regular arc_points-gon, so the body is
+    inscribed in the true parallel body.  As the sum of two convex polygons
+    it is read off in O(m) as a merge of their edge sequences, or, for
+    parallel edges or a ring that is not clearly convex, as the hull of all
+    the sums.
     """
     if r < 0:
         raise InvalidInput("r must be nonnegative")
@@ -145,35 +153,82 @@ def outer_parallel(K: ConvexBody, r: float, arc_points: int = 32) -> ConvexBody:
     else:
         mesh = r * unit_directions(n, max(arc_points, 2 * n), seed=1)
     pts = (K.vertices[:, None, :] + mesh[None, :, :]).reshape(-1, n)
+    if n == 2:
+        ring = _minkowski_ring(K.vertices, arc_points)
+        if ring is not None:
+            return ring_hull(pts[ring], pts)
     return hull(pts)
 
 
+def _minkowski_ring(V, arc_points):
+    """Indices into the sums V[i] + u_j (row i * arc_points + j) of the
+    vertices of conv(V) + conv(u), counterclockwise, for a canonical planar
+    vertex list V and the regular polygon u of unit_directions(2, arc_points).
+
+    The normals of u_j form the arc [j, j + 1] * step, those of V[i] the arc
+    between the outer normals of its two edges; V[i] + u_j is kept iff the
+    two arcs overlap.  None when an edge normal of V lies within 1e-9 of an
+    arc end (the sum then has collinear points, as for parallel edges).
+    """
+    m = len(V)
+    if m == 1:
+        return np.arange(arc_points)
+    step = 2.0 * np.pi / arc_points
+    E = np.diff(V, axis=0, append=V[:1])
+    a = np.arctan2(-E[:, 0], E[:, 1]) / step % arc_points  # edge normals, in arcs
+    if np.any(np.abs(a - np.round(a)) * step < 1e-9):
+        return None
+    start = a[np.arange(-1, m - 1)]
+    first = np.floor(start)
+    count = (np.ceil(start + (a - start) % arc_points) - first).astype(int)
+    if count.sum() != m + arc_points:  # not one turn: V is not a convex ring
+        return None
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    j = (np.repeat(first.astype(int), count) + offset) % arc_points
+    return np.repeat(np.arange(m), count) * arc_points + j
+
+
 def _clip_polygon(subject, clip, eps=1e-12):
-    """Sutherland-Hodgman: clip a polygon ring by a convex CCW polygon."""
+    """Sutherland-Hodgman: clip a polygon ring by a convex CCW polygon.
+
+    The ring is tested against every remaining clip edge at once; an edge
+    with every vertex inside leaves it as it is, and the first edge with a
+    vertex outside cuts it.
+    """
     out = np.asarray(subject, dtype=float)
-    m = len(clip)
-    scale = 1.0 + float(np.abs(clip).max())
-    for i in range(m):
-        a = clip[i]
-        e = clip[(i + 1) % m] - a
-        if np.linalg.norm(e) <= TAU_PT:
-            continue
-        if len(out) == 0:
+    e = np.concatenate((clip[1:], clip[:1])) - clip
+    floor = -eps * (1.0 + float(np.abs(clip).max()))
+    edges = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", e, e)) > TAU_PT)
+    while len(edges) and len(out):
+        a, d = clip[edges], e[edges]
+        s = d[:, :1] * (out[:, 1] - a[:, 1:]) - d[:, 1:] * (out[:, 0] - a[:, :1])
+        inside = s >= floor
+        cut = np.flatnonzero(~inside.all(axis=1))
+        if len(cut) == 0:
             break
-        s = e[0] * (out[:, 1] - a[1]) - e[1] * (out[:, 0] - a[0])
-        inside = s >= -eps * scale
-        prev = np.roll(np.arange(len(out)), 1)
-        crossing = inside != inside[prev]
-        pieces = []
-        for j in range(len(out)):
-            if crossing[j]:
-                k = prev[j]
-                t = s[k] / (s[k] - s[j])
-                pieces.append(out[k] + t * (out[j] - out[k]))
-            if inside[j]:
-                pieces.append(out[j])
-        out = np.array(pieces) if pieces else np.zeros((0, 2))
+        i = cut[0]
+        out = _clip_ring(out, s[i], inside[i])
+        edges = edges[i + 1:]
     return out
+
+
+def _clip_ring(out, s, inside):
+    """The ring out cut to the vertices with inside set, at signed
+    distances s to the clip line: each edge (k, j) that crosses the line
+    contributes out[k] + t * (out[j] - out[k]), t = s[k] / (s[k] - s[j])."""
+    prev = np.arange(-1, len(out) - 1)
+    j = np.flatnonzero(inside != inside[prev])
+    k = prev[j]
+    t = s[k] / (s[k] - s[j])
+    # Row 2j is the crossing point on the edge into vertex j, row 2j + 1 the
+    # vertex itself.
+    rows = np.empty((2 * len(out), 2))
+    rows[2 * j] = out[k] + t[:, None] * (out[j] - out[k])
+    rows[1::2] = out
+    keep = np.zeros(2 * len(out), dtype=bool)
+    keep[2 * j] = True
+    keep[1::2] = inside
+    return rows[keep]
 
 
 def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
@@ -195,7 +250,7 @@ def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
             pts = _clip_polygon(B.vertices, A.vertices)
         if len(pts) == 0:
             raise NumericalFailure("empty intersection")
-        return hull(pts)
+        return ring_hull(pts)
     if A.dim_affine < n or B.dim_affine < n:
         raise NumericalFailure(
             "halfspace intersection requires full-dimensional bodies in n >= 3"

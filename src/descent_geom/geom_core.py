@@ -127,10 +127,10 @@ def _lifted_facets(c, B, inplane, simplices) -> Facets:
 
 def _facets(V, k) -> Facets:
     n = V.shape[1]
-    if k != n:
+    if k != n or n == 1:
         c, B = affine_basis(V)
         k = B.shape[0]
-    if k == n:
+    if k == n > 1:
         return _full_facets(V, _qhull(V))  # hull in original coordinates
     if k == 0:
         return Facets(c, B, np.zeros((0, n + 1)), np.zeros((0, 1), dtype=int))
@@ -198,7 +198,11 @@ class ConvexBody:
 
 
 def body_from_dict(d):
-    """Load a body from its JSON object form, re-canonicalizing."""
+    """Load a body from its JSON object form, re-canonicalizing.
+
+    A planar vertex list is read as a counterclockwise ring (ring_hull), so
+    a stored planar body loads without Qhull.
+    """
     try:
         verts = d["vertices"]
     except (KeyError, TypeError):
@@ -206,14 +210,15 @@ def body_from_dict(d):
     P = as_points(verts)
     if "dim" in d and int(d["dim"]) != P.shape[1]:
         raise DimensionMismatch("declared dim does not match vertex data")
-    return hull(P)
+    return ring_hull(P)
 
 
 def _canonical_order(V, n):
     if n == 2 and len(V) >= 2:
-        # V arrives in CCW order from Qhull; rotate to start at the lex-min.
+        # V arrives in CCW order (from Qhull or a ring); rotate to start at
+        # the lex-min.
         start = np.lexsort((V[:, 1], V[:, 0]))[0]
-        return np.roll(V, -start, axis=0)
+        return np.concatenate((V[start:], V[:start]))
     order = np.lexsort(V.T[::-1])
     return V[order]
 
@@ -259,6 +264,49 @@ def hull(points) -> ConvexBody:
             _full_facets(K.vertices, h) if k == n else _lifted_facets(c, B, h.equations, h.simplices)
         )
     return K
+
+
+def _is_clear_ring(P) -> bool:
+    """True iff the planar points P, in the given order, clearly form a
+    strictly convex counterclockwise ring.
+
+    Every edge, and every vertex's height over the chord of its two
+    neighbours, exceeds a few TAU_PT at the scale of P; every turn has sine
+    above 1e-9; the turns add up to one revolution (not a star).  A
+    non-adjacent vertex lies beyond that chord, so no two vertices are
+    within TAU_PT of each other either.
+    """
+    m = len(P)
+    if m < 3:
+        return False
+    E = np.diff(P, axis=0, append=P[:1])  # edge out of each vertex
+    back = np.arange(-1, m - 1)
+    Ep = E[back]  # edge into each vertex
+    cross = Ep[:, 0] * E[:, 1] - Ep[:, 1] * E[:, 0]
+    L = np.hypot(E[:, 0], E[:, 1])
+    C = Ep + E  # chord between the two neighbours
+    tol = 4.0 * TAU_PT * (1.0 + np.abs(P).max())
+    if not (L.min() > tol and np.all(cross > 1e-9 * L * L[back])
+            and np.all(cross > tol * np.hypot(C[:, 0], C[:, 1]))):
+        return False
+    turning = np.arctan2(cross, (Ep * E).sum(axis=1)).sum()
+    return bool(turning < 3.0 * np.pi)
+
+
+def ring_hull(ring, points=None) -> ConvexBody:
+    """hull(points) for planar points whose extreme points are the ring,
+    listed counterclockwise (points defaults to the ring itself).
+
+    When the ring clearly is strictly convex (see _is_clear_ring) and
+    affine_basis finds rank 2, it is hull()'s vertex list up to rotation, so
+    the same canonical body is read off in O(m) without Qhull; its facets
+    are built on first use, like those of any other body.  Otherwise, and
+    for points in another dimension, this is hull(points).
+    """
+    P = as_points(ring)
+    if P.shape[1] == 2 and _is_clear_ring(P) and len(affine_basis(P)[1]) == 2:
+        return ConvexBody(_canonical_order(P, 2), 2)
+    return hull(P if points is None else points)
 
 
 def support(K: ConvexBody, x) -> float:

@@ -226,6 +226,14 @@ class TestErrorsAndDeterminism:
         assert json.loads(out)["ok"] is True
 
 
+class TestOneDimensional:
+    def test_gen_random_in_r1(self, capsys):
+        code, out, _ = run_cli(["gen", "random", "--n", "1", "--levels", "3"], capsys=capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["bodies"]) > 3 and all(b["dim"] == 1 for b in doc["bodies"])
+
+
 class TestConfigReach:
     def test_grid_size_reaches_chain_and_family_check(self, tmp_path, capsys, monkeypatch):
         mean_width = importlib.import_module("descent_geom.mean_width")

@@ -9,7 +9,7 @@ from descent_geom.errors import (
     NumericalFailure,
     PreconditionViolated,
 )
-from descent_geom.geom_core import hausdorff, hull, includes
+from descent_geom.geom_core import hausdorff, hull, includes, unit_directions
 from descent_geom.mean_width import SphereGrid, mean_width, width_distance_bounds
 from descent_geom.family import (
     Family,
@@ -130,6 +130,96 @@ class TestInterpolate:
         g = SphereGrid.make(3, 8000, 0)
         w1, wm, w2 = (mean_width(K, g) for K in (cube, mid, big))
         assert w1 < wm < w2
+
+
+def _parallel_bodies(rng):
+    """(K, r) pairs: random polygons at radii from 1e-6 to 10, squares with
+    edges parallel to the polygon u's, a segment and a point."""
+    pairs = []
+    for _ in range(60):
+        K = random_polytope(rng, 2, int(rng.integers(3, 30)))
+        pairs.append((K, 10.0 ** rng.uniform(-6, 1)))
+    square = hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+    c, s = np.cos(2 * np.pi / 32), np.sin(2 * np.pi / 32)
+    pairs += [(square, 0.3), (hull(square.vertices @ np.array([[c, s], [-s, c]])), 0.3)]
+    pairs += [(hull([(0, 0), (1, 0.3)]), 0.2), (hull([(0.5, 0.5)]), 0.2)]
+    return pairs
+
+
+def _clip_polygon_loop(subject, clip, eps=1e-12):
+    """Sutherland-Hodgman one vertex at a time: the reference for
+    family._clip_polygon."""
+    out = np.asarray(subject, dtype=float)
+    m = len(clip)
+    scale = 1.0 + float(np.abs(clip).max())
+    for i in range(m):
+        a = clip[i]
+        e = clip[(i + 1) % m] - a
+        if np.linalg.norm(e) <= 1e-9:
+            continue
+        if len(out) == 0:
+            break
+        s = e[0] * (out[:, 1] - a[1]) - e[1] * (out[:, 0] - a[0])
+        inside = s >= -eps * scale
+        prev = np.roll(np.arange(len(out)), 1)
+        crossing = inside != inside[prev]
+        pieces = []
+        for j in range(len(out)):
+            if crossing[j]:
+                k = prev[j]
+                t = s[k] / (s[k] - s[j])
+                pieces.append(out[k] + t * (out[j] - out[k]))
+            if inside[j]:
+                pieces.append(out[j])
+        out = np.array(pieces) if pieces else np.zeros((0, 2))
+    return out
+
+
+class TestPlanarRings:
+    def test_minkowski_ring_equals_hull_of_all_sums(self, rng, qhull_calls):
+        fast = []
+        for K, r in _parallel_bodies(rng):
+            for arc_points in (8, 32):
+                mesh = r * unit_directions(2, arc_points)
+                pts = (K.vertices[:, None, :] + mesh[None, :, :]).reshape(-1, 2)
+                qhull_calls.clear()
+                P = outer_parallel(K, r, arc_points)
+                fast.append(not qhull_calls)
+                H = hull(pts)
+                assert np.array_equal(P.vertices, H.vertices) and P.dim_affine == H.dim_affine
+        assert sum(fast) >= 0.85 * len(fast)
+        square = hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert family._minkowski_ring(square.vertices, 32) is None  # parallel edges
+
+    def test_vectorised_clip_matches_loop(self, rng):
+        cases = []
+        for _ in range(40):
+            A, B = random_polytope(rng, 2, 15), random_polytope(rng, 2, 15)
+            cases += [(A.vertices, B.vertices), (B.vertices, A.vertices)]
+            K = hull(0.5 * A.vertices)
+            cases.append((outer_parallel(K, rng.uniform(0.05, 1.0)).vertices, A.vertices))
+            cases.append((A.vertices[:2], B.vertices))  # a segment as the subject
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        cases.append((square + [0.5, 0.0], square))  # vertices on the clip lines
+        cases.append((square + [3.0, 0.0], square))  # empty
+        cases.append((square, np.vstack([square[:2], square[1:2], square[2:]])))  # repeated clip vertex
+        for subject, clip in cases:
+            assert np.array_equal(family._clip_polygon(subject, clip), _clip_polygon_loop(subject, clip))
+
+    def test_completion_runs_no_qhull_per_interpolant(self, rng, monkeypatch, qhull_calls):
+        ops = []
+        real = family.outer_parallel
+
+        def counted(*args, **kwargs):
+            ops.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(family, "outer_parallel", counted)
+        s = validate_stratification(clipped_chain(rng, levels=4))
+        qhull_calls.clear()
+        fam = complete(s, h=(s.params[-1] - s.params[0]) / 8)
+        assert len(fam) > len(s) and len(ops) > 2 * len(s)
+        assert len(qhull_calls) <= len(s)  # at most each chain body's facets
 
 
 class TestOuterParallel:

@@ -272,7 +272,9 @@ class TestFacets:
                 assert np.array_equal(L.vertices, K.vertices)
                 assert np.array_equal(L.facets.simplices, fresh.simplices)
                 assert np.array_equal(L.facets.equations, fresh.equations)
-            assert len(qhull_calls) == 2  # one per hull() call, none for their facets
+            # One per hull() call and none for their facets; a planar body
+            # loads without Qhull and builds its facets on first read instead.
+            assert len(qhull_calls) == 2
             M = hull(np.vstack([K.vertices, K.centroid()]))  # an interior input point
             assert "facets" not in vars(M)
 
@@ -456,3 +458,97 @@ def test_only_geom_core_references_convexhull():
     src = pathlib.Path(geom_core.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if "ConvexHull" in p.read_text())
     assert users == ["geom_core.py"]
+
+
+def _ring_corpus(rng):
+    """(label, planar point list) pairs for ring_hull, keyed by the kind of
+    input; see TestRingHull."""
+    cases = []
+    for _ in range(120):
+        V = random_polytope(rng, 2, int(rng.integers(3, 60)), scale=10.0 ** rng.uniform(-3, 3)).vertices
+        cases.append(("random", np.roll(V, -int(rng.integers(len(V))), axis=0)))
+    for _ in range(40):
+        V = random_polytope(rng, 2, 20).vertices
+        i = int(rng.integers(len(V)))
+        for shift in (0.0, 1e-12, 5e-10, 3e-9, 1e-8):
+            dup = V[i] + shift * rng.standard_normal(2)
+            cases.append(("near-duplicate", np.insert(V, i + 1, dup, axis=0)))
+        a, b = V[i], V[(i + 1) % len(V)]
+        out = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+        for bump in (0.0, 1e-16, 1e-13, 1e-10, 1e-8, 1e-6):
+            mid = a + rng.uniform(0.2, 0.8) * (b - a) + bump * out
+            cases.append(("near-collinear", np.insert(V, i + 1, mid, axis=0)))
+    for size in (1.0, 1e-3):
+        for d in (5e-10, 2e-9):
+            # A thin rhombus and a thin pentagon whose non-adjacent vertices
+            # (0, -d/2) and (0, d/2), or (0, 0) and (0, d), are within d.
+            cases.append(("spike", np.array([[0, -d / 2], [size, 0], [0, d / 2], [-size, 0]])))
+            cases.append(("spike", np.array(
+                [[0, 0], [10 * size, 0], [5 * size, 0.6 * d], [0, d], [-5 * size, 0.5 * d]])))
+    ang = 2 * np.pi * np.arange(5) / 5
+    star = np.column_stack([np.cos(ang), np.sin(ang)])[[0, 2, 4, 1, 3]]
+    cases.append(("pentagram", star))
+    cases.append(("pentagram", np.vstack([star, star])))
+    for _ in range(20):
+        cases.append(("clockwise", random_polytope(rng, 2, 15).vertices[::-1]))
+    for w in (1e-14, 1e-11, 1e-9, 1e-8, 3e-8, 1e-7):
+        for length in (1.0, 1e3):
+            cases.append(("sliver", np.array([[0, 0], [length, 0], [length / 2, w * length]])))
+            cases.append(("sliver", np.array(
+                [[0, 0], [length, 0], [length, w * length], [0, w * length]])))
+    for P in ([[0.0, 0.0], [1.0, 1.0]], [[2.0, 3.0]], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]):
+        cases.append(("sliver", np.array(P)))  # a segment, a point, collinear points
+    for off in (1e3, 1e6, 1e8):
+        for _ in range(10):
+            V = random_polytope(rng, 2, 25).vertices
+            cases.append(("far", V + off * rng.standard_normal(2)))
+    return cases
+
+
+class TestRingHull:
+    def test_equals_hull_or_declines(self, rng, qhull_calls):
+        read = {}
+        for label, P in _ring_corpus(rng):
+            qhull_calls.clear()
+            K = geom_core.ring_hull(P)
+            fast = geom_core._is_clear_ring(P) and len(geom_core.affine_basis(P)[1]) == 2
+            assert not (fast and qhull_calls)
+            H = hull(P)
+            assert np.array_equal(K.vertices, H.vertices), label
+            assert K.dim_affine == H.dim_affine, label
+            read.setdefault(label, []).append(fast)
+        assert all(read["random"])
+        assert not any(read["spike"] + read["pentagram"] + read["clockwise"])
+        for label in ("near-duplicate", "near-collinear", "sliver", "far"):
+            assert 0 < sum(read[label]) < len(read[label]), label
+
+    def test_points_are_the_fallback(self):
+        # A declined ring (a repeated vertex) falls back to hull() of the
+        # points it came from, here a square rather than the ring's triangle.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
+        K = geom_core.ring_hull(pts[[0, 1, 2, 2]], pts)
+        assert np.array_equal(K.vertices, hull(pts).vertices)
+
+    def test_stored_planar_body_loads_without_qhull(self, rng, qhull_calls):
+        bodies = [random_polytope(rng, 2, 30) for _ in range(5)] + [disk_polygon(2.0)]
+        for K in bodies:
+            K.facets
+            qhull_calls.clear()
+            L = body_from_dict(K.to_dict())
+            assert not qhull_calls
+            assert np.array_equal(L.vertices, K.vertices) and L.dim_affine == 2
+            assert np.array_equal(L.facets.equations, K.facets.equations)
+            assert len(qhull_calls) == 1  # facets are built on first read
+
+
+class TestOneDimensional:
+    def test_hausdorff_and_includes_on_segments(self):
+        A = hull([[0.0], [1.0]])
+        assert hausdorff(A, hull([[0.25], [2.0]])) == pytest.approx(1.0)
+        assert hausdorff(A, hull([[-0.5], [1.0]])) == pytest.approx(0.5)
+        assert hausdorff(A, hull([[3.0]])) == pytest.approx(3.0)
+        assert includes(A, hull([[0.2], [0.8]]))
+        assert includes(A, A)
+        assert not includes(A, hull([[0.5], [1.1]]))
+        assert not includes(hull([[0.5]]), A)
+        assert includes(A, hull([[1.0]]))
