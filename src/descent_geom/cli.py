@@ -7,6 +7,7 @@ emitted as JSON), 2 on input errors.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -253,11 +254,9 @@ def _cmd_check(args):
         curve = _load_curve(args.curve)
         strat_doc = _load_json(args.strat or args.family)
         grid = _doc_grid(args, strat_doc)
-        try:
-            strat = family_from_dict(strat_doc, grid) if "h" in strat_doc else \
-                stratification_from_dict(strat_doc, grid)
-        except (KeyError, TypeError):
-            strat = stratification_from_dict(strat_doc, grid)
+        load = family_from_dict if isinstance(strat_doc, dict) and "h" in strat_doc \
+            else stratification_from_dict
+        strat = load(strat_doc, grid)
         res = is_expanding_couple(curve, strat, args.tol, grid)
         _emit({"check": "ec", "ok": res["ok"], "condition": res["condition"],
                "witness": res["witness"], "config": _config(args)})
@@ -408,7 +407,10 @@ def _cmd_report(args):
     return 0 if out["ok"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process; each parse_args call returns
+    a fresh Namespace."""
     p = argparse.ArgumentParser(
         prog="descent-geom",
         description="Steepest-descent curves for nested convex families",
@@ -496,8 +498,7 @@ def main(argv=None) -> int:
         if argv[i - 1] in ("--endpoint", "--p0", "--u") and argv[i][:1] == "-" \
                 and argv[i][1:2] in "0123456789.":
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     env_seed = os.environ.get("DESCENT_GEOM_SEED")
     if env_seed is not None:
         args.seed = int(env_seed)

@@ -9,6 +9,9 @@ through q and from the directions to its vertices, so nothing is ever
 dualised; the halfspace cut of the cone-limit study is one
 double-description step.  The normal cone of a lower-dimensional body
 carries the complement of its affine hull as +/- generator pairs.
+Without building a cone, x in N_K(q) is one support-gap test, <x, v - q>
+small for every vertex v: normal_cone_mask, of which in_normal_cone is
+one row; cap_support_batch makes it at the apex of the cap body.
 """
 
 import math
@@ -25,7 +28,6 @@ from .geom_core import (
     contains,
     dedup_points,
     hull,
-    support,
     unit_directions,
 )
 
@@ -135,27 +137,26 @@ def cone_intersect_halfspace(C: PolyCone, u) -> PolyCone:
 
 
 def _body_at(K: ConvexBody, q, tol):
-    """What K looks like from its point q: the unit outer normals A of the
-    facets through q, an orthonormal basis W of Aff(K)^perp, and the unit
-    directions D from q to the other vertices.
+    """What K looks like from its point q: q as a vector, the unit outer
+    normals A of the facets through q, an orthonormal basis W of
+    Aff(K)^perp, and the unit directions D from q to the other vertices.
 
     N_K(q) = cone(A, +/-W) = {x : <x, d> <= 0 for d in D}, and the tangent
     cone T_K(q) = cone(D) = {x : <x, a> <= 0 for a in A, x perp W}.
     """
-    tol = max(tol, TAU_PT)
+    q, tol = as_point(q, K.dim), max(tol, TAU_PT)
     if not contains(K, q, tol):
         raise InvalidInput("q is not a point of K")
     _, B, eqs, _ = K.facets
     n, k = K.dim, len(B)
     A = dedup_points(eqs[eqs[:, :-1] @ q + eqs[:, -1] >= -tol, :-1])
     W = np.linalg.svd(np.eye(n) - B.T @ B)[0][:, : n - k].T if k < n else B[:0]
-    return A, W, _unit(K.vertices - q)
+    return q, A, W, _unit(K.vertices - q)
 
 
 def tangent_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:
     """Tangent (support) cone of K at q: closure of rays from q through K."""
-    q = as_point(q, K.dim)
-    A, W, D = _body_at(K, q, tol)
+    q, A, W, D = _body_at(K, q, tol)
     return PolyCone(K.dim, D, np.vstack([-A, W, -W]), q)
 
 
@@ -166,26 +167,22 @@ def normal_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:
     lower-dimensional K, the complement of its affine hull; the zero cone
     at interior points of a full-dimensional body.
     """
-    q = as_point(q, K.dim)
-    A, W, D = _body_at(K, q, tol)
+    q, A, W, D = _body_at(K, q, tol)
     return PolyCone(K.dim, np.vstack([A, W, -W]), -D, q)
 
 
 def in_normal_cone(K: ConvexBody, q, x, tol=1e-8) -> bool:
-    """Direct membership test x in N_K(q) via the support gap (no enumeration)."""
-    q = as_point(q, K.dim)
+    """Membership of one direction x in N_K(q): normal_cone_mask at
+    tolerance tol * (1 + |x|)."""
     x = as_point(x, K.dim)
-    gap = support(K, x) - float(x @ q)
-    return gap <= tol * (1.0 + np.linalg.norm(x)) * (1.0 + K.diameter())
+    return bool(normal_cone_mask(K, q, x[None], tol * (1.0 + np.linalg.norm(x)))[0])
 
 
 def normal_cone_mask(K: ConvexBody, q, dirs, tol=1e-9):
-    """Vectorized membership of directions in N_K(q), by <d, v - q> <= tol."""
-    q = as_point(q, K.dim)
-    rel = K.vertices - q
-    gaps = np.asarray(dirs) @ rel.T
-    scale = 1.0 + K.diameter()
-    return np.max(gaps, axis=1) <= tol * scale
+    """Vectorized membership of directions in N_K(q) by the support gap:
+    d is in N_K(q) iff <d, v - q> <= tol * (1 + diam K) for every vertex v."""
+    gaps = np.asarray(dirs) @ (K.vertices - as_point(q, K.dim)).T
+    return np.max(gaps, axis=1) <= tol * (1.0 + K.diameter())
 
 
 def cap_body(K: ConvexBody, p) -> ConvexBody:
@@ -194,33 +191,24 @@ def cap_body(K: ConvexBody, p) -> ConvexBody:
     return hull(np.vstack([K.vertices, p[None, :]]))
 
 
-def _cap_normal_data(K: ConvexBody, p):
-    cap = cap_body(K, p)
-    rel = cap.vertices - as_point(p, K.dim)
-    keep = np.linalg.norm(rel, axis=1) > TAU_PT
-    return cap, rel[keep]
-
-
 def cap_support(K: ConvexBody, p, x, tol=1e-9) -> float:
     """Two-branch support formula of the cap body K^p.
 
     Returns <x, p> when x lies in the normal cone of K^p at p, and the
     support of K otherwise; agrees with support(cap_body(K, p), x).
     """
-    p = as_point(p, K.dim)
     x = as_point(x, K.dim)
-    _, rel = _cap_normal_data(K, p)
-    scale = (1.0 + np.linalg.norm(x)) * (1.0 + K.diameter())
-    if rel.shape[0] == 0 or np.max(rel @ x) <= tol * scale:
-        return float(x @ p)
-    return support(K, x)
+    return float(cap_support_batch(K, p, x[None], tol)[0])
 
 
 def cap_support_batch(K: ConvexBody, p, dirs, tol=1e-9):
-    """Vectorized cap_support over rows of dirs."""
+    """Vectorized cap_support over rows of dirs: d is in the normal cone of
+    K^p at p iff <d, v - p> <= tol * (1 + |d|) * (1 + diam K) for every
+    vertex v of K^p other than p."""
     p = as_point(p, K.dim)
     dirs = np.asarray(dirs, dtype=float)
-    _, rel = _cap_normal_data(K, p)
+    rel = cap_body(K, p).vertices - p
+    rel = rel[np.linalg.norm(rel, axis=1) > TAU_PT]
     hK = np.max(dirs @ K.vertices.T, axis=1)
     if rel.shape[0] == 0:
         return hK

@@ -25,6 +25,7 @@ from .geom_core import (
     hausdorff,
     hull,
     project,
+    rel_depth_many,
     unit_directions,
 )
 from .cones import in_normal_cone
@@ -35,22 +36,6 @@ from .sep import Polyline, is_sep
 
 def _bd_tol(K: ConvexBody) -> float:
     return 1e-6 * (1.0 + K.diameter())
-
-
-def rel_depth_many(K: ConvexBody, X):
-    """Per point: (depth, offplane) relative to K.
-
-    depth is the signed distance below the relative boundary measured
-    inside Aff(K) (positive strictly inside); offplane is the distance to
-    Aff(K) itself.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    c, B, eqs, _ = K.facets
-    inplane = (X - c) @ B.T
-    off = np.linalg.norm(X - c - inplane @ B, axis=1)
-    if len(eqs) == 0:
-        return np.zeros(len(X)), off
-    return -(X @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1), off
 
 
 def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
@@ -177,32 +162,30 @@ class ExpandingCouple:
     align_x: np.ndarray
 
 
+def _last_inside(K: ConvexBody, P, cums, tol):
+    """(arc length, point) of the last point of the polyline P inside K, or
+    None.  Segments are clipped exactly; tol is the membership tolerance of
+    a one-point curve."""
+    if len(P) == 1:
+        return (0.0, P[0].copy()) if contains(K, P[0], tol) else None
+    for i in _candidate_segments(K, P)[::-1]:
+        iv = _segment_interval(K, P[i], P[i + 1])
+        if iv is not None:
+            return cums[i] + iv[1] * (cums[i + 1] - cums[i]), P[i] + iv[1] * (P[i + 1] - P[i])
+    return None
+
+
 def align_curve(curve: Polyline, bodies, tol=None):
     """Last curve point (by arc length) inside each body.
 
     Returns (s_values, points); raises InvalidInput when some body contains
-    no point of the curve.  Segments are clipped exactly; tol (default
-    _bd_tol(K)) is the membership tolerance of a one-point curve.
+    no point of the curve.  tol (default _bd_tol(K)) is the membership
+    tolerance of a one-point curve.
     """
-    P = curve.points
-    cums = curve.arclengths()
+    P, cums = curve.points, curve.arclengths()
     s_out, x_out = [], []
     for K in bodies:
-        found = None
-        if len(P) == 1:
-            if contains(K, P[0], _bd_tol(K) if tol is None else tol):
-                found = (0.0, P[0].copy())
-        else:
-            for i in _candidate_segments(K, P)[::-1]:
-                iv = _segment_interval(K, P[i], P[i + 1])
-                if iv is None:
-                    continue
-                seglen = cums[i + 1] - cums[i]
-                found = (
-                    cums[i] + iv[1] * seglen,
-                    P[i] + iv[1] * (P[i + 1] - P[i]),
-                )
-                break
+        found = _last_inside(K, P, cums, _bd_tol(K) if tol is None else tol)
         if found is None:
             raise InvalidInput("alignment failure: a family member misses the curve")
         s_out.append(found[0])
@@ -263,15 +246,10 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     sep_chk = is_sep(gamma, tol)
     if not sep_chk["ok"]:
         return {"ok": False, "condition": "sep", "witness": sep_chk["witness"]}
-    P = gamma.points
+    P, cums = gamma.points, gamma.arclengths()
     top = strat.bodies[-1]
     for Q in strat.bodies:
-        if len(P) == 1:
-            hit = contains(Q, P[0], max(tol, _bd_tol(Q)))
-        else:
-            hit = any(_segment_interval(Q, P[i], P[i + 1]) is not None
-                      for i in _candidate_segments(Q, P))
-        if not hit:
+        if _last_inside(Q, P, cums, max(tol, _bd_tol(Q))) is None:
             return {"ok": False, "condition": "i", "witness": {"body_width": mean_width(Q, grid)}}
     btol = max(tol, _bd_tol(top))
     depth, off = rel_depth_many(top, P)
@@ -336,14 +314,13 @@ def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6, bd_tol=None):
             stol = 1e-9 * (1.0 + cums[-1])
             i = int(np.searchsorted(cums, sk + stol)) - 1
             i = max(0, min(i, len(P) - 2))
-            at_vertex = abs(sk - cums[i]) <= stol or abs(sk - cums[i + 1]) <= stol
-            segs = [(P[i], P[i + 1])]
-            if at_vertex and i > 0 and abs(sk - cums[i]) <= stol:
-                segs.append((P[i - 1], P[i]))
-            if at_vertex and abs(sk - cums[i + 1]) <= stol and i + 2 < len(P):
-                segs.append((P[i + 1], P[i + 2]))
-            for a, b in segs:
-                d = b - a
+            segs = [i]  # the segment at sk, and the other one at a curve vertex
+            if i > 0 and abs(sk - cums[i]) <= stol:
+                segs.append(i - 1)
+            if abs(sk - cums[i + 1]) <= stol and i + 2 < len(P):
+                segs.append(i + 1)
+            for j in segs:
+                d = P[j + 1] - P[j]
                 nd = np.linalg.norm(d)
                 if nd > TAU_PT:
                     dirs.append(d / nd)
@@ -445,6 +422,15 @@ def curve_uniform_distance(c1: Polyline, c2: Polyline, samples: int = 200) -> fl
 # -- fixtures ------------------------------------------------------------------
 
 
+def _width_family(bodies, grid: SphereGrid = None) -> Family:
+    """Family of the given bodies, params their mean widths on grid and h
+    just above the largest param step."""
+    bodies = tuple(bodies)
+    params = tuple(mean_width(K, grid) for K in bodies)
+    h = float(np.max(np.diff(params)))
+    return Family(bodies, params, h * (1.0 + 1e-9))
+
+
 def cantor_points(level: int):
     """Breakpoints of the level-L polyline approximation of the Cantor
     function graph on [0, 1]."""
@@ -469,16 +455,9 @@ def cantor_family(level: int = 6) -> Family:
     breakpoints: the quasi-convex family for which the Cantor graph is a
     viable steepest-descent curve but not an expanding couple."""
     pts = cantor_points(level)
-    bodies = []
-    params = []
-    for k in range(1, len(pts)):
-        t, _ = pts[k]
-        corner = np.array([[t, 1.0], [0.0, 1.0]])
-        B = hull(np.vstack([pts[: k + 1], corner]))
-        bodies.append(B)
-        params.append(mean_width(B))
-    h = float(np.max(np.diff(params)))
-    return Family(tuple(bodies), tuple(params), h * (1.0 + 1e-9))
+    return _width_family(
+        hull(np.vstack([pts[: k + 1], [[pts[k, 0], 1.0], [0.0, 1.0]]])) for k in range(1, len(pts))
+    )
 
 
 def disk_polygon(r: float, center=(0.0, 0.0), m: int = 64) -> ConvexBody:
@@ -494,10 +473,8 @@ def cantor_disks(level: int = 8, m: int = 64):
     pts = cantor_points(level)
     radii = (pts[:, 0] + pts[:, 1]) / 2.0
     radii = radii[radii > 0.0]
-    bodies = tuple(disk_polygon(r, m=m) for r in radii)
-    params = tuple(mean_width(K) for K in bodies)
-    h = float(np.max(np.diff(params)))
-    fam = Family(bodies, params, h * (1.0 + 1e-9))
+    fam = _width_family(disk_polygon(r, m=m) for r in radii)
+    bodies = fam.bodies
     # all polygons share vertex angles, so each r * xbar is a vertex of its body
     xbar = bodies[-1].vertices[0] / np.linalg.norm(bodies[-1].vertices[0])
     curve = Polyline.make(np.outer(radii, xbar))
@@ -534,9 +511,7 @@ def example61_family(n_psi: int = 24, n_phi: int = 9, d_steps: int = 5,
             [np.column_stack([ri * ring, np.full(n_psi, zi)]) for ri, zi in zip(r, z)]
         )
         bodies.append(hull(pts))
-    params = tuple(mean_width(K, grid) for K in bodies)
-    h = float(np.max(np.diff(params)))
-    return Family(tuple(bodies), params, h * (1.0 + 1e-9))
+    return _width_family(bodies, grid)
 
 
 def example61_curve(fam: Family, radial: float = 0.55, angle: float = 0.0) -> Polyline:
@@ -576,13 +551,9 @@ def disk_family(r_min=0.5, r_max=1.0, levels=10, m=64, n=2, seed=0,
     widths on grid."""
     radii = np.linspace(r_min, r_max, levels)
     if n == 2:
-        bodies = tuple(disk_polygon(r, m=m) for r in radii)
-    else:
-        dirs = unit_directions(n, max(m, 32), seed)
-        bodies = tuple(hull(r * dirs) for r in radii)
-    params = tuple(mean_width(K, grid) for K in bodies)
-    h = float(np.max(np.diff(params)))
-    return Family(bodies, params, h * (1.0 + 1e-9))
+        return _width_family((disk_polygon(r, m=m) for r in radii), grid)
+    dirs = unit_directions(n, max(m, 32), seed)
+    return _width_family((hull(r * dirs) for r in radii), grid)
 
 
 def scaled_family(K: ConvexBody, s_min=0.4, s_max=1.0, levels=12, center=None) -> Family:
@@ -590,12 +561,7 @@ def scaled_family(K: ConvexBody, s_min=0.4, s_max=1.0, levels=12, center=None) -
     grid is exact without any interpolation."""
     c = K.centroid() if center is None else as_point(center, K.dim)
     scales = np.linspace(s_min, s_max, levels)
-    bodies = tuple(
-        ConvexBody(c + s * (K.vertices - c), K.dim_affine) for s in scales
-    )
-    params = tuple(mean_width(B) for B in bodies)
-    h = float(np.max(np.diff(params)))
-    return Family(bodies, params, h * (1.0 + 1e-9))
+    return _width_family(ConvexBody(c + s * (K.vertices - c), K.dim_affine) for s in scales)
 
 
 def fixtures():

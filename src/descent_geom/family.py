@@ -82,18 +82,29 @@ class Family(Stratification):
         }
 
 
+def _bodies_from_dict(d):
+    bodies = d.get("bodies") if isinstance(d, dict) else None
+    if not isinstance(bodies, list) or not bodies:
+        raise InvalidInput("family JSON must be an object with a nonempty 'bodies' list")
+    return [body_from_dict(b) for b in bodies]
+
+
 def stratification_from_dict(d, grid: SphereGrid = None) -> Stratification:
-    bodies = [body_from_dict(b) for b in d["bodies"]]
-    return validate_stratification(bodies, grid=grid)
+    return validate_stratification(_bodies_from_dict(d), grid=grid)
 
 
 def family_from_dict(d, grid: SphereGrid = None) -> Family:
-    bodies = [body_from_dict(b) for b in d["bodies"]]
+    bodies = _bodies_from_dict(d)
     params = d.get("params")
     if params is None:
         params = [mean_width(K, grid) for K in bodies]
-    h = float(d.get("h", max(np.diff(params), default=0.0)))
-    return Family(tuple(bodies), tuple(float(p) for p in params), h)
+    elif not isinstance(params, list) or len(params) != len(bodies):
+        raise InvalidInput(f"family JSON 'params' must list one number per body ({len(bodies)})")
+    try:
+        h = float(d.get("h", max(np.diff(params), default=0.0)))
+        return Family(tuple(bodies), tuple(float(p) for p in params), h)
+    except (TypeError, ValueError):
+        raise InvalidInput("family JSON 'params' and 'h' must be numbers")
 
 
 def _inclusion_tol(K: ConvexBody, tol):

@@ -3,7 +3,9 @@ projection, containment and Hausdorff distance.
 
 Bodies are stored canonically as the extreme points of their convex hull;
 each builds its facet structure (`ConvexBody.facets`) once, on first use.
-All operations are pure functions over immutable arrays; nothing here keeps
+Relative depth (rel_depth_many) is read off the facets; containment and
+distances ask it first and project only the points it leaves open.  All
+operations are pure functions over immutable arrays; nothing here keeps
 global state, so concurrent use on shared bodies is safe.
 """
 
@@ -58,8 +60,6 @@ def as_points(pts):
 
 def dedup_points(P, tol=TAU_PT):
     """Drop points within tol of an already-kept point (first occurrence wins)."""
-    if len(P) == 1:
-        return P.copy()
     tree = cKDTree(P)
     pairs = tree.query_pairs(tol, output_type="ndarray")
     drop = np.zeros(len(P), dtype=bool)
@@ -78,8 +78,6 @@ def affine_basis(P):
     """
     c = P.mean(axis=0)
     Q = P - c
-    if len(P) == 1:
-        return c, np.zeros((0, P.shape[1]))
     _, s, Vt = np.linalg.svd(Q, full_matrices=False)
     if s[0] <= 0.0:
         return c, np.zeros((0, P.shape[1]))
@@ -173,8 +171,6 @@ class ConvexBody:
     @cached_property
     def _diameter(self) -> float:
         V = self.vertices
-        if len(V) == 1:
-            return 0.0
         d2 = ((V[:, None, :] - V[None, :, :]) ** 2).sum(axis=2)
         return float(np.sqrt(d2.max()))
 
@@ -239,22 +235,8 @@ def hull(points) -> ConvexBody:
         t = (P - c) @ B[0]
         V = np.vstack([P[np.argmin(t)], P[np.argmax(t)]])
         return ConvexBody(_canonical_order(V, n), 1)
-    proj = (P - c) @ B.T
-    if k == n:
-        proj = P  # full-dimensional: hull in original coordinates
-    h = _qhull(proj)
-    V = P[h.vertices]  # CCW when k == 2
-    if k == 2:
-        # order canonically within the (possibly embedded) plane
-        if n == 2:
-            V = _canonical_order(V, 2)
-        else:
-            order = np.lexsort(V.T[::-1])
-            # keep the cyclic ring order available via vertices of the
-            # projected hull; embedded-plane bodies only need a stable order
-            V = V[order]
-    else:
-        V = _canonical_order(V, n)
+    h = _qhull(P if k == n else (P - c) @ B.T)  # full-dimensional: original coordinates
+    V = _canonical_order(P[h.vertices], n)
     K = ConvexBody(np.ascontiguousarray(V), k)
     if np.array_equal(V, P):
         # Qhull ran on K.vertices itself (a canonical body reloaded), and
@@ -429,52 +411,57 @@ def project(K: ConvexBody, p, max_iter=10000):
     return q
 
 
-def dist_to_body(K: ConvexBody, p) -> float:
-    p = as_point(p, K.dim)
-    return float(np.linalg.norm(project(K, p) - p))
+def rel_depth_many(K: ConvexBody, X):
+    """Per point: (depth, offplane) relative to K.
 
-
-def contains(K: ConvexBody, p, tol=TAU_PT) -> bool:
-    """True iff p lies within distance tol of K."""
-    if tol < 0:
-        raise InvalidInput("tol must be nonnegative")
-    return dist_to_body(K, p) <= tol
+    depth is the signed distance below the relative boundary measured
+    inside Aff(K) (positive strictly inside); offplane is the distance to
+    Aff(K) itself.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    c, B, eqs, _ = K.facets
+    Y = X - c
+    off = np.linalg.norm(Y - (Y @ B.T) @ B, axis=1)
+    if len(eqs) == 0:
+        return np.zeros(len(X)), off
+    return -(X @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1), off
 
 
 def _facet_bounds(K: ConvexBody, X):
     """Per row x of X: (lower, exact), lower <= dist(x, K) and exact marks
     the rows where lower is dist(x, K) itself.
 
-    With off the distance from x to Aff(K) and depth the largest residual
-    of K's facet equations at x, dist(x, K)^2 >= off^2 + max(depth, 0)^2,
-    since the unit facet normals lie in Aff(K).  When depth <= 0 the
-    orthogonal projection of x onto Aff(K) lies in K, so the distance is
-    off.  A point body has no equations: off is its distance.
+    dist(x, K)^2 >= off^2 + max(-depth, 0)^2 (rel_depth_many), since the
+    unit facet normals lie in Aff(K).  When depth >= 0 the orthogonal
+    projection of x onto Aff(K) lies in K, so the distance is off.
     """
-    c, B, eqs, _ = K.facets
-    Y = X - c
-    off = np.linalg.norm(Y - (Y @ B.T) @ B, axis=1)
-    if len(eqs) == 0:
-        return off, np.ones(len(X), dtype=bool)
-    depth = (X @ eqs[:, :-1].T + eqs[:, -1]).max(axis=1)
-    return np.hypot(off, np.maximum(depth, 0.0)), depth <= 0.0
+    depth, off = rel_depth_many(K, X)
+    return np.hypot(off, np.maximum(-depth, 0.0)), depth >= 0.0
+
+
+def _within(K: ConvexBody, X, tol):
+    """True iff every row of X lies within distance tol of K: the facet
+    bounds decide each row whose lower bound exceeds tol or is exact, the
+    nearest-point projection the rest."""
+    if tol < 0:
+        raise InvalidInput("tol must be nonnegative")
+    lower, exact = _facet_bounds(K, X)
+    if np.any(lower > tol):
+        return False
+    return all(np.linalg.norm(project(K, x) - x) <= tol for x in X[~exact])
+
+
+def contains(K: ConvexBody, p, tol=TAU_PT) -> bool:
+    """True iff p lies within distance tol of K (facets first, then the
+    nearest-point projection, as in includes)."""
+    return _within(K, as_point(p, K.dim)[None], tol)
 
 
 def includes(A: ConvexBody, B: ConvexBody, tol=TAU_PT) -> bool:
-    """True iff every vertex of B lies in A (up to tol), i.e. B is inside A.
-
-    A's facets decide every vertex whose lower bound exceeds tol or whose
-    distance they give exactly; the nearest-point projection decides the
-    rest.
-    """
+    """True iff every vertex of B lies in A (up to tol), i.e. B is inside A."""
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")
-    if tol < 0:
-        raise InvalidInput("tol must be nonnegative")
-    lower, exact = _facet_bounds(A, B.vertices)
-    if np.any(lower > tol):
-        return False
-    return all(contains(A, v, tol) for v in B.vertices[~exact])
+    return _within(A, B.vertices, tol)
 
 
 def _directed_hausdorff(A: ConvexBody, B: ConvexBody) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import io
 import json
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from descent_geom import cli
 from descent_geom.cli import main, render_svg
 from descent_geom.geom_core import hull
 
@@ -224,6 +226,57 @@ class TestErrorsAndDeterminism:
         code, out, _ = run_cli(["check", "sep", "--curve", str(cpath)], capsys=capsys)
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+
+class TestParserReuse:
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys, monkeypatch):
+        cpath = tmp_path / "curve.csv"
+        cpath.write_text("0,0\n1,0\n1,1\n")
+        check = ["check", "sep", "--curve", str(cpath)]
+        monkeypatch.delenv("DESCENT_GEOM_SEED", raising=False)
+        cli.build_parser.cache_clear()
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        seeds = []
+        for argv in (check + ["--seed", "5"], check, ["--seed", "5"] + check, check):
+            code, out, _ = run_cli(argv, capsys=capsys)
+            assert code == 0
+            seeds.append(json.loads(out)["config"]["seed"])
+        assert seeds == [5, 0, 5, 0]
+        assert built.count("descent-geom") == 1
+
+
+class TestMalformedFamilies:
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"bodies": []},
+        {"bodies": {"dim": 2}},
+        [1, 2],
+        {"bodies": [{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]},
+                    {"dim": 2, "vertices": [[0, 0], [2, 0], [0, 2]]}], "params": [1]},
+        {"bodies": [{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}], "params": ["x"]},
+    ])
+    def test_family_check_exit_2(self, doc, capsys, monkeypatch):
+        code, out, err = run_cli(["family", "check"], stdin_text=json.dumps(doc),
+                                 capsys=capsys, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err.startswith("error: family JSON")
+
+    @pytest.mark.parametrize("doc", [{}, {"bodies": []}, {"h": 0.1}, "chain"])
+    def test_chain_loaders_exit_2(self, doc, tmp_path, capsys, monkeypatch):
+        cpath = tmp_path / "curve.csv"
+        cpath.write_text("0,0\n1,0\n")
+        for argv in (["family", "complete"], ["check", "ec", "--curve", str(cpath)]):
+            code, out, err = run_cli(argv, stdin_text=json.dumps(doc), capsys=capsys,
+                                     monkeypatch=monkeypatch)
+            assert code == 2 and out == ""
+            assert err.startswith("error: family JSON")
 
 
 class TestOneDimensional:

@@ -138,6 +138,8 @@ class TestConeOracles:
             want = normal_cone_mask(K, q, P)
             assert np.array_equal(_nnls_mask(N, P), want)
             assert np.array_equal(N.member_mask(P), want)
+            # unit probes: tol * (1 + |x|) is the mask's tolerance
+            assert np.array_equal([in_normal_cone(K, q, x, 0.5e-9) for x in P], want)
 
     def test_tangent_cone(self, rng):
         # the definition: T_K(q) is the cone spanned by K - q

@@ -388,7 +388,7 @@ def _wolfe_hausdorff(A, B):
 
 def _wolfe_includes(A, B, tol):
     """Reference: every vertex of B within tol of A by projection."""
-    return all(contains(A, v, tol) for v in B.vertices)
+    return all(np.linalg.norm(project(A, v) - v) <= tol for v in B.vertices)
 
 
 def _pair_corpus(rng):
@@ -452,6 +452,59 @@ class TestFacetPruning:
     def test_negative_tol_rejected(self, unit_square):
         with pytest.raises(InvalidInput):
             includes(unit_square, unit_square, -1e-9)
+        with pytest.raises(InvalidInput):
+            contains(unit_square, (0.5, 0.5), -1e-9)
+
+    def test_contains_matches_projection(self, rng):
+        verdicts = []
+        for K, pts in _containment_corpus(rng):
+            for p in pts:
+                d = np.linalg.norm(project(K, p) - p)
+                for tol in (1e-9, 1e-6):
+                    verdicts.append(contains(K, p, tol))
+                    assert verdicts[-1] == (d <= tol)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_contains_at_interior_points_does_not_project(self, rng, call_counter):
+        K = random_polytope(rng, 3, 20)
+        X = rng.dirichlet(np.ones(K.nvertices), size=50) @ K.vertices
+        calls = call_counter("geom_core", "project")
+        assert all(contains(K, x) for x in X)
+        assert not calls
+
+
+def _containment_corpus(rng):
+    """(K, points): full bodies in R^1..R^5, flat bodies and point bodies;
+    their vertices (also 1e-10 beyond, away from the centroid), edge
+    midpoints, facet centroids (also 1e-10 inside and outside the facet)
+    and centroid, each of these also 1e-10 off Aff(K), and points far
+    away."""
+    bodies = [random_polytope(rng, n, 12) for n in (1, 2, 3, 4, 5)]
+    bodies += [embedded_polytope(rng, n, k, 9) for n, k in
+               ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3))]
+    bodies += [hull(rng.standard_normal((1, n))) for n in (1, 3)]
+    out = []
+    for K in bodies:
+        c, B, eqs, simplices = K.facets
+        V = K.vertices
+        pts = [V, V.mean(axis=0)[None]]
+        out_dir = V - V.mean(axis=0)
+        r = np.linalg.norm(out_dir, axis=1, keepdims=True)
+        pts.append(V + 1e-10 * np.divide(out_dir, r, out=np.zeros_like(V), where=r > 0))
+        if len(eqs):
+            pts += [np.array([V[s[:2]].mean(axis=0) for s in simplices]),
+                    np.array([V[s].mean(axis=0) for s in simplices])]
+            mids = pts[-1]
+            pts += [mids + 1e-10 * eqs[:, :-1], mids - 1e-10 * eqs[:, :-1]]
+        N = null_space(B).T if len(B) else np.eye(K.dim)  # normals of Aff(K)
+        if len(N):
+            base = np.vstack(pts)
+            pts += [base + 1e-10 * N[rng.integers(len(N), size=len(base))]]
+        far = rng.standard_normal((5, K.dim))
+        far *= 10.0 * (1.0 + K.diameter()) / np.linalg.norm(far, axis=1, keepdims=True)
+        pts.append(c + far)
+        out.append((K, np.vstack(pts)))
+    return out
 
 
 def test_only_geom_core_references_convexhull():
