@@ -311,9 +311,10 @@ def _cmd_bounds(args):
     if args.what == "length":
         curve = _load_curve(args.curve)
         grid = _grid_for(args, curve.dim)
-        res = length_bound_check(curve, grid)
-        res["lipschitz"] = lipschitz_ratio(curve, grid)["max_ratio"] if curve.dim <= 2 \
-            else None
+        lip = lipschitz_ratio(curve, grid) if curve.dim <= 2 else None
+        # The last prefix hull is the hull of the path.
+        res = length_bound_check(curve, grid, w_hull=lip["widths"][-1] if lip else None)
+        res["lipschitz"] = lip["max_ratio"] if lip else None
         res["config"] = _config(args)
         _emit(res)
         return 0 if res["bound_ok"] else 1
@@ -416,7 +417,9 @@ def build_parser():
         description="Steepest-descent curves for nested convex families",
     )
     p.add_argument("--seed", type=int, default=None, help="RNG seed (env DESCENT_GEOM_SEED overrides)")
-    p.add_argument("--grid-size", type=int, default=20000)
+    p.add_argument("--grid-size", type=int, default=20000,
+                   help="sphere-grid nodes for mean widths in R^4 and up, sector integrals "
+                        "and report cone-limit")
     p.add_argument("--tol", type=float, default=1e-9)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)

@@ -3,12 +3,17 @@ projection, containment and Hausdorff distance.
 
 Bodies are stored canonically as the extreme points of their convex hull;
 each builds its facet structure (`ConvexBody.facets`) once, on first use.
-Relative depth (rel_depth_many) is read off the facets; containment and
-distances ask it first and project only the points it leaves open.  All
-operations are pure functions over immutable arrays; nothing here keeps
+In R^n, n >= 3, hull() takes its input in canonical order, so a body built
+from its own extreme points keeps Qhull's facets.  A planar body is read
+off a clear counterclockwise ring without Qhull (ring_hull) and grown one
+point at a time (ClearRing).  Relative depth (rel_depth_many) is read off
+the facets; containment and distances ask it first and project only the
+points it leaves open.  Apart from a ClearRing, which its owner grows,
+everything here is a pure function over immutable arrays; nothing keeps
 global state, so concurrent use on shared bodies is safe.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -23,6 +28,7 @@ TAU_PT = 1e-9
 
 # Rank threshold factor for affine-hull dimension detection.
 _RANK_RTOL = 1e-8
+_EPS = np.finfo(float).eps
 
 MAX_DIM = 8
 
@@ -70,19 +76,26 @@ def dedup_points(P, tol=TAU_PT):
     return P[~drop]
 
 
+def rank_cut(s_max, scale, m):
+    """Singular values at or below this do not count towards the rank of m
+    centred rows with top singular value s_max and coordinates up to scale:
+    the relative cut _RANK_RTOL * s_max, or the rounding floor of the
+    centring, whichever is larger."""
+    return max(_RANK_RTOL * s_max, 4.0 * _EPS * scale * math.sqrt(m))
+
+
 def affine_basis(P):
     """Orthonormal basis of the affine hull of the rows of P.
 
     Returns (centroid, basis) where basis has shape (k, n) and k is the
-    affine dimension detected by an SVD rank cut at _RANK_RTOL * s_max.
+    affine dimension: the singular values of the centred rows above
+    rank_cut, and at most m - 1 for m rows.
     """
+    m = len(P)
     c = P.mean(axis=0)
-    Q = P - c
-    _, s, Vt = np.linalg.svd(Q, full_matrices=False)
-    if s[0] <= 0.0:
-        return c, np.zeros((0, P.shape[1]))
-    k = int(np.sum(s > _RANK_RTOL * s[0]))
-    return c, Vt[:k]
+    _, s, Vt = np.linalg.svd(P - c, full_matrices=False)
+    k = int(np.sum(s > rank_cut(s[0], np.abs(P).max(), m)))
+    return c, Vt[:min(k, m - 1)]
 
 
 class Facets(NamedTuple):
@@ -227,6 +240,10 @@ def hull(points) -> ConvexBody:
     """
     P = dedup_points(as_points(points))
     n = P.shape[1]
+    if n >= 3:
+        # In canonical order, a point set that is all extreme points is
+        # K.vertices itself, and K keeps Qhull's facets (below).
+        P = _canonical_order(P, n)
     c, B = affine_basis(P)
     k = B.shape[0]
     if k == 0:
@@ -248,45 +265,108 @@ def hull(points) -> ConvexBody:
     return K
 
 
-def _is_clear_ring(P) -> bool:
-    """True iff the planar points P, in the given order, clearly form a
-    strictly convex counterclockwise ring.
+def _cross(U, V):
+    """Cross products of planar vectors, row by row."""
+    return U[..., 0] * V[..., 1] - U[..., 1] * V[..., 0]
 
-    Every edge, and every vertex's height over the chord of its two
+
+def _ring_margin(P) -> float:
+    """The least edge length and vertex height of the planar points P, in
+    the given order, if they clearly form a strictly convex counterclockwise
+    ring; else 0.
+
+    Clearly: every edge, and every vertex's height over the chord of its two
     neighbours, exceeds a few TAU_PT at the scale of P; every turn has sine
     above 1e-9; the turns add up to one revolution (not a star).  A
     non-adjacent vertex lies beyond that chord, so no two vertices are
     within TAU_PT of each other either.
     """
-    m = len(P)
-    if m < 3:
-        return False
-    E = np.diff(P, axis=0, append=P[:1])  # edge out of each vertex
-    back = np.arange(-1, m - 1)
-    Ep = E[back]  # edge into each vertex
-    cross = Ep[:, 0] * E[:, 1] - Ep[:, 1] * E[:, 0]
-    L = np.hypot(E[:, 0], E[:, 1])
+    if len(P) < 3:
+        return 0.0
+    W = np.concatenate((P[-1:], P, P[:1]))
+    D = W[1:] - W[:-1]
+    Ep, E = D[:-1], D[1:]  # edge into and out of each vertex
+    cross = _cross(Ep, E)
+    L = np.hypot(D[:, 0], D[:, 1])
     C = Ep + E  # chord between the two neighbours
+    chord = np.hypot(C[:, 0], C[:, 1])
     tol = 4.0 * TAU_PT * (1.0 + np.abs(P).max())
-    if not (L.min() > tol and np.all(cross > 1e-9 * L * L[back])
-            and np.all(cross > tol * np.hypot(C[:, 0], C[:, 1]))):
-        return False
-    turning = np.arctan2(cross, (Ep * E).sum(axis=1)).sum()
-    return bool(turning < 3.0 * np.pi)
+    least = L.min()  # L[0] is L[-1]
+    if not (least > tol and np.all(cross > 1e-9 * L[1:] * L[:-1])
+            and np.all(cross > tol * chord)
+            and np.arctan2(cross, (Ep * E).sum(axis=1)).sum() < 3.0 * np.pi):
+        return 0.0
+    return min(float(least), float((cross / chord).min()))
+
+
+class ClearRing:
+    """A planar body whose vertices form a clear ring (_ring_margin), grown
+    one point at a time exactly as hull() grows it.  It keeps the bounding
+    box of the points seen and lower bounds on its width and on every edge
+    and vertex height its ring has had (0 if K has no clear ring)."""
+
+    def __init__(self, K):
+        self.K, self.width = K, 0.0
+        self.least = _ring_margin(K.vertices) if K.dim == 2 else 0.0
+        self.box = K.vertices.min(axis=0).tolist() + K.vertices.max(axis=0).tolist()
+
+    def insert(self, p):
+        """hull() of the ring and p, kept as the new ring; None unless that
+        is clearly decided.
+
+        While the cross products cr of p with the edges keep min|cr| / diam
+        above the clearance tol, every side is decided exactly, p replaces
+        the run of edges it sees, and the new edges and heights are at least
+        min|cr| / diam.  Rank 2 holds while the width floor exceeds an upper
+        bound on affine_basis's cut.  The ring starts at its
+        lexicographically smallest vertex: p or the old one."""
+        if not self.least:
+            return None
+        R = self.K.vertices
+        m = len(R)
+        x, y = p.tolist()
+        b = self.box
+        b[:] = min(b[0], x), min(b[1], y), max(b[2], x), max(b[3], y)
+        scale, diam = max(-b[0], -b[1], b[2], b[3]), math.hypot(b[2] - b[0], b[3] - b[1])
+        # s_max <= sqrt(m + 1) * diam, s_min >= width / sqrt(2)
+        cut = 4.0 * rank_cut(math.sqrt(m + 1) * diam, scale, m + 1)
+        if self.width <= cut:
+            # At most the width of the triangle of R[0], the vertex farthest
+            # from it and the vertex farthest from their line.
+            d = R[np.argmax(((R - R[0]) ** 2).sum(axis=1))] - R[0]
+            self.width = np.abs(_cross(d, R - R[0])).max() / (2.0 * math.hypot(*d))
+        D = R - p
+        cr = _cross(D, np.concatenate((D[1:], D[:1])))  # negative on the edges p sees
+        least = min(self.least, np.abs(cr).min() / diam)
+        if least <= 4.0 * TAU_PT * (1.0 + scale) or self.width <= cut:
+            return None
+        seen = cr < 0.0
+        if not seen.any():
+            return self.K  # p lies clearly inside
+        a = int(np.argmax(seen > seen[np.arange(-1, m - 1)]))  # the first edge p sees
+        j = a + int(seen.sum())  # R[a + 1] .. R[j - 1] are cut off
+        if j > m:  # R[0] is cut off, so p is below it
+            V = np.vstack((p, R[j - m:a + 1]))
+        elif (x, y) < tuple(R[0].tolist()):
+            V = np.vstack((p, R[j:], R[:a + 1]))
+        else:
+            V = np.vstack((R[:a + 1], p, R[j:]))
+        self.least, self.K = least, ConvexBody(V, 2)
+        return self.K
 
 
 def ring_hull(ring, points=None) -> ConvexBody:
     """hull(points) for planar points whose extreme points are the ring,
     listed counterclockwise (points defaults to the ring itself).
 
-    When the ring clearly is strictly convex (see _is_clear_ring) and
+    When the ring clearly is strictly convex (see _ring_margin) and
     affine_basis finds rank 2, it is hull()'s vertex list up to rotation, so
     the same canonical body is read off in O(m) without Qhull; its facets
     are built on first use, like those of any other body.  Otherwise, and
     for points in another dimension, this is hull(points).
     """
     P = as_points(ring)
-    if P.shape[1] == 2 and _is_clear_ring(P) and len(affine_basis(P)[1]) == 2:
+    if P.shape[1] == 2 and _ring_margin(P) > 0.0 and len(affine_basis(P)[1]) == 2:
         return ConvexBody(_canonical_order(P, 2), 2)
     return hull(P if points is None else points)
 

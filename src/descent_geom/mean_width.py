@@ -1,9 +1,10 @@
 """Mean width of convex bodies and its first variation under cap-body
 deformations.
 
-The planar path is exact (mean width = perimeter / pi, by Cauchy's formula,
-with a segment's perimeter counting both sides); higher dimensions use a
-deterministic seeded sphere grid.  Sector-restricted integrals over normal
+Mean width is exact up to R^3: perimeter / pi in the plane (Cauchy's
+formula, a segment's perimeter counting both sides), and in R^3 a sum over
+the edges of the facet triangulation; n >= 4 uses a deterministic seeded
+sphere grid.  Sector-restricted integrals over normal
 cones are exact angular integrals in the plane and grid-filtered sums
 otherwise.  Summation runs in fixed index order, so identical inputs give
 bit-identical results.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, PreconditionViolated
+from .errors import DimensionMismatch, InvalidInput, NumericalFailure, PreconditionViolated
 from .geom_core import (
     TAU_PT,
     ConvexBody,
@@ -82,7 +83,7 @@ def perimeter(K: ConvexBody) -> float:
     V = K.vertices
     if len(V) == 1:
         return 0.0
-    return float(np.linalg.norm(np.roll(V, -1, axis=0) - V, axis=1).sum())
+    return float(np.linalg.norm(np.diff(V, axis=0, append=V[:1]), axis=1).sum())
 
 
 def mean_width_quadrature(K: ConvexBody, grid: SphereGrid) -> float:
@@ -93,18 +94,44 @@ def mean_width_quadrature(K: ConvexBody, grid: SphereGrid) -> float:
     return float(2.0 / sphere_measure(K.dim) * (grid.weights @ h))
 
 
+def _mean_width_3d(K: ConvexBody) -> float:
+    """Exact mean width in R^3 from K's facets: (1/4pi) * sum over the edges
+    of length times the angle between the outer normals of the two faces
+    there (Schneider, Convex Bodies, 4.2).  Coplanar triangles add nothing;
+    a flat body's edges have angle pi."""
+    _, B, eqs, S = K.facets
+    if len(B) < 2:
+        return K.diameter() / 2.0  # a segment or a point
+    E, theta = S, math.pi
+    if len(B) == 3:
+        # Each edge of the boundary triangles lies on exactly two of them:
+        # sorted by edge, the rows pair up.
+        E = np.sort(np.concatenate((S[:, :2], S[:, 1:], S[:, ::2])), axis=1)
+        order = np.lexsort(E.T[::-1])
+        E, tri = E[order], np.tile(np.arange(len(S)), 3)[order]
+        if not np.array_equal(E[::2], E[1::2]):
+            raise NumericalFailure("facet triangles of a body in R^3 do not pair up by edge")
+        n1, n2 = eqs[tri[::2], :3], eqs[tri[1::2], :3]
+        E, theta = E[::2], np.arctan2(np.linalg.norm(np.cross(n1, n2), axis=1), (n1 * n2).sum(axis=1))
+    V = K.vertices
+    return float((np.linalg.norm(V[E[:, 0]] - V[E[:, 1]], axis=1) * theta).sum()) / (4.0 * math.pi)
+
+
 def mean_width(K: ConvexBody, grid: SphereGrid = None) -> float:
     """Mean width of K in its ambient dimension.
 
-    Exact for n <= 2 (perimeter/pi, segment length in the line); quadrature
-    on the given or default grid for n >= 3.  Strictly monotone under
-    strict inclusion at quadrature resolution.
+    Exact for n <= 3 (segment length in the line, perimeter/pi in the
+    plane, facet edges in space); quadrature on the given or default grid
+    for n >= 4.  Strictly monotone under strict inclusion at quadrature
+    resolution.
     """
     n = K.dim
     if n == 1:
         return float(K.vertices.max() - K.vertices.min())
     if n == 2:
         return perimeter(K) / math.pi
+    if n == 3:
+        return _mean_width_3d(K)
     if grid is None:
         grid = default_grid(n)
     return mean_width_quadrature(K, grid)

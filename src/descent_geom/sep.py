@@ -5,7 +5,9 @@ A polyline is self-expanding iff along every segment, the distance to every
 earlier vertex is non-decreasing; because that distance is a convex
 function of the segment parameter and linear in the earlier point, checking
 the inequality <d, a - y> >= 0 at segment starts against all earlier
-vertices decides the continuous property exactly.
+vertices decides the continuous property exactly.  Planar prefix hulls are
+grown in one pass: each point goes into the previous counterclockwise ring
+(geom_core.ClearRing), and hull() runs only where that is not clear.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PreconditionViolated
-from .geom_core import TAU_PT, as_points, hull
+from .geom_core import TAU_PT, ClearRing, as_points, hull
 from .mean_width import SphereGrid, lipschitz_constant, mean_width
 
 
@@ -125,14 +127,16 @@ def is_sep(gamma: Polyline, tol: float = 1e-9):
 
 
 def prefix_hulls(gamma: Polyline):
-    """Convex hulls of the vertex prefixes, built incrementally."""
+    """Convex hulls of the vertex prefixes: each is hull() of the previous
+    one's vertices and the next point, in the plane read off a ClearRing
+    where it can place the point."""
     out = []
-    running = None
-    for i in range(gamma.npoints):
-        p = gamma.points[i : i + 1]
-        pts = p if running is None else np.vstack([running, p])
-        K = hull(pts)
-        running = K.vertices
+    ring = None
+    for p in gamma.points:
+        K = ring.insert(p) if ring else None
+        if K is None:
+            K = hull(np.vstack([out[-1].vertices, p]) if out else p)
+            ring = ClearRing(K)
         out.append(K)
     return out
 
@@ -176,12 +180,16 @@ def lipschitz_ratio(gamma: Polyline, grid: SphereGrid = None, tol: float = 1e-9)
     }
 
 
-def length_bound_check(gamma: Polyline, grid: SphereGrid = None, tol: float = 1e-9):
-    """Check length(gamma) <= c1_n * mean width of the hull of the path."""
-    chk = is_sep(gamma, tol)
-    if not chk["ok"]:
-        raise PreconditionViolated(f"not a self-expanding path: {chk['witness']}")
-    w_hull = mean_width(hull(gamma.points), grid)
+def length_bound_check(gamma: Polyline, grid: SphereGrid = None, tol: float = 1e-9, w_hull=None):
+    """Check length(gamma) <= c1_n * mean width of the hull of the path.
+
+    A caller that has checked the SEP property may pass w_hull, the width of
+    the hull (as the last of lipschitz_ratio's widths)."""
+    if w_hull is None:
+        chk = is_sep(gamma, tol)
+        if not chk["ok"]:
+            raise PreconditionViolated(f"not a self-expanding path: {chk['witness']}")
+        w_hull = mean_width(hull(gamma.points), grid)
     length = gamma.length()
     c = lipschitz_constant(gamma.dim)
     return {

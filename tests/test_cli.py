@@ -287,19 +287,32 @@ class TestOneDimensional:
         assert len(doc["bodies"]) > 3 and all(b["dim"] == 1 for b in doc["bodies"])
 
 
+def _record_quadrature(monkeypatch):
+    """The grid size of every mean-width quadrature run, as it runs."""
+    mean_width = importlib.import_module("descent_geom.mean_width")
+    sizes = []
+    real = mean_width.mean_width_quadrature
+
+    def recorded(K, grid):
+        sizes.append(grid.size)
+        return real(K, grid)
+
+    monkeypatch.setattr(mean_width, "mean_width_quadrature", recorded)
+    return sizes
+
+
+def _without_config(out):
+    doc = json.loads(out)
+    doc.pop("config", None)
+    return doc
+
+
 class TestConfigReach:
+    # Mean widths are exact up to R^3, so the quadrature grid is reached in R^4.
     def test_grid_size_reaches_chain_and_family_check(self, tmp_path, capsys, monkeypatch):
-        mean_width = importlib.import_module("descent_geom.mean_width")
-        sizes = []
-        real = mean_width.mean_width_quadrature
-
-        def recorded(K, grid):
-            sizes.append(grid.size)
-            return real(K, grid)
-
-        monkeypatch.setattr(mean_width, "mean_width_quadrature", recorded)
+        sizes = _record_quadrature(monkeypatch)
         code, fam_json, _ = run_cli(
-            ["gen", "random", "--n", "3", "--levels", "3", "--npoints", "12",
+            ["gen", "random", "--n", "4", "--levels", "3", "--npoints", "12",
              "--grid-size", "3000"], capsys=capsys)
         assert code == 0 and sizes
         fpath = tmp_path / "fam.json"
@@ -310,41 +323,22 @@ class TestConfigReach:
         assert len(sizes) > n_gen
         assert set(sizes) == {3000}
 
-
-    def test_grid_size_reaches_disks_and_example61(self, capsys, monkeypatch):
-        mean_width = importlib.import_module("descent_geom.mean_width")
-        sizes = []
-        real = mean_width.mean_width_quadrature
-
-        def recorded(K, grid):
-            sizes.append(grid.size)
-            return real(K, grid)
-
-        monkeypatch.setattr(mean_width, "mean_width_quadrature", recorded)
+    def test_grid_size_reaches_r4_disks(self, capsys, monkeypatch):
+        sizes = _record_quadrature(monkeypatch)
         outs = {}
         for size in ("3000", "600"):
             sizes.clear()
-            code, outs[size], _ = run_cli(["gen", "disks", "--n", "3", "--levels", "4",
+            code, outs[size], _ = run_cli(["gen", "disks", "--n", "4", "--levels", "4",
                                            "--grid-size", size], capsys=capsys)
             assert code == 0 and len(sizes) == 4 and set(sizes) == {int(size)}
         assert outs["3000"] != outs["600"]
-        sizes.clear()
-        code, _, _ = run_cli(["fixtures", "example61", "--grid-size", "3000"], capsys=capsys)
-        assert code == 0 and len(sizes) == 10 and set(sizes) == {3000}
 
     def test_grid_size_reaches_annulus_and_ec(self, tmp_path, capsys, monkeypatch):
-        mean_width = importlib.import_module("descent_geom.mean_width")
-        sizes = []
-        real = mean_width.mean_width_quadrature
-
-        def recorded(K, grid):
-            sizes.append(grid.size)
-            return real(K, grid)
-
-        monkeypatch.setattr(mean_width, "mean_width_quadrature", recorded)
+        sizes = _record_quadrature(monkeypatch)
         grid = ["--grid-size", "3000"]
-        _, fam_json, _ = run_cli(["gen", "random", "--n", "3", "--levels", "3", "--npoints",
-                                  "12", "--seed", "5"] + grid, capsys=capsys)
+        # Concentric balls: the EC verdict is fixed by construction in R^4 too.
+        _, fam_json, _ = run_cli(["gen", "disks", "--n", "4", "--levels", "4"] + grid,
+                                 capsys=capsys)
         fam = json.loads(fam_json)
         fpath, cpath, spath, mpath = (tmp_path / f for f in
                                       ("fam.json", "curve.json", "chain.json", "miss.json"))
@@ -358,7 +352,7 @@ class TestConfigReach:
         assert code == 0
         # a segment leaving the top body at a vertex meets no inner member
         miss = [top[0], top[0] + 0.2 * (top[0] - top.mean(axis=0))]
-        mpath.write_text(json.dumps({"dim": 3, "points": np.array(miss).tolist()}))
+        mpath.write_text(json.dumps({"dim": 4, "points": np.array(miss).tolist()}))
         sizes.clear()
         code, out, _ = run_cli(["bounds", "annulus", "--curve", str(cpath), "--family",
                                 str(fpath)] + grid, capsys=capsys)
@@ -371,6 +365,34 @@ class TestConfigReach:
                                + grid, capsys=capsys)
         assert code == 1 and json.loads(out)["condition"] == "i"
         assert len(sizes) >= 2 + 3 + 1 and set(sizes) == {3000}
+
+    def test_r3_output_is_independent_of_grid_and_seed(self, tmp_path, capsys):
+        # Every R^3 width is exact: the grid options change nothing but the
+        # echoed config.
+        opts = (["--grid-size", "600"], ["--grid-size", "3000"], ["--seed", "1"], ["--seed", "2"])
+        gens = {"disks": ["gen", "disks", "--n", "3", "--levels", "4"],
+                "example61": ["fixtures", "example61"],
+                "random": ["gen", "random", "--n", "3", "--levels", "3", "--npoints", "12",
+                           "--seed", "5"]}
+        for name, argv in gens.items():
+            # --seed also seeds the bodies of gen.
+            outs = {run_cli(argv + o, capsys=capsys)[1] for o in opts[:4 if name == "example61" else 2]}
+            assert len(outs) == 1
+            doc = json.loads(outs.pop())
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc.get("family", doc)))
+        top = json.loads((tmp_path / "random.json").read_text())["bodies"][-1]["vertices"]
+        fam, curve = str(tmp_path / "random.json"), str(tmp_path / "curve.json")
+        code, _, _ = run_cli(["descend", "--family", fam, "--knots", "4",
+                              "--endpoint=" + ",".join(repr(x) for x in top[0]), "--out", curve],
+                             capsys=capsys)
+        assert code == 0
+        queries = [["family", "check", "--family", str(tmp_path / f"{name}.json")] for name in gens]
+        queries += [["check", "ec", "--curve", curve, "--family", fam],
+                    ["bounds", "annulus", "--curve", curve, "--family", fam]]
+        for argv in queries:
+            runs = [run_cli(argv + o, capsys=capsys) for o in opts]
+            assert len({code for code, _, _ in runs}) == 1
+            assert all(_without_config(out) == _without_config(runs[0][1]) for _, out, _ in runs)
 
 
 class TestQhullBudget:

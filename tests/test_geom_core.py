@@ -73,6 +73,18 @@ class TestHull:
         K = hull([(0, 0), (0, 1e-12), (1, 0), (0, 1)])
         assert K.nvertices == 3
 
+    def test_rank_is_not_read_from_rounding_noise(self, rng):
+        # Far from the origin the centred rows of two points carry rounding
+        # noise of order eps * |c|: here a second singular value of 1.5e-10.
+        c = np.array([1e6 + 0.1234567, 2e6 + 0.7654321])
+        assert hull([c, c + [1e-3, 2e-3]]).dim_affine == 1
+        for _ in range(200):
+            c, d = rng.uniform(-1e6, 1e6, 2), rng.uniform(-1e-3, 1e-3, 2)
+            assert hull([c, c + d]).dim_affine == 1
+            K = hull(c + np.outer(np.arange(4), d))  # four collinear points
+            assert K.dim_affine == 1 and K.nvertices == 2
+            assert len(geom_core.affine_basis(np.array([c, c + d, c + 2 * d]))[1]) == 1
+
 
 class TestSupport:
     def test_square(self):
@@ -564,7 +576,7 @@ class TestRingHull:
         for label, P in _ring_corpus(rng):
             qhull_calls.clear()
             K = geom_core.ring_hull(P)
-            fast = geom_core._is_clear_ring(P) and len(geom_core.affine_basis(P)[1]) == 2
+            fast = geom_core._ring_margin(P) > 0.0 and len(geom_core.affine_basis(P)[1]) == 2
             assert not (fast and qhull_calls)
             H = hull(P)
             assert np.array_equal(K.vertices, H.vertices), label

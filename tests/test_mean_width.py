@@ -23,7 +23,7 @@ from descent_geom.mean_width import (
     width_gap_constant,
 )
 
-from .conftest import disk_polygon, nested_pair, random_polytope
+from .conftest import disk_polygon, embedded_polytope, nested_pair, random_polytope
 
 
 class TestSphereGrid:
@@ -87,6 +87,45 @@ class TestMeanWidth:
         K = hull([(0, 0), (1, 0), (0, 1)])
         with pytest.raises(DimensionMismatch):
             mean_width_quadrature(K, SphereGrid.make(3, 100, 0))
+
+
+class TestExactWidth3d:
+    def test_closed_forms(self, rng):
+        cube = hull([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+        assert mean_width(cube) == pytest.approx(1.5, abs=1e-14)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        for m in (8, 256):
+            ang = 2 * np.pi * np.arange(m) / m
+            disk = hull(2.0 * np.column_stack([np.cos(ang), np.sin(ang), np.zeros(m)]) @ Q + 5.0)
+            assert disk.dim_affine == 2
+            perimeter = 2 * m * 2.0 * math.sin(math.pi / m)
+            assert mean_width(disk) == pytest.approx(perimeter / 4, rel=1e-12)
+        assert mean_width(disk) == pytest.approx(math.pi, rel=1e-4)  # pi r / 2
+        assert mean_width(hull([(1, 2, 3), (2, 4, 5)])) == pytest.approx(1.5, rel=1e-14)
+        assert mean_width(hull([(1, 2, 3)])) == 0.0
+
+    def test_agrees_with_a_fine_grid(self, rng):
+        g = SphereGrid.make(3, 400000, 0)
+        bodies = [random_polytope(rng, 3, 30) for _ in range(6)]
+        bodies += [embedded_polytope(rng, 3, 2, 12) for _ in range(3)]  # flat polygons
+        bodies += [hull(rng.standard_normal((40, 3)) * [1.0, 2.0, 1e-3]) for _ in range(3)]  # slabs
+        for K in bodies:
+            w = mean_width(K)
+            assert abs(w - mean_width_quadrature(K, g)) <= 1e-5 * (1 + w)
+
+    def test_translation_invariance(self, rng):
+        for K in (random_polytope(rng, 3, 20), embedded_polytope(rng, 3, 2, 10)):
+            for scale in (1.0, 1e3):
+                t = rng.standard_normal(3) * scale
+                assert mean_width(hull(K.vertices + t)) == pytest.approx(
+                    mean_width(K), abs=1e-9 * (1 + np.abs(t).max()))
+
+    def test_body_from_its_extreme_points_makes_no_qhull_run(self, rng, qhull_calls):
+        for K in (random_polytope(rng, 3, 25), embedded_polytope(rng, 3, 2, 12)):
+            L = hull(K.vertices)
+            qhull_calls.clear()
+            mean_width(L)
+            assert qhull_calls == []
 
 
 class TestMeanWidthRatio:

@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from descent_geom import cli, geom_core
 from descent_geom.errors import PreconditionViolated
 from descent_geom.cones import normal_cone, sphere_measure
-from descent_geom.geom_core import hull
+from descent_geom.geom_core import ClearRing, hull
 from descent_geom.mean_width import normal_sector_flux
 from descent_geom.sep import (
     Polyline,
@@ -130,6 +132,77 @@ class TestMeanWidthParam:
     def test_non_sep_rejected(self):
         with pytest.raises(PreconditionViolated):
             meanwidth_param(Polyline.make([(0, 0), (1, 0), (0.5, 0)]))
+
+
+def prefix_corpus(seed):
+    """Spirals of 50 to 1 500 points, random walks and integer-lattice walks
+    (collinear and repeated points), 1e3 to 1e6 from the origin, and the
+    Cantor graph."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for m, offset in ((50, 0.0), (400, 1e3), (150, 1e6), (1500 if seed == 0 else 700, 0.0)):
+        phi = np.linspace(-2 * np.pi * rng.uniform(2, 3), 0, m)
+        r = rng.uniform(0.5, 2) * np.exp(rng.uniform(0.3, 0.45) * phi)
+        out.append(np.column_stack([r * np.cos(phi), r * np.sin(phi)]) + offset * rng.uniform(-1, 1, 2))
+    for offset in (0.0, 1e3, 1e6):
+        out.append(offset + np.cumsum(rng.standard_normal((120, 2)), axis=0))
+        out.append(offset + np.cumsum(rng.integers(-1, 2, (120, 2)), axis=0))
+    out.append(rng.integers(0, 4, (60, 2)).astype(float))
+    return [Polyline.make(P) for P in out] + [cantor_graph(5)]
+
+
+def assert_prefix_hulls_are_hulls(g):
+    for i, K in enumerate(prefix_hulls(g)):
+        ref = hull(g.points[: i + 1])
+        assert K.dim_affine == ref.dim_affine
+        assert np.array_equal(K.vertices, ref.vertices)
+
+
+class TestPrefixHulls:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_hull_of_each_prefix(self, seed):
+        for g in prefix_corpus(seed):
+            assert_prefix_hulls_are_hulls(g)
+
+    def test_rank_is_left_to_hull_when_in_doubt(self, monkeypatch):
+        # Under a coarse rank cut hull() reads thin prefixes as segments; the
+        # ring must then decline rather than report rank 2.
+        monkeypatch.setattr(geom_core, "_RANK_RTOL", 0.05)
+        thin = Polyline.make([(0, 0), (1, 0), (0.5, 0.2)] + [(k, 0.05 * (-1) ** k) for k in range(2, 12)])
+        for g in [thin] + prefix_corpus(2)[4:]:  # the walks
+            assert_prefix_hulls_are_hulls(g)
+
+    def test_spiral_makes_at_most_one_qhull_run(self, qhull_calls):
+        g = log_spiral(0.4, 2.5, 400)
+        Ks = prefix_hulls(g)
+        assert len(qhull_calls) <= 1
+        # Each point of a SEP is a vertex of its prefix hull (Manselli-Pucci).
+        assert all(p.tolist() in K.vertices.tolist() for p, K in zip(g.points, Ks))
+
+    def test_ring_declines_what_it_cannot_place_clearly(self):
+        K = hull([(0, 0), (1, 0), (0, 1)])
+        ring = ClearRing(K)
+        assert ring.insert(np.array([0.25, 0.25])) is K  # clearly inside
+        for p in ([0.5, 0.5], [2.0, 0.0], [1.0 + 1e-12, 0.0]):  # on an edge line
+            assert ring.insert(np.array(p)) is None
+        assert ClearRing(hull([(0, 0), (1, 0)])).insert(np.array([0.5, 1.0])) is None
+
+    def test_bounds_length_runs_is_sep_once(self, tmp_path, capsys, call_counter):
+        path = tmp_path / "spiral.json"
+        path.write_text(json.dumps(log_spiral(0.4, 2.5, 400).to_dict()))
+        calls = call_counter("sep", "is_sep")
+        assert cli.main(["bounds", "length", "--curve", str(path)]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["bound_ok"]
+
+    def test_bounds_length_of_a_short_segment_far_out(self, tmp_path, capsys):
+        # The centred pair carries rounding noise of order eps * |c|, which
+        # must not count as a second dimension.
+        c = np.array([1e6 + 0.1234567, 2e6 + 0.7654321])
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(Polyline.make([c, c + [1e-3, 2e-3]]).to_dict()))
+        assert cli.main(["bounds", "length", "--curve", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["bound_ok"]
 
 
 class TestLipschitzAndLength:
