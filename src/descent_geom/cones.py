@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import InvalidInput, PreconditionViolated
 from .geom_core import (
@@ -74,6 +73,8 @@ class PolyCone:
 
     def contains(self, x, tol=_MEMBER_TOL) -> bool:
         """Membership by nonnegative least squares residual."""
+        from scipy.optimize import nnls
+
         x = as_point(x, self.dim)
         nx = np.linalg.norm(x)
         if self.is_zero:
@@ -87,6 +88,8 @@ class PolyCone:
 
     def angle_to(self, x) -> float:
         """Angular distance from direction x to the cone (radians)."""
+        from scipy.optimize import nnls
+
         x = as_point(x, self.dim)
         nx = np.linalg.norm(x)
         if nx == 0.0:
@@ -104,6 +107,8 @@ class PolyCone:
 
 def _reduce_generators(G, tol=1e-10):
     """Drop generators lying in the cone of the others (Farkas-redundant)."""
+    from scipy.optimize import nnls
+
     m = len(G)
     keep = np.ones(m, dtype=bool)
     for i in range(m):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput, PreconditionViolated
 from .geom_core import (
@@ -22,6 +21,7 @@ from .geom_core import (
     ConvexBody,
     as_point,
     contains,
+    distances,
     hausdorff,
     hull,
     project,
@@ -258,7 +258,7 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     worst = None
     scale = 1.0 + top.diameter()
     for qi, Q in enumerate(strat.bodies):
-        D = cdist(P, Q.vertices)  # m x q
+        D = distances(P, Q.vertices)  # m x q
         suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
         depth, off = rel_depth_many(Q, P)
         outside = ~((off <= _bd_tol(Q)) & (depth > _bd_tol(Q)))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection, QhullError
 
 from .errors import (
     Degenerate,
@@ -266,6 +265,8 @@ def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
         raise NumericalFailure(
             "halfspace intersection requires full-dimensional bodies in n >= 3"
         )
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
     halfspaces = np.vstack([A.facets.equations, B.facets.equations])
     interior = None
     for cand in (B.centroid(), 0.5 * (A.centroid() + B.centroid()), A.centroid()):

@@ -11,6 +11,10 @@ the facets; containment and distances ask it first and project only the
 points it leaves open.  Apart from a ClearRing, which its owner grows,
 everything here is a pure function over immutable arrays; nothing keeps
 global state, so concurrent use on shared bodies is safe.
+
+Qhull (scipy.spatial) is imported by _qhull on its first run; the rest is
+numpy, so building planar bodies from rings, deduplication (a sweep along
+one generic direction) and distances load no scipy.
 """
 
 import math
@@ -19,7 +23,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DimensionMismatch, InvalidInput, NumericalFailure
 
@@ -31,6 +34,11 @@ _RANK_RTOL = 1e-8
 _EPS = np.finfo(float).eps
 
 MAX_DIM = 8
+
+# Unit sweep directions of dedup_points, _SWEEP[n - 1] in R^n: irrational
+# ratios, so that no coordinate plane or lattice row projects onto one value.
+_SWEEP = [d / np.linalg.norm(d) for d in (
+    np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0][:n]) % 1.0 for n in range(1, MAX_DIM + 1))]
 
 
 def as_point(x, dim=None):
@@ -64,15 +72,51 @@ def as_points(pts):
     return P
 
 
+def _sq_dists(X, Y):
+    """Squared distances between the rows of X and Y, broadcast against each
+    other, the squares summed over the coordinates in order."""
+    s = (X[..., 0] - Y[..., 0]) ** 2
+    for k in range(1, X.shape[-1]):
+        s += (X[..., k] - Y[..., k]) ** 2
+    return s
+
+
+def distances(X, Y):
+    """Matrix of the Euclidean distances between the rows of X and of Y."""
+    return np.sqrt(_sq_dists(X[:, None, :], Y[None, :, :]))
+
+
 def dedup_points(P, tol=TAU_PT):
-    """Drop points within tol of an already-kept point (first occurrence wins)."""
-    tree = cKDTree(P)
-    pairs = tree.query_pairs(tol, output_type="ndarray")
-    drop = np.zeros(len(P), dtype=bool)
-    for i, j in pairs:
-        lo, hi = (i, j) if i < j else (j, i)
-        if not drop[lo]:
-            drop[hi] = True
+    """Drop points within tol of an already-kept point (first occurrence wins).
+
+    Two points within tol are within tol along any unit direction, so only
+    the pairs in a window of width tol along a generic direction are
+    measured.  The result is that of taking the pairs within tol in
+    (lo, hi) order and dropping hi unless lo is already dropped: each round
+    settles the pairs whose lo no remaining pair can drop.
+    """
+    m, n = P.shape
+    if m < 2:
+        return P
+    t = P @ _SWEEP[n - 1]
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    # widened by a bound on the rounding of t
+    w = tol + 4.0 * n * n * _EPS * float(np.abs(P).max())
+    count = np.searchsorted(t, t + w, side="right") - np.arange(1, m + 1)
+    if not count.any():
+        return P
+    a = np.repeat(np.arange(m), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = order[a], order[b]
+    close = _sq_dists(P[i], P[j]) <= tol * tol
+    lo, hi = np.minimum(i, j)[close], np.maximum(i, j)[close]
+    drop = np.zeros(m, dtype=bool)
+    while len(lo):
+        kept = ~np.isin(lo, hi)
+        drop[hi[kept]] = True
+        rest = ~kept & ~drop[lo]
+        lo, hi = lo[rest], hi[rest]
     return P[~drop]
 
 
@@ -115,6 +159,8 @@ class Facets(NamedTuple):
 
 
 def _qhull(P):
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return ConvexHull(P)
     except QhullError:
@@ -554,7 +600,7 @@ def _directed_hausdorff(A: ConvexBody, B: ConvexBody) -> float:
     V = A.vertices
     upper, exact = _facet_bounds(B, V)
     if not np.all(exact):
-        upper[~exact] = cKDTree(B.vertices).query(V[~exact])[0]
+        upper[~exact] = distances(V[~exact], B.vertices).min(axis=1)
     d = 0.0
     for i in np.argsort(-upper, kind="stable"):
         if upper[i] <= d:

@@ -53,7 +53,8 @@ def nested_pair(rng, n=2, npts=16):
 @pytest.fixture
 def qhull_calls(monkeypatch):
     """List that grows by one per ConvexHull construction, wherever in the
-    package it is made (scipy.spatial and every module-level binding)."""
+    package it is made: the package imports ConvexHull from scipy.spatial
+    when it runs Qhull, so it reads the patched attribute."""
     calls = []
     real = scipy.spatial.ConvexHull
 

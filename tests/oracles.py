@@ -6,6 +6,7 @@ and memberships.  None of it shares code paths with the library routines
 it checks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,17 @@ def in_cone_lp(x, gens):
     res = linprog(np.zeros(len(G)), A_eq=G.T, b_eq=np.asarray(x), bounds=[(0, None)] * len(G),
                   method="highs")
     return res.status == 0 and res.success
+
+
+def dedup_bruteforce(points, tol):
+    """First-occurrence deduplication by all O(m^2) pairs: in (i, j) order,
+    i < j, drop point j when point i is kept and within tol of it."""
+    P = np.asarray(points, dtype=float)
+    drop = np.zeros(len(P), dtype=bool)
+    for i, j in itertools.combinations(range(len(P)), 2):
+        if not drop[i] and math.dist(P[i], P[j]) <= tol:
+            drop[j] = True
+    return P[~drop]
 
 
 def extreme_points_bruteforce(points, tol=1e-9):

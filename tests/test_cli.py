@@ -2,6 +2,8 @@ import argparse
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -409,6 +411,75 @@ class TestQhullBudget:
                              capsys=capsys)
         assert code == 0
         assert len(fam["bodies"]) == 26 and len(qhull_calls) <= 27
+
+
+class TestFamilyCheckFactor:
+    def test_factor_flips_the_verdict_and_tol_does_not(self, tmp_path, capsys):
+        # Widths 0.0127 apart, a Hausdorff jump of 0.46: the width-gap bound
+        # holds with factor 2, not with 1.5.
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"bodies": [
+            {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+            {"vertices": [[0.45, 0], [1.46, 0], [1.46, 1.01], [0.45, 1.01]]}]}))
+        verdicts = []
+        for opts in ([], ["--tol", "2"], ["--factor", "2"]):
+            code, out, _ = run_cli(["family", "check", "--family", str(path)] + opts,
+                                   capsys=capsys)
+            doc = json.loads(out)
+            verdicts.append((code, doc["connected"], doc["config"]["factor"]))
+        assert verdicts == [(1, False, 1.5), (1, False, 1.5), (0, True, 2.0)]
+
+    @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_factor_exits_2(self, tmp_path, capsys, factor):
+        code, _, err = run_cli(["family", "check", "--factor", factor], capsys=capsys)
+        assert code == 2 and "--factor" in err
+
+
+# One CLI command in a fresh interpreter; its last stderr line lists the
+# scipy modules it loaded.
+_FRESH = (
+    "import json, sys\n"
+    "from descent_geom import cli\n"
+    "rc = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']), file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+def _fresh(argv):
+    """(exit code, stdout, scipy modules loaded) of a fresh CLI process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("DESCENT_GEOM_SEED", None)
+    p = subprocess.run([sys.executable, "-c", _FRESH, *argv], env=env, capture_output=True,
+                       text=True, timeout=120)
+    return p.returncode, p.stdout, set(json.loads(p.stderr.splitlines()[-1]))
+
+
+class TestColdStart:
+    def test_fixtures_and_check_sep_never_load_scipy(self, tmp_path):
+        spiral = tmp_path / "spiral.json"
+        for argv in (["fixtures", "cantor", "--level", "0"], ["fixtures", "spiral"],
+                     ["check", "sep", "--curve", str(spiral)]):
+            code, out, scipy_mods = _fresh(argv)
+            assert code == 0 and not scipy_mods, argv
+            if argv[1] == "spiral":
+                spiral.write_text(out)
+
+    def test_planar_pipeline_never_loads_scipy_optimize(self, tmp_path):
+        fam, curve = tmp_path / "fam.json", tmp_path / "curve.json"
+        code, out, gen_mods = _fresh(["gen", "random", "--n", "2", "--npoints", "10",
+                                      "--levels", "3", "--seed", "3"])
+        assert code == 0
+        fam.write_text(out)
+        top = json.loads(out)["bodies"][-1]["vertices"]
+        code, out, descend_mods = _fresh(["descend", "--family", str(fam), "--knots", "3",
+                                          "--endpoint=" + ",".join(map(repr, top[0]))])
+        assert code == 0
+        curve.write_text(out)
+        code, out, report_mods = _fresh(["report", "--curve", str(curve), "--family", str(fam)])
+        assert code in (0, 1) and json.loads(out)["checks"]["sep"]
+        for mods in (gen_mods, descend_mods, report_mods):
+            assert "scipy.optimize" not in mods
 
 
 class TestSvg:

@@ -2,20 +2,25 @@ import functools
 import itertools
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial.distance import cdist
 
 from descent_geom import geom_core
 from descent_geom.descent import example61_family, rel_depth_many, segment_inside_interval
 from descent_geom.errors import DimensionMismatch, InvalidInput
 from descent_geom.geom_core import (
     ConvexBody,
+    TAU_PT,
     body_from_dict,
     contains,
+    dedup_points,
+    distances,
     hausdorff,
     hull,
     includes,
@@ -27,7 +32,7 @@ from descent_geom.geom_core import (
 
 from . import oracles
 from .conftest import disk_polygon, embedded_polytope, nested_pair, random_polytope
-from .oracles import extreme_points_bruteforce, hausdorff_sampling, in_convex_hull_lp
+from .oracles import dedup_bruteforce, extreme_points_bruteforce, hausdorff_sampling, in_convex_hull_lp
 
 
 class TestHull:
@@ -617,3 +622,88 @@ class TestOneDimensional:
         assert not includes(A, hull([[0.5], [1.1]]))
         assert not includes(hull([[0.5]]), A)
         assert includes(A, hull([[1.0]]))
+
+
+def _dedup_kdtree(P, tol=TAU_PT):
+    """The k-d tree deduplication dedup_points replaced: pairs within tol in
+    the order query_pairs returns them."""
+    drop = np.zeros(len(P), dtype=bool)
+    for i, j in cKDTree(P).query_pairs(tol, output_type="ndarray"):
+        lo, hi = (i, j) if i < j else (j, i)
+        if not drop[lo]:
+            drop[hi] = True
+    return P[~drop]
+
+
+def _dedup_corpus(rng):
+    """Seeded (P, has_chain) in R^1..R^8 with 1..8 points: planted
+    near-duplicates (0.5 tol away), clusters (within 0.4 tol of a centre),
+    chains (steps of 0.7 tol, so the ends are 1.4 tol apart) and points
+    1.5 tol away, shuffled.  has_chain: some point is within tol of two
+    others."""
+    out = []
+    for n in range(1, 9):
+        for _ in range(250):
+            m = int(rng.integers(1, 9))
+            P = list(rng.standard_normal((int(rng.integers(1, m + 1)), n)))
+            while len(P) < m:
+                base, u = P[int(rng.integers(len(P)))], rng.standard_normal(n)
+                u /= np.linalg.norm(u)
+                kind = rng.integers(4)
+                if kind == 0:
+                    P.append(base + 0.5 * TAU_PT * u)
+                elif kind == 1:
+                    P += [base + 0.4 * TAU_PT * rng.random() * v / np.linalg.norm(v)
+                          for v in rng.standard_normal((3, n))]
+                elif kind == 2:
+                    P += [base + 0.7 * TAU_PT * u, base + 1.4 * TAU_PT * u]
+                else:
+                    P.append(base + 1.5 * TAU_PT * u)
+            P = np.array(P[:m])[rng.permutation(m)]
+            close = cdist(P, P) <= TAU_PT
+            out.append((P, bool((close.sum(axis=1) > 2).any())))
+    return out
+
+
+class TestDedupPoints:
+    def test_matches_bruteforce_oracle(self, rng):
+        corpus = _dedup_corpus(rng)
+        assert sum(chain for _, chain in corpus) > 100
+        for P, _ in corpus:
+            assert np.array_equal(dedup_points(P), dedup_bruteforce(P, TAU_PT))
+
+    def test_matches_kdtree_without_chains(self, rng):
+        corpus = _dedup_corpus(rng)
+        for P, chain in corpus:
+            if not chain:
+                assert np.array_equal(dedup_points(P), _dedup_kdtree(P))
+        assert sum(not chain and len(dedup_points(P)) < len(P) for P, chain in corpus) > 100
+
+    def test_chain_keeps_both_ends(self):
+        u = np.array([0.6, 0.8])
+        P = np.array([[1.0, 2.0]]) + np.array([[0.0], [0.7], [1.4]]) * TAU_PT * u
+        assert np.array_equal(dedup_points(P), P[[0, 2]])
+        assert np.array_equal(dedup_points(P[::-1]), P[[2, 0]])
+
+    def test_plane_and_lattice_are_fast(self, rng):
+        plane = np.column_stack([np.zeros(1000), rng.standard_normal((1000, 2))])
+        lattice = np.array(list(itertools.product(range(12), repeat=3)), dtype=float)
+        for P in (plane, lattice):
+            copies = np.vstack([P, P[rng.integers(len(P), size=200)]])
+            t0 = time.perf_counter()
+            kept = dedup_points(copies)
+            assert time.perf_counter() - t0 < 0.25
+            assert np.array_equal(kept, P)
+
+
+class TestDistances:
+    def test_equal_to_cdist(self, rng):
+        for n in range(1, 9):
+            X, Y = rng.standard_normal((30, n)) * 10.0, rng.standard_normal((20, n))
+            assert np.array_equal(distances(X, Y), cdist(X, Y))
+
+    def test_nearest_vertex_equal_to_kdtree(self, rng):
+        # In R^8 a k-d tree sums the squares in blocks of four.
+        for n in range(1, 8):
+            X, Y = rng.standard_normal((30, n)) * 10.0, rng.standard_normal((20, n))
+            assert np.array_equal(distances(X, Y).min(axis=1), cKDTree(Y).query(X)[0])
