@@ -92,9 +92,8 @@ def _parse_point(s):
 
 def _config(args):
     cfg = {"seed": args.seed, "grid_size": args.grid_size, "tol": args.tol}
-    for key in ("step", "factor"):
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
+    if getattr(args, "step", None) is not None:
+        cfg["step"] = args.step
     return cfg
 
 
@@ -359,10 +358,8 @@ def _cmd_family(args):
         _emit(fam.to_dict())
         return 0
     if args.what == "check":
-        if not 0.0 < args.factor < float("inf"):
-            raise InvalidInput("--factor must be a positive number")
         fam = _load_family(args, args.family)
-        ok = is_connected(fam, args.factor, _grid_for(args, fam.dim))
+        ok = is_connected(fam, grid=_grid_for(args, fam.dim))
         _emit({"check": "family", "connected": ok, "size": len(fam),
                "interval": list(fam.interval), "config": _config(args)})
         return 0 if ok else 1
@@ -481,8 +478,6 @@ def build_parser():
     fam.add_argument("--strat", default=None)
     fam.add_argument("--family", default=None)
     fam.add_argument("--step", type=float, default=0.1)
-    fam.add_argument("--factor", type=float, default=1.5,
-                     help="family check: slack factor of the width-gap bound between members")
     fam.set_defaults(fn=_cmd_family)
 
     r = sub.add_parser("report", parents=[common], help="run the full check battery")

@@ -14,7 +14,7 @@ global state, so concurrent use on shared bodies is safe.
 
 Qhull (scipy.spatial) is imported by _qhull on its first run; the rest is
 numpy, so building planar bodies from rings, deduplication (a sweep along
-one generic direction) and distances load no scipy.
+generic directions) and distances load no scipy.
 """
 
 import math
@@ -35,10 +35,16 @@ _EPS = np.finfo(float).eps
 
 MAX_DIM = 8
 
-# Unit sweep directions of dedup_points, _SWEEP[n - 1] in R^n: irrational
-# ratios, so that no coordinate plane or lattice row projects onto one value.
-_SWEEP = [d / np.linalg.norm(d) for d in (
-    np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0][:n]) % 1.0 for n in range(1, MAX_DIM + 1))]
+# Sweep directions of dedup_points, the n rows of _SWEEP[n - 1] in R^n: unit
+# vectors with irrational ratios, so that no coordinate plane or lattice row
+# projects onto one value and no two of them are parallel.
+_PRIMES = [p for p in range(2, 320) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+_SWEEP = [D / np.linalg.norm(D, axis=1, keepdims=True) for D in (
+    np.sqrt(_PRIMES[:n * n]).reshape(n, n) % 1.0 for n in range(1, MAX_DIM + 1))]
+# dedup_points sweeps along the next direction while the window holds more
+# pairs than this per point, and measures at most _PAIR_BLOCK pairs at once.
+_SWEEP_PAIRS = 8
+_PAIR_BLOCK = 1 << 16
 
 
 def as_point(x, dim=None):
@@ -87,36 +93,53 @@ def distances(X, Y):
 
 
 def dedup_points(P, tol=TAU_PT):
-    """Drop points within tol of an already-kept point (first occurrence wins).
+    """Drop points within tol of an already-kept point (first occurrence wins):
+    the pairs within tol are taken in (lo, hi) order, and hi is dropped
+    unless lo already is.
 
     Two points within tol are within tol along any unit direction, so only
-    the pairs in a window of width tol along a generic direction are
-    measured.  The result is that of taking the pairs within tol in
-    (lo, hi) order and dropping hi unless lo is already dropped: each round
-    settles the pairs whose lo no remaining pair can drop.
+    the pairs in a window of width tol along a sweep direction are measured.
+    Points crowded in that window (on a hyperplane orthogonal to it) are
+    swept along the next direction, and the pairs are measured in blocks,
+    so memory stays bounded.
     """
     m, n = P.shape
     if m < 2:
         return P
-    t = P @ _SWEEP[n - 1]
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    # widened by a bound on the rounding of t
+    # widened by a bound on the rounding of the projections
     w = tol + 4.0 * n * n * _EPS * float(np.abs(P).max())
-    count = np.searchsorted(t, t + w, side="right") - np.arange(1, m + 1)
-    if not count.any():
+    sweeps = []
+    for d in _SWEEP[n - 1]:
+        t = P @ d
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+        count = np.searchsorted(t, t + w, side="right") - np.arange(1, m + 1)
+        sweeps.append((int(count.sum()), order, count))
+        if sweeps[-1][0] <= _SWEEP_PAIRS * m:
+            break
+    total, order, count = min(sweeps, key=lambda s: s[0])
+    if not total:
         return P
-    a = np.repeat(np.arange(m), count)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
-    i, j = order[a], order[b]
-    close = _sq_dists(P[i], P[j]) <= tol * tol
-    lo, hi = np.minimum(i, j)[close], np.maximum(i, j)[close]
+    ends = np.cumsum(count)
+    lo, hi = [], []
+    start = 0
+    while start < m:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + _PAIR_BLOCK,
+                                                  side="right")))
+        c = count[start:stop]
+        a = np.repeat(np.arange(start, stop), c)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(c) - c, c)
+        i, j = order[a], order[b]
+        close = _sq_dists(P[i], P[j]) <= tol * tol
+        lo.append(np.minimum(i, j)[close])
+        hi.append(np.maximum(i, j)[close])
+        start = stop
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    k = np.lexsort((hi, lo))
     drop = np.zeros(m, dtype=bool)
-    while len(lo):
-        kept = ~np.isin(lo, hi)
-        drop[hi[kept]] = True
-        rest = ~kept & ~drop[lo]
-        lo, hi = lo[rest], hi[rest]
+    for p, q in zip(lo[k].tolist(), hi[k].tolist()):
+        if not drop[p]:
+            drop[q] = True
     return P[~drop]
 
 

@@ -64,10 +64,6 @@ def qhull_calls(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(scipy.spatial, "ConvexHull", Counted)
-    for name in MODULES:
-        mod = importlib.import_module(f"descent_geom.{name}")
-        if hasattr(mod, "ConvexHull"):
-            monkeypatch.setattr(mod, "ConvexHull", Counted)
     return calls
 
 

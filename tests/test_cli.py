@@ -11,6 +11,7 @@ import pytest
 
 from descent_geom import cli
 from descent_geom.cli import main, render_svg
+from descent_geom.family import family_from_dict, is_connected
 from descent_geom.geom_core import hull
 
 
@@ -413,26 +414,23 @@ class TestQhullBudget:
         assert len(fam["bodies"]) == 26 and len(qhull_calls) <= 27
 
 
-class TestFamilyCheckFactor:
-    def test_factor_flips_the_verdict_and_tol_does_not(self, tmp_path, capsys):
+class TestFamilyCheckTol:
+    def test_tol_does_not_set_the_connectedness_factor(self, tmp_path, capsys):
         # Widths 0.0127 apart, a Hausdorff jump of 0.46: the width-gap bound
-        # holds with factor 2, not with 1.5.
-        path = tmp_path / "fam.json"
-        path.write_text(json.dumps({"bodies": [
+        # holds with factor 2, not with the fixed 1.5, so reading --tol 2 as
+        # the factor would flip the verdict.
+        doc = {"bodies": [
             {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
-            {"vertices": [[0.45, 0], [1.46, 0], [1.46, 1.01], [0.45, 1.01]]}]}))
+            {"vertices": [[0.45, 0], [1.46, 0], [1.46, 1.01], [0.45, 1.01]]}]}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        assert is_connected(family_from_dict(doc), 2.0)
         verdicts = []
-        for opts in ([], ["--tol", "2"], ["--factor", "2"]):
+        for opts in ([], ["--tol", "2"]):
             code, out, _ = run_cli(["family", "check", "--family", str(path)] + opts,
                                    capsys=capsys)
-            doc = json.loads(out)
-            verdicts.append((code, doc["connected"], doc["config"]["factor"]))
-        assert verdicts == [(1, False, 1.5), (1, False, 1.5), (0, True, 2.0)]
-
-    @pytest.mark.parametrize("factor", ["0", "-1", "nan", "inf"])
-    def test_nonpositive_factor_exits_2(self, tmp_path, capsys, factor):
-        code, _, err = run_cli(["family", "check", "--factor", factor], capsys=capsys)
-        assert code == 2 and "--factor" in err
+            verdicts.append((code, json.loads(out)["connected"]))
+        assert verdicts == [(1, False), (1, False)]
 
 
 # One CLI command in a fresh interpreter; its last stderr line lists the

@@ -672,6 +672,13 @@ class TestDedupPoints:
         for P, _ in corpus:
             assert np.array_equal(dedup_points(P), dedup_bruteforce(P, TAU_PT))
 
+    def test_matches_bruteforce_in_small_blocks_along_every_direction(self, rng, monkeypatch):
+        # Every sweep direction is tried and at most 4 pairs are measured at once.
+        monkeypatch.setattr(geom_core, "_SWEEP_PAIRS", 0)
+        monkeypatch.setattr(geom_core, "_PAIR_BLOCK", 4)
+        for P, _ in _dedup_corpus(rng):
+            assert np.array_equal(dedup_points(P), dedup_bruteforce(P, TAU_PT))
+
     def test_matches_kdtree_without_chains(self, rng):
         corpus = _dedup_corpus(rng)
         for P, chain in corpus:
@@ -694,6 +701,45 @@ class TestDedupPoints:
             kept = dedup_points(copies)
             assert time.perf_counter() - t0 < 0.25
             assert np.array_equal(kept, P)
+
+
+    @staticmethod
+    def _measured(monkeypatch):
+        """Sizes of the batches of pairs dedup_points measures."""
+        sizes, real = [], geom_core._sq_dists
+
+        def counted(X, Y):
+            sizes.append(len(X))
+            return real(X, Y)
+
+        monkeypatch.setattr(geom_core, "_sq_dists", counted)
+        return sizes
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_hyperplane_across_the_sweep_switches_direction(self, rng, monkeypatch, n):
+        # 600 points on the hyperplane orthogonal to the first sweep direction
+        # share one window of it: 180 000 pairs along that direction.
+        d = geom_core._SWEEP[n - 1][0]
+        Y = rng.standard_normal((600, n))
+        Y -= (Y @ d)[:, None] * d
+        P = np.vstack([Y, Y[rng.integers(600, size=50)]])
+        sizes = self._measured(monkeypatch)
+        assert np.array_equal(dedup_points(P), Y)
+        assert sum(sizes) <= geom_core._SWEEP_PAIRS * len(P)
+
+    def test_crowded_windows_are_measured_in_blocks(self, rng, monkeypatch):
+        # A third of the points on a hyperplane orthogonal to each sweep
+        # direction of R^3: every direction has 60 000 pairs in its window.
+        groups = []
+        for d in geom_core._SWEEP[2]:
+            Y = rng.standard_normal((400, 3))
+            groups.append(Y - (Y @ d)[:, None] * d)
+        Y = np.vstack(groups)
+        P = np.vstack([Y, Y[rng.integers(len(Y), size=50)]])
+        monkeypatch.setattr(geom_core, "_PAIR_BLOCK", 5000)
+        sizes = self._measured(monkeypatch)
+        assert np.array_equal(dedup_points(P), Y)
+        assert sum(sizes) > 60000 and max(sizes) <= 5000
 
 
 class TestDistances:
