@@ -311,9 +311,9 @@ def _cmd_bounds(args):
     if args.what == "length":
         curve = _load_curve(args.curve)
         grid = _grid_for(args, curve.dim)
-        lip = lipschitz_ratio(curve, grid) if curve.dim <= 2 else None
+        lip = lipschitz_ratio(curve, grid, args.tol) if curve.dim <= 2 else None
         # The last prefix hull is the hull of the path.
-        res = length_bound_check(curve, grid, w_hull=lip["widths"][-1] if lip else None)
+        res = length_bound_check(curve, grid, args.tol, w_hull=lip["widths"][-1] if lip else None)
         res["lipschitz"] = lip["max_ratio"] if lip else None
         res["config"] = _config(args)
         _emit(res)
@@ -392,7 +392,7 @@ def _cmd_report(args):
     sdc_res = is_viable_sdc(curve, fam, max(args.tol, 1e-6))
     out["checks"]["sdc"] = sdc_res["ok"]
     if sep_res["ok"]:
-        lb = length_bound_check(curve, grid)
+        lb = length_bound_check(curve, grid, args.tol)
         out["checks"]["length_bound"] = lb["bound_ok"]
         out["length"] = lb["length"]
         out["w_hull"] = lb["w_hull"]

@@ -12,6 +12,8 @@ carries the complement of its affine hull as +/- generator pairs.
 Without building a cone, x in N_K(q) is one support-gap test, <x, v - q>
 small for every vertex v: normal_cone_mask, of which in_normal_cone is
 one row; cap_support_batch makes it at the apex of the cap body.
+Membership in a cone and the angle to it are nonnegative least squares
+problems on its generators, solved in numpy (_nnls).
 """
 
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, PreconditionViolated
+from .errors import InvalidInput, NumericalFailure, PreconditionViolated
 from .geom_core import (
     TAU_PT,
     ConvexBody,
@@ -27,10 +29,13 @@ from .geom_core import (
     contains,
     dedup_points,
     hull,
+    rounding_floor,
+    support_many,
     unit_directions,
 )
 
 _MEMBER_TOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 def sphere_measure(k: int) -> float:
@@ -72,24 +77,22 @@ class PolyCone:
         return self.generators.shape[0] == 0
 
     def contains(self, x, tol=_MEMBER_TOL) -> bool:
-        """Membership by nonnegative least squares residual."""
-        from scipy.optimize import nnls
-
+        """Membership by the residual of nonnegative least squares on the
+        generators (_nnls): at most tol * (1 + |x|)."""
         x = as_point(x, self.dim)
         nx = np.linalg.norm(x)
         if self.is_zero:
             return nx <= tol
-        _, res = nnls(self.generators.T, x)
+        _, res = _nnls(self.generators.T, x)
         return res <= tol * (1.0 + nx)
 
     def member_mask(self, dirs, tol=_MEMBER_TOL):
-        """Vectorized membership of many directions, by the rows."""
-        return np.all(np.asarray(dirs, dtype=float) @ self.rows.T >= -tol, axis=1)
+        """Vectorized membership of many directions, by the rows: <d, row> >=
+        -tol for every row, i.e. max over the rows of <d, -row> <= tol."""
+        return support_many(dirs, -self.rows) <= tol
 
     def angle_to(self, x) -> float:
         """Angular distance from direction x to the cone (radians)."""
-        from scipy.optimize import nnls
-
         x = as_point(x, self.dim)
         nx = np.linalg.norm(x)
         if nx == 0.0:
@@ -97,7 +100,7 @@ class PolyCone:
         x = x / nx
         if self.is_zero:
             return math.pi / 2.0
-        lam, _ = nnls(self.generators.T, x)
+        lam, _ = _nnls(self.generators.T, x)
         p = self.generators.T @ lam
         npn = np.linalg.norm(p)
         if npn <= 1e-14:
@@ -105,17 +108,71 @@ class PolyCone:
         return float(math.acos(np.clip(x @ (p / npn), -1.0, 1.0)))
 
 
-def _reduce_generators(G, tol=1e-10):
-    """Drop generators lying in the cone of the others (Farkas-redundant)."""
-    from scipy.optimize import nnls
+def _lstsq(M, b):
+    """Least squares solution of M z ~ b; one column in closed form."""
+    if M.shape[1] == 1:
+        a = M[:, 0]
+        return np.array([(a @ b) / (a @ a)])
+    return np.linalg.lstsq(M, b, rcond=None)[0]
 
+
+def _nnls(A, b):
+    """Nonnegative least squares: (x, |Ax - b|) for an x >= 0 minimising
+    |Ax - b|.
+
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23): the column of largest positive gradient A^T (b - Ax)
+    joins the passive set P, whose least squares solution z is taken by
+    _lstsq, not by normal equations; while z has an entry <= 0, x steps
+    towards z until the first entry of P reaches 0, which leaves P.  The
+    residual is computed directly.
+    """
+    m, n = A.shape
+    x = np.zeros(n)
+    P = []
+    # gradient entries at or below this are zero up to the rounding of A^T b
+    tol = 10.0 * _EPS * max(m, n) * math.sqrt(m * (b @ b)) * float(np.abs(A).max())
+    w = A.T @ b
+    for _ in range(3 * n):
+        w[P] = -np.inf
+        j = int(w.argmax())
+        if w[j] <= tol:
+            break
+        P.append(j)
+        z = _lstsq(A[:, P], b)
+        if z[-1] <= 0.0:
+            # only by rounding: in exact arithmetic the new entry is positive
+            P.pop()
+            w[j] = -np.inf
+            continue
+        while z.size and z.min() <= 0.0:
+            xp, neg = x[P], np.flatnonzero(z <= 0.0)
+            step = xp[neg] / (xp[neg] - z[neg])
+            k = int(step.argmin())
+            xp += step[k] * (z - xp)
+            xp[neg[k]] = 0.0
+            x[P] = np.maximum(xp, 0.0)
+            P = [p for p, v in zip(P, xp.tolist()) if v > 0.0]
+            z = _lstsq(A[:, P], b) if P else np.zeros(0)
+        x[:] = 0.0
+        x[P] = z
+        w = A.T @ (b - A[:, P] @ z)
+    else:
+        raise NumericalFailure("nonnegative least squares exceeded its iteration cap")
+    r = A @ x - b
+    return x, math.sqrt(r @ r)
+
+
+def _reduce_generators(G, tol=1e-10):
+    """Drop generators lying in the cone of the others (Farkas-redundant):
+    those at _nnls residual at most tol."""
     m = len(G)
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         others = G[keep & (np.arange(m) != i)]
         if len(others) == 0:
             continue
-        _, res = nnls(others.T, G[i])
+        _, res = _nnls(others.T, G[i])
         if res <= tol:
             keep[i] = False
     return G[keep]
@@ -149,7 +206,7 @@ def _body_at(K: ConvexBody, q, tol):
     N_K(q) = cone(A, +/-W) = {x : <x, d> <= 0 for d in D}, and the tangent
     cone T_K(q) = cone(D) = {x : <x, a> <= 0 for a in A, x perp W}.
     """
-    q, tol = as_point(q, K.dim), max(tol, TAU_PT)
+    q, tol = as_point(q, K.dim), max(tol, TAU_PT, rounding_floor(K))
     if not contains(K, q, tol):
         raise InvalidInput("q is not a point of K")
     _, B, eqs, _ = K.facets
@@ -186,8 +243,8 @@ def in_normal_cone(K: ConvexBody, q, x, tol=1e-8) -> bool:
 def normal_cone_mask(K: ConvexBody, q, dirs, tol=1e-9):
     """Vectorized membership of directions in N_K(q) by the support gap:
     d is in N_K(q) iff <d, v - q> <= tol * (1 + diam K) for every vertex v."""
-    gaps = np.asarray(dirs) @ (K.vertices - as_point(q, K.dim)).T
-    return np.max(gaps, axis=1) <= tol * (1.0 + K.diameter())
+    gaps = support_many(dirs, K.vertices - as_point(q, K.dim))
+    return gaps <= tol * (1.0 + K.diameter())
 
 
 def cap_body(K: ConvexBody, p) -> ConvexBody:
@@ -214,11 +271,11 @@ def cap_support_batch(K: ConvexBody, p, dirs, tol=1e-9):
     dirs = np.asarray(dirs, dtype=float)
     rel = cap_body(K, p).vertices - p
     rel = rel[np.linalg.norm(rel, axis=1) > TAU_PT]
-    hK = np.max(dirs @ K.vertices.T, axis=1)
+    hK = support_many(dirs, K.vertices)
     if rel.shape[0] == 0:
         return hK
     scale = (1.0 + np.linalg.norm(dirs, axis=1)) * (1.0 + K.diameter())
-    in_np = np.max(dirs @ rel.T, axis=1) <= tol * scale
+    in_np = support_many(dirs, rel) <= tol * scale
     return np.where(in_np, dirs @ p, hK)
 
 
@@ -299,12 +356,7 @@ def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs, tol=1e-9):
         return math.pi
 
     def directed(P, Q):
-        worst = 0.0
-        for i in range(0, len(P), 512):
-            dots = P[i : i + 512] @ Q.T
-            best = np.clip(dots.max(axis=1), -1.0, 1.0)
-            worst = max(worst, float(np.arccos(best).max()))
-        return worst
+        return float(np.arccos(np.clip(support_many(P, Q), -1.0, 1.0)).max())
 
     return max(directed(SA, SB), directed(SB, SA))
 

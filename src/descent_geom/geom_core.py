@@ -14,7 +14,7 @@ global state, so concurrent use on shared bodies is safe.
 
 Qhull (scipy.spatial) is imported by _qhull on its first run; the rest is
 numpy, so building planar bodies from rings, deduplication (a sweep along
-generic directions) and distances load no scipy.
+generic directions), distances and support values load no scipy.
 """
 
 import math
@@ -446,6 +446,27 @@ def support(K: ConvexBody, x) -> float:
     return float(np.max(K.vertices @ x))
 
 
+def support_many(X, Y):
+    """Per row x of X, max over the rows y of Y of <x, y>: the support
+    function of conv(Y) at each x (-inf when Y is empty).
+
+    The products are formed over row blocks of X, at most _PAIR_BLOCK at
+    once, so memory stays bounded for any grid and point count.  A block is
+    laid out with its longer side along rows, which numpy reduces fastest.
+    """
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    h = np.full(len(X), -np.inf)
+    if len(Y):
+        step = max(1, _PAIR_BLOCK // len(Y))
+        wide = len(Y) <= step
+        for i in range(0, len(X), step):
+            if wide:
+                np.max(Y @ X[i:i + step].T, axis=0, out=h[i:i + step])
+            else:
+                np.max(X[i:i + step] @ Y.T, axis=1, out=h[i:i + step])
+    return h
+
+
 def _project_segment(a, b, p):
     d = b - a
     dd = d @ d
@@ -588,12 +609,20 @@ def _facet_bounds(K: ConvexBody, X):
     return np.hypot(off, np.maximum(-depth, 0.0)), depth >= 0.0
 
 
+def rounding_floor(K: ConvexBody) -> float:
+    """Least tolerance at which facet residuals <a, x> + b of K's own points
+    are decided: 8 eps (1 + max |v|), their rounding at the scale of K's
+    vertices.  It exceeds TAU_PT only for bodies beyond |v| ~ 5.6e5."""
+    return 8.0 * _EPS * (1.0 + float(np.abs(K.vertices).max()))
+
+
 def _within(K: ConvexBody, X, tol):
-    """True iff every row of X lies within distance tol of K: the facet
-    bounds decide each row whose lower bound exceeds tol or is exact, the
-    nearest-point projection the rest."""
+    """True iff every row of X lies within distance tol of K, tol raised to
+    K's rounding_floor: the facet bounds decide each row whose lower bound
+    exceeds tol or is exact, the nearest-point projection the rest."""
     if tol < 0:
         raise InvalidInput("tol must be nonnegative")
+    tol = max(tol, rounding_floor(K))
     lower, exact = _facet_bounds(K, X)
     if np.any(lower > tol):
         return False

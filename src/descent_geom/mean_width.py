@@ -24,6 +24,7 @@ from .geom_core import (
     hausdorff,
     hull,
     includes,
+    support_many,
     unit_directions,
 )
 from .cones import (
@@ -87,10 +88,14 @@ def perimeter(K: ConvexBody) -> float:
 
 
 def mean_width_quadrature(K: ConvexBody, grid: SphereGrid) -> float:
-    """(2/omega_n) * sum of weighted support values over the grid."""
+    """(2/omega_n) * sum of weighted support values over the grid.
+
+    The support values come from geom_core.support_many, so memory stays
+    bounded (2^16 products at once) whatever the grid size and vertex count.
+    """
     if grid.dim != K.dim:
         raise DimensionMismatch("grid dimension does not match the body")
-    h = np.max(grid.directions @ K.vertices.T, axis=1)
+    h = support_many(grid.directions, K.vertices)
     return float(2.0 / sphere_measure(K.dim) * (grid.weights @ h))
 
 

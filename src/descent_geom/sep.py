@@ -90,7 +90,8 @@ def is_sep(gamma: Polyline, tol: float = 1e-9):
 
     Exact segment-direction criterion: fails iff some segment with start a
     and unit direction d has an earlier vertex y with
-    <d, a - y> < -tol * |a - y|.  On failure the witness records (y, a, d).
+    <d, a - y> < -tol * |a - y|.  On failure the witness records (y, a, d)
+    as plain lists.
     """
     P = gamma.points
     m = len(P)
@@ -116,9 +117,9 @@ def is_sep(gamma: Polyline, tol: float = 1e-9):
     return {
         "ok": False,
         "witness": {
-            "y": P[j].copy(),
-            "a": P[i].copy(),
-            "d": d,
+            "y": P[j].tolist(),
+            "a": P[i].tolist(),
+            "d": d.tolist(),
             "segment_index": i,
             "earlier_index": j,
             "inner_product": float(d @ (P[i] - P[j])),

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 
 def in_convex_hull_lp(point, points, tol=1e-9):
@@ -32,6 +32,23 @@ def in_cone_lp(x, gens):
     res = linprog(np.zeros(len(G)), A_eq=G.T, b_eq=np.asarray(x), bounds=[(0, None)] * len(G),
                   method="highs")
     return res.status == 0 and res.success
+
+
+def nnls_scipy(A, b):
+    """Nonnegative least squares by scipy.optimize.nnls: (x, |Ax - b|), the
+    residual computed from x rather than taken from nnls."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    x, _ = nnls(A, b)
+    return x, float(np.linalg.norm(A @ x - b))
+
+
+def nnls_kkt_gap(A, b, x):
+    """Largest violation of the optimality conditions of nonnegative least
+    squares at x >= 0: the gradient w = A^T (b - Ax) is <= 0, and 0 where
+    x > 0; per column, relative to |a_j| (1 + |b|)."""
+    w = A.T @ (b - A @ x)
+    w = w / (np.linalg.norm(A, axis=0) * (1.0 + np.linalg.norm(b)))
+    return max(float(w.max()), float(np.abs(w[x > 0]).max(initial=0.0)))
 
 
 def dedup_bruteforce(points, tol):

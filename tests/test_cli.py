@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -478,6 +479,15 @@ class TestColdStart:
         assert code in (0, 1) and json.loads(out)["checks"]["sep"]
         for mods in (gen_mods, descend_mods, report_mods):
             assert "scipy.optimize" not in mods
+
+
+    def test_report_cone_limit_never_loads_scipy_optimize(self, tmp_path):
+        body = tmp_path / "cube.json"
+        body.write_text(json.dumps(hull(list(itertools.product((0.0, 1.0), repeat=3))).to_dict()))
+        code, out, mods = _fresh(["report", "cone-limit", "--body", str(body), "--p0=1,1,1",
+                                  "--u=1,1,1"])
+        assert code == 0 and json.loads(out)["sandwich_ok"]
+        assert "scipy.spatial" in mods and "scipy.optimize" not in mods
 
 
 class TestSvg:

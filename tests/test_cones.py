@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from descent_geom import cones
 from descent_geom.errors import InvalidInput, PreconditionViolated
 from descent_geom.cones import (
     CircularCone,
@@ -23,7 +24,13 @@ from descent_geom.descent import disk_family
 from descent_geom.geom_core import hull, support, unit_directions
 
 from .conftest import disk_polygon, embedded_polytope, random_polytope
-from .oracles import in_cone_lp, sector_flux_axis_quad, sector_flux_offaxis_quad
+from .oracles import (
+    in_cone_lp,
+    nnls_kkt_gap,
+    nnls_scipy,
+    sector_flux_axis_quad,
+    sector_flux_offaxis_quad,
+)
 
 
 class TestSphereMeasure:
@@ -161,6 +168,119 @@ class TestConeOracles:
                 assert np.array_equal(I.member_mask(P), want)
                 for i, g in enumerate(I.generators):
                     assert not in_cone_lp(g, np.delete(I.generators, i, axis=0))
+
+
+def _nnls_corpus(rng):
+    """(A, b) in R^1..R^8 with up to 40 columns, a duplicate and a parallel
+    column, half of them pointed cones around a unit e; b inside the cone,
+    anywhere, and -e (in the polar of the pointed ones), at scales 1e-3..1e3."""
+    for n in range(1, 9):
+        for _ in range(60):
+            k = int(rng.integers(1, 41))
+            e = rng.standard_normal(n)
+            e /= np.linalg.norm(e)
+            A = rng.standard_normal((n, k))
+            if rng.random() < 0.5:
+                A += (np.abs(A.T @ e) + rng.uniform(0.1, 1.0, k)) * e[:, None]
+            if k > 2:
+                A[:, rng.integers(k)] = A[:, 0]
+                A[:, rng.integers(k)] = A[:, 1] * rng.uniform(0.1, 3.0)
+            A *= rng.uniform(0.2, 5.0, k)
+            lam = np.where(rng.random(k) < 0.3, rng.random(k), 0.0)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            for b in (A @ lam, rng.standard_normal(n), -e):
+                yield A, scale * b
+
+
+class TestNnls:
+    def test_matches_scipy(self, rng):
+        polar = 0
+        for A, b in _nnls_corpus(rng):
+            x, res = cones._nnls(A, b)
+            _, want = nnls_scipy(A, b)
+            nb = np.linalg.norm(b)
+            assert abs(res - want) <= 1e-12 * (1.0 + nb)
+            assert res == np.linalg.norm(A @ x - b)
+            assert x.min() >= 0.0 and nnls_kkt_gap(A, b, x) <= 1e-12
+            polar += not x.any() and nb > 0
+        assert polar >= 200
+
+    def test_zero_and_single_column(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0]])
+        x, res = cones._nnls(A, np.zeros(2))
+        assert not x.any() and res == 0.0
+        x, res = cones._nnls(np.array([[2.0], [0.0]]), np.array([3.0, 4.0]))
+        assert x.tolist() == [1.5] and res == 4.0
+        x, res = cones._nnls(np.array([[2.0], [0.0]]), np.array([-3.0, 4.0]))
+        assert x.tolist() == [0.0] and res == 5.0
+
+    def test_lineality_pair_with_b_in_the_polar(self):
+        # Generators +-w with b orthogonal to w up to rounding and in the
+        # polar of the rest: x = 0 is optimal, and the residual is |b|.
+        w = np.array([0.0, -0.124, -0.849, 0.513])
+        w /= np.linalg.norm(w)
+        a = np.array([0.754, -0.37, 0.319, 0.439])
+        a -= (a @ w) * w
+        b = -a + np.array([1e-3, 5e-4, 0.0, 0.0])
+        b -= (b @ w) * w
+        A = np.column_stack([a, w, -w])
+        x, res = cones._nnls(A, b)
+        assert nnls_kkt_gap(A, b, x) <= 1e-12
+        assert res == pytest.approx(np.linalg.norm(b), rel=1e-12)
+
+
+def _solver_cases(rng):
+    """Cones of _cone_corpus with a cut direction u and probe directions."""
+    cases = []
+    for K, q in _cone_corpus(rng):
+        N, T = normal_cone(K, q), tangent_cone(K, q)
+        cases.append((K, q, rng.standard_normal(K.dim), _probes(rng, K.dim, N.generators,
+                                                               T.generators)))
+    return cases
+
+
+def _cone_answers(cases):
+    out = []
+    for K, q, u, P in cases:
+        N, T = normal_cone(K, q), tangent_cone(K, q)
+        for C in (N, T, cones.cone_intersect_halfspace(N, u)):
+            out.append((C, P, [C.contains(x) for x in P], np.array([C.angle_to(x) for x in P]),
+                        cones._reduce_generators(np.vstack([C.generators, P[:10]]))))
+    return out
+
+
+class TestSolverVerdicts:
+    def test_same_as_with_scipy_nnls(self, rng, monkeypatch):
+        # contains, angle_to and _reduce_generators (cone_intersect_halfspace)
+        # on cones of random, flat and segment bodies in R^2..R^5
+        cases = _solver_cases(rng)
+        got, solve = _cone_answers(cases), cones._nnls
+        monkeypatch.setattr(cones, "_nnls", nnls_scipy)
+        want = _cone_answers(cases)
+        for (C, P, inside, angle, kept), (C2, _, inside2, angle2, kept2) in zip(got, want):
+            assert np.array_equal(C.generators, C2.generators)
+            assert inside == inside2 and np.array_equal(kept, kept2)
+            close = np.abs(angle - angle2) <= 1e-12
+            # near 0, acos turns one rounding unit of its argument into ~1.5e-8
+            close |= np.abs(np.cos(angle) - np.cos(angle2)) <= 4 * np.finfo(float).eps
+            for x in P[~close] / np.linalg.norm(P[~close], axis=1, keepdims=True):
+                # scipy's answer is not optimal there (10 probes, all at a
+                # lineality pair +-w with x in the polar), ours is
+                A = C.generators.T
+                assert nnls_kkt_gap(A, x, nnls_scipy(A, x)[0]) > 1e-3
+                assert nnls_kkt_gap(A, x, solve(A, x)[0]) <= 1e-12
+
+
+class TestFarFromOrigin:
+    @pytest.mark.parametrize("off", [1e7, 1e8])
+    def test_vertex_normal_cones(self, off):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            K = hull(rng.standard_normal((25, 2)) + off * rng.standard_normal(2))
+            for v in K.vertices:
+                N = normal_cone(K, v)
+                assert len(N.generators) == 2
+                assert np.all(normal_cone_mask(K, v, N.generators))
 
 
 class TestWorkBudget:

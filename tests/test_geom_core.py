@@ -26,7 +26,9 @@ from descent_geom.geom_core import (
     includes,
     mix,
     project,
+    rounding_floor,
     support,
+    support_many,
     unit_directions,
 )
 
@@ -124,6 +126,30 @@ class TestSupport:
             support(K, (1, 0, 0))
 
 
+class TestSupportMany:
+    def test_equal_to_the_whole_product(self, rng):
+        # sizes on both sides of a block boundary (_PAIR_BLOCK // len(Y) rows);
+        # BLAS may round a block's products differently from the whole
+        # matrix's, within n eps |x| |y|
+        eps = np.finfo(float).eps
+        for n in range(1, 9):
+            for m in (1, 3, 64, 300, geom_core._PAIR_BLOCK, geom_core._PAIR_BLOCK + 7):
+                step = max(1, geom_core._PAIR_BLOCK // m)
+                Y = rng.standard_normal((m, n)) * rng.uniform(0.1, 10.0)
+                for k in sorted({0, 1, step - 1, step, step + 1, 2 * step + 1} - {-1}):
+                    if k * m > 4 * geom_core._PAIR_BLOCK + m:
+                        continue
+                    X = rng.standard_normal((k, n))
+                    want = np.max(X @ Y.T, axis=1, initial=-np.inf)
+                    got = support_many(X, Y)
+                    bound = 2 * n * eps * np.linalg.norm(X, axis=1) * np.linalg.norm(Y, axis=1).max()
+                    assert got.shape == (k,) and np.all(np.abs(got - want) <= bound)
+
+    def test_empty_point_set(self):
+        assert support_many(np.ones((3, 2)), np.zeros((0, 2))).tolist() == [-np.inf] * 3
+        assert support_many(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+
+
 class TestMinkowskiLinearity:
     def test_support_is_affine_in_lambda(self, rng):
         for _ in range(10):
@@ -187,6 +213,20 @@ class TestContainsIncludes:
             B2 = hull(np.vstack([B.vertices, far]))
             assert includes(B2, A, 1e-9)
             assert not includes(A, B2, 1e-9)
+
+
+    @pytest.mark.parametrize("off", [1e7, 1e8])
+    def test_far_from_the_origin(self, off):
+        # facet residuals of the bodies' own vertices round at ~eps * off
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            K = hull(rng.standard_normal((25, 2)) + off * rng.standard_normal(2))
+            assert includes(K, K)
+            assert all(contains(K, v) for v in K.vertices)
+            assert rounding_floor(K) > TAU_PT
+
+    def test_rounding_floor_near_the_origin(self):
+        assert rounding_floor(hull([(0, 0), (5e5, 0), (0, 1)])) < TAU_PT
 
 
 class TestHausdorff:

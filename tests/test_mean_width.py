@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from descent_geom.geom_core import hull, unit_directions
 from descent_geom.mean_width import (
     SphereGrid,
     cap_gradient,
+    default_grid,
     first_variation,
     lipschitz_constant,
     mean_width,
@@ -87,6 +89,21 @@ class TestMeanWidth:
         K = hull([(0, 0), (1, 0), (0, 1)])
         with pytest.raises(DimensionMismatch):
             mean_width_quadrature(K, SphereGrid.make(3, 100, 0))
+
+    def test_quadrature_memory_does_not_grow_with_vertices(self):
+        # 1 000 vertices on the default 20 000-node grid: the whole
+        # directions x vertices matrix would take 160 MB
+        K = hull(unit_directions(4, 1000, 3))
+        assert K.nvertices == 1000
+        default_grid(4)
+        tracemalloc.start()
+        try:
+            w = mean_width(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert w == pytest.approx(2.0, abs=0.05)
 
 
 class TestExactWidth3d:

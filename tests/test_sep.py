@@ -205,6 +205,41 @@ class TestPrefixHulls:
         assert json.loads(capsys.readouterr().out)["bound_ok"]
 
 
+class TestTolReachesLengthChecks:
+    CURVE = {"dim": 2, "points": [[0, 0], [1, 0], [0.9999, 0.5]]}
+
+    def test_bounds_length_accepts_what_check_sep_accepts(self, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(self.CURVE))
+        for what in ("check sep", "bounds length"):
+            assert cli.main([*what.split(), "--curve", str(path), "--tol", "0.01"]) == 0, what
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["bound_ok"]
+        assert cli.main(["bounds", "length", "--curve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not a self-expanding path" in err and "array(" not in err
+
+    def test_report_length_check_gets_tol(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def spy(curve, grid=None, tol=1e-9, w_hull=None):
+            seen.append(tol)
+            return length_bound_check(curve, grid, tol, w_hull)
+
+        monkeypatch.setattr(cli, "length_bound_check", spy)
+        curve, fam = tmp_path / "curve.json", tmp_path / "fam.json"
+        for path, argv in ((curve, ["fixtures", "cantor", "--level", "2"]),
+                           (fam, ["fixtures", "cantor-family", "--level", "2"])):
+            cli.main(argv)
+            path.write_text(capsys.readouterr().out)
+        cli.main(["report", "--curve", str(curve), "--family", str(fam), "--tol", "1e-6"])
+        cli.main(["bounds", "length", "--curve", str(curve), "--tol", "1e-6"])
+        assert seen == [1e-6, 1e-6]
+
+    def test_witness_holds_plain_lists(self):
+        w = is_sep(Polyline.make(self.CURVE["points"]))["witness"]
+        assert all(type(w[k]) is list for k in ("y", "a", "d"))
+
+
 class TestLipschitzAndLength:
     def test_segment_ratio(self):
         g = Polyline.make([(0, 0), (1, 0), (2, 0)])
