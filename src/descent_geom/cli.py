@@ -320,7 +320,7 @@ def _cmd_bounds(args):
         return 0 if res["bound_ok"] else 1
     curve = _load_curve(args.curve)
     fam = _load_family(args, args.family)
-    ec = make_expanding_couple(curve, fam)
+    ec = make_expanding_couple(curve, fam, max(args.tol, 1e-7))
     if args.what == "annulus":
         res = annulus_length_check(ec, args.k1_index, grid=_grid_for(args, fam.dim))
         res["config"] = _config(args)
@@ -340,7 +340,7 @@ def _cmd_bounds(args):
         return 0 if ok else 1
     if args.what == "stability":
         other = _load_curve(args.curve2)
-        ec2 = make_expanding_couple(other, fam)
+        ec2 = make_expanding_couple(other, fam, max(args.tol, 1e-7))
         res = stability_check(ec, ec2, args.tol)
         res["config"] = _config(args)
         res.pop("distances")
@@ -396,7 +396,7 @@ def _cmd_report(args):
         out["checks"]["length_bound"] = lb["bound_ok"]
         out["length"] = lb["length"]
         out["w_hull"] = lb["w_hull"]
-    ec = make_expanding_couple(curve, fam)
+    ec = make_expanding_couple(curve, fam, max(args.tol, 1e-7))
     jp = joint_parametrization(ec)
     out["checks"]["joint_lipschitz"] = jp["lipschitz_estimate"] <= 1.0 + 1e-9
     an = annulus_length_check(ec, 0, grid=grid)

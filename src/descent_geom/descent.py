@@ -194,13 +194,16 @@ def align_curve(curve: Polyline, bodies, tol=None):
 
 
 def make_expanding_couple(curve: Polyline, fam: Family, tol=None) -> ExpandingCouple:
-    chk = is_sep(curve, 1e-7)
+    """A SEP curve (at tolerance tol, default 1e-7) ending on the boundary
+    of the largest member (tol floors _bd_tol there), aligned to every
+    member at its own _bd_tol."""
+    chk = is_sep(curve, 1e-7 if tol is None else tol)
     if not chk["ok"]:
         raise PreconditionViolated(f"curve is not a self-expanding path: {chk['witness']}")
     top = fam.bodies[-1]
     if not on_rel_boundary(top, curve.points[-1], max(tol or 0.0, _bd_tol(top))):
         raise PreconditionViolated("curve must end on the boundary of max(family)")
-    s, x = align_curve(curve, fam.bodies, tol)
+    s, x = align_curve(curve, fam.bodies)
     if np.any(np.diff(s) < -1e-9 * (1.0 + s[-1])):
         raise InvalidInput("alignment is not monotone along the curve")
     return ExpandingCouple(curve, fam, s, x)

@@ -156,8 +156,6 @@ def outer_parallel(K: ConvexBody, r: float, arc_points: int = 32) -> ConvexBody:
     if r == 0.0:
         return K
     n = K.dim
-    if n == 1:
-        return hull([[K.vertices.min() - r], [K.vertices.max() + r]])
     if n == 2:
         mesh = r * unit_directions(2, arc_points)
     else:
@@ -283,7 +281,7 @@ def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
     return hull(hi.intersections)
 
 
-def interpolate(K1: ConvexBody, K2: ConvexBody, f: float, arc_points: int = 32) -> ConvexBody:
+def interpolate(K1: ConvexBody, K2: ConvexBody, f: float) -> ConvexBody:
     """Body at normalized fraction f in [0, 1] between nested K1 and K2:
     K2 intersected with the outer parallel body of K1 at f * dist(K1, K2).
 
@@ -302,14 +300,17 @@ def interpolate(K1: ConvexBody, K2: ConvexBody, f: float, arc_points: int = 32) 
     d = hausdorff(K1, K2)
     if d <= TAU_PT:
         return K2
-    par = outer_parallel(K1, f * d, arc_points)
+    par = outer_parallel(K1, f * d)
     return _intersect_bodies(par, K2)
 
 
 # -- completion to a connected family -----------------------------------------
 
+# Regula falsi steps _solve_gap takes per target width before it gives up.
+_SOLVE_MAX_STEPS = 200
 
-def _solve_gap(K1, K2, idx, w1, w2, targets, grid, arc_points, max_iter=200):
+
+def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
     """(body, width) at each sorted target width in the gap (w1, w2)
     between chain bodies idx and idx + 1.
 
@@ -320,7 +321,7 @@ def _solve_gap(K1, K2, idx, w1, w2, targets, grid, arc_points, max_iter=200):
     d = hausdorff(K1, K2)
 
     def body_at(f):
-        B = _intersect_bodies(outer_parallel(K1, f * d, arc_points), K2)
+        B = _intersect_bodies(outer_parallel(K1, f * d), K2)
         return B, mean_width(B, grid)
 
     tol = 1e-6 * (w2 - w1)
@@ -332,7 +333,7 @@ def _solve_gap(K1, K2, idx, w1, w2, targets, grid, arc_points, max_iter=200):
             members.append((top, w_top))
             continue
         fa, ra, fb, rb, side = f_lo, w_lo - target, 1.0, w_top - target, 0
-        for step in range(1, max_iter + 1):
+        for step in range(1, _SOLVE_MAX_STEPS + 1):
             f = (fa * rb - fb * ra) / (rb - ra) if rb > ra else fa
             if not fa < f < fb:
                 f = 0.5 * (fa + fb)
@@ -361,7 +362,7 @@ def _solve_gap(K1, K2, idx, w1, w2, targets, grid, arc_points, max_iter=200):
     return members
 
 
-def complete(strat: Stratification, h: float, grid: SphereGrid = None, arc_points: int = 32) -> Family:
+def complete(strat: Stratification, h: float, grid: SphereGrid = None) -> Family:
     """Fill a stratification into a sampled connected family of step <= h.
 
     Original bodies appear at their own mean widths; each gap wider than h
@@ -383,7 +384,7 @@ def complete(strat: Stratification, h: float, grid: SphereGrid = None, arc_point
             continue
         pieces = int(math.ceil(gap / (0.9 * h)))
         targets = [w1 + gap * j / pieces for j in range(1, pieces)]
-        for B, w in _solve_gap(K1, K2, idx, w1, w2, targets, grid, arc_points):
+        for B, w in _solve_gap(K1, K2, idx, w1, w2, targets, grid):
             bodies.append(B)
             params.append(w)
     bodies.append(strat.bodies[-1])

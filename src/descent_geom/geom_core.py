@@ -4,17 +4,20 @@ projection, containment and Hausdorff distance.
 Bodies are stored canonically as the extreme points of their convex hull;
 each builds its facet structure (`ConvexBody.facets`) once, on first use.
 In R^n, n >= 3, hull() takes its input in canonical order, so a body built
-from its own extreme points keeps Qhull's facets.  A planar body is read
-off a clear counterclockwise ring without Qhull (ring_hull) and grown one
-point at a time (ClearRing).  Relative depth (rel_depth_many) is read off
+from its own extreme points keeps Qhull's facets.  A planar body's
+counterclockwise ring is its only boundary: it is read off a clear ring
+without Qhull (ring_hull), grown one point at a time (ClearRing), and its
+facets are the ring's edges.  Relative depth (rel_depth_many) is read off
 the facets; containment and distances ask it first and project only the
-points it leaves open.  Apart from a ClearRing, which its owner grows,
-everything here is a pure function over immutable arrays; nothing keeps
-global state, so concurrent use on shared bodies is safe.
+points it leaves open, in closed form for bodies of affine dimension <= 2.
+Apart from a ClearRing, which its owner grows, everything here is a pure
+function over immutable arrays; nothing keeps global state, so concurrent
+use on shared bodies is safe.
 
 Qhull (scipy.spatial) is imported by _qhull on its first run; the rest is
-numpy, so building planar bodies from rings, deduplication (a sweep along
-generic directions), distances and support values load no scipy.
+numpy, so planar bodies from rings, their facets and projections,
+deduplication (a sweep along generic directions), distances and support
+values load no scipy.
 """
 
 import math
@@ -34,6 +37,9 @@ _RANK_RTOL = 1e-8
 _EPS = np.finfo(float).eps
 
 MAX_DIM = 8
+
+# Iteration cap of each cycle of Wolfe's min-norm method (_min_norm_point).
+_WOLFE_MAX_ITER = 10000
 
 # Sweep directions of dedup_points, the n rows of _SWEEP[n - 1] in R^n: unit
 # vectors with irrational ratios, so that no coordinate plane or lattice row
@@ -172,7 +178,8 @@ class Facets(NamedTuple):
     equations, in ambient coordinates, is a facet halfspace a.x + b <= 0 of
     the cylinder over K, with a unit normal a in span(basis).  simplices
     holds, per row, the indices into K.vertices of the vertices on that
-    facet (Qhull's triangulation when K has dimension >= 2).
+    facet: the edges [i, i + 1] of the ring of a full-dimensional planar
+    body, Qhull's triangulation for any other body of dimension >= 2.
     """
 
     center: np.ndarray
@@ -205,13 +212,24 @@ def _lifted_facets(c, B, inplane, simplices) -> Facets:
     return Facets(c, B, np.column_stack([normals, inplane[:, -1] - normals @ c]), simplices)
 
 
+def _ring_facets(V) -> Facets:
+    """Facets of a full-dimensional planar body from its counterclockwise
+    ring V: edge i runs from V[i] to V[i + 1] and has the outer unit normal
+    (e_y, -e_x) / |e|."""
+    E = np.roll(V, -1, axis=0) - V
+    N = np.column_stack([E[:, 1], -E[:, 0]]) / np.sqrt((E * E).sum(axis=1))[:, None]
+    i = np.arange(len(V))
+    return Facets(V.mean(axis=0), np.eye(2), np.column_stack([N, -(N * V).sum(axis=1)]),
+                  np.column_stack([i, np.roll(i, -1)]))
+
+
 def _facets(V, k) -> Facets:
     n = V.shape[1]
     if k != n or n == 1:
         c, B = affine_basis(V)
         k = B.shape[0]
-    if k == n > 1:
-        return _full_facets(V, _qhull(V))  # hull in original coordinates
+    if k == n > 1:  # in the plane from the ring, else Qhull in original coordinates
+        return _ring_facets(V) if n == 2 else _full_facets(V, _qhull(V))
     if k == 0:
         return Facets(c, B, np.zeros((0, n + 1)), np.zeros((0, 1), dtype=int))
     if k == 1:
@@ -324,10 +342,11 @@ def hull(points) -> ConvexBody:
     h = _qhull(P if k == n else (P - c) @ B.T)  # full-dimensional: original coordinates
     V = _canonical_order(P[h.vertices], n)
     K = ConvexBody(np.ascontiguousarray(V), k)
-    if np.array_equal(V, P):
+    if n >= 3 and np.array_equal(V, P):
         # Qhull ran on K.vertices itself (a canonical body reloaded), and
         # affine_basis(P) is affine_basis(K.vertices): keep its facets rather
-        # than building the same hull again on first use.
+        # than building the same hull again on first use.  (A planar body
+        # reads its facets off its ring.)
         K.__dict__["facets"] = (
             _full_facets(K.vertices, h) if k == n else _lifted_facets(c, B, h.equations, h.simplices)
         )
@@ -467,37 +486,7 @@ def support_many(X, Y):
     return h
 
 
-def _project_segment(a, b, p):
-    d = b - a
-    dd = d @ d
-    if dd <= 0.0:
-        return a
-    t = np.clip((p - a) @ d / dd, 0.0, 1.0)
-    return a + t * d
-
-
-def _project_2d(K: ConvexBody, p):
-    V = K.vertices
-    m = len(V)
-    if m == 1:
-        return V[0].copy()
-    if m == 2 or K.dim_affine <= 1:
-        return _project_segment(V[0], V[-1], p)
-    # vertices are CCW: inside iff p is left of (or on) every edge
-    nxt = np.roll(V, -1, axis=0)
-    e = nxt - V
-    w = p - V
-    cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-    if np.all(cross >= -1e-12 * (1.0 + np.abs(cross).max())):
-        return p.copy()
-    ee = np.einsum("ij,ij->i", e, e)
-    t = np.clip(np.einsum("ij,ij->i", w, e) / ee, 0.0, 1.0)
-    proj = V + t[:, None] * e
-    d2 = ((proj - p) ** 2).sum(axis=1)
-    return proj[int(np.argmin(d2))].copy()
-
-
-def _min_norm_point(P, eps, max_iter):
+def _min_norm_point(P, eps):
     """Wolfe's algorithm: the minimum-norm point of conv(rows of P).
 
     Active-set method; each major cycle adds the vertex most violating the
@@ -511,7 +500,7 @@ def _min_norm_point(P, eps, max_iter):
     S = [j]
     lam = np.array([1.0])
     x = P[j].copy()
-    for _ in range(max_iter):
+    for _ in range(_WOLFE_MAX_ITER):
         dots = P @ x
         xx = x @ x
         j = int(np.argmin(dots))
@@ -521,7 +510,7 @@ def _min_norm_point(P, eps, max_iter):
             return x  # numerically stalled at optimum
         S.append(j)
         lam = np.append(lam, 0.0)
-        for _ in range(max_iter):
+        for _ in range(_WOLFE_MAX_ITER):
             B = P[S]
             k = len(S)
             A = np.empty((k + 1, k + 1))
@@ -557,23 +546,29 @@ def _min_norm_point(P, eps, max_iter):
     raise NumericalFailure("min-norm point solver exceeded its iteration cap")
 
 
-def project(K: ConvexBody, p, max_iter=10000):
+def project(K: ConvexBody, p):
     """Nearest point of K to p.
 
-    Exact edge enumeration in ambient dimension <= 2; Wolfe's min-norm
-    active-set method otherwise.  The result q satisfies the optimality
-    certificate <p - q, v - q> <= 1e-8 * (1 + |p - q|) over all vertices v;
-    failure to reach it raises NumericalFailure rather than returning.
+    Closed form for a body of affine dimension k <= 2 in any R^n: the
+    projection of p onto Aff(K) (p itself when k = n) if p violates no facet
+    equation, else the nearest point of the facet simplices (vertices or
+    edges).  For k >= 3, Wolfe's min-norm active-set method; its result q
+    satisfies <p - q, v - q> <= 1e-8 * (1 + |p - q|) over all vertices v,
+    or NumericalFailure is raised rather than returning.
     """
     p = as_point(p, K.dim)
-    if K.dim == 1:
-        lo, hi = K.vertices.min(), K.vertices.max()
-        return np.array([min(max(p[0], lo), hi)])
-    if K.dim == 2:
-        return _project_2d(K, p)
-    if K.nvertices == 1:
-        return K.vertices[0].copy()
-    x = _min_norm_point(K.vertices - p, eps=1e-10, max_iter=max_iter)
+    k = K.dim_affine if K.dim_affine >= 0 else len(K.facets.basis)
+    if k <= 2:
+        c, B, eqs, S = K.facets
+        if np.all(p @ eqs[:, :-1].T + eqs[:, -1] <= 0.0):
+            return p.copy() if k == K.dim else c + ((p - c) @ B.T) @ B
+        A = K.vertices[S[:, 0]]
+        D = K.vertices[S[:, -1]] - A
+        dd = np.einsum("ij,ij->i", D, D)
+        t = np.clip(np.einsum("ij,ij->i", p - A, D) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+        X = A + t[:, None] * D
+        return X[int(np.argmin(_sq_dists(X, p)))]
+    x = _min_norm_point(K.vertices - p, eps=1e-10)
     q = p + x
     gap = float(np.max((K.vertices - q) @ (p - q)))
     if gap > 1e-8 * (1.0 + np.linalg.norm(p - q)):

@@ -3,6 +3,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from descent_geom import cli
 from descent_geom.cli import main, render_svg
+from descent_geom.descent import disk_family
 from descent_geom.family import family_from_dict, is_connected
 from descent_geom.geom_core import hull
 
@@ -434,6 +436,50 @@ class TestFamilyCheckTol:
         assert verdicts == [(1, False), (1, False)]
 
 
+class TestExpandingCoupleTol:
+    def test_tol_reaches_the_sep_check_of_bounds_and_report(self, tmp_path, capsys):
+        # A curve from the centre out to a vertex of the top disk whose last
+        # segment turns back by an inner product of -3.5e-3 against the
+        # first point: a SEP at --tol 0.01, not at the default 1e-7.
+        fam = disk_family(0.5, 1.0, 3)
+        v = fam.bodies[-1].vertices[0]
+        ang = math.atan2(v[1], v[0]) + math.acos((0.99 ** 2 - 5e-4) / (0.99 * np.linalg.norm(v)))
+        fpath, cpath = tmp_path / "fam.json", tmp_path / "curve.json"
+        fpath.write_text(json.dumps(fam.to_dict()))
+        cpath.write_text(json.dumps({"dim": 2, "points": [
+            [0.0, 0.0], [0.99 * math.cos(ang), 0.99 * math.sin(ang)], v.tolist()]}))
+        common = ["--curve", str(cpath), "--family", str(fpath)]
+        commands = (["bounds", "joint"], ["bounds", "annulus"],
+                    ["bounds", "stability", "--curve2", str(cpath)], ["report"])
+        for argv in commands:
+            code, _, err = run_cli(argv + common, capsys=capsys)
+            assert code == 2 and "not a self-expanding path" in err, argv
+        code, out, _ = run_cli(["check", "sep", "--curve", str(cpath), "--tol", "0.01"],
+                               capsys=capsys)
+        assert code == 0 and json.loads(out)["ok"]
+        for argv in commands:
+            code, out, _ = run_cli(argv + common + ["--tol", "0.01"], capsys=capsys)
+            assert code in (0, 1), argv
+            if argv[0] == "report":
+                assert json.loads(out)["checks"]["sep"]
+
+
+    def test_one_point_curve_aligns_at_each_members_tolerance(self, tmp_path, capsys):
+        # The corner (1, 1) of the top square lies 5e-7 * sqrt(2) from the
+        # inner one: inside its alignment tolerance 1e-6 * (1 + diam), at
+        # the default --tol as at a larger one.
+        inner = [[0, 0], [1 - 5e-7, 0], [1 - 5e-7, 1 - 5e-7], [0, 1 - 5e-7]]
+        fpath, cpath = tmp_path / "fam.json", tmp_path / "curve.json"
+        fpath.write_text(json.dumps({"bodies": [hull(inner).to_dict(), hull(
+            [[0, 0], [1, 0], [1, 1], [0, 1]]).to_dict()]}))
+        cpath.write_text(json.dumps({"dim": 2, "points": [[1.0, 1.0]]}))
+        for opts in ([], ["--tol", "0.01"]):
+            for argv in (["bounds", "joint"], ["report"]):
+                code, out, _ = run_cli(argv + ["--curve", str(cpath), "--family", str(fpath)]
+                                       + opts, capsys=capsys)
+                assert code == 0 and json.loads(out)["ok"], argv + opts
+
+
 # One CLI command in a fresh interpreter; its last stderr line lists the
 # scipy modules it loaded.
 _FRESH = (
@@ -480,6 +526,29 @@ class TestColdStart:
         for mods in (gen_mods, descend_mods, report_mods):
             assert "scipy.optimize" not in mods
 
+
+    def test_planar_queries_never_load_scipy_spatial(self, tmp_path):
+        # Planar facets are read off the ring and planar projection is closed
+        # form, so only the generators (hull() of points) run Qhull.
+        fam, curve = tmp_path / "fam.json", tmp_path / "curve.json"
+        cantor, cantor_fam = tmp_path / "cantor.json", tmp_path / "cantor_fam.json"
+        code, out, _ = _fresh(["gen", "random", "--n", "2", "--npoints", "10",
+                               "--levels", "3", "--seed", "3"])
+        assert code == 0
+        fam.write_text(out)
+        top = json.loads(out)["bodies"][-1]["vertices"]
+        for path, argv in ((curve, ["descend", "--family", str(fam), "--knots", "3",
+                                    "--endpoint=" + ",".join(map(repr, top[0]))]),
+                           (cantor, ["fixtures", "cantor", "--level", "2"]),
+                           (cantor_fam, ["fixtures", "cantor-family", "--level", "2"])):
+            code, out, mods = _fresh(argv)
+            assert code == 0 and (path is not curve or not mods), argv
+            path.write_text(out)
+        for argv in (["check", "sdc", "--curve", str(cantor), "--family", str(cantor_fam)],
+                     ["check", "ec", "--curve", str(cantor), "--strat", str(cantor_fam)],
+                     ["family", "check", "--family", str(fam)]):
+            code, out, mods = _fresh(argv)
+            assert code in (0, 1) and "scipy.spatial" not in mods, argv
 
     def test_report_cone_limit_never_loads_scipy_optimize(self, tmp_path):
         body = tmp_path / "cube.json"

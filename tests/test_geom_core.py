@@ -14,6 +14,7 @@ from scipy.spatial.distance import cdist
 from descent_geom import geom_core
 from descent_geom.descent import example61_family, rel_depth_many, segment_inside_interval
 from descent_geom.errors import DimensionMismatch, InvalidInput
+from descent_geom.family import _intersect_bodies, outer_parallel
 from descent_geom.geom_core import (
     ConvexBody,
     TAU_PT,
@@ -313,16 +314,21 @@ class TestFacets:
         assert dims == [(2, 2), (3, 3), (4, 4), (5, 5), (3, 2), (4, 3), (3, 1), (3, 0)]
 
     def test_full_dimensional_equations_are_qhulls(self, rng):
+        # In the plane they are the ring's edges instead, in ring order.
         for n in (2, 3, 4):
             K = random_polytope(rng, n, 25)
-            assert np.array_equal(K.facets.equations, ConvexHull(K.vertices).equations)
+            eqs = K.facets.equations
+            if n == 2:
+                assert np.abs(eqs - _ring_equations(K.vertices)).max() <= 1e-15
+            else:
+                assert np.array_equal(eqs, ConvexHull(K.vertices).equations)
 
     def test_hull_of_its_own_vertices_keeps_its_facets(self, rng, qhull_calls):
         bodies = [random_polytope(rng, n, 25) for n in (2, 3, 4)]
         bodies += [embedded_polytope(rng, 3, 2, 12), embedded_polytope(rng, 4, 3, 16)]  # flat
         for K in bodies:
             fresh = ConvexBody(K.vertices.copy(), K.dim_affine).facets
-            if K.dim_affine == K.dim:
+            if K.dim_affine == K.dim > 2:
                 assert np.array_equal(fresh.equations, ConvexHull(K.vertices).equations)
             qhull_calls.clear()
             for L in (hull(K.vertices), body_from_dict(K.to_dict())):
@@ -330,8 +336,8 @@ class TestFacets:
                 assert np.array_equal(L.facets.simplices, fresh.simplices)
                 assert np.array_equal(L.facets.equations, fresh.equations)
             # One per hull() call and none for their facets; a planar body
-            # loads without Qhull and builds its facets on first read instead.
-            assert len(qhull_calls) == 2
+            # loads without Qhull and reads its facets off its ring.
+            assert len(qhull_calls) == (1 if K.dim == 2 else 2)
             M = hull(np.vstack([K.vertices, K.centroid()]))  # an interior input point
             assert "facets" not in vars(M)
 
@@ -648,7 +654,144 @@ class TestRingHull:
             assert not qhull_calls
             assert np.array_equal(L.vertices, K.vertices) and L.dim_affine == 2
             assert np.array_equal(L.facets.equations, K.facets.equations)
-            assert len(qhull_calls) == 1  # facets are built on first read
+            assert not qhull_calls  # facets are read off the ring
+
+
+def _ring_equations(V):
+    """Facet rows of the counterclockwise polygon V, edge by edge, in
+    complex arithmetic: the outer unit normal -i e / |e| of each edge e and
+    its offset."""
+    z = V[:, 0] + 1j * V[:, 1]
+    e = np.roll(z, -1) - z
+    nrm = -1j * e / np.abs(e)
+    return np.column_stack([nrm.real, nrm.imag, -(nrm.conj() * z).real])
+
+
+def _assert_ccw_ring_facets(K, label):
+    """K's vertices form a strictly convex counterclockwise ring, and its
+    facets are Qhull's facets of K.vertices, matched row for row."""
+    V = K.vertices
+    E = np.roll(V, -1, axis=0) - V
+    turns = E[:, 0] * np.roll(E[:, 1], -1) - E[:, 1] * np.roll(E[:, 0], -1)
+    assert np.all(turns > 0.0), label
+    eqs, H = K.facets.equations, ConvexHull(V).equations
+    match = np.argmax(eqs[:, :2] @ H[:, :2].T, axis=1)
+    assert len(eqs) == len(H) and sorted(match) == list(range(len(H))), label
+    assert np.abs(eqs[:, :2] - H[match, :2]).max() <= 1e-12, label
+    assert np.abs(eqs[:, 2] - H[match, 2]).max() <= 1e-12 * (1.0 + np.abs(V).max()), label
+
+
+def _planar_builds(rng):
+    """(label, planar body) from every way of building one."""
+    out = []
+    for scale, off in ((1.0, 0.0), (1e-3, 0.0), (1e3, 0.0), (1.0, 1e6)):
+        P = scale * rng.standard_normal((30, 2)) + off * rng.standard_normal(2)
+        K = hull(P)
+        out += [("hull", K), ("ring_hull", geom_core.ring_hull(np.roll(K.vertices, 3, axis=0))),
+                ("body_from_dict", body_from_dict(K.to_dict()))]
+        ring = geom_core.ClearRing(hull(P[:3]))
+        for p in P[3:]:
+            grown = ring.insert(p)
+            if grown is not None:
+                out.append(("ClearRing", grown))
+    for _ in range(5):
+        A, B = random_polytope(rng, 2, 12), random_polytope(rng, 2, 12)
+        out += [("clip", _intersect_bodies(A, B.translate(0.2 * rng.standard_normal(2)))),
+                ("minkowski ring", outer_parallel(A, 0.3 * rng.random())),
+                ("translate", A.translate(rng.standard_normal(2)))]
+    return out
+
+
+class TestRingFacets:
+    def test_every_planar_build_is_a_ccw_ring_with_qhulls_facets(self, rng):
+        built = _planar_builds(rng)
+        assert {label for label, _ in built} == {
+            "hull", "ring_hull", "body_from_dict", "ClearRing", "clip", "minkowski ring",
+            "translate"}
+        for label, K in built:
+            assert K.dim_affine == 2
+            _assert_ccw_ring_facets(K, label)
+
+
+def _flat_corpus(rng):
+    """Bodies of affine dimension 0, 1 and 2 in R^1..R^4: points, segments,
+    random polygons (also 1e6 from the origin) and polygons embedded in R^3
+    and R^4."""
+    bodies = []
+    for n in (1, 2, 3, 4):
+        bodies += [hull(rng.standard_normal((1, n))), hull(rng.standard_normal((2, n)))]
+    bodies += [hull([[1e6], [1e6 + 2.5]]), hull([(1e6, 1e6), (1e6 + 1.0, 1e6 + 3.0)])]
+    for _ in range(6):
+        m = int(rng.integers(3, 40))
+        bodies.append(random_polytope(rng, 2, m, scale=10.0 ** rng.uniform(-2, 2)))
+        bodies.append(hull(1e6 * rng.standard_normal(2) + rng.standard_normal((m, 2))))
+    for n in (3, 4):
+        for npts in (3, 8, 20):
+            bodies.append(embedded_polytope(rng, n, 2, npts))
+        bodies.append(embedded_polytope(rng, n, 1, 5))
+        F = embedded_polytope(rng, n, 2, 10)
+        bodies.append(F.translate(1e6 * rng.standard_normal(n)))
+    return bodies
+
+
+def _flat_queries(rng, K):
+    """Points inside K, at facet depth +-1e-16 and -1e-10, off Aff(K) and
+    far away."""
+    c, B, eqs, simplices = K.facets
+    V = K.vertices
+    inside = rng.dirichlet(np.ones(len(V)), size=6) @ V
+    pts = [V, inside]
+    if len(eqs):
+        mids = np.array([V[s].mean(axis=0) for s in simplices])
+        pts += [mids + 1e-16 * eqs[:, :-1], mids - 1e-16 * eqs[:, :-1]]
+        pts += [mids + 1e-10 * eqs[:, :-1], mids + 0.3 * (1.0 + K.diameter()) * eqs[:, :-1]]
+    N = null_space(B).T if len(B) else np.eye(K.dim)  # normals of Aff(K)
+    if len(N):
+        base = np.vstack(pts)
+        pts.append(base + rng.standard_normal((len(base), len(N))) @ N)
+    far = rng.standard_normal((6, K.dim))
+    far *= 10.0 * (1.0 + K.diameter()) / np.linalg.norm(far, axis=1, keepdims=True)
+    pts.append(V.mean(axis=0) + far)
+    return np.vstack(pts)
+
+
+def _plane_distance(K, p):
+    """dist(p, K) for K of affine dimension <= 2, in coordinates of Aff(K)
+    from V[0]: the in-plane distance (oracles.polygon_membership and
+    segment_distance) and the off-plane part."""
+    V = K.vertices
+    y, W = p - V[0], V - V[0]
+    if len(V) == 1:
+        return float(np.linalg.norm(y))
+    _, _, Ut = np.linalg.svd(W)
+    U = Ut[:min(K.dim_affine, 2)]
+    yp, Wp = y @ U.T, W @ U.T
+    off = np.linalg.norm(y - yp @ U)
+    if len(U) == 1:
+        d = oracles.segment_distance(yp[None], Wp.min(axis=0), Wp.max(axis=0))[0]
+        return float(np.hypot(off, d))
+    ring = Wp[np.argsort(np.arctan2(*(Wp - Wp.mean(axis=0)).T[::-1]))]  # counterclockwise
+    if oracles.polygon_membership(ring, yp[None])[0]:
+        return float(off)
+    d = min(oracles.segment_distance(yp[None], a, b)[0]
+            for a, b in zip(ring, np.roll(ring, -1, axis=0)))
+    return float(np.hypot(off, d))
+
+
+class TestClosedFormProjection:
+    def test_matches_plane_oracle_without_wolfe(self, rng, call_counter):
+        wolfe = call_counter("geom_core", "_min_norm_point")
+        count = 0
+        for K in _flat_corpus(rng):
+            assert K.dim_affine <= 2
+            c = K.vertices.mean(axis=0)
+            for p in _flat_queries(rng, K):
+                q = project(K, p)
+                want = _plane_distance(K, p)
+                assert abs(np.linalg.norm(q - p) - want) <= 1e-12 * (1.0 + np.linalg.norm(p))
+                assert in_convex_hull_lp(q - c, K.vertices - c)
+                count += 1
+        assert count > 1000 and not wolfe
 
 
 class TestOneDimensional:
