@@ -337,14 +337,14 @@ def sector_integral_lower_bound(n: int, alpha: float) -> float:
     return sphere_measure(n - 1) / (n - 1) * math.sin(alpha / 4.0) ** n
 
 
-def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs, tol=1e-9):
+def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs):
     """Angular Hausdorff distance between the unit-sphere sectors of two
     cones, estimated on a fixed direction grid augmented by the cones' own
-    generators."""
+    generators, a direction counting as a member at tolerance 1e-9."""
     dirs = np.asarray(dirs, dtype=float)
 
     def sample(C):
-        pts = dirs[C.member_mask(dirs, tol=max(tol, 1e-9))]
+        pts = dirs[C.member_mask(dirs, tol=1e-9)]
         if not C.is_zero:
             pts = np.vstack([pts, C.generators])
         return pts

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, PreconditionViolated
+from .errors import Degenerate, InvalidInput, PreconditionViolated
 from .geom_core import (
     TAU_PT,
     ConvexBody,
@@ -175,17 +175,17 @@ def _last_inside(K: ConvexBody, P, cums, tol):
     return None
 
 
-def align_curve(curve: Polyline, bodies, tol=None):
+def align_curve(curve: Polyline, bodies):
     """Last curve point (by arc length) inside each body.
 
     Returns (s_values, points); raises InvalidInput when some body contains
-    no point of the curve.  tol (default _bd_tol(K)) is the membership
-    tolerance of a one-point curve.
+    no point of the curve.  _bd_tol(K) is the membership tolerance of a
+    one-point curve.
     """
     P, cums = curve.points, curve.arclengths()
     s_out, x_out = [], []
     for K in bodies:
-        found = _last_inside(K, P, cums, _bd_tol(K) if tol is None else tol)
+        found = _last_inside(K, P, cums, _bd_tol(K))
         if found is None:
             raise InvalidInput("alignment failure: a family member misses the curve")
         s_out.append(found[0])
@@ -209,7 +209,7 @@ def make_expanding_couple(curve: Polyline, fam: Family, tol=None) -> ExpandingCo
     return ExpandingCouple(curve, fam, s, x)
 
 
-def construct_descent(fam: Family, endpoint, m: int, tol=None) -> Polyline:
+def construct_descent(fam: Family, endpoint, m: int) -> Polyline:
     """Backward successive-projection construction of a descent curve.
 
     Picks m mean-width knots from the family grid (uniform subsample,
@@ -223,8 +223,7 @@ def construct_descent(fam: Family, endpoint, m: int, tol=None) -> Polyline:
         raise InvalidInput("need at least two knots")
     endpoint = as_point(endpoint, fam.dim)
     top = fam.bodies[-1]
-    btol = _bd_tol(top) if tol is None else tol
-    if not on_rel_boundary(top, endpoint, btol):
+    if not on_rel_boundary(top, endpoint, _bd_tol(top)):
         raise PreconditionViolated("endpoint must lie on the boundary of max(family)")
     idx = np.unique(np.round(np.linspace(0, len(fam) - 1, m)).astype(int))
     pts = [endpoint]
@@ -295,7 +294,7 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     }
 
 
-def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6, bd_tol=None):
+def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6):
     """Discrete viable steepest-descent check against a sampled family.
 
     At each knot the aligned point must lie on the relative boundary of the
@@ -303,13 +302,12 @@ def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6, bd_tol=None):
     member's normal cone (support-gap membership at tolerance tol).  The
     witness is the first failing knot.
     """
-    s, x = align_curve(gamma, fam.bodies, bd_tol)
+    s, x = align_curve(gamma, fam.bodies)
     P = gamma.points
     cums = gamma.arclengths()
     failures = []
     for k, (K, sk, xk) in enumerate(zip(fam.bodies, s, x)):
-        bt = _bd_tol(K) if bd_tol is None else bd_tol
-        if not on_rel_boundary(K, xk, bt):
+        if not on_rel_boundary(K, xk, _bd_tol(K)):
             failures.append({"knot": k, "param": fam.params[k], "x": xk, "condition": "i"})
             continue
         dirs = []
@@ -387,7 +385,10 @@ def annulus_length_check(ec: ExpandingCouple, K1_index: int, tol: float = 1e-9,
                          grid: SphereGrid = None):
     """Length of the curve outside an inner member against the two
     annulus bounds: 2*c1_n*dist(K1, K2) and the diameter-dependent
-    width-gap bound c * (w(K2) - w(K1))^{1/n}, widths on grid."""
+    width-gap bound c * (w(K2) - w(K1))^{1/n}, widths on grid.  K1_index
+    counts from the end when negative, as in a sequence."""
+    if not -len(ec.family) <= K1_index < len(ec.family):
+        raise InvalidInput(f"K1 index {K1_index} is out of range for {len(ec.family)} members")
     K1 = ec.family.bodies[K1_index]
     K2 = ec.family.bodies[-1]
     n = K1.dim
@@ -413,9 +414,10 @@ def annulus_length_check(ec: ExpandingCouple, K1_index: int, tol: float = 1e-9,
     }
 
 
-def curve_uniform_distance(c1: Polyline, c2: Polyline, samples: int = 200) -> float:
-    """Uniform distance between two curves at common normalized arc length."""
-    t = np.linspace(0.0, 1.0, samples)
+def curve_uniform_distance(c1: Polyline, c2: Polyline) -> float:
+    """Uniform distance between two curves at 200 common normalized arc
+    lengths."""
+    t = np.linspace(0.0, 1.0, 200)
     l1, l2 = c1.length(), c2.length()
     p1 = np.array([c1.point_at(ti * l1) for ti in t])
     p2 = np.array([c2.point_at(ti * l2) for ti in t])
@@ -429,6 +431,8 @@ def _width_family(bodies, grid: SphereGrid = None) -> Family:
     """Family of the given bodies, params their mean widths on grid and h
     just above the largest param step."""
     bodies = tuple(bodies)
+    if len(bodies) < 2:
+        raise Degenerate("a family needs at least two bodies")
     params = tuple(mean_width(K, grid) for K in bodies)
     h = float(np.max(np.diff(params)))
     return Family(bodies, params, h * (1.0 + 1e-9))
@@ -550,8 +554,11 @@ def rotated_squares(levels: int = 4, step_angle: float = math.radians(15.0),
 
 def disk_family(r_min=0.5, r_max=1.0, levels=10, m=64, n=2, seed=0,
                 grid: SphereGrid = None) -> Family:
-    """Concentric balls (polygon / mesh approximations); params are mean
-    widths on grid."""
+    """Concentric balls (polygon / mesh approximations) of radii from
+    r_min >= 0 (a point when 0) to r_max > r_min; params are mean widths on
+    grid."""
+    if r_min < 0 or r_max <= r_min:
+        raise InvalidInput(f"radii must satisfy 0 <= r_min < r_max, got {r_min} and {r_max}")
     radii = np.linspace(r_min, r_max, levels)
     if n == 2:
         return _width_family((disk_polygon(r, m=m) for r in radii), grid)

@@ -4,10 +4,11 @@ A stratification is a strictly nested chain of bodies; a family is a
 stratification indexed by mean width on a grid of resolution h.  Gaps are
 filled by interpolation: the body at fraction f between nested K1 and K2
 is K2 intersected with the outer parallel body of K1 at distance
-f * dist(K1, K2), realized as a V-polytope.  In the plane both steps read
-their result off as a counterclockwise ring (geom_core.ring_hull), with no
-Qhull run: the parallel body as a merge of two edge sequences, the
-intersection as the output of a Sutherland-Hodgman clip.
+f * dist(K1, K2), realized as a V-polytope.  In the plane both steps end
+in a counterclockwise ring that hull() reads off with no Qhull run: the
+parallel body as a merge of two edge sequences, the intersection as a
+Sutherland-Hodgman clip by the facet halfspaces of the larger body, with
+the rounding floor its facet depths are read at.
 """
 
 import math
@@ -30,7 +31,7 @@ from .geom_core import (
     hausdorff,
     hull,
     includes,
-    ring_hull,
+    rounding_floor,
     unit_directions,
 )
 from .mean_width import SphereGrid, mean_width, width_gap_constant
@@ -147,9 +148,9 @@ def outer_parallel(K: ConvexBody, r: float, arc_points: int = 32) -> ConvexBody:
 
     In the plane that polytope is the regular arc_points-gon, so the body is
     inscribed in the true parallel body.  As the sum of two convex polygons
-    it is read off in O(m) as a merge of their edge sequences, or, for
-    parallel edges or a ring that is not clearly convex, as the hull of all
-    the sums.
+    its vertices are selected in O(m) as a merge of their edge sequences,
+    a ring that hull() reads without Qhull when it is clear; for parallel
+    edges the selection is declined and hull() takes all the sums.
     """
     if r < 0:
         raise InvalidInput("r must be nonnegative")
@@ -161,11 +162,8 @@ def outer_parallel(K: ConvexBody, r: float, arc_points: int = 32) -> ConvexBody:
     else:
         mesh = r * unit_directions(n, max(arc_points, 2 * n), seed=1)
     pts = (K.vertices[:, None, :] + mesh[None, :, :]).reshape(-1, n)
-    if n == 2:
-        ring = _minkowski_ring(K.vertices, arc_points)
-        if ring is not None:
-            return ring_hull(pts[ring], pts)
-    return hull(pts)
+    ring = _minkowski_ring(K.vertices, arc_points) if n == 2 else None
+    return hull(pts[ring] if ring is not None else pts)
 
 
 def _minkowski_ring(V, arc_points):
@@ -196,41 +194,40 @@ def _minkowski_ring(V, arc_points):
     return np.repeat(np.arange(m), count) * arc_points + j
 
 
-def _clip_polygon(subject, clip, eps=1e-12):
-    """Sutherland-Hodgman: clip a polygon ring by a convex CCW polygon.
+def _clip_polygon(subject, eqs, floor):
+    """Sutherland-Hodgman: clip a ring by the halfspaces a.x + b <= 0 of the
+    rows (a, b) of eqs, a point counting as inside while its residual
+    a.x + b is at most floor.
 
-    The ring is tested against every remaining clip edge at once; an edge
-    with every vertex inside leaves it as it is, and the first edge with a
-    vertex outside cuts it.
+    The ring is tested against every remaining halfspace at once; a
+    halfspace with every vertex inside leaves it as it is, and the first
+    one with a vertex outside cuts it.  Residuals sum the products over the
+    coordinates in order, so each is the same whatever halfspaces remain.
     """
     out = np.asarray(subject, dtype=float)
-    e = np.concatenate((clip[1:], clip[:1])) - clip
-    floor = -eps * (1.0 + float(np.abs(clip).max()))
-    edges = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", e, e)) > TAU_PT)
-    while len(edges) and len(out):
-        a, d = clip[edges], e[edges]
-        s = d[:, :1] * (out[:, 1] - a[:, 1:]) - d[:, 1:] * (out[:, 0] - a[:, :1])
-        inside = s >= floor
-        cut = np.flatnonzero(~inside.all(axis=1))
+    while len(eqs) and len(out):
+        r = eqs[:, -1] + sum(out[:, k:k + 1] * eqs[:, k] for k in range(out.shape[1]))
+        inside = r <= floor
+        cut = np.flatnonzero(~inside.all(axis=0))
         if len(cut) == 0:
             break
         i = cut[0]
-        out = _clip_ring(out, s[i], inside[i])
-        edges = edges[i + 1:]
+        out = _clip_ring(out, r[:, i], inside[:, i])
+        eqs = eqs[i + 1:]
     return out
 
 
-def _clip_ring(out, s, inside):
-    """The ring out cut to the vertices with inside set, at signed
-    distances s to the clip line: each edge (k, j) that crosses the line
-    contributes out[k] + t * (out[j] - out[k]), t = s[k] / (s[k] - s[j])."""
+def _clip_ring(out, r, inside):
+    """The ring out cut to the vertices with inside set, at residuals r to
+    the clip line: each edge (k, j) that crosses the line contributes
+    out[k] + t * (out[j] - out[k]), t = r[k] / (r[k] - r[j])."""
     prev = np.arange(-1, len(out) - 1)
     j = np.flatnonzero(inside != inside[prev])
     k = prev[j]
-    t = s[k] / (s[k] - s[j])
+    t = r[k] / (r[k] - r[j])
     # Row 2j is the crossing point on the edge into vertex j, row 2j + 1 the
     # vertex itself.
-    rows = np.empty((2 * len(out), 2))
+    rows = np.empty((2 * len(out), out.shape[1]))
     rows[2 * j] = out[k] + t[:, None] * (out[j] - out[k])
     rows[1::2] = out
     keep = np.zeros(2 * len(out), dtype=bool)
@@ -240,25 +237,23 @@ def _clip_ring(out, s, inside):
 
 
 def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
-    """Intersection of two V-polytopes (A full-dimensional in the plane,
-    halfspace intersection in higher dimensions)."""
+    """Intersection of two V-polytopes.
+
+    For n <= 2, the ring of the body of lower affine dimension (A on a tie)
+    is clipped by the facet halfspaces of the other, which must be
+    full-dimensional; a point is inside a halfspace when its residual is at
+    most that body's rounding_floor.  For n >= 3, the halfspace intersection
+    of two full-dimensional bodies.
+    """
     n = A.dim
-    if n == 1:
-        lo = max(A.vertices.min(), B.vertices.min())
-        hi = min(A.vertices.max(), B.vertices.max())
-        if lo > hi:
-            raise NumericalFailure("empty intersection")
-        return hull([[lo], [hi]])
-    if n == 2:
-        if B.nvertices == 1:
-            return B
-        if B.dim_affine == 2:
-            pts = _clip_polygon(A.vertices, B.vertices)
-        else:
-            pts = _clip_polygon(B.vertices, A.vertices)
+    if n <= 2:
+        S, C = (A, B) if A.dim_affine <= B.dim_affine else (B, A)
+        if C.dim_affine < n:
+            raise NumericalFailure("intersection requires a full-dimensional body for n <= 2")
+        pts = _clip_polygon(S.vertices, C.facets.equations, rounding_floor(C))
         if len(pts) == 0:
             raise NumericalFailure("empty intersection")
-        return ring_hull(pts)
+        return hull(pts)
     if A.dim_affine < n or B.dim_affine < n:
         raise NumericalFailure(
             "halfspace intersection requires full-dimensional bodies in n >= 3"
@@ -426,35 +421,36 @@ def is_connected(fam: Family, tol: float = 1.5, grid: SphereGrid = None) -> bool
     return True
 
 
-def family_distance(F: Family, G: Family, interval_tol: float = 1e-3) -> float:
+def family_distance(F: Family, G: Family) -> float:
     """Sup over a common width grid of the Hausdorff distance between the
-    members of two families sharing the same width interval."""
+    members of two families sharing the same width interval (up to 1e-3 of
+    its length)."""
     if F.dim != G.dim:
         raise DimensionMismatch("families live in different dimensions")
     a1, b1 = F.interval
     a2, b2 = G.interval
-    span = max(b1 - a1, b2 - a2, TAU_PT)
-    if abs(a1 - a2) > interval_tol * span or abs(b1 - b2) > interval_tol * span:
+    slack = 1e-3 * max(b1 - a1, b2 - a2, TAU_PT)
+    if abs(a1 - a2) > slack or abs(b1 - b2) > slack:
         raise InvalidInput("families cover different mean-width intervals")
     ws = sorted(set(F.params) | set(G.params))
     lo, hi = max(a1, a2), min(b1, b2)
     d = 0.0
     for w in ws:
-        if w < lo - interval_tol * span or w > hi + interval_tol * span:
+        if w < lo - slack or w > hi + slack:
             continue
         d = max(d, hausdorff(F.body_at(w), G.body_at(w)))
     return d
 
 
-def bracket_body(fam: Family, K: ConvexBody, tol=TAU_PT):
+def bracket_body(fam: Family, K: ConvexBody):
     """Indices (i1, i2) of the largest member inside K and the smallest
     member containing K; either may be None when no member qualifies."""
     i1 = None
     i2 = None
     for i, Q in enumerate(fam.bodies):
-        if includes(K, Q, _inclusion_tol(K, tol)):
+        if includes(K, Q, _inclusion_tol(K, TAU_PT)):
             i1 = i
     for i in reversed(range(len(fam))):
-        if includes(fam.bodies[i], K, _inclusion_tol(fam.bodies[i], tol)):
+        if includes(fam.bodies[i], K, _inclusion_tol(fam.bodies[i], TAU_PT)):
             i2 = i
     return i1, i2

@@ -5,10 +5,10 @@ Bodies are stored canonically as the extreme points of their convex hull;
 each builds its facet structure (`ConvexBody.facets`) once, on first use.
 In R^n, n >= 3, hull() takes its input in canonical order, so a body built
 from its own extreme points keeps Qhull's facets.  A planar body's
-counterclockwise ring is its only boundary: it is read off a clear ring
-without Qhull (ring_hull), grown one point at a time (ClearRing), and its
-facets are the ring's edges.  Relative depth (rel_depth_many) is read off
-the facets; containment and distances ask it first and project only the
+counterclockwise ring is its only boundary: hull() reads a clear ring
+without Qhull, ClearRing grows one point by point, and its facets are
+the ring's edges.  Relative depth (rel_depth_many) is read off the
+facets; containment and distances ask it first and project only the
 points it leaves open, in closed form for bodies of affine dimension <= 2.
 Apart from a ClearRing, which its owner grows, everything here is a pure
 function over immutable arrays; nothing keeps global state, so concurrent
@@ -296,8 +296,7 @@ class ConvexBody:
 def body_from_dict(d):
     """Load a body from its JSON object form, re-canonicalizing.
 
-    A planar vertex list is read as a counterclockwise ring (ring_hull), so
-    a stored planar body loads without Qhull.
+    A stored planar body is a clear ring, so hull() reads it without Qhull.
     """
     try:
         verts = d["vertices"]
@@ -306,7 +305,7 @@ def body_from_dict(d):
     P = as_points(verts)
     if "dim" in d and int(d["dim"]) != P.shape[1]:
         raise DimensionMismatch("declared dim does not match vertex data")
-    return ring_hull(P)
+    return hull(P)
 
 
 def _canonical_order(V, n):
@@ -323,10 +322,19 @@ def hull(points) -> ConvexBody:
     """Convex hull of a point set as a canonical ConvexBody.
 
     The stored vertex list is exactly the set of extreme points, so
-    hull(hull(P).vertices) == hull(P).
+    hull(hull(P).vertices) == hull(P).  Planar points that clearly form a
+    strictly convex ring (_ring_margin) in the given order, or reversed when
+    the first turn is clockwise, and span the plane by affine_basis are that
+    vertex list up to rotation: they are read off in O(m), with no
+    deduplication (no two are within TAU_PT) and no Qhull run.
     """
-    P = dedup_points(as_points(points))
+    P = as_points(points)
     n = P.shape[1]
+    if n == 2 and len(P) >= 3:
+        R = P[::-1] if _cross(P[1] - P[0], P[2] - P[1]) < 0.0 else P
+        if _ring_margin(R) > 0.0 and len(affine_basis(R)[1]) == 2:
+            return ConvexBody(_canonical_order(R, 2), 2)
+    P = dedup_points(P)
     if n >= 3:
         # In canonical order, a point set that is all extreme points is
         # K.vertices itself, and K keeps Qhull's facets (below).
@@ -441,22 +449,6 @@ class ClearRing:
             V = np.vstack((R[:a + 1], p, R[j:]))
         self.least, self.K = least, ConvexBody(V, 2)
         return self.K
-
-
-def ring_hull(ring, points=None) -> ConvexBody:
-    """hull(points) for planar points whose extreme points are the ring,
-    listed counterclockwise (points defaults to the ring itself).
-
-    When the ring clearly is strictly convex (see _ring_margin) and
-    affine_basis finds rank 2, it is hull()'s vertex list up to rotation, so
-    the same canonical body is read off in O(m) without Qhull; its facets
-    are built on first use, like those of any other body.  Otherwise, and
-    for points in another dimension, this is hull(points).
-    """
-    P = as_points(ring)
-    if P.shape[1] == 2 and _ring_margin(P) > 0.0 and len(affine_basis(P)[1]) == 2:
-        return ConvexBody(_canonical_order(P, 2), 2)
-    return hull(P if points is None else points)
 
 
 def support(K: ConvexBody, x) -> float:
@@ -680,11 +672,14 @@ def mix(A: ConvexBody, B: ConvexBody, lam: float) -> ConvexBody:
 def unit_directions(n, size, seed=0):
     """Deterministic unit-direction sample on S^{n-1}.
 
-    n=1: both signs; n=2: equally spaced angles offset off the axes;
-    n=3: seeded Fibonacci spiral; n>=4: seeded Gaussian normalization.
+    n=1: both signs, whatever size; n=2: equally spaced angles offset off
+    the axes; n=3: seeded Fibonacci spiral; n>=4: seeded Gaussian
+    normalization.  For n >= 2, size must be at least 1.
     """
     if n == 1:
         return np.array([[1.0], [-1.0]])
+    if size < 1:
+        raise InvalidInput(f"a direction grid needs at least one node, got size {size}")
     if n == 2:
         ang = (np.arange(size) + 0.5) * (2.0 * np.pi / size)
         return np.column_stack([np.cos(ang), np.sin(ang)])

@@ -13,7 +13,7 @@ import pytest
 
 from descent_geom import cli
 from descent_geom.cli import main, render_svg
-from descent_geom.descent import disk_family
+from descent_geom.descent import construct_descent, disk_family
 from descent_geom.family import family_from_dict, is_connected
 from descent_geom.geom_core import hull
 
@@ -191,7 +191,49 @@ class TestNegativeCoordinates:
         assert doc["sandwich_ok"] and doc["metric_decreasing"]
 
 
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """Paths of a planar disk family with a descent curve, an R^3 disk
+    family and the unit cube, as JSON files."""
+    d = tmp_path_factory.mktemp("inputs")
+    fam = disk_family(levels=4)
+    docs = {
+        "family": fam.to_dict(),
+        "curve": construct_descent(fam, fam.bodies[-1].vertices[0], 4).to_dict(),
+        "family3": disk_family(levels=3, m=12, n=3).to_dict(),
+        "cube": hull(list(itertools.product((0.0, 1.0), repeat=3))).to_dict(),
+    }
+    for name, doc in docs.items():
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(d / f"{name}.json") for name in docs}
+
+
 class TestErrorsAndDeterminism:
+    @pytest.mark.parametrize("argv", [
+        # a family of fewer than two bodies
+        "gen disks --levels 1",
+        "gen disks --levels 0",
+        "fixtures cantor-disks --level 0",
+        "fixtures cantor-family --level 0",
+        # radii that cannot nest
+        "gen disks --rmin 1 --rmax 0.5 --levels 3 --mesh 8",
+        "gen disks --rmin -1 --rmax 1",
+        # a member index out of range
+        "bounds annulus --curve {curve} --family {family} --k1-index 99",
+        "bounds annulus --curve {curve} --family {family} --k1-index -99",
+        # an empty direction grid
+        "gen random --n 3 --grid-size 0",
+        "gen random --n 4 --grid-size 0",
+        "gen random --n 3 --grid-size -5",
+        "gen random --n 4 --grid-size -5",
+        "family check --family {family3} --grid-size 0",
+        "family check --family {family3} --grid-size -5",
+        "report cone-limit --body {cube} --p0 1,1,1 --u 1,1,1 --grid-size 0",
+    ])
+    def test_out_of_range_options_exit_2(self, argv, input_files, capsys):
+        code, _, err = run_cli(argv.format(**input_files).split(), capsys=capsys)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_input_exit_2(self, capsys, monkeypatch):
         code, _, err = run_cli(
             ["check", "sep", "--curve", "/nonexistent/file.json"], capsys=capsys
@@ -415,6 +457,16 @@ class TestQhullBudget:
                              capsys=capsys)
         assert code == 0
         assert len(fam["bodies"]) == 26 and len(qhull_calls) <= 27
+
+    def test_planar_gen_runs_qhull_once(self, capsys, qhull_calls):
+        # Only the first hull, of a point cloud: the scaled chain bodies and
+        # every interpolant are clear rings, which hull() reads without Qhull.
+        for seed, (npoints, levels) in itertools.product((1, 2, 3), ((10, 3), (16, 5))):
+            qhull_calls.clear()
+            code, _, _ = run_cli(["gen", "random", "--n", "2", "--seed", str(seed),
+                                  "--npoints", str(npoints), "--levels", str(levels)],
+                                 capsys=capsys)
+            assert code == 0 and len(qhull_calls) == 1
 
 
 class TestFamilyCheckTol:

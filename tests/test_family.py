@@ -9,7 +9,14 @@ from descent_geom.errors import (
     NumericalFailure,
     PreconditionViolated,
 )
-from descent_geom.geom_core import hausdorff, hull, includes, unit_directions
+from descent_geom.geom_core import (
+    hausdorff,
+    hull,
+    includes,
+    rel_depth_many,
+    rounding_floor,
+    unit_directions,
+)
 from descent_geom.mean_width import SphereGrid, mean_width, width_distance_bounds
 from descent_geom.family import (
     Family,
@@ -146,32 +153,26 @@ def _parallel_bodies(rng):
     return pairs
 
 
-def _clip_polygon_loop(subject, clip, eps=1e-12):
-    """Sutherland-Hodgman one vertex at a time: the reference for
-    family._clip_polygon."""
+def _clip_polygon_loop(subject, eqs, floor):
+    """Sutherland-Hodgman one halfspace and one vertex at a time: the
+    reference for family._clip_polygon."""
     out = np.asarray(subject, dtype=float)
-    m = len(clip)
-    scale = 1.0 + float(np.abs(clip).max())
-    for i in range(m):
-        a = clip[i]
-        e = clip[(i + 1) % m] - a
-        if np.linalg.norm(e) <= 1e-9:
-            continue
+    for a in eqs:
         if len(out) == 0:
             break
-        s = e[0] * (out[:, 1] - a[1]) - e[1] * (out[:, 0] - a[0])
-        inside = s >= -eps * scale
+        r = a[-1] + sum(out[:, k] * a[k] for k in range(out.shape[1]))
+        inside = r <= floor
         prev = np.roll(np.arange(len(out)), 1)
         crossing = inside != inside[prev]
         pieces = []
         for j in range(len(out)):
             if crossing[j]:
                 k = prev[j]
-                t = s[k] / (s[k] - s[j])
+                t = r[k] / (r[k] - r[j])
                 pieces.append(out[k] + t * (out[j] - out[k]))
             if inside[j]:
                 pieces.append(out[j])
-        out = np.array(pieces) if pieces else np.zeros((0, 2))
+        out = np.array(pieces) if pieces else np.zeros((0, out.shape[1]))
     return out
 
 
@@ -195,16 +196,31 @@ class TestPlanarRings:
         cases = []
         for _ in range(40):
             A, B = random_polytope(rng, 2, 15), random_polytope(rng, 2, 15)
-            cases += [(A.vertices, B.vertices), (B.vertices, A.vertices)]
+            cases += [(A.vertices, B), (B.vertices, A)]
             K = hull(0.5 * A.vertices)
-            cases.append((outer_parallel(K, rng.uniform(0.05, 1.0)).vertices, A.vertices))
-            cases.append((A.vertices[:2], B.vertices))  # a segment as the subject
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        cases.append((square + [0.5, 0.0], square))  # vertices on the clip lines
-        cases.append((square + [3.0, 0.0], square))  # empty
-        cases.append((square, np.vstack([square[:2], square[1:2], square[2:]])))  # repeated clip vertex
-        for subject, clip in cases:
-            assert np.array_equal(family._clip_polygon(subject, clip), _clip_polygon_loop(subject, clip))
+            cases.append((outer_parallel(K, rng.uniform(0.05, 1.0)).vertices, A))
+            cases.append((A.vertices[:2], B))  # a segment as the subject
+            cases.append((A.vertices[:1], B))  # a point as the subject
+            lo, hi = np.sort(rng.standard_normal(2))
+            cases.append((np.array([[lo], [hi]]), hull(rng.standard_normal((2, 1)))))  # in R^1
+        square = hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        cases.append((square.vertices + [0.5, 0.0], square))  # vertices on the clip lines
+        cases.append((square.vertices + [3.0, 0.0], square))  # empty
+        for subject, C in cases:
+            eqs, floor = C.facets.equations, rounding_floor(C)
+            assert np.array_equal(family._clip_polygon(subject, eqs, floor),
+                                  _clip_polygon_loop(subject, eqs, floor))
+
+    def test_clip_reads_the_facet_rounding_floor(self):
+        # A vertex whose facet residual lies within rounding_floor of an edge
+        # counts as inside, one beyond it as outside.
+        C = hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        floor = rounding_floor(C)
+        for depth, kept in ((0.5 * floor, True), (4.0 * floor, False)):
+            S = hull([(0.2, 0.5), (1.0 + depth, 0.4), (1.0 + depth, 0.6)])
+            pts = family._clip_polygon(S.vertices, C.facets.equations, floor)
+            assert np.array_equal(pts, S.vertices) == kept
+            assert np.all(rel_depth_many(C, pts)[0] >= -floor)
 
     def test_completion_runs_no_qhull_per_interpolant(self, rng, monkeypatch, qhull_calls):
         ops = []
@@ -220,6 +236,39 @@ class TestPlanarRings:
         fam = complete(s, h=(s.params[-1] - s.params[0]) / 8)
         assert len(fam) > len(s) and len(ops) > 2 * len(s)
         assert len(qhull_calls) <= len(s)  # at most each chain body's facets
+
+
+class TestIntersectBodies:
+    def test_r1_takes_the_shared_clip(self, call_counter):
+        clips = call_counter("family", "_clip_polygon")
+        K = family._intersect_bodies(hull([[-1.0], [0.5]]), hull([[0.0], [2.0]]))
+        assert len(clips) == 1
+        assert K.dim_affine == 1 and np.allclose(K.vertices, [[0.0], [0.5]], rtol=0.0, atol=1e-15)
+        P = family._intersect_bodies(hull([[0.25]]), hull([[0.0], [2.0]]))
+        assert len(clips) == 2 and np.array_equal(P.vertices, [[0.25]])
+
+    def test_lower_dimensional_subject(self, call_counter):
+        clips = call_counter("family", "_clip_polygon")
+        square = hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        seg = family._intersect_bodies(square, hull([(-1.0, 0.5), (2.0, 0.5)]))
+        assert seg.dim_affine == 1
+        assert np.allclose(seg.vertices, [(0.0, 0.5), (1.0, 0.5)], rtol=0.0, atol=1e-15)
+        point = hull([(0.5, 0.25)])
+        assert np.array_equal(family._intersect_bodies(square, point).vertices, point.vertices)
+        assert len(clips) == 2
+
+    def test_one_point_outside_is_empty(self):
+        square = hull([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        for A, B in ((square, hull([(2.0, 0.5)])), (hull([[3.0]]), hull([[0.0], [1.0]]))):
+            with pytest.raises(NumericalFailure, match="empty"):
+                family._intersect_bodies(A, B)
+            with pytest.raises(NumericalFailure, match="empty"):
+                family._intersect_bodies(B, A)
+
+    def test_needs_a_full_dimensional_body(self):
+        a, b = hull([(0.0, 0.0), (1.0, 1.0)]), hull([(0.0, 1.0), (1.0, 0.0)])
+        with pytest.raises(NumericalFailure, match="full-dimensional"):
+            family._intersect_bodies(a, b)
 
 
 class TestOuterParallel:

@@ -335,9 +335,9 @@ class TestFacets:
                 assert np.array_equal(L.vertices, K.vertices)
                 assert np.array_equal(L.facets.simplices, fresh.simplices)
                 assert np.array_equal(L.facets.equations, fresh.equations)
-            # One per hull() call and none for their facets; a planar body
-            # loads without Qhull and reads its facets off its ring.
-            assert len(qhull_calls) == (1 if K.dim == 2 else 2)
+            # One per hull() call and none for their facets; hull() reads a
+            # planar body's ring without Qhull, and its facets off that ring.
+            assert len(qhull_calls) == (0 if K.dim == 2 else 2)
             M = hull(np.vstack([K.vertices, K.centroid()]))  # an interior input point
             assert "facets" not in vars(M)
 
@@ -577,8 +577,8 @@ def test_only_geom_core_references_convexhull():
 
 
 def _ring_corpus(rng):
-    """(label, planar point list) pairs for ring_hull, keyed by the kind of
-    input; see TestRingHull."""
+    """(label, planar point list) pairs for hull()'s ring reading, keyed by
+    the kind of input; see TestRingHull."""
     cases = []
     for _ in range(120):
         V = random_polytope(rng, 2, int(rng.integers(3, 60)), scale=10.0 ** rng.uniform(-3, 3)).vertices
@@ -621,29 +621,32 @@ def _ring_corpus(rng):
     return cases
 
 
+def _qhull_ring(P):
+    """Qhull's extreme points of the deduplicated planar points P,
+    counterclockwise from the lexicographically smallest one."""
+    P = dedup_points(P)
+    V = P[ConvexHull(P).vertices]
+    return np.roll(V, -int(np.lexsort((V[:, 1], V[:, 0]))[0]), axis=0)
+
+
 class TestRingHull:
     def test_equals_hull_or_declines(self, rng, qhull_calls):
         read = {}
         for label, P in _ring_corpus(rng):
             qhull_calls.clear()
-            K = geom_core.ring_hull(P)
-            fast = geom_core._ring_margin(P) > 0.0 and len(geom_core.affine_basis(P)[1]) == 2
-            assert not (fast and qhull_calls)
-            H = hull(P)
-            assert np.array_equal(K.vertices, H.vertices), label
-            assert K.dim_affine == H.dim_affine, label
-            read.setdefault(label, []).append(fast)
-        assert all(read["random"])
-        assert not any(read["spike"] + read["pentagram"] + read["clockwise"])
+            K = hull(P)
+            clear = any(geom_core._ring_margin(Q) > 0.0 and len(geom_core.affine_basis(Q)[1]) == 2
+                        for Q in (P, P[::-1]))
+            if K.dim_affine == 2:
+                assert len(qhull_calls) == (0 if clear else 1), label
+                assert np.array_equal(K.vertices, _qhull_ring(P)), label
+            else:
+                assert not clear and not qhull_calls, label
+            read.setdefault(label, []).append(clear)
+        assert all(read["random"] + read["clockwise"])
+        assert not any(read["spike"] + read["pentagram"])
         for label in ("near-duplicate", "near-collinear", "sliver", "far"):
             assert 0 < sum(read[label]) < len(read[label]), label
-
-    def test_points_are_the_fallback(self):
-        # A declined ring (a repeated vertex) falls back to hull() of the
-        # points it came from, here a square rather than the ring's triangle.
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
-        K = geom_core.ring_hull(pts[[0, 1, 2, 2]], pts)
-        assert np.array_equal(K.vertices, hull(pts).vertices)
 
     def test_stored_planar_body_loads_without_qhull(self, rng, qhull_calls):
         bodies = [random_polytope(rng, 2, 30) for _ in range(5)] + [disk_polygon(2.0)]
@@ -687,7 +690,7 @@ def _planar_builds(rng):
     for scale, off in ((1.0, 0.0), (1e-3, 0.0), (1e3, 0.0), (1.0, 1e6)):
         P = scale * rng.standard_normal((30, 2)) + off * rng.standard_normal(2)
         K = hull(P)
-        out += [("hull", K), ("ring_hull", geom_core.ring_hull(np.roll(K.vertices, 3, axis=0))),
+        out += [("hull", K), ("rotated ring", hull(np.roll(K.vertices, 3, axis=0))),
                 ("body_from_dict", body_from_dict(K.to_dict()))]
         ring = geom_core.ClearRing(hull(P[:3]))
         for p in P[3:]:
@@ -706,7 +709,7 @@ class TestRingFacets:
     def test_every_planar_build_is_a_ccw_ring_with_qhulls_facets(self, rng):
         built = _planar_builds(rng)
         assert {label for label, _ in built} == {
-            "hull", "ring_hull", "body_from_dict", "ClearRing", "clip", "minkowski ring",
+            "hull", "rotated ring", "body_from_dict", "ClearRing", "clip", "minkowski ring",
             "translate"}
         for label, K in built:
             assert K.dim_affine == 2
