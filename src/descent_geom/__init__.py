@@ -77,7 +77,6 @@ from .descent import (
     annulus_length_check,
     construct_descent,
     curve_uniform_distance,
-    fixtures,
     is_expanding_couple,
     is_viable_sdc,
     joint_parametrization,

@@ -52,7 +52,7 @@ from .descent import (
 )
 
 
-def _emit(obj, stream=None):
+def _emit(obj):
     def default(o):
         if isinstance(o, np.ndarray):
             return o.tolist()
@@ -62,7 +62,7 @@ def _emit(obj, stream=None):
             return bool(o)
         raise TypeError(f"not serializable: {type(o)}")
 
-    (stream or sys.stdout).write(json.dumps(obj, sort_keys=True, default=default) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, default=default) + "\n")
 
 
 def _load_json(path):
@@ -138,7 +138,7 @@ def _svg_path(points, closed=False):
     return d + (" Z" if closed else "")
 
 
-def render_svg(path, bodies=(), curves=(), size=640):
+def render_svg(path, bodies=(), curves=()):
     """Write a simple SVG of 2-D bodies and curves (3-D inputs are drawn
     as xy-projected wireframes)."""
     pts = []
@@ -153,6 +153,7 @@ def render_svg(path, bodies=(), curves=(), size=640):
     hi = allp.max(axis=0)
     span = max((hi - lo).max(), 1e-9)
     pad = 0.05 * span
+    size = 640
 
     def tx(P):
         Q = (P[:, :2] - lo + pad) / (span + 2 * pad) * size
@@ -419,7 +420,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None, help="RNG seed (env DESCENT_GEOM_SEED overrides)")
     p.add_argument("--grid-size", type=int, default=20000,
                    help="sphere-grid nodes for mean widths in R^4 and up, sector integrals "
-                        "and report cone-limit")
+                        "and report cone-limit (which uses at most 10000)")
     p.add_argument("--tol", type=float, default=1e-9)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)

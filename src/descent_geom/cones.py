@@ -64,11 +64,9 @@ class PolyCone:
     dim: int
     generators: np.ndarray
     rows: np.ndarray
-    apex: np.ndarray = None
+    apex: np.ndarray
 
     def __post_init__(self):
-        if self.apex is None:
-            self.apex = np.zeros(self.dim)
         self.generators = np.asarray(self.generators, dtype=float).reshape(-1, self.dim)
         self.rows = np.asarray(self.rows, dtype=float).reshape(-1, self.dim)
 
@@ -163,9 +161,9 @@ def _nnls(A, b):
     return x, math.sqrt(r @ r)
 
 
-def _reduce_generators(G, tol=1e-10):
+def _reduce_generators(G):
     """Drop generators lying in the cone of the others (Farkas-redundant):
-    those at _nnls residual at most tol."""
+    those at _nnls residual at most 1e-10."""
     m = len(G)
     keep = np.ones(m, dtype=bool)
     for i in range(m):
@@ -173,7 +171,7 @@ def _reduce_generators(G, tol=1e-10):
         if len(others) == 0:
             continue
         _, res = _nnls(others.T, G[i])
-        if res <= tol:
+        if res <= 1e-10:
             keep[i] = False
     return G[keep]
 
@@ -222,14 +220,14 @@ def tangent_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:
     return PolyCone(K.dim, D, np.vstack([-A, W, -W]), q)
 
 
-def normal_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:
+def normal_cone(K: ConvexBody, q) -> PolyCone:
     """Normal cone of K at q: outward directions x with <x, y - q> <= 0 on K.
 
     Spanned by the outer normals of the facets through q and, for a
     lower-dimensional K, the complement of its affine hull; the zero cone
     at interior points of a full-dimensional body.
     """
-    q, A, W, D = _body_at(K, q, tol)
+    q, A, W, D = _body_at(K, q, TAU_PT)
     return PolyCone(K.dim, np.vstack([A, W, -W]), -D, q)
 
 
@@ -253,19 +251,19 @@ def cap_body(K: ConvexBody, p) -> ConvexBody:
     return hull(np.vstack([K.vertices, p[None, :]]))
 
 
-def cap_support(K: ConvexBody, p, x, tol=1e-9) -> float:
+def cap_support(K: ConvexBody, p, x) -> float:
     """Two-branch support formula of the cap body K^p.
 
     Returns <x, p> when x lies in the normal cone of K^p at p, and the
     support of K otherwise; agrees with support(cap_body(K, p), x).
     """
     x = as_point(x, K.dim)
-    return float(cap_support_batch(K, p, x[None], tol)[0])
+    return float(cap_support_batch(K, p, x[None])[0])
 
 
-def cap_support_batch(K: ConvexBody, p, dirs, tol=1e-9):
+def cap_support_batch(K: ConvexBody, p, dirs):
     """Vectorized cap_support over rows of dirs: d is in the normal cone of
-    K^p at p iff <d, v - p> <= tol * (1 + |d|) * (1 + diam K) for every
+    K^p at p iff <d, v - p> <= 1e-9 * (1 + |d|) * (1 + diam K) for every
     vertex v of K^p other than p."""
     p = as_point(p, K.dim)
     dirs = np.asarray(dirs, dtype=float)
@@ -275,7 +273,7 @@ def cap_support_batch(K: ConvexBody, p, dirs, tol=1e-9):
     if rel.shape[0] == 0:
         return hK
     scale = (1.0 + np.linalg.norm(dirs, axis=1)) * (1.0 + K.diameter())
-    in_np = support_many(dirs, rel) <= tol * scale
+    in_np = support_many(dirs, rel) <= 1e-9 * scale
     return np.where(in_np, dirs @ p, hK)
 
 
@@ -368,7 +366,6 @@ def normal_cone_limit_report(
     eps_list,
     grid_size=10000,
     seed=0,
-    tol=1e-7,
 ):
     """Numeric study of the cap-body normal cones N_{K^{p_eps}}(p_eps).
 
@@ -383,7 +380,7 @@ def normal_cone_limit_report(
     if nu == 0.0:
         raise InvalidInput("u must be nonzero")
     u = u / nu
-    if not contains(K, p0, max(TAU_PT, tol)):
+    if not contains(K, p0, 1e-7):
         raise PreconditionViolated("p0 must lie in K")
     T0 = tangent_cone(K, p0)
     if T0.contains(u, tol=1e-8):

@@ -381,8 +381,7 @@ def stability_check(ec1: ExpandingCouple, ec2: ExpandingCouple, tol: float = 1e-
     }
 
 
-def annulus_length_check(ec: ExpandingCouple, K1_index: int, tol: float = 1e-9,
-                         grid: SphereGrid = None):
+def annulus_length_check(ec: ExpandingCouple, K1_index: int, grid: SphereGrid = None):
     """Length of the curve outside an inner member against the two
     annulus bounds: 2*c1_n*dist(K1, K2) and the diameter-dependent
     width-gap bound c * (w(K2) - w(K1))^{1/n}, widths on grid.  K1_index
@@ -402,7 +401,7 @@ def annulus_length_check(ec: ExpandingCouple, K1_index: int, tol: float = 1e-9,
     else:
         c_diam = 2.0 * c1
     bound_ii = c_diam * max(delta_w, 0.0) ** (1.0 / n)
-    slack = tol * (1.0 + K2.diameter())
+    slack = 1e-9 * (1.0 + K2.diameter())
     return {
         "len_outside": len_outside,
         "dist12": dist12,
@@ -467,12 +466,12 @@ def cantor_family(level: int = 6) -> Family:
     )
 
 
-def disk_polygon(r: float, center=(0.0, 0.0), m: int = 64) -> ConvexBody:
+def disk_polygon(r: float, m: int = 64) -> ConvexBody:
     ang = (np.arange(m) + 0.5) * 2.0 * math.pi / m
-    return hull(np.asarray(center) + r * np.column_stack([np.cos(ang), np.sin(ang)]))
+    return hull(r * np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
-def cantor_disks(level: int = 8, m: int = 64):
+def cantor_disks(level: int = 8):
     """Concentric circles of radius (g(t) + t)/2 at the Cantor breakpoints,
     with the radial curve toward a fixed boundary point: a viable
     steepest-descent curve whose t-parametrization is not absolutely
@@ -480,7 +479,7 @@ def cantor_disks(level: int = 8, m: int = 64):
     pts = cantor_points(level)
     radii = (pts[:, 0] + pts[:, 1]) / 2.0
     radii = radii[radii > 0.0]
-    fam = _width_family(disk_polygon(r, m=m) for r in radii)
+    fam = _width_family(disk_polygon(r) for r in radii)
     bodies = fam.bodies
     # all polygons share vertex angles, so each r * xbar is a vertex of its body
     xbar = bodies[-1].vertices[0] / np.linalg.norm(bodies[-1].vertices[0])
@@ -496,22 +495,21 @@ def log_spiral(b: float = 0.28, turns: float = 3.0, m: int = 1500) -> Polyline:
     return Polyline.make(np.column_stack([r * np.cos(phi), r * np.sin(phi)]))
 
 
-def example61_family(n_psi: int = 24, n_phi: int = 9, d_steps: int = 5,
-                     e_steps: int = 5, t_min: float = 0.2,
-                     grid: SphereGrid = None) -> Family:
+def example61_family(grid: SphereGrid = None) -> Family:
     """Revolved-pancake family in R^3: flat disks D_t (radius t, plane
     x3 = 0) followed by solids of revolution E_t with rim radius t and
     thickness 2(t - 1); the connected family admitting no viable steepest
     descent curve from generic top endpoints.  Params are mean widths on
     grid."""
+    n_psi = 24
     psi = (np.arange(n_psi) + 0.5) * 2.0 * math.pi / n_psi
     ring = np.column_stack([np.cos(psi), np.sin(psi)])
     bodies = []
-    for t in np.linspace(t_min, 1.0, d_steps):
+    for t in np.linspace(0.2, 1.0, 5):
         pts = np.column_stack([t * ring, np.zeros(n_psi)])
         bodies.append(hull(pts))
-    phi = np.linspace(-math.pi / 2.0, math.pi / 2.0, n_phi)
-    for t in np.linspace(1.0, 2.0, e_steps + 1)[1:]:
+    phi = np.linspace(-math.pi / 2.0, math.pi / 2.0, 9)
+    for t in np.linspace(1.0, 2.0, 6)[1:]:
         r = 1.0 + (t - 1.0) * np.cos(phi)
         z = (t - 1.0) * np.sin(phi)
         pts = np.concatenate(
@@ -521,12 +519,13 @@ def example61_family(n_psi: int = 24, n_phi: int = 9, d_steps: int = 5,
     return _width_family(bodies, grid)
 
 
-def example61_curve(fam: Family, radial: float = 0.55, angle: float = 0.0) -> Polyline:
+def example61_curve(fam: Family, radial: float = 0.55) -> Polyline:
     """The canonical stalling path for the revolved-pancake family: radial
-    segment to radius r, stall, then vertical ascent to the top face."""
+    segment along the x1-axis to radius r, stall, then vertical ascent to
+    the top face."""
     top = fam.bodies[-1]
     zmax = float(top.vertices[:, 2].max())
-    xy = radial * np.array([math.cos(angle), math.sin(angle)])
+    xy = radial * np.array([1.0, 0.0])
     return Polyline.make(
         [
             [0.0, 0.0, 0.0],
@@ -536,29 +535,38 @@ def example61_curve(fam: Family, radial: float = 0.55, angle: float = 0.0) -> Po
     )
 
 
-def rotated_squares(levels: int = 4, step_angle: float = math.radians(15.0),
-                    growth: float = 1.3) -> Stratification:
-    """Nested squares, each rotated and scaled from the previous one.
+def rotated_squares(levels: int = 4) -> Stratification:
+    """Nested squares, each rotated by 15 degrees and scaled by 1.3 from
+    the previous one.
 
-    Nesting needs growth >= sqrt(2) * cos(pi/4 - step_angle); 1.3 leaves a
-    margin at the default 15 degree step.
+    Nesting needs a scale of at least sqrt(2) * cos(pi/4 - 15 degrees),
+    about 1.22; 1.3 leaves a margin.
     """
     bodies = []
     base = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) * 0.5
     for j in range(levels):
-        a = j * step_angle
+        a = j * math.radians(15.0)
         R = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-        bodies.append(hull((growth**j) * base @ R.T))
+        bodies.append(hull((1.3**j) * base @ R.T))
     return validate_stratification(bodies)
 
 
 def disk_family(r_min=0.5, r_max=1.0, levels=10, m=64, n=2, seed=0,
                 grid: SphereGrid = None) -> Family:
-    """Concentric balls (polygon / mesh approximations) of radii from
-    r_min >= 0 (a point when 0) to r_max > r_min; params are mean widths on
-    grid."""
+    """Family of levels concentric balls (polygon / mesh approximations) of
+    radii from r_min >= 0 (a point when 0) to r_max > r_min; params are
+    mean widths on grid.
+
+    In the plane a ball is the regular m-gon, m >= 2 (m = 2 gives nested
+    segments).  For n >= 3 it is the hull of max(m, 32) seeded directions:
+    a mesh below 32 is raised to 32.
+    """
     if r_min < 0 or r_max <= r_min:
         raise InvalidInput(f"radii must satisfy 0 <= r_min < r_max, got {r_min} and {r_max}")
+    if levels < 0:
+        raise InvalidInput(f"levels must be nonnegative, got {levels}")
+    if n == 2 and m < 2:
+        raise InvalidInput(f"a planar mesh needs at least 2 directions, got {m}")
     radii = np.linspace(r_min, r_max, levels)
     if n == 2:
         return _width_family((disk_polygon(r, m=m) for r in radii), grid)
@@ -566,24 +574,11 @@ def disk_family(r_min=0.5, r_max=1.0, levels=10, m=64, n=2, seed=0,
     return _width_family((hull(r * dirs) for r in radii), grid)
 
 
-def scaled_family(K: ConvexBody, s_min=0.4, s_max=1.0, levels=12, center=None) -> Family:
-    """Family of scaled copies of one body; widths scale linearly, so the
-    grid is exact without any interpolation."""
-    c = K.centroid() if center is None else as_point(center, K.dim)
-    scales = np.linspace(s_min, s_max, levels)
+def scaled_family(K: ConvexBody, s_min=0.4, levels=12) -> Family:
+    """Family of copies of one body scaled about its centroid up to K
+    itself; widths scale linearly, so the grid is exact without any
+    interpolation."""
+    c = K.centroid()
+    scales = np.linspace(s_min, 1.0, levels)
     return _width_family(ConvexBody(c + s * (K.vertices - c), K.dim_affine) for s in scales)
 
-
-def fixtures():
-    """Named deterministic fixture builders."""
-    return {
-        "cantor_graph": cantor_graph,
-        "cantor_family": cantor_family,
-        "cantor_disks": cantor_disks,
-        "example61_family": example61_family,
-        "example61_curve": example61_curve,
-        "log_spiral": log_spiral,
-        "rotated_squares": rotated_squares,
-        "disk_family": disk_family,
-        "scaled_family": scaled_family,
-    }

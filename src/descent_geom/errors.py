@@ -24,10 +24,10 @@ class NumericalFailure(DescentGeomError):
 class NotAChain(InvalidInput):
     """Two bodies in a candidate stratification are not nested either way."""
 
-    def __init__(self, i, j, msg=None):
+    def __init__(self, i, j):
         self.i = i
         self.j = j
-        super().__init__(msg or f"bodies {i} and {j} are not comparable by inclusion")
+        super().__init__(f"bodies {i} and {j} are not comparable by inclusion")
 
 
 class Degenerate(InvalidInput):

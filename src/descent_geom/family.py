@@ -11,7 +11,6 @@ Sutherland-Hodgman clip by the facet halfspaces of the larger body, with
 the rounding floor its facet depths are read at.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ class Stratification:
     """Bodies strictly ordered by inclusion, smallest first."""
 
     bodies: tuple
-    params: tuple = None
+    params: tuple
 
     @property
     def dim(self):
@@ -52,17 +51,14 @@ class Stratification:
         return len(self.bodies)
 
     def to_dict(self):
-        d = {"bodies": [K.to_dict() for K in self.bodies]}
-        if self.params is not None:
-            d["params"] = list(self.params)
-        return d
+        return {"bodies": [K.to_dict() for K in self.bodies], "params": list(self.params)}
 
 
 @dataclass(frozen=True)
 class Family(Stratification):
     """Stratification whose params are mean widths on a grid of step <= h."""
 
-    h: float = 0.0
+    h: float
 
     @property
     def interval(self):
@@ -107,11 +103,11 @@ def family_from_dict(d, grid: SphereGrid = None) -> Family:
         raise InvalidInput("family JSON 'params' and 'h' must be numbers")
 
 
-def _inclusion_tol(K: ConvexBody, tol):
-    return max(tol, 1e-9 * (1.0 + K.diameter()))
+def _inclusion_tol(K: ConvexBody):
+    return 1e-9 * (1.0 + K.diameter())
 
 
-def validate_stratification(bodies, tol=TAU_PT, grid: SphereGrid = None) -> Stratification:
+def validate_stratification(bodies, grid: SphereGrid = None) -> Stratification:
     """Sort bodies into an inclusion chain and verify strict nesting.
 
     Raises NotAChain(i, j) (original indices) on an incomparable pair and
@@ -126,13 +122,13 @@ def validate_stratification(bodies, tol=TAU_PT, grid: SphereGrid = None) -> Stra
     order = sorted(range(len(bodies)), key=lambda i: ws[i])
     kept_idx = []
     for i in order:
-        if kept_idx and hausdorff(bodies[kept_idx[-1]], bodies[i]) <= tol:
+        if kept_idx and hausdorff(bodies[kept_idx[-1]], bodies[i]) <= TAU_PT:
             continue  # duplicate body at tolerance
         kept_idx.append(i)
     if len(kept_idx) < 2:
         raise Degenerate("minimum and maximum coincide")
     for a, b in zip(kept_idx, kept_idx[1:]):
-        if not includes(bodies[b], bodies[a], _inclusion_tol(bodies[b], tol)):
+        if not includes(bodies[b], bodies[a], _inclusion_tol(bodies[b])):
             raise NotAChain(a, b)
     chain = tuple(bodies[i] for i in kept_idx)
     params = tuple(ws[i] for i in kept_idx)
@@ -142,11 +138,11 @@ def validate_stratification(bodies, tol=TAU_PT, grid: SphereGrid = None) -> Stra
 # -- outer parallel bodies and interpolation ----------------------------------
 
 
-def outer_parallel(K: ConvexBody, r: float, arc_points: int = 32) -> ConvexBody:
+def outer_parallel(K: ConvexBody, r: float) -> ConvexBody:
     """V-polytope approximation of K + r*B: the hull of the sums of K's
     vertices and the vertices of a polytope inscribed in r*B.
 
-    In the plane that polytope is the regular arc_points-gon, so the body is
+    In the plane that polytope is the regular 32-gon, so the body is
     inscribed in the true parallel body.  As the sum of two convex polygons
     its vertices are selected in O(m) as a merge of their edge sequences,
     a ring that hull() reads without Qhull when it is clear; for parallel
@@ -158,11 +154,11 @@ def outer_parallel(K: ConvexBody, r: float, arc_points: int = 32) -> ConvexBody:
         return K
     n = K.dim
     if n == 2:
-        mesh = r * unit_directions(2, arc_points)
+        mesh = r * unit_directions(2, 32)
     else:
-        mesh = r * unit_directions(n, max(arc_points, 2 * n), seed=1)
+        mesh = r * unit_directions(n, max(32, 2 * n), seed=1)
     pts = (K.vertices[:, None, :] + mesh[None, :, :]).reshape(-1, n)
-    ring = _minkowski_ring(K.vertices, arc_points) if n == 2 else None
+    ring = _minkowski_ring(K.vertices, 32) if n == 2 else None
     return hull(pts[ring] if ring is not None else pts)
 
 
@@ -285,7 +281,7 @@ def interpolate(K1: ConvexBody, K2: ConvexBody, f: float) -> ConvexBody:
     """
     if K1.dim != K2.dim:
         raise DimensionMismatch("bodies live in different dimensions")
-    if not includes(K2, K1, _inclusion_tol(K2, TAU_PT)):
+    if not includes(K2, K1, _inclusion_tol(K2)):
         raise PreconditionViolated("K1 must be included in K2")
     if not -1e-12 <= f <= 1.0 + 1e-12:
         raise InvalidInput("fraction must lie in [0, 1]")
@@ -303,6 +299,8 @@ def interpolate(K1: ConvexBody, K2: ConvexBody, f: float) -> ConvexBody:
 
 # Regula falsi steps _solve_gap takes per target width before it gives up.
 _SOLVE_MAX_STEPS = 200
+# Members complete() builds at most.
+_MAX_MEMBERS = 100_000
 
 
 def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
@@ -364,9 +362,19 @@ def complete(strat: Stratification, h: float, grid: SphereGrid = None) -> Family
     is subdivided, and the interpolation fraction of each new member is
     solved by warm-bracketed Illinois regula falsi so it hits the width grid.
     """
-    if h <= 0:
+    if not h > 0:
         raise InvalidInput("resolution h must be positive")
     ws = [mean_width(K, grid) for K in strat.bodies]
+    # A gap wider than h is cut into ceil(gap / 0.9h) pieces.  They are
+    # counted in floats (a tiny h counts inf) before any member is built.
+    pieces = [np.ceil((w2 - w1) / (0.9 * h)) if w2 - w1 > h else 1.0
+              for w1, w2 in zip(ws, ws[1:])]
+    members = 1.0 + sum(pieces)
+    if members > _MAX_MEMBERS:
+        raise InvalidInput(
+            f"resolution h = {h:.6g} would make {members:.6g} members "
+            f"(at most {_MAX_MEMBERS})"
+        )
     bodies = []
     params = []
     for idx in range(len(ws) - 1):
@@ -374,11 +382,10 @@ def complete(strat: Stratification, h: float, grid: SphereGrid = None) -> Family
         w1, w2 = ws[idx], ws[idx + 1]
         bodies.append(K1)
         params.append(w1)
-        gap = w2 - w1
-        if gap <= h:
+        if pieces[idx] == 1.0:
             continue
-        pieces = int(math.ceil(gap / (0.9 * h)))
-        targets = [w1 + gap * j / pieces for j in range(1, pieces)]
+        gap, k = w2 - w1, int(pieces[idx])
+        targets = [w1 + gap * j / k for j in range(1, k)]
         for B, w in _solve_gap(K1, K2, idx, w1, w2, targets, grid):
             bodies.append(B)
             params.append(w)
@@ -392,12 +399,12 @@ def complete(strat: Stratification, h: float, grid: SphereGrid = None) -> Family
     return Family(tuple(bodies), tuple(params), h)
 
 
-def is_connected(fam: Family, tol: float = 1.5, grid: SphereGrid = None) -> bool:
+def is_connected(fam: Family, grid: SphereGrid = None) -> bool:
     """Resolution-relative connectedness surrogate.
 
     Checks that params are honest mean widths, steps do not exceed h, and
     each consecutive Hausdorff jump obeys the width-gap lower bound
-    (c0_n / diam^{n-1}) * dist^n <= tol * delta_param.  A flat-zone jump
+    (c0_n / diam^{n-1}) * dist^n <= 1.5 * delta_param.  A flat-zone jump
     (large Hausdorff distance at a small parameter gap) fails.
     """
     n = fam.dim
@@ -416,7 +423,7 @@ def is_connected(fam: Family, tol: float = 1.5, grid: SphereGrid = None) -> bool
             return False
         dist = hausdorff(fam.bodies[i], fam.bodies[i + 1])
         lhs = c0 / max(diam, TAU_PT) ** (n - 1) * dist**n
-        if lhs > tol * dp + fid * scale:
+        if lhs > 1.5 * dp + fid * scale:
             return False
     return True
 
@@ -441,16 +448,3 @@ def family_distance(F: Family, G: Family) -> float:
         d = max(d, hausdorff(F.body_at(w), G.body_at(w)))
     return d
 
-
-def bracket_body(fam: Family, K: ConvexBody):
-    """Indices (i1, i2) of the largest member inside K and the smallest
-    member containing K; either may be None when no member qualifies."""
-    i1 = None
-    i2 = None
-    for i, Q in enumerate(fam.bodies):
-        if includes(K, Q, _inclusion_tol(K, TAU_PT)):
-            i1 = i
-    for i in reversed(range(len(fam))):
-        if includes(fam.bodies[i], K, _inclusion_tol(fam.bodies[i], TAU_PT)):
-            i2 = i
-    return i1, i2

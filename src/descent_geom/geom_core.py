@@ -21,7 +21,7 @@ values load no scipy.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -98,22 +98,22 @@ def distances(X, Y):
     return np.sqrt(_sq_dists(X[:, None, :], Y[None, :, :]))
 
 
-def dedup_points(P, tol=TAU_PT):
-    """Drop points within tol of an already-kept point (first occurrence wins):
-    the pairs within tol are taken in (lo, hi) order, and hi is dropped
-    unless lo already is.
+def dedup_points(P):
+    """Drop points within TAU_PT of an already-kept point (first occurrence
+    wins): the pairs within TAU_PT are taken in (lo, hi) order, and hi is
+    dropped unless lo already is.
 
-    Two points within tol are within tol along any unit direction, so only
-    the pairs in a window of width tol along a sweep direction are measured.
-    Points crowded in that window (on a hyperplane orthogonal to it) are
-    swept along the next direction, and the pairs are measured in blocks,
-    so memory stays bounded.
+    Two points within TAU_PT are within TAU_PT along any unit direction, so
+    only the pairs in a window of width TAU_PT along a sweep direction are
+    measured.  Points crowded in that window (on a hyperplane orthogonal to
+    it) are swept along the next direction, and the pairs are measured in
+    blocks, so memory stays bounded.
     """
     m, n = P.shape
     if m < 2:
         return P
     # widened by a bound on the rounding of the projections
-    w = tol + 4.0 * n * n * _EPS * float(np.abs(P).max())
+    w = TAU_PT + 4.0 * n * n * _EPS * float(np.abs(P).max())
     sweeps = []
     for d in _SWEEP[n - 1]:
         t = P @ d
@@ -136,7 +136,7 @@ def dedup_points(P, tol=TAU_PT):
         a = np.repeat(np.arange(start, stop), c)
         b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(c) - c, c)
         i, j = order[a], order[b]
-        close = _sq_dists(P[i], P[j]) <= tol * tol
+        close = _sq_dists(P[i], P[j]) <= TAU_PT * TAU_PT
         lo.append(np.minimum(i, j)[close])
         hi.append(np.maximum(i, j)[close])
         start = stop
@@ -250,7 +250,7 @@ class ConvexBody:
     """
 
     vertices: np.ndarray
-    dim_affine: int = field(default=-1)
+    dim_affine: int
 
     @property
     def dim(self):
@@ -282,8 +282,8 @@ class ConvexBody:
     def translate(self, t):
         return ConvexBody(self.vertices + as_point(t, self.dim), self.dim_affine)
 
-    def scale(self, s, center=None):
-        c = self.centroid() if center is None else as_point(center, self.dim)
+    def scale(self, s):
+        c = self.centroid()
         return hull(c + s * (self.vertices - c))
 
     def to_dict(self):
@@ -549,7 +549,7 @@ def project(K: ConvexBody, p):
     or NumericalFailure is raised rather than returning.
     """
     p = as_point(p, K.dim)
-    k = K.dim_affine if K.dim_affine >= 0 else len(K.facets.basis)
+    k = K.dim_affine
     if k <= 2:
         c, B, eqs, S = K.facets
         if np.all(p @ eqs[:, :-1].T + eqs[:, -1] <= 0.0):
@@ -659,14 +659,6 @@ def hausdorff(A: ConvexBody, B: ConvexBody) -> float:
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")
     return float(max(_directed_hausdorff(A, B), _directed_hausdorff(B, A)))
-
-
-def mix(A: ConvexBody, B: ConvexBody, lam: float) -> ConvexBody:
-    """Minkowski combination lam*A + (1-lam)*B as a hull of pairwise sums."""
-    if A.dim != B.dim:
-        raise DimensionMismatch("bodies live in different dimensions")
-    sums = lam * A.vertices[:, None, :] + (1.0 - lam) * B.vertices[None, :, :]
-    return hull(sums.reshape(-1, A.dim))
 
 
 def unit_directions(n, size, seed=0):

@@ -46,7 +46,7 @@ class SphereGrid:
     dim: int
     directions: np.ndarray
     weights: np.ndarray
-    seed: int = 0
+    seed: int
 
     @classmethod
     def make(cls, n, size=_DEFAULT_GRID_SIZE, seed=0):
@@ -165,7 +165,7 @@ def mean_width_intrinsic(K: ConvexBody, grid: SphereGrid = None) -> float:
 # -- sector integrals over normal cones --------------------------------------
 
 
-def _cone_arcs_2d(gens, tol=1e-12):
+def _cone_arcs_2d(gens):
     """Angular arcs [(start, width)] of a 2-D cone given by unit generators.
 
     Returns the string "full" for the whole plane; rays and lines come out
@@ -185,7 +185,7 @@ def _cone_arcs_2d(gens, tol=1e-12):
         return "full"
     width = 2.0 * math.pi - maxgap
     start = float(ang[(imax + 1) % m])
-    if width <= tol:
+    if width <= 1e-12:
         return [(start, 0.0)]
     if abs(width - math.pi) <= 1e-9:
         # all generators antipodal in pairs -> a line, not a halfplane
@@ -207,9 +207,9 @@ def _intersect_arc(start, width, lo, hi):
     return out
 
 
-def normal_sector_flux(K, q, u, grid=None, restrict=True, tol=1e-9):
-    """Integral of <theta, u> over the sector of N_K(q) on the sphere,
-    optionally restricted to the halfspace {u}* = {<theta, u> >= 0}.
+def normal_sector_flux(K, q, u, grid=None):
+    """Integral of <theta, u> over the sector of N_K(q) on the sphere
+    restricted to the halfspace {u}* = {<theta, u> >= 0}.
 
     Exact angular integration in the plane; grid-filtered quadrature in
     higher dimensions.
@@ -227,25 +227,17 @@ def normal_sector_flux(K, q, u, grid=None, restrict=True, tol=1e-9):
         for start, width in arcs:
             if width <= 0.0:
                 continue
-            if restrict:
-                pieces = _intersect_arc(
-                    start, width, phi_u - math.pi / 2.0, phi_u + math.pi / 2.0
-                )
-            else:
-                pieces = [(start, start + width)]
-            for a, b in pieces:
+            for a, b in _intersect_arc(start, width, phi_u - math.pi / 2.0, phi_u + math.pi / 2.0):
                 total += nu * (math.sin(b - phi_u) - math.sin(a - phi_u))
         return total
     if grid is None:
         grid = default_grid(K.dim)
-    mask = normal_cone_mask(K, q, grid.directions, tol=tol)
     proj = grid.directions @ u
-    if restrict:
-        mask = mask & (proj >= 0.0)
+    mask = normal_cone_mask(K, q, grid.directions, tol=1e-9) & (proj >= 0.0)
     return float(np.sum(grid.weights[mask] * proj[mask]))
 
 
-def normal_sector_vector_flux(K, q, grid=None, tol=1e-9):
+def normal_sector_vector_flux(K, q, grid=None):
     """Vector integral of theta over the sector of N_K(q)."""
     q = as_point(q, K.dim)
     if K.dim == 2:
@@ -262,7 +254,7 @@ def normal_sector_vector_flux(K, q, grid=None, tol=1e-9):
         return v
     if grid is None:
         grid = default_grid(K.dim)
-    mask = normal_cone_mask(K, q, grid.directions, tol=tol)
+    mask = normal_cone_mask(K, q, grid.directions, tol=1e-9)
     return grid.weights[mask] @ grid.directions[mask]
 
 
@@ -298,7 +290,7 @@ def first_variation(K: ConvexBody, p0, u, eps, grid: SphereGrid = None):
     w0 = mean_width(K, grid)
     w1 = mean_width(cap_body(K, p0 + eps * u), grid)
     delta_w = w1 - w0
-    flux = normal_sector_flux(K, p0, u, grid, restrict=True)
+    flux = normal_sector_flux(K, p0, u, grid)
     first = 2.0 / sphere_measure(K.dim) * eps * flux
     return {
         "delta_w": delta_w,

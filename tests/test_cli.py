@@ -14,8 +14,9 @@ import pytest
 from descent_geom import cli
 from descent_geom.cli import main, render_svg
 from descent_geom.descent import construct_descent, disk_family
-from descent_geom.family import family_from_dict, is_connected
-from descent_geom.geom_core import hull
+from descent_geom.family import family_from_dict
+from descent_geom.geom_core import hausdorff, hull
+from descent_geom.mean_width import width_gap_constant
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -218,6 +219,17 @@ class TestErrorsAndDeterminism:
         # radii that cannot nest
         "gen disks --rmin 1 --rmax 0.5 --levels 3 --mesh 8",
         "gen disks --rmin -1 --rmax 1",
+        # a negative level count, a planar mesh below 2
+        "gen disks --levels -1",
+        "gen disks --mesh 1 --levels 3",
+        "gen disks --mesh 0 --levels 3",
+        # a step that would make about 1e12 members: refused before any is built
+        "gen random --step 1e-12",
+        "gen squares --step 1e-12",
+        "family complete --strat {family} --step 1e-12",
+        # a step that is not a positive number, or so small the count overflows
+        "gen random --step nan",
+        "gen random --step 1e-320",
         # a member index out of range
         "bounds annulus --curve {curve} --family {family} --k1-index 99",
         "bounds annulus --curve {curve} --family {family} --k1-index -99",
@@ -479,7 +491,11 @@ class TestFamilyCheckTol:
             {"vertices": [[0.45, 0], [1.46, 0], [1.46, 1.01], [0.45, 1.01]]}]}
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(doc))
-        assert is_connected(family_from_dict(doc), 2.0)
+        # (c0_2 / diam) * dist^2 / (width step): the factor the jump needs.
+        fam = family_from_dict(doc)
+        ratio = (width_gap_constant(2) / fam.bodies[-1].diameter()
+                 * hausdorff(*fam.bodies) ** 2 / (fam.params[1] - fam.params[0]))
+        assert 1.5 < ratio <= 2.0
         verdicts = []
         for opts in ([], ["--tol", "2"]):
             code, out, _ = run_cli(["family", "check", "--family", str(path)] + opts,

@@ -26,7 +26,6 @@ from descent_geom.descent import (
     disk_family,
     example61_curve,
     example61_family,
-    fixtures,
     is_expanding_couple,
     is_viable_sdc,
     joint_parametrization,
@@ -430,10 +429,6 @@ class TestWorkBudget:
 
 
 class TestFixtures:
-    def test_registry(self):
-        reg = fixtures()
-        assert "cantor_graph" in reg and "example61_family" in reg
-
     def test_cantor_level1(self):
         g = cantor_graph(1)
         assert g.npoints == 4

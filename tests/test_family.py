@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from descent_geom.geom_core import (
 from descent_geom.mean_width import SphereGrid, mean_width, width_distance_bounds
 from descent_geom.family import (
     Family,
-    bracket_body,
     complete,
     family_distance,
     family_from_dict,
@@ -183,11 +184,14 @@ class TestPlanarRings:
             for arc_points in (8, 32):
                 mesh = r * unit_directions(2, arc_points)
                 pts = (K.vertices[:, None, :] + mesh[None, :, :]).reshape(-1, 2)
+                ring = family._minkowski_ring(K.vertices, arc_points)
                 qhull_calls.clear()
-                P = outer_parallel(K, r, arc_points)
+                P = hull(pts[ring] if ring is not None else pts)
                 fast.append(not qhull_calls)
                 H = hull(pts)
                 assert np.array_equal(P.vertices, H.vertices) and P.dim_affine == H.dim_affine
+                if arc_points == 32:  # outer_parallel's regular polygon
+                    assert np.array_equal(outer_parallel(K, r).vertices, P.vertices)
         assert sum(fast) >= 0.85 * len(fast)
         square = hull([(0, 0), (1, 0), (1, 1), (0, 1)])
         assert family._minkowski_ring(square.vertices, 32) is None  # parallel edges
@@ -321,6 +325,22 @@ class TestComplete:
         s = validate_stratification(bodies)
         fam = complete(s, h=(s.params[-1] - s.params[0]) / 6)
         assert np.all(np.diff(fam.params) > 0)
+
+    def test_member_count_is_checked_before_any_is_built(self, monkeypatch):
+        s = validate_stratification([disk_polygon(1.0), disk_polygon(2.0)])
+        gap = s.params[1] - s.params[0]
+        monkeypatch.setattr(family, "_solve_gap", None)  # never reached
+        # ceil(gap / 0.9h) = 100 000 pieces: one member more than allowed
+        with pytest.raises(InvalidInput, match=r"would make 100001 members"):
+            complete(s, h=gap / (0.9 * 99_999.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput, match=r"h = 1e-12 would make 2\.\d+e\+12 members"):
+                complete(s, h=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def random_chain_3d(rng, npts=8, levels=3):
@@ -466,17 +486,6 @@ class TestFamilyDistance:
         f2 = Family((disk_polygon(1.0), disk_polygon(3.0)), (2.0, 6.0), 4.1)
         with pytest.raises(InvalidInput):
             family_distance(f1, f2)
-
-
-class TestBracket:
-    def test_disk_bracket(self):
-        s = validate_stratification([disk_polygon(r) for r in np.linspace(0.5, 2, 7)])
-        fam = complete(s, h=10.0)
-        K = disk_polygon(1.01)
-        i1, i2 = bracket_body(fam, K)
-        assert fam.bodies[i1].diameter() <= K.diameter() + 1e-9
-        assert fam.bodies[i2].diameter() >= K.diameter() - 1e-9
-        assert i2 == i1 + 1
 
 
 class TestSerialization:

@@ -25,7 +25,6 @@ from descent_geom.geom_core import (
     hausdorff,
     hull,
     includes,
-    mix,
     project,
     rounding_floor,
     support,
@@ -149,20 +148,6 @@ class TestSupportMany:
     def test_empty_point_set(self):
         assert support_many(np.ones((3, 2)), np.zeros((0, 2))).tolist() == [-np.inf] * 3
         assert support_many(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
-
-
-class TestMinkowskiLinearity:
-    def test_support_is_affine_in_lambda(self, rng):
-        for _ in range(10):
-            A = random_polytope(rng, 2, 10)
-            B = random_polytope(rng, 2, 10)
-            lam = rng.random()
-            M = mix(A, B, lam)
-            dirs = unit_directions(2, 256, 7)
-            hM = np.max(dirs @ M.vertices.T, axis=1)
-            hA = np.max(dirs @ A.vertices.T, axis=1)
-            hB = np.max(dirs @ B.vertices.T, axis=1)
-            assert np.abs(hM - (lam * hA + (1 - lam) * hB)).max() < 1e-10
 
 
 class TestProject:
@@ -356,9 +341,6 @@ class TestFacets:
         assert len(qhull_calls) == 1
         L = ConvexBody(K.vertices.copy(), K.dim_affine)
         assert np.array_equal(L.facets.equations, K.facets.equations)
-        flat = embedded_polytope(rng, 4, 2, 9)
-        M = ConvexBody(flat.vertices.copy())  # dim_affine unknown: found by SVD
-        assert np.array_equal(M.facets.equations, flat.facets.equations)
 
     def test_depth_sign_matches_lp(self, rng, tight_lp):
         for K in _facet_bodies(rng):

@@ -8,7 +8,7 @@ from descent_geom import cli, geom_core
 from descent_geom.errors import PreconditionViolated
 from descent_geom.cones import normal_cone, sphere_measure
 from descent_geom.geom_core import ClearRing, hull
-from descent_geom.mean_width import normal_sector_flux
+from descent_geom.mean_width import normal_sector_vector_flux
 from descent_geom.sep import (
     Polyline,
     is_sep,
@@ -303,7 +303,7 @@ class TestVariationalProperties:
             d = P[i + 1] - P[i]
             ds = np.linalg.norm(d)
             d = d / ds
-            flux = normal_sector_flux(hulls[i], P[i], d, restrict=False)
+            flux = normal_sector_vector_flux(hulls[i], P[i]) @ d
             lhs = (ws[i + 1] - ws[i]) / ds
             rhs = 2.0 / om * flux
             assert lhs >= rhs - 1e-6
