@@ -9,6 +9,7 @@ emitted as JSON), 2 on input errors.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DescentGeomError, InvalidInput
 from .cones import normal_cone_limit_report
 from .geom_core import body_from_dict, hull, project
-from .mean_width import default_grid
+from .mean_width import default_grid, mean_width
 from .sep import (
     is_sep,
     length_bound_check,
@@ -88,6 +89,15 @@ def _parse_point(s):
         return np.array([float(x) for x in s.split(",")])
     except ValueError:
         raise InvalidInput(f"cannot parse point {s!r}")
+
+
+def _check_options(args):
+    """--tol must be a finite number >= 0 and --step a finite number > 0."""
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise InvalidInput(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    step = getattr(args, "step", None)
+    if step is not None and not (math.isfinite(step) and step > 0.0):
+        raise InvalidInput(f"--step must be a finite number > 0, got {step!r}")
 
 
 def _config(args):
@@ -393,7 +403,7 @@ def _cmd_report(args):
     sdc_res = is_viable_sdc(curve, fam, max(args.tol, 1e-6))
     out["checks"]["sdc"] = sdc_res["ok"]
     if sep_res["ok"]:
-        lb = length_bound_check(curve, grid, args.tol)
+        lb = length_bound_check(curve, grid, args.tol, w_hull=mean_width(hull(curve.points), grid))
         out["checks"]["length_bound"] = lb["bound_ok"]
         out["length"] = lb["length"]
         out["w_hull"] = lb["w_hull"]
@@ -509,6 +519,7 @@ def main(argv=None) -> int:
     elif args.seed is None:
         args.seed = 0
     try:
+        _check_options(args)
         return args.fn(args)
     except (DescentGeomError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,9 +8,13 @@ f * dist(K1, K2), realized as a V-polytope.  In the plane both steps end
 in a counterclockwise ring that hull() reads off with no Qhull run: the
 parallel body as a merge of two edge sequences, the intersection as a
 Sutherland-Hodgman clip by the facet halfspaces of the larger body, with
-the rounding floor its facet depths are read at.
+the rounding floor its facet depths are read at.  Completion solves for
+the fraction at each target width; for n <= 2 that width is piecewise
+affine in f, and each interpolant yields the exact slope of its own piece,
+so a Newton step lands on the target inside one piece.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,10 @@ from .geom_core import (
     hausdorff,
     hull,
     includes,
+    rel_depth_many,
+    ring_normals,
     rounding_floor,
+    support_many,
     unit_directions,
 )
 from .mean_width import SphereGrid, mean_width, width_gap_constant
@@ -153,13 +160,18 @@ def outer_parallel(K: ConvexBody, r: float) -> ConvexBody:
     if r == 0.0:
         return K
     n = K.dim
-    if n == 2:
-        mesh = r * unit_directions(2, 32)
-    else:
-        mesh = r * unit_directions(n, max(32, 2 * n), seed=1)
+    mesh = r * _parallel_mesh(n)
     pts = (K.vertices[:, None, :] + mesh[None, :, :]).reshape(-1, n)
     ring = _minkowski_ring(K.vertices, 32) if n == 2 else None
     return hull(pts[ring] if ring is not None else pts)
+
+
+def _parallel_mesh(n):
+    """Vertices of the polytope P inscribed in the unit ball for which
+    outer_parallel(K, r) is K + rP: the regular 32-gon in the plane."""
+    if n == 2:
+        return unit_directions(2, 32)
+    return unit_directions(n, max(32, 2 * n), seed=1)
 
 
 def _minkowski_ring(V, arc_points):
@@ -297,10 +309,69 @@ def interpolate(K1: ConvexBody, K2: ConvexBody, f: float) -> ConvexBody:
 
 # -- completion to a connected family -----------------------------------------
 
-# Regula falsi steps _solve_gap takes per target width before it gives up.
+# Steps _solve_gap takes per target width before it gives up.
 _SOLVE_MAX_STEPS = 200
 # Members complete() builds at most.
 _MAX_MEMBERS = 100_000
+
+
+def _parallel_lines(K1):
+    """(N, h1, hP) for n <= 2, else None: the outer unit normals N of the
+    edges of K1 + rP for every r > 0 (the ends in R^1), and the support
+    values of K1 and of outer_parallel's polytope P at them.
+
+    In the plane N is the edge normals of K1's ring and of P, so the edge
+    of K1 + rP with normal N[i] lies on the line <N[i], x> = h1[i] + r hP[i].
+    """
+    n = K1.dim
+    if n > 2:
+        return None
+    P = _parallel_mesh(n)
+    if n == 1:
+        N = np.array([[1.0], [-1.0]])
+    else:
+        N = np.vstack([ring_normals(V) for V in (K1.vertices, P) if len(V) > 1])
+    return N, support_many(N, K1.vertices), support_many(N, P)
+
+
+def _width_slope(B, r, lines):
+    """dw/dr of K2 ∩ (K1 + rP) on the affine piece of w(r) that holds B,
+    the body at r; None when there is none to read (n >= 3, B not
+    full-dimensional) or it is not positive.
+
+    Moving the line of one edge of a polygon out by dh lengthens its
+    perimeter by (tan(a/2) + tan(b/2)) dh, a and b the turning angles at
+    the edge's ends, and the line of the edge with normal N[i] of K1 + rP
+    moves by hP[i] dr.  The sum runs over the edges of B on such a line; in
+    R^1 each end on one adds 1.
+    """
+    if lines is None or B.dim_affine < B.dim:
+        return None
+    N, h1, hP = lines
+    V = B.vertices
+    if B.dim == 1:
+        A, X, weight = N, V[::-1], np.ones(2)  # V is [lo, hi]
+    else:
+        A, X = ring_normals(V), V  # edge i runs from V[i]
+        Ap = A[np.arange(-1, len(A) - 1)]
+        # tan of half the turning angle at each vertex, from its two edges
+        T = (Ap[:, 0] * A[:, 1] - Ap[:, 1] * A[:, 0]) / (1.0 + (Ap * A).sum(axis=1))
+        weight = (T + np.append(T[1:], T[:1])) / math.pi
+    C = A @ N.T
+    j = np.argmax(C, axis=1)
+    on = (C[np.arange(len(A)), j] >= 1.0 - 1e-12) & (
+        np.abs((X * N[j]).sum(axis=1) - h1[j] - r * hP[j]) <= TAU_PT * (1.0 + np.abs(V).max()))
+    s = float((hP[j] * weight)[on].sum())
+    return s if 0.0 < s < math.inf else None
+
+
+def _first_slope(K1, K2, lines):
+    """dw/dr of K2 ∩ (K1 + rP) as r leaves 0 for n <= 2: the mean width of
+    P when K1 lies in K2's interior, so that the body is K1 + rP at first;
+    else None."""
+    if lines is None or rel_depth_many(K2, K1.vertices)[0].min() <= 0.0:
+        return None
+    return mean_width(hull(_parallel_mesh(K1.dim)))
 
 
 def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
@@ -309,29 +380,46 @@ def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
 
     The width of interpolate(K1, K2, f) is monotone in f: target j is
     bracketed by target j - 1's solution and f = 1, and solved to 1e-6 of
-    the gap by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+    the gap.  For n <= 2 that width is piecewise affine in f, and each
+    iterate gives the slope of its own piece (_width_slope): a Newton step
+    from the last iterate is exact inside one piece.  The first target's
+    last iterate is K1 at f = 0, with the slope _first_slope.  When the
+    step leaves the bracket, or there is no slope, the step is Illinois
+    regula falsi (Dowell & Jarratt, BIT 11, 1971).  The width is concave
+    in f (B(f) contains the Minkowski mean of the bodies at any two
+    fractions around f), so a Newton step from either side lands at or
+    below the target.
     """
     d = hausdorff(K1, K2)
+    lines = _parallel_lines(K1)
 
     def body_at(f):
         B = _intersect_bodies(outer_parallel(K1, f * d), K2)
-        return B, mean_width(B, grid)
+        return f, B, mean_width(B, grid)
 
     tol = 1e-6 * (w2 - w1)
-    top, w_top = body_at(1.0)
+    top = body_at(1.0)
+    w_top = top[2]
+    last = (0.0, K1, w1)
     f_lo, w_lo = 0.0, w1
     members = []
     for target in targets:
         if target >= w_top - tol:
-            members.append((top, w_top))
+            members.append(top[1:])
             continue
         fa, ra, fb, rb, side = f_lo, w_lo - target, 1.0, w_top - target, 0
         for step in range(1, _SOLVE_MAX_STEPS + 1):
-            f = (fa * rb - fb * ra) / (rb - ra) if rb > ra else fa
+            # The Newton step from the last iterate (fa when it has no
+            # slope), else Illinois, else the midpoint.
+            fl, Bl, wl = last
+            s = _width_slope(Bl, fl * d, lines) if fl > 0.0 else _first_slope(K1, K2, lines)
+            f = fl + (target - wl) / (d * s) if s else fa
+            if not fa < f < fb:
+                f = (fa * rb - fb * ra) / (rb - ra) if rb > ra else fa
             if not fa < f < fb:
                 f = 0.5 * (fa + fb)
-            B, w = body_at(f)
-            r = w - target
+            last = body_at(f)
+            r = last[2] - target
             if abs(r) <= tol:
                 break
             # Illinois: when f replaces the same end twice in a row, halve
@@ -350,8 +438,8 @@ def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
                 f"target {target:.12g} after {step} steps: last residual {r:.3g}, "
                 f"tolerance {tol:.3g}"
             )
-        members.append((B, w))
-        f_lo, w_lo = f, w
+        members.append(last[1:])
+        f_lo, w_lo = f, last[2]
     return members
 
 
@@ -360,7 +448,9 @@ def complete(strat: Stratification, h: float, grid: SphereGrid = None) -> Family
 
     Original bodies appear at their own mean widths; each gap wider than h
     is subdivided, and the interpolation fraction of each new member is
-    solved by warm-bracketed Illinois regula falsi so it hits the width grid.
+    solved in a warm bracket (_solve_gap: Newton steps on the piecewise
+    affine width for n <= 2, else Illinois regula falsi) so it hits the
+    width grid.
     """
     if not h > 0:
         raise InvalidInput("resolution h must be positive")

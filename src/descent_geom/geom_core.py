@@ -212,15 +212,20 @@ def _lifted_facets(c, B, inplane, simplices) -> Facets:
     return Facets(c, B, np.column_stack([normals, inplane[:, -1] - normals @ c]), simplices)
 
 
+def ring_normals(V):
+    """Outer unit normals (e_y, -e_x) / |e| of the edges e = V[i + 1] - V[i]
+    of a counterclockwise planar ring V of at least two distinct points."""
+    E = np.diff(V, axis=0, append=V[:1])
+    return np.column_stack([E[:, 1], -E[:, 0]]) / np.sqrt((E * E).sum(axis=1))[:, None]
+
+
 def _ring_facets(V) -> Facets:
     """Facets of a full-dimensional planar body from its counterclockwise
-    ring V: edge i runs from V[i] to V[i + 1] and has the outer unit normal
-    (e_y, -e_x) / |e|."""
-    E = np.roll(V, -1, axis=0) - V
-    N = np.column_stack([E[:, 1], -E[:, 0]]) / np.sqrt((E * E).sum(axis=1))[:, None]
+    ring V: edge i runs from V[i] to V[i + 1] (ring_normals)."""
+    N = ring_normals(V)
     i = np.arange(len(V))
     return Facets(V.mean(axis=0), np.eye(2), np.column_stack([N, -(N * V).sum(axis=1)]),
-                  np.column_stack([i, np.roll(i, -1)]))
+                  np.column_stack([i, (i + 1) % len(V)]))
 
 
 def _facets(V, k) -> Facets:
@@ -324,15 +329,18 @@ def hull(points) -> ConvexBody:
     The stored vertex list is exactly the set of extreme points, so
     hull(hull(P).vertices) == hull(P).  Planar points that clearly form a
     strictly convex ring (_ring_margin) in the given order, or reversed when
-    the first turn is clockwise, and span the plane by affine_basis are that
-    vertex list up to rotation: they are read off in O(m), with no
-    deduplication (no two are within TAU_PT) and no Qhull run.
+    the first turn is clockwise, and span the plane by affine_basis's rule
+    are that vertex list up to rotation: they are read off in O(m), with no
+    deduplication (no two are within TAU_PT) and no Qhull run.  The rank is
+    proved from the closed-form eigenvalues of the ring's 2x2 moment matrix
+    (_spans_plane); only a ring that bound leaves open pays affine_basis's
+    SVD.
     """
     P = as_points(points)
     n = P.shape[1]
     if n == 2 and len(P) >= 3:
         R = P[::-1] if _cross(P[1] - P[0], P[2] - P[1]) < 0.0 else P
-        if _ring_margin(R) > 0.0 and len(affine_basis(R)[1]) == 2:
+        if _ring_margin(R) > 0.0 and (_spans_plane(R) or len(affine_basis(R)[1]) == 2):
             return ConvexBody(_canonical_order(R, 2), 2)
     P = dedup_points(P)
     if n >= 3:
@@ -359,6 +367,25 @@ def hull(points) -> ConvexBody:
             _full_facets(K.vertices, h) if k == n else _lifted_facets(c, B, h.equations, h.simplices)
         )
     return K
+
+
+def _spans_plane(P) -> bool:
+    """True when the m planar rows P have rank 2 by affine_basis's rule,
+    proved without an SVD; False when this bound leaves it open.
+
+    The centred rows X are affine_basis's own.  The smaller eigenvalue of
+    G = X^T X is s_min^2, and its trace t bounds s_max^2.  Forming G moves
+    its eigenvalues by at most ~m eps t and the closed form by a few eps t,
+    so the margin is 2 (m + 4) eps t; the cut is doubled to cover the SVD's
+    own rounding, ~eps s_max.
+    """
+    m = len(P)
+    X = P - P.mean(axis=0)
+    (a, b), (_, d) = (X.T @ X).tolist()
+    t = a + d
+    low = 0.5 * t - math.hypot(0.5 * (a - d), b) - 2.0 * (m + 4) * _EPS * t
+    cut = 2.0 * rank_cut(math.sqrt(t), float(np.abs(P).max()), m)
+    return low > cut * cut
 
 
 def _cross(U, V):
@@ -388,8 +415,8 @@ def _ring_margin(P) -> float:
     chord = np.hypot(C[:, 0], C[:, 1])
     tol = 4.0 * TAU_PT * (1.0 + np.abs(P).max())
     least = L.min()  # L[0] is L[-1]
-    if not (least > tol and np.all(cross > 1e-9 * L[1:] * L[:-1])
-            and np.all(cross > tol * chord)
+    if not (least > tol and (cross > 1e-9 * L[1:] * L[:-1]).all()
+            and (cross > tol * chord).all()
             and np.arctan2(cross, (Ep * E).sum(axis=1)).sum() < 3.0 * np.pi):
         return 0.0
     return min(float(least), float((cross / chord).min()))

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from descent_geom import cli
+from descent_geom import cli, sep
 from descent_geom.cli import main, render_svg
 from descent_geom.descent import construct_descent, disk_family
 from descent_geom.family import family_from_dict
@@ -119,6 +119,18 @@ class TestPipelines:
         doc = json.loads(out)
         assert doc["ok"] and all(doc["checks"].values())
         assert svg.read_text().startswith("<svg")
+
+    def test_length_bound_of_report_does_not_recheck_sep(self, input_files, capsys, monkeypatch):
+        # Only sep's own binding is counted: length_bound_check calls it,
+        # report's own check and the couple's do not.
+        calls = []
+        real = sep.is_sep
+        monkeypatch.setattr(sep, "is_sep", lambda *a: calls.append(1) or real(*a))
+        argv = ["report", "--curve", input_files["curve"], "--family", input_files["family"]]
+        code, out, _ = run_cli(argv, capsys=capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["checks"]["sep"] and doc["checks"]["length_bound"]
+        assert not calls
 
     def test_cone_limit_report(self, tmp_path, capsys, monkeypatch):
         body = tmp_path / "body.json"
@@ -230,6 +242,15 @@ class TestErrorsAndDeterminism:
         # a step that is not a positive number, or so small the count overflows
         "gen random --step nan",
         "gen random --step 1e-320",
+        "gen random --step inf",
+        "gen random --step 0",
+        "gen squares --step -1",
+        "family complete --strat {family} --step inf",
+        # a tolerance that is not a finite number >= 0
+        "check sep --curve {curve} --tol nan",
+        "check sep --curve {curve} --tol inf",
+        "check sep --curve {curve} --tol -0.001",
+        "report --curve {curve} --family {family} --tol nan",
         # a member index out of range
         "bounds annulus --curve {curve} --family {family} --k1-index 99",
         "bounds annulus --curve {curve} --family {family} --k1-index -99",

@@ -31,7 +31,7 @@ from descent_geom.family import (
     validate_stratification,
 )
 
-from .conftest import disk_polygon, random_polytope
+from .conftest import disk_polygon, nested_pair, random_polytope
 from .oracles import polygon_membership, segment_distance
 
 
@@ -393,7 +393,7 @@ class TestCompleteSolver:
             fam = complete(s, h=(s.params[-1] - s.params[0]) / 8)
             added += len(fam) - len(s)
         assert added > 0
-        assert len(calls) <= 6 * added
+        assert len(calls) <= 3 * added
 
     def test_qhull_budget_3d(self, rng, monkeypatch, qhull_calls):
         # Per interpolant: the outer parallel body's hull and facets and the
@@ -437,6 +437,61 @@ class TestCompleteSolver:
         assert "chain bodies 0 and 1" in msg and "after 200 steps" in msg
         assert "target 2.1657" in msg and "last residual -0.167" in msg
         assert len(calls) == 1 + 200
+
+
+def _slope_pairs(rng):
+    """(label, K1, K2) nested pairs: polygons (touching K2's boundary or in
+    its interior), segments and points inside a polygon, and segments and a
+    point inside a segment of R^1."""
+    pairs = []
+    for _ in range(3):
+        K1, K2 = clipped_chain(rng, levels=3)[::2]
+        c, V = K1.centroid(), K1.vertices
+        pairs += [("polygon", K1, K2), ("segment", hull([V[0], c]), K2), ("point", hull([c]), K2),
+                  ("inner polygon", *nested_pair(rng))]
+    K2 = hull([[-1.0], [2.0]])
+    for label, K1 in (("R1", hull([[0.0], [0.5]])), ("R1 at an end", hull([[-1.0], [0.5]])),
+                      ("R1 point", hull([[0.3]]))):
+        pairs.append((label, K1, K2))
+    return pairs
+
+
+class TestWidthSlope:
+    def test_slope_is_the_width_difference_inside_one_piece(self, rng):
+        for label, K1, K2 in _slope_pairs(rng):
+            d = hausdorff(K1, K2)
+            lines = family._parallel_lines(K1)
+
+            def body(r):
+                B = family._intersect_bodies(outer_parallel(K1, r), K2)
+                return B, mean_width(B)
+
+            dr, pieces = 1e-6 * d, 0
+            # As r leaves 0: K1 + rP while that stays inside K2.
+            first = family._first_slope(K1, K2, lines)
+            inside = rel_depth_many(K2, K1.vertices)[0].min() > 0.0
+            assert (first is not None) == inside, label
+            if inside:
+                assert first == pytest.approx((body(dr)[1] - mean_width(K1)) / dr, rel=1e-6), label
+            for f in np.linspace(0.05, 0.95, 19):
+                B, w = body(f * d)
+                fwd = (body(f * d + dr)[1] - w) / dr
+                bwd = (w - body(f * d - dr)[1]) / dr
+                if abs(fwd - bwd) > 1e-6 * (1.0 + abs(fwd)):
+                    continue  # a kink within dr
+                pieces += 1
+                s = family._width_slope(B, f * d, lines)
+                assert (s or 0.0) == pytest.approx(fwd, rel=1e-6, abs=1e-6), (label, f)
+            assert pieces >= 12, label
+
+    def test_no_slope_in_space(self, rng):
+        s = validate_stratification(random_chain_3d(rng))
+        K1, K2 = s.bodies[:2]
+        lines = family._parallel_lines(K1)
+        B = family._intersect_bodies(outer_parallel(K1, 0.1), K2)
+        assert lines is None
+        assert family._width_slope(B, 0.1, lines) is None
+        assert family._first_slope(K1, K2, lines) is None
 
 
 class TestIsConnected:

@@ -600,6 +600,18 @@ def _ring_corpus(rng):
         for _ in range(10):
             V = random_polytope(rng, 2, 25).vertices
             cases.append(("far", V + off * rng.standard_normal(2)))
+    # Thin triangles, rectangles and hexagons, turned and moved up to 1e5
+    # from the origin, whose smaller singular value over the larger spans
+    # _RANK_RTOL = 1e-8: rank_cut's relative cut.
+    for off in (0.0, 1e3, 1e5):
+        length = max(1e3, off)
+        for w in np.geomspace(3e-9, 1e-7, 9):
+            a = rng.uniform(0.0, 2.0 * np.pi)
+            turn = length * np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
+            u = rng.standard_normal(2)
+            for Q in ([[0, 0], [1, 0], [0.5, w]], [[0, 0], [1, 0], [1, w], [0, w]],
+                      [[0, 0], [0.3, -w / 2], [0.7, -w / 2], [1, 0], [0.7, w / 2], [0.3, w / 2]]):
+                cases.append(("thin", np.array(Q) @ turn + off * u / np.linalg.norm(u)))
     return cases
 
 
@@ -627,8 +639,33 @@ class TestRingHull:
             read.setdefault(label, []).append(clear)
         assert all(read["random"] + read["clockwise"])
         assert not any(read["spike"] + read["pentagram"])
-        for label in ("near-duplicate", "near-collinear", "sliver", "far"):
+        for label in ("near-duplicate", "near-collinear", "sliver", "far", "thin"):
             assert 0 < sum(read[label]) < len(read[label]), label
+
+    def test_rank_bound_skips_the_svd_on_clear_cut_rings(self, rng, monkeypatch):
+        # A ring read off as it is whose smaller singular value is 32 times
+        # rank_cut or more is proved to span the plane without an SVD;
+        # nearer the cut the SVD decides, as test_equals_hull_or_declines
+        # checks.
+        real = geom_core.affine_basis
+        svds = []
+        monkeypatch.setattr(geom_core, "affine_basis", lambda P: svds.append(1) or real(P))
+        clear_cut, opened = 0, 0
+        for label, P in _ring_corpus(rng):
+            rings = [Q for Q in (P, P[::-1]) if geom_core._ring_margin(Q) > 0.0]
+            if not rings:
+                continue
+            s = np.linalg.svd(rings[0] - rings[0].mean(axis=0), compute_uv=False)
+            cut = geom_core.rank_cut(s[0], np.abs(P).max(), len(P))
+            svds.clear()
+            K = hull(P)
+            if s[1] >= 32.0 * cut:
+                clear_cut += 1
+                assert not svds and K.dim_affine == 2, label
+            elif svds and s[1] > cut:
+                opened += 1
+                assert K.dim_affine == 2 and len(svds) == 1, label
+        assert clear_cut > 150 and opened > 5
 
     def test_stored_planar_body_loads_without_qhull(self, rng, qhull_calls):
         bodies = [random_polytope(rng, 2, 30) for _ in range(5)] + [disk_polygon(2.0)]
@@ -696,6 +733,16 @@ class TestRingFacets:
         for label, K in built:
             assert K.dim_affine == 2
             _assert_ccw_ring_facets(K, label)
+
+    def test_rows_equal_the_rolled_edge_formula(self, rng):
+        for label, K in _planar_builds(rng):
+            V = K.vertices
+            E = np.roll(V, -1, axis=0) - V
+            N = np.column_stack([E[:, 1], -E[:, 0]]) / np.sqrt((E * E).sum(axis=1))[:, None]
+            i = np.arange(len(V))
+            assert np.array_equal(K.facets.equations,
+                                  np.column_stack([N, -(N * V).sum(axis=1)])), label
+            assert np.array_equal(K.facets.simplices, np.column_stack([i, np.roll(i, -1)])), label
 
 
 def _flat_corpus(rng):
