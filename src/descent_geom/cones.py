@@ -57,14 +57,13 @@ class PolyCone:
 
     generators: unit vectors whose nonnegative hull is the cone (none for
     the zero cone).  rows: x lies in the cone iff <x, row> >= 0 for every
-    row (none for the whole space).  The apex records where the cone was
-    taken; both live at the origin.
+    row (none for the whole space).  Both live at the origin, whatever
+    point of the body the cone was taken at.
     """
 
     dim: int
     generators: np.ndarray
     rows: np.ndarray
-    apex: np.ndarray
 
     def __post_init__(self):
         self.generators = np.asarray(self.generators, dtype=float).reshape(-1, self.dim)
@@ -193,7 +192,7 @@ def cone_intersect_halfspace(C: PolyCone, u) -> PolyCone:
     pos, neg = s > 1e-12, s < -1e-12
     cross = s[pos, None, None] * G[None, neg] - s[None, neg, None] * G[pos, None]
     gens = _unit(np.vstack([G[~neg], cross.reshape(-1, C.dim)]))
-    return PolyCone(C.dim, _reduce_generators(gens), np.vstack([C.rows, u]), C.apex.copy())
+    return PolyCone(C.dim, _reduce_generators(gens), np.vstack([C.rows, u]))
 
 
 def _body_at(K: ConvexBody, q, tol):
@@ -217,7 +216,7 @@ def _body_at(K: ConvexBody, q, tol):
 def tangent_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:
     """Tangent (support) cone of K at q: closure of rays from q through K."""
     q, A, W, D = _body_at(K, q, tol)
-    return PolyCone(K.dim, D, np.vstack([-A, W, -W]), q)
+    return PolyCone(K.dim, D, np.vstack([-A, W, -W]))
 
 
 def normal_cone(K: ConvexBody, q) -> PolyCone:
@@ -228,7 +227,7 @@ def normal_cone(K: ConvexBody, q) -> PolyCone:
     at interior points of a full-dimensional body.
     """
     q, A, W, D = _body_at(K, q, TAU_PT)
-    return PolyCone(K.dim, np.vstack([A, W, -W]), -D, q)
+    return PolyCone(K.dim, np.vstack([A, W, -W]), -D)
 
 
 def in_normal_cone(K: ConvexBody, q, x, tol=1e-8) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, InvalidInput, PreconditionViolated
+from .errors import Degenerate, DimensionMismatch, InvalidInput, PreconditionViolated
 from .geom_core import (
     TAU_PT,
     ConvexBody,
@@ -175,13 +175,21 @@ def _last_inside(K: ConvexBody, P, cums, tol):
     return None
 
 
+def _same_dim(curve: Polyline, bodies):
+    other = {K.dim for K in bodies} - {curve.dim}
+    if other:
+        raise DimensionMismatch(f"the curve lives in R^{curve.dim}, a family member in R^{other.pop()}")
+
+
 def align_curve(curve: Polyline, bodies):
     """Last curve point (by arc length) inside each body.
 
-    Returns (s_values, points); raises InvalidInput when some body contains
-    no point of the curve.  _bd_tol(K) is the membership tolerance of a
-    one-point curve.
+    Returns (s_values, points); raises DimensionMismatch when the curve and
+    a body live in different dimensions, and InvalidInput when some body
+    contains no point of the curve.  _bd_tol(K) is the membership tolerance
+    of a one-point curve.
     """
+    _same_dim(curve, bodies)
     P, cums = curve.points, curve.arclengths()
     s_out, x_out = [], []
     for K in bodies:
@@ -243,8 +251,10 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     for every member Q, vertex y of Q and curve vertex x outside the
     relative interior of Q, no later curve vertex is closer to y.  The
     witness of a distance failure is the worst offending triple; that of a
-    missed member is its mean width on grid.
+    missed member is its mean width on grid.  Raises DimensionMismatch when
+    the curve and the members live in different dimensions.
     """
+    _same_dim(gamma, strat.bodies)
     sep_chk = is_sep(gamma, tol)
     if not sep_chk["ok"]:
         return {"ok": False, "condition": "sep", "witness": sep_chk["witness"]}
@@ -300,7 +310,8 @@ def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6):
     At each knot the aligned point must lie on the relative boundary of the
     member, and some one-sided curve direction there must belong to the
     member's normal cone (support-gap membership at tolerance tol).  The
-    witness is the first failing knot.
+    witness is the first failing knot.  Raises DimensionMismatch as
+    align_curve does.
     """
     s, x = align_curve(gamma, fam.bodies)
     P = gamma.points
@@ -489,7 +500,10 @@ def cantor_disks(level: int = 8):
 
 def log_spiral(b: float = 0.28, turns: float = 3.0, m: int = 1500) -> Polyline:
     """Logarithmic spiral r = e^{b phi}; self-expanding for b above the
-    critical rate b* ~ 0.2747 where b = e^{-3 pi b / 2}."""
+    critical rate b* ~ 0.2747 where b = e^{-3 pi b / 2}, sampled at m >= 1
+    points."""
+    if m < 1:
+        raise InvalidInput(f"a spiral needs at least one point, got {m}")
     phi = np.linspace(-2.0 * math.pi * turns, 0.0, m)
     r = np.exp(b * phi)
     return Polyline.make(np.column_stack([r * np.cos(phi), r * np.sin(phi)]))

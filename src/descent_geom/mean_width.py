@@ -3,11 +3,12 @@ deformations.
 
 Mean width is exact up to R^3: perimeter / pi in the plane (Cauchy's
 formula, a segment's perimeter counting both sides), and in R^3 a sum over
-the edges of the facet triangulation; n >= 4 uses a deterministic seeded
-sphere grid.  Sector-restricted integrals over normal
-cones are exact angular integrals in the plane and grid-filtered sums
-otherwise.  Summation runs in fixed index order, so identical inputs give
-bit-identical results.
+the edges of the facet triangulation; n >= 4 averages support values over a
+deterministic seeded sphere grid of equal-weight nodes.  The first
+variation reads one normal-cone sector integral, _sector_integral: the
+vector integral of theta over the sector of N_K(q), cut to a halfspace when
+asked, exact over arcs in the plane and a grid sum otherwise.  Summation
+runs in fixed index order, so identical inputs give bit-identical results.
 """
 
 import math
@@ -41,11 +42,11 @@ _grid_cache = {}
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Quadrature nodes on S^{n-1} with weights summing to omega_n."""
+    """Quadrature nodes on S^{n-1}, each standing for omega_n / size of the
+    sphere; seed fixes the nodes (geom_core.unit_directions)."""
 
     dim: int
     directions: np.ndarray
-    weights: np.ndarray
     seed: int
 
     @classmethod
@@ -54,20 +55,11 @@ class SphereGrid:
             raise InvalidInput("dimension must be >= 1")
         if n == 1:
             size = 2
-        dirs = unit_directions(n, size, seed)
-        w = np.full(len(dirs), sphere_measure(n) / len(dirs))
-        return cls(n, dirs, w, seed)
+        return cls(n, unit_directions(n, size, seed), seed)
 
     @property
     def size(self):
         return len(self.directions)
-
-    def to_dict(self):
-        return {"dim": self.dim, "size": self.size, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls.make(int(d["dim"]), int(d["size"]), int(d.get("seed", 0)))
 
 
 def default_grid(n, size=_DEFAULT_GRID_SIZE, seed=0) -> SphereGrid:
@@ -88,7 +80,7 @@ def perimeter(K: ConvexBody) -> float:
 
 
 def mean_width_quadrature(K: ConvexBody, grid: SphereGrid) -> float:
-    """(2/omega_n) * sum of weighted support values over the grid.
+    """Twice the mean support value over the grid's equal-weight nodes.
 
     The support values come from geom_core.support_many, so memory stays
     bounded (2^16 products at once) whatever the grid size and vertex count.
@@ -96,7 +88,7 @@ def mean_width_quadrature(K: ConvexBody, grid: SphereGrid) -> float:
     if grid.dim != K.dim:
         raise DimensionMismatch("grid dimension does not match the body")
     h = support_many(grid.directions, K.vertices)
-    return float(2.0 / sphere_measure(K.dim) * (grid.weights @ h))
+    return float(2.0 * h.sum() / grid.size)
 
 
 def _mean_width_3d(K: ConvexBody) -> float:
@@ -126,9 +118,9 @@ def mean_width(K: ConvexBody, grid: SphereGrid = None) -> float:
     """Mean width of K in its ambient dimension.
 
     Exact for n <= 3 (segment length in the line, perimeter/pi in the
-    plane, facet edges in space); quadrature on the given or default grid
-    for n >= 4.  Strictly monotone under strict inclusion at quadrature
-    resolution.
+    plane, facet edges in space); for n >= 4, twice the mean support value
+    over the nodes of the given or default grid.  Strictly monotone under
+    strict inclusion at quadrature resolution.
     """
     n = K.dim
     if n == 1:
@@ -151,7 +143,11 @@ def mean_width_ratio(n: int, k: int) -> float:
 
 
 def mean_width_intrinsic(K: ConvexBody, grid: SphereGrid = None) -> float:
-    """Mean width of K computed inside its own affine hull."""
+    """Mean width of K computed inside its own affine hull, of dimension k.
+
+    For k >= 4 the quadrature runs on the k-dimensional grid of the given
+    grid's size and seed (the default grid when None).
+    """
     k = K.dim_affine
     if k == 0:
         return 0.0
@@ -159,103 +155,84 @@ def mean_width_intrinsic(K: ConvexBody, grid: SphereGrid = None) -> float:
         return mean_width(K, grid)
     F = K.facets
     flat = hull((K.vertices - F.center) @ F.basis.T)
-    return mean_width(flat, grid)
+    return mean_width(flat, None if grid is None else default_grid(k, grid.size, grid.seed))
 
 
 # -- sector integrals over normal cones --------------------------------------
 
 
 def _cone_arcs_2d(gens):
-    """Angular arcs [(start, width)] of a 2-D cone given by unit generators.
-
-    Returns the string "full" for the whole plane; rays and lines come out
-    as zero-width arcs (measure zero on the circle).
-    """
-    m = len(gens)
-    if m == 0:
+    """Angular arcs [(a, b)], a < b, of a 2-D cone given by unit generators;
+    (0, 2 pi) is the whole plane.  Rays and lines, of measure zero on the
+    circle, give no arc."""
+    if len(gens) < 2:
         return []
-    ang = np.arctan2(gens[:, 1], gens[:, 0])
-    if m == 1:
-        return [(float(ang[0]), 0.0)]
-    ang = np.sort(ang)
+    ang = np.sort(np.arctan2(gens[:, 1], gens[:, 0]))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2.0 * math.pi]]))
     imax = int(np.argmax(gaps))
     maxgap = float(gaps[imax])
     if maxgap < math.pi - 1e-9:
-        return "full"
+        return [(0.0, 2.0 * math.pi)]
     width = 2.0 * math.pi - maxgap
-    start = float(ang[(imax + 1) % m])
     if width <= 1e-12:
-        return [(start, 0.0)]
+        return []
     if abs(width - math.pi) <= 1e-9:
         # all generators antipodal in pairs -> a line, not a halfplane
         spread = np.abs(((ang - ang[0]) + math.pi) % (2 * math.pi) - math.pi)
         if np.all((spread <= 1e-9) | (np.abs(spread - math.pi) <= 1e-9)):
-            return [(start, 0.0), (start + math.pi, 0.0)]
-    return [(start, width)]
+            return []
+    start = float(ang[(imax + 1) % len(ang)])
+    return [(start, start + width)]
 
 
-def _intersect_arc(start, width, lo, hi):
-    """Intersect the circular arc [start, start+width] with [lo, hi]
-    (hi - lo <= 2*pi); returns sub-arcs as (a, b) pairs."""
+def _intersect_arc(a, b, lo, hi):
+    """Intersect the circular arc [a, b] with [lo, hi] (hi - lo <= 2*pi);
+    returns sub-arcs as (a, b) pairs."""
     out = []
     for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
-        a = max(start + shift, lo)
-        b = min(start + shift + width, hi)
-        if b > a + 1e-15:
-            out.append((a, b))
+        lo_s, hi_s = max(a + shift, lo), min(b + shift, hi)
+        if hi_s > lo_s + 1e-15:
+            out.append((lo_s, hi_s))
     return out
 
 
-def normal_sector_flux(K, q, u, grid=None):
-    """Integral of <theta, u> over the sector of N_K(q) on the sphere
-    restricted to the halfspace {u}* = {<theta, u> >= 0}.
+def _sector_integral(K, q, grid, u=None):
+    """Vector integral of theta over the sector of N_K(q) on the unit
+    sphere, cut to {<theta, u> >= 0} when u is given.
 
-    Exact angular integration in the plane; grid-filtered quadrature in
-    higher dimensions.
+    Exact over arcs in the plane; above, the sum over the nodes of grid
+    (the default grid when None) that pass normal_cone_mask at 1e-9.
     """
     q = as_point(q, K.dim)
-    u = as_point(u, K.dim)
     if K.dim == 2:
-        N = normal_cone(K, q)
-        arcs = _cone_arcs_2d(N.generators)
-        phi_u = math.atan2(u[1], u[0])
-        nu = float(np.linalg.norm(u))
-        if arcs == "full":
-            arcs = [(phi_u - math.pi, 2.0 * math.pi)]
-        total = 0.0
-        for start, width in arcs:
-            if width <= 0.0:
-                continue
-            for a, b in _intersect_arc(start, width, phi_u - math.pi / 2.0, phi_u + math.pi / 2.0):
-                total += nu * (math.sin(b - phi_u) - math.sin(a - phi_u))
-        return total
+        arcs = _cone_arcs_2d(normal_cone(K, q).generators)
+        if u is not None:
+            phi = math.atan2(u[1], u[0])
+            arcs = [c for a, b in arcs
+                    for c in _intersect_arc(a, b, phi - math.pi / 2.0, phi + math.pi / 2.0)]
+        v = np.zeros(2)
+        for a, b in arcs:
+            v += (math.sin(b) - math.sin(a), math.cos(a) - math.cos(b))
+        return v
     if grid is None:
         grid = default_grid(K.dim)
-    proj = grid.directions @ u
-    mask = normal_cone_mask(K, q, grid.directions, tol=1e-9) & (proj >= 0.0)
-    return float(np.sum(grid.weights[mask] * proj[mask]))
+    D = grid.directions
+    mask = normal_cone_mask(K, q, D, tol=1e-9)
+    if u is not None:
+        mask &= D @ u >= 0.0
+    return sphere_measure(K.dim) / grid.size * D[mask].sum(axis=0)
+
+
+def normal_sector_flux(K, q, u, grid=None):
+    """Integral of <theta, u> over the sector of N_K(q) cut to
+    {<theta, u> >= 0}: <u, _sector_integral>."""
+    u = as_point(u, K.dim)
+    return float(u @ _sector_integral(K, q, grid, u))
 
 
 def normal_sector_vector_flux(K, q, grid=None):
     """Vector integral of theta over the sector of N_K(q)."""
-    q = as_point(q, K.dim)
-    if K.dim == 2:
-        N = normal_cone(K, q)
-        arcs = _cone_arcs_2d(N.generators)
-        if arcs == "full":
-            arcs = [(0.0, 2.0 * math.pi)]
-        v = np.zeros(2)
-        for start, width in arcs:
-            if width <= 0.0:
-                continue
-            a, b = start, start + width
-            v += np.array([math.sin(b) - math.sin(a), math.cos(a) - math.cos(b)])
-        return v
-    if grid is None:
-        grid = default_grid(K.dim)
-    mask = normal_cone_mask(K, q, grid.directions, tol=1e-9)
-    return grid.weights[mask] @ grid.directions[mask]
+    return _sector_integral(K, q, grid)
 
 
 def cap_gradient(K: ConvexBody, p, grid=None):

@@ -132,6 +132,29 @@ def sector_flux_offaxis_quad(n, opening, u_angle):
     return math.cos(u_angle) * sector_flux_axis_quad(n, opening)
 
 
+def planar_sector_quad(vertices, q, u=None):
+    """Vector integral of theta over the planar directions with
+    <theta, v - q> <= 0 for every given vertex v, and <theta, u> >= 0 when
+    u is given, by quadrature over the angle.  The angle is split where
+    some <theta, v - q> or <theta, u> changes sign, and a piece counts
+    when its middle direction passes the test."""
+    D = np.asarray(vertices, dtype=float) - np.asarray(q, dtype=float)
+    D = D[np.linalg.norm(D, axis=1) > 1e-12]
+    cuts = list(D) + ([np.asarray(u, dtype=float)] if u is not None else [])
+    breaks = {0.0, 2 * math.pi}
+    for c in cuts:
+        for s in (-0.5 * math.pi, 0.5 * math.pi):
+            breaks.add((math.atan2(c[1], c[0]) + s) % (2 * math.pi))
+    breaks = sorted(breaks)
+    out = np.zeros(2)
+    for a, b in zip(breaks, breaks[1:]):
+        m = 0.5 * (a + b)
+        t = np.array([math.cos(m), math.sin(m)])
+        if np.all(D @ t <= 0.0) and (u is None or t @ u >= 0.0):
+            out += [quad(math.cos, a, b)[0], quad(math.sin, a, b)[0]]
+    return out
+
+
 def hausdorff_sampling(A, B, ndirs=10000, seed=3):
     """Support-gap estimate of the Hausdorff distance on sampled directions."""
     from descent_geom.geom_core import unit_directions

@@ -207,7 +207,7 @@ class TestNegativeCoordinates:
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """Paths of a planar disk family with a descent curve, an R^3 disk
-    family and the unit cube, as JSON files."""
+    family, the unit cube and a segment in R^3, as JSON files."""
     d = tmp_path_factory.mktemp("inputs")
     fam = disk_family(levels=4)
     docs = {
@@ -215,6 +215,7 @@ def input_files(tmp_path_factory):
         "curve": construct_descent(fam, fam.bodies[-1].vertices[0], 4).to_dict(),
         "family3": disk_family(levels=3, m=12, n=3).to_dict(),
         "cube": hull(list(itertools.product((0.0, 1.0), repeat=3))).to_dict(),
+        "curve3": {"dim": 3, "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]},
     }
     for name, doc in docs.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -262,6 +263,15 @@ class TestErrorsAndDeterminism:
         "family check --family {family3} --grid-size 0",
         "family check --family {family3} --grid-size -5",
         "report cone-limit --body {cube} --p0 1,1,1 --u 1,1,1 --grid-size 0",
+        # a curve and a family in different dimensions, both ways
+        "check ec --curve {curve} --family {family3}",
+        "check sdc --curve {curve} --family {family3}",
+        "report --curve {curve} --family {family3}",
+        "check ec --curve {curve3} --family {family}",
+        "check sdc --curve {curve3} --family {family}",
+        "report --curve {curve3} --family {family}",
+        # a spiral of no points
+        "fixtures spiral --points -3",
     ])
     def test_out_of_range_options_exit_2(self, argv, input_files, capsys):
         code, _, err = run_cli(argv.format(**input_files).split(), capsys=capsys)

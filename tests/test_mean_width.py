@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -21,26 +22,29 @@ from descent_geom.mean_width import (
     mean_width_intrinsic,
     mean_width_quadrature,
     mean_width_ratio,
+    normal_sector_flux,
+    normal_sector_vector_flux,
     width_distance_bounds,
     width_gap_constant,
 )
 
 from .conftest import disk_polygon, embedded_polytope, nested_pair, random_polytope
+from .oracles import planar_sector_quad
 
 
 class TestSphereGrid:
-    def test_weights_sum_to_sphere_measure(self):
-        from descent_geom.cones import sphere_measure
-
-        for n in (1, 2, 3, 4):
+    def test_quadrature_is_normalized(self):
+        # a segment of length L in R^n has mean width L * E|theta_1| =
+        # L * Gamma(n/2) / (sqrt(pi) * Gamma((n+1)/2)); the R^4 nodes are a
+        # Gaussian sample, so there the error is statistical (about 0.9 %
+        # of the width at one standard error of 5 000 nodes)
+        L = 2.0
+        for n, rel in ((1, 1e-15), (2, 1e-6), (3, 1e-6), (4, 0.03)):
             g = SphereGrid.make(n, 5000, seed=1)
-            assert g.weights.sum() == pytest.approx(sphere_measure(n), abs=1e-9)
             assert np.allclose(np.linalg.norm(g.directions, axis=1), 1.0, atol=1e-12)
-
-    def test_round_trip(self):
-        g = SphereGrid.make(3, 1234, seed=9)
-        g2 = SphereGrid.from_dict(g.to_dict())
-        assert np.array_equal(g.directions, g2.directions)
+            seg = hull(np.vstack([np.zeros(n), L * np.eye(n)[0]]))
+            exact = L * math.gamma(n / 2) / (math.sqrt(math.pi) * math.gamma((n + 1) / 2))
+            assert mean_width_quadrature(seg, g) == pytest.approx(exact, rel=rel)
 
 
 class TestMeanWidth:
@@ -164,6 +168,20 @@ class TestMeanWidthRatio:
         w2 = mean_width_intrinsic(K)
         assert w2 / w3 == pytest.approx(mean_width_ratio(3, 2), rel=2e-2)
 
+    def test_flat_body_of_dimension_four_on_the_ambient_grid(self, rng):
+        # a unit 4-cube in a 4-flat of R^5, given a grid of R^5: its width
+        # is taken on the R^4 grid of that size and seed, against the exact
+        # 4 * E|theta_1| = 16 / (3 pi)
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        C = np.array(list(itertools.product((0.0, 1.0), repeat=4)))
+        K = hull(np.hstack([C, np.zeros((16, 1))]) @ Q + 3.0)
+        assert K.dim_affine == 4
+        widths = {(size, seed): mean_width_intrinsic(K, default_grid(5, size, seed))
+                  for size in (2000, 4000) for seed in (3, 4)}
+        for w in widths.values():
+            assert w == pytest.approx(16 / (3 * math.pi), rel=1e-2)
+        assert len(set(widths.values())) == 4  # size and seed both reach the R^4 grid
+
     def test_invalid(self):
         with pytest.raises(InvalidInput):
             mean_width_ratio(2, 2)
@@ -210,6 +228,28 @@ class TestFirstVariation:
             first_variation(unit_square, (1, 0.5), (-1, 0), 0.1)
         with pytest.raises(InvalidInput):
             first_variation(unit_square, (1, 0.5), (1, 0), -0.1)
+
+
+class TestSectorIntegral:
+    def test_planar_against_quadrature(self, rng):
+        P = random_polytope(rng, 2, 12)
+        V = P.vertices  # a counterclockwise ring
+        seg = hull([(-0.4, 0.1), (1.2, 0.9)])
+        cases = [
+            (P, V[0]),  # a vertex
+            (P, (V[2] + V[3]) / 2),  # an edge midpoint
+            (P, V.mean(axis=0)),  # an interior point
+            (seg, seg.vertices[0]),  # a segment end
+            (seg, seg.vertices.mean(axis=0)),  # a segment midpoint
+            (hull([(0.3, -0.2)]), (0.3, -0.2)),  # a point body
+        ]
+        us = np.vstack([rng.standard_normal((6, 2)), [V[0] - V.mean(axis=0)]])
+        for K, q in cases:
+            want = planar_sector_quad(K.vertices, q)
+            assert np.allclose(normal_sector_vector_flux(K, q), want, rtol=0.0, atol=1e-12)
+            for u in us:
+                want = u @ planar_sector_quad(K.vertices, q, u)
+                assert normal_sector_flux(K, q, u) == pytest.approx(want, abs=1e-12)
 
 
 class TestWidthDistanceBounds:
