@@ -11,8 +11,10 @@ the ring's edges.  Relative depth (rel_depth_many) is read off the
 facets; containment and distances ask it first and project only the
 points it leaves open, in closed form for bodies of affine dimension <= 2.
 Apart from a ClearRing, which its owner grows, everything here is a pure
-function over immutable arrays; nothing keeps global state, so concurrent
-use on shared bodies is safe.
+function over immutable arrays.  The one global state is the memo of
+body_from_dict: keyed by the exact input, bounded in stored coordinates and
+guarded by a lock, it hands out read-only bodies, so concurrent use on
+shared bodies is safe.
 
 Qhull (scipy.spatial) is imported by _qhull on its first run; the rest is
 numpy, so planar bodies from rings, their facets and projections,
@@ -21,6 +23,8 @@ values load no scipy.
 """
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -51,6 +55,48 @@ _SWEEP = [D / np.linalg.norm(D, axis=1, keepdims=True) for D in (
 # pairs than this per point, and measures at most _PAIR_BLOCK pairs at once.
 _SWEEP_PAIRS = 8
 _PAIR_BLOCK = 1 << 16
+
+
+class _Memo:
+    """Values keyed by content, least recently used evicted first once the
+    costs of those kept (their counts of stored coordinates) pass budget; a
+    value costing more than budget is not kept.  A lock guards every read
+    and write, and values are made outside it: when two threads make the
+    same key at once, both get the value stored first."""
+
+    def __init__(self, budget):
+        self.budget, self.cost = budget, 0
+        self.items = OrderedDict()  # key -> (value, cost)
+        self.lock = threading.Lock()
+
+    def _lookup(self, key):
+        hit = self.items.get(key)
+        if hit is not None:
+            self.items.move_to_end(key)
+        return hit
+
+    def get(self, key, cost, make):
+        """The value kept under key, else make(), kept at this cost."""
+        with self.lock:
+            hit = self._lookup(key)
+        if hit is not None:
+            return hit[0]
+        value = make()
+        with self.lock:
+            hit = self._lookup(key)
+            if hit is not None:
+                return hit[0]
+            if cost <= self.budget:
+                self.items[key] = (value, cost)
+                self.cost += cost
+                while self.cost > self.budget:
+                    self.cost -= self.items.popitem(last=False)[1][1]
+        return value
+
+    def clear(self):
+        with self.lock:
+            self.items.clear()
+            self.cost = 0
 
 
 def as_point(x, dim=None):
@@ -267,8 +313,8 @@ class ConvexBody:
 
     @cached_property
     def facets(self) -> Facets:
-        """The body's Facets, computed on first use and kept."""
-        return _facets(self.vertices, self.dim_affine)
+        """The body's Facets, computed on first use and kept, read-only."""
+        return _read_only(_facets(self.vertices, self.dim_affine))
 
     def centroid(self):
         return self.vertices.mean(axis=0)
@@ -276,12 +322,15 @@ class ConvexBody:
     @cached_property
     def _diameter(self) -> float:
         V = self.vertices
-        d2 = ((V[:, None, :] - V[None, :, :]) ** 2).sum(axis=2)
-        return float(np.sqrt(d2.max()))
+        step = max(1, _PAIR_BLOCK // len(V))
+        d2 = max(_sq_dists(V[i:i + step, None, :], V[None, :, :]).max()
+                 for i in range(0, len(V), step))
+        return float(np.sqrt(d2))
 
     def diameter(self):
         """Largest distance between two vertices, computed on first use and
-        kept."""
+        kept; the pairs are measured over row blocks, at most _PAIR_BLOCK at
+        once."""
         return self._diameter
 
     def translate(self, t):
@@ -298,10 +347,30 @@ class ConvexBody:
         return f"ConvexBody(dim={self.dim}, nvertices={self.nvertices}, dim_affine={self.dim_affine})"
 
 
+def _read_only(F):
+    """F, its arrays marked read-only: a body's kept arrays are shared."""
+    for a in F:
+        a.flags.writeable = False
+    return F
+
+
+# Keeps 2^16 coordinates of stored input, 512 KB of keys.
+_body_memo = _Memo(1 << 16)
+
+
+def _stored_body(P):
+    K = hull(P)
+    K.vertices.flags.writeable = False
+    return K
+
+
 def body_from_dict(d):
     """Load a body from its JSON object form, re-canonicalizing.
 
     A stored planar body is a clear ring, so hull() reads it without Qhull.
+    The body is canonicalized once per distinct input (shape and exact
+    coordinates) while _body_memo keeps it: later loads return the same
+    read-only body, its facets and diameter kept.
     """
     try:
         verts = d["vertices"]
@@ -310,7 +379,7 @@ def body_from_dict(d):
     P = as_points(verts)
     if "dim" in d and int(d["dim"]) != P.shape[1]:
         raise DimensionMismatch("declared dim does not match vertex data")
-    return hull(P)
+    return _body_memo.get((P.shape, P.tobytes()), P.size, lambda: _stored_body(P))
 
 
 def _canonical_order(V, n):
@@ -363,7 +432,7 @@ def hull(points) -> ConvexBody:
         # affine_basis(P) is affine_basis(K.vertices): keep its facets rather
         # than building the same hull again on first use.  (A planar body
         # reads its facets off its ring.)
-        K.__dict__["facets"] = (
+        K.__dict__["facets"] = _read_only(
             _full_facets(K.vertices, h) if k == n else _lifted_facets(c, B, h.equations, h.simplices)
         )
     return K

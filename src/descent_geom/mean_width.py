@@ -20,6 +20,7 @@ from .errors import DimensionMismatch, InvalidInput, NumericalFailure, Precondit
 from .geom_core import (
     TAU_PT,
     ConvexBody,
+    _Memo,
     as_point,
     contains,
     hausdorff,
@@ -37,7 +38,8 @@ from .cones import (
 )
 
 _DEFAULT_GRID_SIZE = 20000
-_grid_cache = {}
+# Bounded in direction coordinates: 2^20 hold 13 default R^4 grids.
+_grid_cache = _Memo(1 << 20)
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,8 @@ class SphereGrid:
 
 
 def default_grid(n, size=_DEFAULT_GRID_SIZE, seed=0) -> SphereGrid:
-    key = (n, size, seed)
-    if key not in _grid_cache:
-        _grid_cache[key] = SphereGrid.make(n, size, seed)
-    return _grid_cache[key]
+    """SphereGrid.make(n, size, seed), made once while _grid_cache keeps it."""
+    return _grid_cache.get((n, size, seed), n * size, lambda: SphereGrid.make(n, size, seed))
 
 
 def perimeter(K: ConvexBody) -> float:

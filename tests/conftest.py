@@ -5,9 +5,18 @@ import numpy as np
 import pytest
 import scipy.spatial
 
-from descent_geom.geom_core import hull
+from descent_geom.geom_core import _body_memo, hull
+from descent_geom.mean_width import _grid_cache
 
 MODULES = ("geom_core", "cones", "mean_width", "sep", "family", "descent", "cli")
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts as a fresh process does, with no body or sphere
+    grid kept from an earlier test."""
+    _body_memo.clear()
+    _grid_cache.clear()
 
 
 @pytest.fixture

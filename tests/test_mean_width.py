@@ -14,6 +14,7 @@ from descent_geom.cones import cap_body
 from descent_geom.geom_core import hull, unit_directions
 from descent_geom.mean_width import (
     SphereGrid,
+    _grid_cache,
     cap_gradient,
     default_grid,
     first_variation,
@@ -45,6 +46,16 @@ class TestSphereGrid:
             seg = hull(np.vstack([np.zeros(n), L * np.eye(n)[0]]))
             exact = L * math.gamma(n / 2) / (math.sqrt(math.pi) * math.gamma((n + 1) / 2))
             assert mean_width_quadrature(seg, g) == pytest.approx(exact, rel=rel)
+
+    def test_default_grid_cache_is_bounded(self):
+        first = default_grid(3, 2000, 0)
+        for seed in range(1, 40):
+            default_grid(4, 20000, seed)
+            assert _grid_cache.cost <= _grid_cache.budget
+        assert len(_grid_cache.items) == _grid_cache.budget // 80000
+        assert default_grid(4, 20000, 39) is default_grid(4, 20000, 39)
+        again = default_grid(3, 2000, 0)  # evicted, made again
+        assert again is not first and np.array_equal(again.directions, first.directions)
 
 
 class TestMeanWidth:
