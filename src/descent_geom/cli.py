@@ -34,6 +34,8 @@ from .family import (
     validate_stratification,
 )
 from .descent import (
+    _ec_tail,
+    _sdc_verdict,
     annulus_length_check,
     cantor_disks,
     cantor_family,
@@ -395,19 +397,19 @@ def _cmd_report(args):
     curve = _load_curve(args.curve)
     fam = _load_family(args, args.family)
     grid = _grid_for(args, fam.dim)
-    out = {"config": _config(args), "checks": {}}
-    sep_res = is_sep(curve, args.tol)
-    out["checks"]["sep"] = sep_res["ok"]
-    ec_res = is_expanding_couple(curve, fam, max(args.tol, 1e-7), grid)
-    out["checks"]["ec"] = ec_res["ok"]
-    sdc_res = is_viable_sdc(curve, fam, max(args.tol, 1e-6))
-    out["checks"]["sdc"] = sdc_res["ok"]
-    if sep_res["ok"]:
+    # Exits 2 unless the pair is a couple, which passes EC's sep and (i) checks.
+    ec = make_expanding_couple(curve, fam, max(args.tol, 1e-7))
+    sep_ok = is_sep(curve, args.tol)["ok"]
+    out = {"config": _config(args), "checks": {
+        "sep": sep_ok,
+        "ec": _ec_tail(curve.points, fam.bodies, max(args.tol, 1e-7))["ok"],
+        "sdc": _sdc_verdict(curve, fam, ec.align_s, ec.align_x, max(args.tol, 1e-6))["ok"],
+    }}
+    if sep_ok:
         lb = length_bound_check(curve, grid, args.tol, w_hull=mean_width(hull(curve.points), grid))
         out["checks"]["length_bound"] = lb["bound_ok"]
         out["length"] = lb["length"]
         out["w_hull"] = lb["w_hull"]
-    ec = make_expanding_couple(curve, fam, max(args.tol, 1e-7))
     jp = joint_parametrization(ec)
     out["checks"]["joint_lipschitz"] = jp["lipschitz_estimate"] <= 1.0 + 1e-9
     an = annulus_length_check(ec, 0, grid=grid)

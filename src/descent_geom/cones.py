@@ -11,7 +11,8 @@ double-description step.  The normal cone of a lower-dimensional body
 carries the complement of its affine hull as +/- generator pairs.
 Without building a cone, x in N_K(q) is one support-gap test, <x, v - q>
 small for every vertex v: normal_cone_mask, of which in_normal_cone is
-one row; cap_support_batch makes it at the apex of the cap body.
+one row; cap_support_batch makes it at the apex of the cap body, against
+K's own vertices.
 Membership in a cone and the angle to it are nonnegative least squares
 problems on its generators, solved in numpy (_nnls).
 """
@@ -263,10 +264,12 @@ def cap_support(K: ConvexBody, p, x) -> float:
 def cap_support_batch(K: ConvexBody, p, dirs):
     """Vectorized cap_support over rows of dirs: d is in the normal cone of
     K^p at p iff <d, v - p> <= 1e-9 * (1 + |d|) * (1 + diam K) for every
-    vertex v of K^p other than p."""
+    vertex v of K farther than TAU_PT from p.  No cap body is built: a
+    vertex of K that is not one of K^p lies in their hull with p, so its
+    gap <d, v - p> is at most the largest of theirs or 0."""
     p = as_point(p, K.dim)
     dirs = np.asarray(dirs, dtype=float)
-    rel = cap_body(K, p).vertices - p
+    rel = K.vertices - p
     rel = rel[np.linalg.norm(rel, axis=1) > TAU_PT]
     hK = support_many(dirs, K.vertices)
     if rel.shape[0] == 0:

@@ -8,6 +8,12 @@ couple, viable steepest-descent curve), the joint parametrization with its
 Lipschitz certificate, stability and annulus-length bounds, and the
 counterexample fixtures (Cantor graph, revolved-pancake family,
 near-extremal spirals).
+
+A couple holds the alignment of its curve to the members: the last curve
+point inside each, by one backward walk clipped by _segment_interval.  EC
+conditions (ii)-(iii) (_ec_tail) and the per-knot SDC test (_sdc_verdict)
+take points or an alignment, so a couple's holder reads both without
+aligning again.
 """
 
 import math
@@ -49,10 +55,20 @@ def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
 # -- segment / body clipping ---------------------------------------------------
 
 
-def _segment_inside_interval_eqs(eqs, a, b):
-    """Parameter interval of {t in [0,1] : a + t(b-a) in K} from facet
-    equations; None when the segment misses K.  No equations (a point
-    body) give [0, 1]."""
+def _segment_interval(K: ConvexBody, a, b):
+    """Inside interval (t0, t1) of the segment a->b, or None: exact
+    clipping by K's facet equations.  No equations (a point body) give
+    [0, 1].
+
+    For a lower-dimensional K the facets bound the cylinder over K, so the
+    interval is also cut to the parameters where the segment lies within
+    eps = 1e-12 * (1 + max|a - c|) of Aff(K).  With o0 and o1 the parts of
+    a - c and b - a orthogonal to Aff(K), that band is the interval of
+    half-width sqrt(eps^2 - r^2) / |o1| around the parameter t* nearest to
+    Aff(K), r = |o0 + t* o1|; a segment parallel to Aff(K) is in the band
+    everywhere or nowhere.
+    """
+    c, B, eqs, _ = K.facets
     d = b - a
     alpha = eqs[:, :-1] @ a + eqs[:, -1]
     beta = eqs[:, :-1] @ d
@@ -71,39 +87,23 @@ def _segment_inside_interval_eqs(eqs, a, b):
             lo = max(lo, t)
     if lo > hi + 1e-12:
         return None
-    return max(lo, 0.0), min(hi, 1.0)
-
-
-def _segment_interval(K: ConvexBody, a, b):
-    """Inside interval (t0, t1) of the segment a->b, or None: exact
-    clipping by K's facet equations.
-
-    For a lower-dimensional K the facets bound the cylinder over K, so the
-    interval is also cut to the parameters where the segment lies within
-    eps = 1e-12 * (1 + max|a - c|) of Aff(K).  With o0 and o1 the parts of
-    a - c and b - a orthogonal to Aff(K), that band is the interval of
-    half-width sqrt(eps^2 - r^2) / |o1| around the parameter t* nearest to
-    Aff(K), r = |o0 + t* o1|; a segment parallel to Aff(K) is in the band
-    everywhere or nowhere.
-    """
-    c, B, eqs, _ = K.facets
-    iv = _segment_inside_interval_eqs(eqs, a, b)
-    if iv is None or len(B) == K.dim:
-        return iv
-    y, d = a - c, b - a
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    if len(B) == K.dim:
+        return lo, hi
+    y = a - c
     o0 = y - (y @ B.T) @ B
     o1 = d - (d @ B.T) @ B
     scale = 1.0 + np.abs(y).max()
     eps = 1e-12 * scale
     n1 = np.linalg.norm(o1)
     if n1 <= 1e-14 * scale:
-        return iv if np.linalg.norm(o0) <= eps else None
+        return (lo, hi) if np.linalg.norm(o0) <= eps else None
     ts = -(o0 @ o1) / (n1 * n1)
     r = np.linalg.norm(o0 + ts * o1)
     if r > eps:
         return None
     hw = math.sqrt(eps * eps - r * r) / n1
-    lo, hi = max(iv[0], ts - hw), min(iv[1], ts + hw)
+    lo, hi = max(lo, ts - hw), min(hi, ts + hw)
     if lo > hi:
         return None
     return lo, hi
@@ -114,7 +114,7 @@ def _candidate_segments(K: ConvexBody, P):
 
     A segment is dropped when both its ends lie beyond one facet (of K, or
     of the cylinder over a lower-dimensional K) by 1e-9 * (1 + the largest
-    |residual| at either end), which _segment_inside_interval_eqs rejects
+    |residual| at either end), which _segment_interval rejects
     as well, so clipping the remaining segments gives the same answers.
     """
     eqs = K.facets.equations
@@ -133,19 +133,12 @@ def clip_length_outside(gamma: Polyline, K: ConvexBody) -> float:
     """Length of the part of the curve outside K, by exact segment
     clipping (lower-dimensional K within a relative 1e-12 of Aff(K))."""
     P = gamma.points
-    if len(P) < 2:
-        return 0.0
-    total = gamma.length()
     inside = 0.0
-    for i in range(len(P) - 1):
-        a, b = P[i], P[i + 1]
-        seglen = float(np.linalg.norm(b - a))
-        if seglen <= 0:
-            continue
-        iv = _segment_interval(K, a, b)
+    for i in _candidate_segments(K, P):
+        iv = _segment_interval(K, P[i], P[i + 1])
         if iv is not None:
-            inside += (iv[1] - iv[0]) * seglen
-    return total - inside
+            inside += (iv[1] - iv[0]) * float(np.linalg.norm(P[i + 1] - P[i]))
+    return gamma.length() - inside
 
 
 # -- expanding couples ---------------------------------------------------------
@@ -204,7 +197,9 @@ def align_curve(curve: Polyline, bodies):
 def make_expanding_couple(curve: Polyline, fam: Family, tol=None) -> ExpandingCouple:
     """A SEP curve (at tolerance tol, default 1e-7) ending on the boundary
     of the largest member (tol floors _bd_tol there), aligned to every
-    member at its own _bd_tol."""
+    member at its own _bd_tol.  A curve and members in different dimensions
+    raise DimensionMismatch before any other check."""
+    _same_dim(curve, fam.bodies)
     chk = is_sep(curve, 1e-7 if tol is None else tol)
     if not chk["ok"]:
         raise PreconditionViolated(f"curve is not a self-expanding path: {chk['witness']}")
@@ -259,17 +254,24 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     if not sep_chk["ok"]:
         return {"ok": False, "condition": "sep", "witness": sep_chk["witness"]}
     P, cums = gamma.points, gamma.arclengths()
-    top = strat.bodies[-1]
     for Q in strat.bodies:
         if _last_inside(Q, P, cums, max(tol, _bd_tol(Q))) is None:
             return {"ok": False, "condition": "i", "witness": {"body_width": mean_width(Q, grid)}}
+    return _ec_tail(P, strat.bodies, tol)
+
+
+def _ec_tail(P, bodies, tol):
+    """Conditions (ii) and (iii) of is_expanding_couple for the curve
+    vertices P, as its verdict; the caller has proved the SEP property and
+    condition (i)."""
+    top = bodies[-1]
     btol = max(tol, _bd_tol(top))
     depth, off = rel_depth_many(top, P)
     if not np.any((off <= btol) & (np.abs(depth) <= btol)):
         return {"ok": False, "condition": "ii", "witness": None}
     worst = None
     scale = 1.0 + top.diameter()
-    for qi, Q in enumerate(strat.bodies):
+    for qi, Q in enumerate(bodies):
         D = distances(P, Q.vertices)  # m x q
         suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
         depth, off = rel_depth_many(Q, P)
@@ -289,19 +291,13 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     if worst is None:
         return {"ok": True, "condition": None, "witness": None}
     gap, qi, i, j, later = worst
-    return {
-        "ok": False,
-        "condition": "iii",
-        "witness": {
-            "body_index": qi,
-            "x": P[i].copy(),
-            "y": strat.bodies[qi].vertices[j].copy(),
-            "x1": P[later].copy(),
-            "dist_x_y": float(np.linalg.norm(P[i] - strat.bodies[qi].vertices[j])),
-            "dist_x1_y": float(np.linalg.norm(P[later] - strat.bodies[qi].vertices[j])),
-            "violation": gap,
-        },
-    }
+    y = bodies[qi].vertices[j]
+    return {"ok": False, "condition": "iii", "witness": {
+        "body_index": qi, "x": P[i].copy(), "y": y.copy(), "x1": P[later].copy(),
+        "dist_x_y": float(np.linalg.norm(P[i] - y)),
+        "dist_x1_y": float(np.linalg.norm(P[later] - y)),
+        "violation": gap,
+    }}
 
 
 def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6):
@@ -314,8 +310,13 @@ def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6):
     align_curve does.
     """
     s, x = align_curve(gamma, fam.bodies)
-    P = gamma.points
-    cums = gamma.arclengths()
+    return _sdc_verdict(gamma, fam, s, x, tol)
+
+
+def _sdc_verdict(gamma: Polyline, fam: Family, s, x, tol):
+    """is_viable_sdc's verdict from the alignment (s, x) of gamma to the
+    members of fam, as align_curve returns it."""
+    P, cums = gamma.points, gamma.arclengths()
     failures = []
     for k, (K, sk, xk) in enumerate(zip(fam.bodies, s, x)):
         if not on_rel_boundary(K, xk, _bd_tol(K)):
@@ -340,11 +341,8 @@ def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6):
             continue
         if not any(in_normal_cone(K, xk, d, tol) for d in dirs):
             failures.append({"knot": k, "param": fam.params[k], "x": xk, "condition": "ii"})
-    return {
-        "ok": not failures,
-        "witness": failures[0] if failures else None,
-        "failures": failures,
-    }
+    return {"ok": not failures, "witness": failures[0] if failures else None,
+            "failures": failures}
 
 
 def joint_parametrization(ec: ExpandingCouple):
@@ -356,9 +354,6 @@ def joint_parametrization(ec: ExpandingCouple):
     """
     w = np.asarray(ec.family.params, dtype=float)
     s = ec.align_s
-    if len(w) == 1:
-        return {"tau_grid": np.zeros(1), "z_points": ec.align_x.copy(),
-                "s_values": s.copy(), "lipschitz_estimate": 0.0}
     steps = np.sqrt(np.diff(w) ** 2 + np.diff(s) ** 2)
     tau = np.concatenate([[0.0], np.cumsum(steps)])
     dz = np.linalg.norm(np.diff(ec.align_x, axis=0), axis=1)
@@ -448,11 +443,16 @@ def _width_family(bodies, grid: SphereGrid = None) -> Family:
     return Family(bodies, params, h * (1.0 + 1e-9))
 
 
+# Deepest Cantor level a fixture builds.  Level L has 2^(L+1) breakpoints
+# and its family one member fewer; the cost doubles with each level.
+MAX_CANTOR_LEVEL = 10
+
+
 def cantor_points(level: int):
     """Breakpoints of the level-L polyline approximation of the Cantor
-    function graph on [0, 1]."""
-    if level < 0:
-        raise InvalidInput("level must be >= 0")
+    function graph on [0, 1], 0 <= L <= MAX_CANTOR_LEVEL."""
+    if not 0 <= level <= MAX_CANTOR_LEVEL:
+        raise InvalidInput(f"level must lie in [0, {MAX_CANTOR_LEVEL}], got {level}")
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
     for _ in range(level):
         left = pts * [1.0 / 3.0, 0.5]

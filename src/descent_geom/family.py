@@ -98,6 +98,8 @@ def stratification_from_dict(d, grid: SphereGrid = None) -> Stratification:
 
 def family_from_dict(d, grid: SphereGrid = None) -> Family:
     bodies = _bodies_from_dict(d)
+    if len(bodies) < 2:
+        raise Degenerate("family JSON must list at least two bodies")
     params = d.get("params")
     if params is None:
         params = [mean_width(K, grid) for K in bodies]

@@ -13,10 +13,16 @@ import pytest
 
 from descent_geom import cli, sep
 from descent_geom.cli import main, render_svg
-from descent_geom.descent import construct_descent, disk_family
+from descent_geom.descent import (
+    construct_descent,
+    disk_family,
+    is_expanding_couple,
+    is_viable_sdc,
+)
 from descent_geom.family import family_from_dict
 from descent_geom.geom_core import hausdorff, hull
 from descent_geom.mean_width import width_gap_constant
+from descent_geom.sep import is_sep, polyline_from_dict
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -272,6 +278,9 @@ class TestErrorsAndDeterminism:
         "report --curve {curve3} --family {family}",
         # a spiral of no points
         "fixtures spiral --points -3",
+        # a Cantor level above the maximum: refused before anything is built
+        "fixtures cantor --level 11",
+        "fixtures cantor --level 40",
     ])
     def test_out_of_range_options_exit_2(self, argv, input_files, capsys):
         code, _, err = run_cli(argv.format(**input_files).split(), capsys=capsys)
@@ -343,6 +352,11 @@ class TestParserReuse:
         assert built.count("descent-geom") == 1
 
 
+# A family document with one body: it has params and h, and still no gap.
+ONE_BODY = {"bodies": [{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}], "params": [1.0],
+            "h": 0.1}
+
+
 class TestMalformedFamilies:
     @pytest.mark.parametrize("doc", [
         {},
@@ -352,12 +366,25 @@ class TestMalformedFamilies:
         {"bodies": [{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]},
                     {"dim": 2, "vertices": [[0, 0], [2, 0], [0, 2]]}], "params": [1]},
         {"bodies": [{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}], "params": ["x"]},
+        ONE_BODY,
     ])
     def test_family_check_exit_2(self, doc, capsys, monkeypatch):
         code, out, err = run_cli(["family", "check"], stdin_text=json.dumps(doc),
                                  capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2 and out == ""
         assert err.startswith("error: family JSON")
+
+    def test_one_body_family_exits_2_in_every_loader(self, tmp_path, capsys):
+        fpath, cpath = tmp_path / "fam.json", tmp_path / "curve.json"
+        fpath.write_text(json.dumps(ONE_BODY))
+        cpath.write_text(json.dumps({"dim": 2, "points": [[0.2, 0.2], [1.0, 0.0]]}))
+        fam, curve = ["--family", str(fpath)], ["--curve", str(cpath)]
+        for argv in (["family", "check"] + fam, ["descend", "--endpoint", "1,0"] + fam,
+                     ["check", "sdc"] + curve + fam, ["check", "ec"] + curve + fam,
+                     ["bounds", "annulus"] + curve + fam, ["report"] + curve + fam):
+            code, out, err = run_cli(argv, capsys=capsys)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: family JSON"), argv
 
     @pytest.mark.parametrize("doc", [{}, {"bodies": []}, {"h": 0.1}, "chain"])
     def test_chain_loaders_exit_2(self, doc, tmp_path, capsys, monkeypatch):
@@ -577,6 +604,73 @@ class TestExpandingCoupleTol:
                 code, out, _ = run_cli(argv + ["--curve", str(cpath), "--family", str(fpath)]
                                        + opts, capsys=capsys)
                 assert code == 0 and json.loads(out)["ok"], argv + opts
+
+
+def _report_inputs(tmp_path, capsys):
+    """(name, curve path, family path) of the report inputs: Cantor level 4
+    with its family, example 6.1, cantor-disks, and R^2 and R^3 gen random
+    families with a descent curve to a vertex of the top member."""
+    def write(name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def out(argv):
+        return json.loads(run_cli(argv, capsys=capsys)[1])
+
+    inputs = [("cantor", write("cantor", out(["fixtures", "cantor", "--level", "4"])),
+               write("cantor_fam", out(["fixtures", "cantor-family", "--level", "4"])))]
+    for kind in ("example61", "cantor-disks"):
+        doc = out(["fixtures", kind])
+        inputs.append((kind, write(kind, doc["curve"]), write(kind + "_fam", doc["family"])))
+    for n, seed in ((2, 3), (3, 4)):
+        fam = out(["gen", "random", "--n", str(n), "--levels", "3", "--seed", str(seed)])
+        fpath = write(f"fam{n}", fam)
+        v = ",".join(map(repr, fam["bodies"][-1]["vertices"][0]))
+        curve = out(["descend", "--family", fpath, f"--endpoint={v}", "--knots", "8"])
+        inputs.append((f"gen{n}", write(f"curve{n}", curve), fpath))
+    return inputs
+
+
+class TestReportCouple:
+    def test_checks_equal_the_standalone_validators(self, tmp_path, capsys):
+        seen = set()
+        for name, cpath, fpath in _report_inputs(tmp_path, capsys):
+            with open(cpath) as fc, open(fpath) as ff:
+                curve, fam = polyline_from_dict(json.load(fc)), family_from_dict(json.load(ff))
+            for tol in (1e-9, 1e-3):
+                code, out, err = run_cli(["report", "--curve", cpath, "--family", fpath,
+                                          "--tol", repr(tol)], capsys=capsys)
+                assert code in (0, 1), (name, err)
+                checks = json.loads(out)["checks"]
+                expect = {
+                    "sep": is_sep(curve, tol)["ok"],
+                    "ec": is_expanding_couple(curve, fam, max(tol, 1e-7))["ok"],
+                    "sdc": is_viable_sdc(curve, fam, max(tol, 1e-6))["ok"],
+                }
+                assert {k: checks[k] for k in expect} == expect, (name, tol)
+                seen.add((name, checks["ec"], checks["sdc"]))
+        # the corpus reaches both verdicts of both checks
+        assert ("cantor", False, True) in seen and ("example61", True, False) in seen
+        assert ("cantor-disks", True, True) in seen
+
+    def test_one_alignment_and_two_sep_checks_per_report(self, tmp_path, capsys,
+                                                         call_counter):
+        fpath = tmp_path / "fam.json"
+        fpath.write_text(run_cli(["gen", "random", "--levels", "3", "--seed", "3"],
+                                 capsys=capsys)[1])
+        fam = family_from_dict(json.loads(fpath.read_text()))
+        v = ",".join(map(repr, fam.bodies[-1].vertices[0].tolist()))
+        cpath = tmp_path / "curve.json"
+        cpath.write_text(run_cli(["descend", "--family", str(fpath), f"--endpoint={v}"],
+                                 capsys=capsys)[1])
+        aligns = call_counter("descent", "_last_inside")
+        seps = call_counter("sep", "is_sep")
+        code, out, err = run_cli(["report", "--curve", str(cpath), "--family", str(fpath)],
+                                 capsys=capsys)
+        assert code == 0 and json.loads(out)["ok"], err
+        assert len(fam) > 4
+        assert len(aligns) <= len(fam) and len(seps) <= 2
 
 
 # One CLI command in a fresh interpreter; its last stderr line lists the

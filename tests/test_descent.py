@@ -413,7 +413,7 @@ class TestWorkBudget:
 
     def test_viable_sdc_clips_cantor(self, call_counter):
         g, fam = cantor_graph(6), cantor_family(6)
-        calls = call_counter("descent", "_segment_inside_interval_eqs")
+        calls = call_counter("descent", "_segment_interval")
         assert is_viable_sdc(g, fam)["ok"]
         assert len(calls) <= 2 * len(fam)
 
