@@ -397,9 +397,10 @@ def _cmd_report(args):
     curve = _load_curve(args.curve)
     fam = _load_family(args, args.family)
     grid = _grid_for(args, fam.dim)
-    # Exits 2 unless the pair is a couple, which passes EC's sep and (i) checks.
+    # Exits 2 unless the pair is a couple, which passes EC's sep and (i) checks;
+    # its SEP check at max(--tol, 1e-7) is the one asked for when --tol >= 1e-7.
     ec = make_expanding_couple(curve, fam, max(args.tol, 1e-7))
-    sep_ok = is_sep(curve, args.tol)["ok"]
+    sep_ok = args.tol >= 1e-7 or is_sep(curve, args.tol)["ok"]
     out = {"config": _config(args), "checks": {
         "sep": sep_ok,
         "ec": _ec_tail(curve.points, fam.bodies, max(args.tol, 1e-7))["ok"],

@@ -14,7 +14,7 @@ small for every vertex v: normal_cone_mask, of which in_normal_cone is
 one row; cap_support_batch makes it at the apex of the cap body, against
 K's own vertices.
 Membership in a cone and the angle to it are nonnegative least squares
-problems on its generators, solved in numpy (_nnls).
+problems on its generators, solved in numpy (geom_core._nnls).
 """
 
 import math
@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, PreconditionViolated
+from .errors import InvalidInput, PreconditionViolated
 from .geom_core import (
     TAU_PT,
     ConvexBody,
+    _nnls,
     as_point,
     contains,
     dedup_points,
@@ -36,7 +37,6 @@ from .geom_core import (
 )
 
 _MEMBER_TOL = 1e-8
-_EPS = np.finfo(float).eps
 
 
 def sphere_measure(k: int) -> float:
@@ -104,61 +104,6 @@ class PolyCone:
         if npn <= 1e-14:
             return math.pi / 2.0
         return float(math.acos(np.clip(x @ (p / npn), -1.0, 1.0)))
-
-
-def _lstsq(M, b):
-    """Least squares solution of M z ~ b; one column in closed form."""
-    if M.shape[1] == 1:
-        a = M[:, 0]
-        return np.array([(a @ b) / (a @ a)])
-    return np.linalg.lstsq(M, b, rcond=None)[0]
-
-
-def _nnls(A, b):
-    """Nonnegative least squares: (x, |Ax - b|) for an x >= 0 minimising
-    |Ax - b|.
-
-    Lawson and Hanson's active-set method (Solving Least Squares Problems,
-    1974, ch. 23): the column of largest positive gradient A^T (b - Ax)
-    joins the passive set P, whose least squares solution z is taken by
-    _lstsq, not by normal equations; while z has an entry <= 0, x steps
-    towards z until the first entry of P reaches 0, which leaves P.  The
-    residual is computed directly.
-    """
-    m, n = A.shape
-    x = np.zeros(n)
-    P = []
-    # gradient entries at or below this are zero up to the rounding of A^T b
-    tol = 10.0 * _EPS * max(m, n) * math.sqrt(m * (b @ b)) * float(np.abs(A).max())
-    w = A.T @ b
-    for _ in range(3 * n):
-        w[P] = -np.inf
-        j = int(w.argmax())
-        if w[j] <= tol:
-            break
-        P.append(j)
-        z = _lstsq(A[:, P], b)
-        if z[-1] <= 0.0:
-            # only by rounding: in exact arithmetic the new entry is positive
-            P.pop()
-            w[j] = -np.inf
-            continue
-        while z.size and z.min() <= 0.0:
-            xp, neg = x[P], np.flatnonzero(z <= 0.0)
-            step = xp[neg] / (xp[neg] - z[neg])
-            k = int(step.argmin())
-            xp += step[k] * (z - xp)
-            xp[neg[k]] = 0.0
-            x[P] = np.maximum(xp, 0.0)
-            P = [p for p, v in zip(P, xp.tolist()) if v > 0.0]
-            z = _lstsq(A[:, P], b) if P else np.zeros(0)
-        x[:] = 0.0
-        x[P] = z
-        w = A.T @ (b - A[:, P] @ z)
-    else:
-        raise NumericalFailure("nonnegative least squares exceeded its iteration cap")
-    r = A @ x - b
-    return x, math.sqrt(r @ r)
 
 
 def _reduce_generators(G):

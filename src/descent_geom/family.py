@@ -497,10 +497,12 @@ def is_connected(fam: Family, grid: SphereGrid = None) -> bool:
     Checks that params are honest mean widths, steps do not exceed h, and
     each consecutive Hausdorff jump obeys the width-gap lower bound
     (c0_n / diam^{n-1}) * dist^n <= 1.5 * delta_param.  A flat-zone jump
-    (large Hausdorff distance at a small parameter gap) fails.
+    (large Hausdorff distance at a small parameter gap) fails.  Widths are
+    exact for n <= 3 and held to 1e-6 relative; quadrature widths (n >= 4)
+    to 1e-3.
     """
     n = fam.dim
-    fid = 1e-6 if n <= 2 else 1e-3
+    fid = 1e-6 if n <= 3 else 1e-3
     diam = fam.bodies[-1].diameter()
     scale = 1.0 + abs(fam.params[-1])
     for K, p in zip(fam.bodies, fam.params):

@@ -9,7 +9,9 @@ counterclockwise ring is its only boundary: hull() reads a clear ring
 without Qhull, ClearRing grows one point by point, and its facets are
 the ring's edges.  Relative depth (rel_depth_many) is read off the
 facets; containment and distances ask it first and project only the
-points it leaves open, in closed form for bodies of affine dimension <= 2.
+points it leaves open, in closed form for bodies of affine dimension <= 2
+and by the least-distance program on the facets above, solved by _nnls,
+the package's one active-set solver (cones decides membership with it).
 Apart from a ClearRing, which its owner grows, everything here is a pure
 function over immutable arrays.  The one global state is the memo of
 body_from_dict: keyed by the exact input, bounded in stored coordinates and
@@ -41,9 +43,6 @@ _RANK_RTOL = 1e-8
 _EPS = np.finfo(float).eps
 
 MAX_DIM = 8
-
-# Iteration cap of each cycle of Wolfe's min-norm method (_min_norm_point).
-_WOLFE_MAX_ITER = 10000
 
 # Sweep directions of dedup_points, the n rows of _SWEEP[n - 1] in R^n: unit
 # vectors with irrational ratios, so that no coordinate plane or lattice row
@@ -574,93 +573,115 @@ def support_many(X, Y):
     return h
 
 
-def _min_norm_point(P, eps):
-    """Wolfe's algorithm: the minimum-norm point of conv(rows of P).
+def _lstsq(M, b):
+    """Least squares solution of M z ~ b; one column in closed form."""
+    if M.shape[1] == 1:
+        a = M[:, 0]
+        return np.array([(a @ b) / (a @ a)])
+    return np.linalg.lstsq(M, b, rcond=None)[0]
 
-    Active-set method; each major cycle adds the vertex most violating the
-    optimality condition <x, p_i> >= |x|^2, each minor cycle restores the
-    affinely-independent positive-weight support set.
+
+def _nnls(A, b):
+    """Nonnegative least squares: (x, |Ax - b|) for an x >= 0 minimising
+    |Ax - b|.
+
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23): the column of largest positive gradient A^T (b - Ax)
+    joins the passive set P, whose least squares solution z is taken by
+    _lstsq, not by normal equations; while z has an entry <= 0, x steps
+    towards z until the first entry of P reaches 0, which leaves P.  The
+    residual is computed directly.
     """
-    m = P.shape[0]
-    norms = np.einsum("ij,ij->i", P, P)
-    scale = 1.0 + float(np.sqrt(norms.max()))
-    j = int(np.argmin(norms))
-    S = [j]
-    lam = np.array([1.0])
-    x = P[j].copy()
-    for _ in range(_WOLFE_MAX_ITER):
-        dots = P @ x
-        xx = x @ x
-        j = int(np.argmin(dots))
-        if dots[j] >= xx - eps * scale:
-            return x
-        if j in S:
-            return x  # numerically stalled at optimum
-        S.append(j)
-        lam = np.append(lam, 0.0)
-        for _ in range(_WOLFE_MAX_ITER):
-            B = P[S]
-            k = len(S)
-            A = np.empty((k + 1, k + 1))
-            A[:k, :k] = B @ B.T
-            A[:k, k] = 1.0
-            A[k, :k] = 1.0
-            A[k, k] = 0.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            try:
-                a = np.linalg.solve(A, rhs)[:k]
-            except np.linalg.LinAlgError:
-                a = np.linalg.lstsq(A, rhs, rcond=None)[0][:k]
-            if np.all(a > 1e-13):
-                lam = a
-                x = a @ B
-                break
-            neg = a <= 1e-13
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = lam[neg] / (lam[neg] - a[neg])
-            theta = float(np.min(steps[np.isfinite(steps)], initial=1.0))
-            theta = min(max(theta, 0.0), 1.0)
-            lam = theta * a + (1.0 - theta) * lam
-            lam[lam < 1e-13] = 0.0
-            keep = lam > 0.0
-            if not np.any(keep):
-                keep[int(np.argmax(lam))] = True
-            S = [s for s, kp in zip(S, keep) if kp]
-            lam = lam[keep]
-            lam = lam / lam.sum()
-        else:  # pragma: no cover
-            raise NumericalFailure("minor cycle of min-norm solver did not terminate")
-    raise NumericalFailure("min-norm point solver exceeded its iteration cap")
+    m, n = A.shape
+    x = np.zeros(n)
+    P = []
+    # gradient entries at or below this are zero up to the rounding of A^T b
+    tol = 10.0 * _EPS * max(m, n) * math.sqrt(m * (b @ b)) * float(np.abs(A).max())
+    w = A.T @ b
+    for _ in range(3 * n):
+        w[P] = -np.inf
+        j = int(w.argmax())
+        if w[j] <= tol:
+            break
+        P.append(j)
+        z = _lstsq(A[:, P], b)
+        if z[-1] <= 0.0:
+            # only by rounding: in exact arithmetic the new entry is positive
+            P.pop()
+            w[j] = -np.inf
+            continue
+        while z.size and z.min() <= 0.0:
+            xp, neg = x[P], np.flatnonzero(z <= 0.0)
+            step = xp[neg] / (xp[neg] - z[neg])
+            k = int(step.argmin())
+            xp += step[k] * (z - xp)
+            xp[neg[k]] = 0.0
+            x[P] = np.maximum(xp, 0.0)
+            P = [p for p, v in zip(P, xp.tolist()) if v > 0.0]
+            z = _lstsq(A[:, P], b) if P else np.zeros(0)
+        x[:] = 0.0
+        x[P] = z
+        w = A.T @ (b - A[:, P] @ z)
+    else:
+        raise NumericalFailure("nonnegative least squares exceeded its iteration cap")
+    r = A @ x - b
+    return x, math.sqrt(r @ r)
 
 
 def project(K: ConvexBody, p):
     """Nearest point of K to p.
 
-    Closed form for a body of affine dimension k <= 2 in any R^n: the
-    projection of p onto Aff(K) (p itself when k = n) if p violates no facet
-    equation, else the nearest point of the facet simplices (vertices or
-    edges).  For k >= 3, Wolfe's min-norm active-set method; its result q
-    satisfies <p - q, v - q> <= 1e-8 * (1 + |p - q|) over all vertices v,
-    or NumericalFailure is raised rather than returning.
+    When p violates no facet equation: p itself, or its projection onto
+    Aff(K) for a lower-dimensional K.  Otherwise, for a body of affine
+    dimension k <= 2 in any R^n, the nearest point of the facet simplices
+    (vertices or edges), in closed form.  For k >= 3, the nearest vertex v
+    when <p - v, w - v> <= 0 for every vertex w; else the least-distance
+    program on the facets that can bind (Lawson and Hanson 1974, ch. 23),
+    solved by _nnls in units of |p - v|, so that its entries and its
+    solution are at most 1 at any distance.  A k >= 3 result q
+    satisfies <p - q, v - q> <= 1e-8 * (1 + |p - q|) over all vertices v
+    and violates no facet by more than max(TAU_PT, rounding_floor(K)), or
+    NumericalFailure is raised rather than returning.
     """
     p = as_point(p, K.dim)
     k = K.dim_affine
+    c, B, eqs, S = K.facets
+    N = eqs[:, :-1]
+    r = p @ N.T + eqs[:, -1]
+    if np.all(r <= 0.0):
+        return p.copy() if k == K.dim else c + ((p - c) @ B.T) @ B
+    V = K.vertices
     if k <= 2:
-        c, B, eqs, S = K.facets
-        if np.all(p @ eqs[:, :-1].T + eqs[:, -1] <= 0.0):
-            return p.copy() if k == K.dim else c + ((p - c) @ B.T) @ B
-        A = K.vertices[S[:, 0]]
-        D = K.vertices[S[:, -1]] - A
+        A = V[S[:, 0]]
+        D = V[S[:, -1]] - A
         dd = np.einsum("ij,ij->i", D, D)
         t = np.clip(np.einsum("ij,ij->i", p - A, D) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
         X = A + t[:, None] * D
         return X[int(np.argmin(_sq_dists(X, p)))]
-    x = _min_norm_point(K.vertices - p, eps=1e-10)
-    q = p + x
-    gap = float(np.max((K.vertices - q) @ (p - q)))
+    d2 = _sq_dists(V, p)
+    v = V[int(np.argmin(d2))]
+    if np.max((V - v) @ (p - v)) <= 0.0:
+        q = v.copy()
+    else:
+        # delta = |p - v| >= dist(p, K): a facet with r < -delta cannot bind
+        # at q, and in units of delta the kept entries and |q - p| are <= 1.
+        delta = math.sqrt(float(d2.min()))
+        near = r >= -delta
+        E = np.vstack([-N[near].T, r[near] / delta])
+        e = np.eye(K.dim + 1)[-1]
+        u, _ = _nnls(E, e)
+        rho = E @ u - e
+        if not rho[-1] < 0.0:
+            raise NumericalFailure("least-distance program found no feasible point")
+        q = p - delta * rho[:-1] / rho[-1]
+        if k < K.dim:
+            q = c + ((q - c) @ B.T) @ B
+    gap = float(np.max((V - q) @ (p - q)))
     if gap > 1e-8 * (1.0 + np.linalg.norm(p - q)):
         raise NumericalFailure(f"projection certificate violated (gap {gap:.3e})")
+    worst = float(np.max(q @ N.T + eqs[:, -1]))
+    if worst > max(TAU_PT, rounding_floor(K)):
+        raise NumericalFailure(f"projection left K by a facet residual of {worst:.3e}")
     return q
 
 

@@ -24,6 +24,54 @@ def in_convex_hull_lp(point, points, tol=1e-9):
     return res.status == 0 and res.success
 
 
+def nearest_point_faces(points, X):
+    """Nearest points of conv(points) to the rows of X in R^n, n <= 5, by
+    enumeration; affine dimension at least 2.
+
+    In coordinates of the affine hull (by SVD, rank cut 1e-9 relative; the
+    ambient ones when full-dimensional): a row's own projection when
+    Qhull's equations there put it inside, else the nearest of the
+    candidates over every face of every facet simplex of Qhull's
+    triangulation: the vertices, each edge's nearest point (clipped to the
+    edge) and, on each larger face, the affine projection of the row when
+    it lands inside the face.
+    """
+    from scipy.spatial import ConvexHull
+
+    V, X = np.asarray(points, dtype=float), np.atleast_2d(np.asarray(X, dtype=float))
+    c = V.mean(axis=0)
+    _, s, Ut = np.linalg.svd(V - c)
+    U = Ut[:int(np.sum(s > 1e-9 * s[0]))]
+    if len(U) == V.shape[1]:
+        U = np.eye(len(U))
+    Y, Z = (V - c) @ U.T, (X - c) @ U.T
+    h = ConvexHull(Y)
+    faces = {f for S in h.simplices for r in range(1, len(S) + 1)
+             for f in itertools.combinations(sorted(S.tolist()), r)}
+    cands, dists = [], []
+    for size in range(1, Y.shape[1] + 1):
+        F = Y[np.array([f for f in faces if len(f) == size])]  # (faces, size, k)
+        Q = Z[:, None, :] - F[None, :, 0]
+        if size == 1:
+            C, ok = np.broadcast_to(F[:, 0], Q.shape), True
+        elif size == 2:
+            d = F[:, 1] - F[:, 0]
+            t = np.clip((Q * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
+            C, ok = F[:, 0] + t[..., None] * d, True
+        else:
+            D = F[:, 1:] - F[:, :1]
+            lam = np.einsum("fik,mfk->mfi", np.linalg.pinv(D.transpose(0, 2, 1)), Q)
+            C = F[:, 0] + np.einsum("mfi,fik->mfk", lam, D)
+            ok = (lam.min(axis=-1) >= 0.0) & (lam.sum(axis=-1) <= 1.0)
+        cands.append(C)
+        dists.append(np.where(ok, np.linalg.norm(Z[:, None, :] - C, axis=-1), np.inf))
+    C, dist = np.concatenate(cands, axis=1), np.concatenate(dists, axis=1)
+    near = C[np.arange(len(Z)), dist.argmin(axis=1)]
+    inside = np.all(Z @ h.equations[:, :-1].T + h.equations[:, -1] <= 0.0, axis=1)
+    near[inside] = Z[inside]
+    return c + near @ U
+
+
 def in_cone_lp(x, gens):
     """LP feasibility: x is a nonnegative combination of the rows of gens."""
     G = np.asarray(gens, dtype=float)

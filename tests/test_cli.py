@@ -671,6 +671,12 @@ class TestReportCouple:
         assert code == 0 and json.loads(out)["ok"], err
         assert len(fam) > 4
         assert len(aligns) <= len(fam) and len(seps) <= 2
+        # At --tol >= 1e-7 the couple's SEP check is the one asked for.
+        seps.clear()
+        code, out, err = run_cli(["report", "--curve", str(cpath), "--family", str(fpath),
+                                  "--tol", "1e-3"], capsys=capsys)
+        assert code == 0 and json.loads(out)["checks"]["sep"], err
+        assert len(seps) == 1
 
 
 # One CLI command in a fresh interpreter; its last stderr line lists the

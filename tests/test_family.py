@@ -1,9 +1,12 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from descent_geom import family
+from descent_geom.cli import main
+from descent_geom.descent import disk_family
 from descent_geom.errors import (
     Degenerate,
     InvalidInput,
@@ -28,11 +31,12 @@ from descent_geom.family import (
     interpolate,
     is_connected,
     outer_parallel,
+    stratification_from_dict,
     validate_stratification,
 )
 
 from .conftest import disk_polygon, nested_pair, random_polytope
-from .oracles import polygon_membership, segment_distance
+from .oracles import in_convex_hull_lp, polygon_membership, segment_distance
 
 
 def clipped_chain(rng, levels=8, npts=14):
@@ -515,6 +519,31 @@ class TestIsConnected:
             s = validate_stratification(bodies)
             fam = complete(s, h=(s.params[-1] - s.params[0]) / 5)
             assert is_connected(fam)
+
+
+    def test_exact_r3_widths_are_held_to_1e_6(self):
+        fam = disk_family(n=3, levels=5)
+        assert is_connected(fam)
+        off = 1e-4 * (1.0 + fam.params[-1])
+        assert not is_connected(Family(fam.bodies, tuple(p + off for p in fam.params), fam.h))
+
+
+class TestR4Chains:
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_random_r4_chain_nests(self, seed, capsys):
+        """gen random in R^4 with its params stripped: the chain is
+        re-validated by inclusion, and an LP agrees on the 16 vertices of
+        each member closest to the boundary of the next (vertices of the
+        inner member lie on the outer's facets)."""
+        assert main(["gen", "random", "--n", "4", "--levels", "3", "--npoints", "12",
+                     "--grid-size", "3000", "--seed", str(seed)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        s = stratification_from_dict({"bodies": doc["bodies"]})
+        for A, B in zip(s.bodies, s.bodies[1:]):
+            assert includes(B, A)
+            c = B.vertices.mean(axis=0)
+            shallow = A.vertices[np.argsort(rel_depth_many(B, A.vertices)[0])[:16]]
+            assert all(in_convex_hull_lp(v - c, B.vertices - c) for v in shallow)
 
 
 class TestFamilyDistance:

@@ -904,8 +904,8 @@ def _plane_distance(K, p):
 
 
 class TestClosedFormProjection:
-    def test_matches_plane_oracle_without_wolfe(self, rng, call_counter):
-        wolfe = call_counter("geom_core", "_min_norm_point")
+    def test_matches_plane_oracle_without_iteration(self, rng, call_counter):
+        solver = call_counter("geom_core", "_nnls")
         count = 0
         for K in _flat_corpus(rng):
             assert K.dim_affine <= 2
@@ -916,7 +916,91 @@ class TestClosedFormProjection:
                 assert abs(np.linalg.norm(q - p) - want) <= 1e-12 * (1.0 + np.linalg.norm(p))
                 assert in_convex_hull_lp(q - c, K.vertices - c)
                 count += 1
-        assert count > 1000 and not wolfe
+        assert count > 1000 and not solver
+
+
+def _solid_corpus(rng):
+    """Bodies of affine dimension 3 to 5 in R^3..R^5: random bodies, unit
+    cubes, the solids of example 6.1, a 3-polytope in R^4 and a cube 1e7
+    from the origin."""
+    bodies = [random_polytope(rng, n, m) for n in (3, 4, 5) for m in (n + 2, 12, 24)]
+    bodies += [hull(list(itertools.product((0.0, 1.0), repeat=n))) for n in (3, 4, 5)]
+    bodies += [K for K in example61_family().bodies if K.dim_affine == 3][::2]
+    bodies += [embedded_polytope(rng, 4, 3, 12),
+               hull(1e7 + np.array(list(itertools.product((0.0, 1.0), repeat=3))))]
+    return bodies
+
+
+def _solid_queries(rng, K):
+    """Points at facet depth +-1e-16, 1e-11, 1e-8 and 1e-3, next to
+    vertices, inside, and 1e3 to 1e6 diameters away; for a flat K, the
+    same points moved off Aff(K) too."""
+    c, B, eqs, simplices = K.facets
+    V = K.vertices
+    rows = rng.choice(len(eqs), size=min(len(eqs), 10), replace=False)
+    mids = np.array([V[s].mean(axis=0) for s in simplices[rows]])
+    pts = [mids + d * eqs[rows, :-1] for d in (1e-16, 1e-11, 1e-8, 1e-3) for d in (d, -d)]
+    near = V[rng.choice(len(V), size=min(len(V), 10), replace=False)]
+    u = rng.standard_normal(near.shape)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    pts += [near + 1e-9 * u, near + 1e-3 * u]
+    pts += [rng.dirichlet(np.ones(len(V)), size=4) @ V, V.mean(axis=0)[None]]
+    far = rng.standard_normal((8, K.dim))
+    far *= (K.diameter() * 10.0 ** np.repeat(np.arange(3, 7), 2) / np.linalg.norm(far, axis=1))[:, None]
+    pts.append(V.mean(axis=0) + far)
+    P = np.vstack(pts)
+    if K.dim_affine < K.dim:
+        N = null_space(B).T
+        P = np.vstack([P, P + rng.standard_normal((len(P), len(N))) @ N])
+    return P
+
+
+class TestProjectionOracle:
+    def test_matches_face_enumeration(self, rng):
+        count = 0
+        for K in _solid_corpus(rng):
+            assert 3 <= K.dim_affine <= K.dim <= 5
+            c = K.vertices.mean(axis=0)
+            P = _solid_queries(rng, K)
+            for p, o in zip(P, oracles.nearest_point_faces(K.vertices, P)):
+                q = project(K, p)
+                err = abs(np.linalg.norm(q - p) - np.linalg.norm(o - p))
+                assert err <= 1e-10 * (1.0 + np.linalg.norm(p - c)), (K, p, err)
+                assert in_convex_hull_lp(q - c, K.vertices - c)
+                count += 1
+        assert count > 1000
+
+    def test_thin_slabs_in_high_dimension(self, rng):
+        """Slabs 1e-3 thick in R^6..R^8 (hundreds to thousands of facets,
+        nearly parallel at the vertices): points 1e-6 from a vertex and 1e3
+        to 1e8 diameters away project into K, no farther than the nearest
+        vertex."""
+        for n in (6, 7, 8):
+            K = hull(rng.standard_normal((4 * n + 4, n)) * np.r_[np.ones(n - 1), 1e-3])
+            V, c = K.vertices, K.vertices.mean(axis=0)
+            u = rng.standard_normal((40, n))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            far = K.diameter() * 10.0 ** rng.uniform(3, 8, 40)
+            P = np.vstack([V[rng.integers(len(V), size=40)] + 1e-6 * u, c + far[:, None] * u])
+            for p in P:
+                q = project(K, p)
+                assert np.linalg.norm(q - p) <= np.linalg.norm(V - p, axis=1).min() * (1.0 + 1e-12)
+                assert in_convex_hull_lp(q - c, V - c)
+
+    def test_long_boxes_near_a_vertex(self, rng):
+        """Rotated boxes 1e4 long in R^3..R^5: from points within 3e-6 of a
+        vertex, the far end's facets (residual ~ -1e4) must not hide the
+        facets that bind."""
+        for n in (3, 4, 5):
+            box = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+            box[:, 0] *= 1e4
+            R, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            K = hull(box @ R.T)
+            P = rng.uniform(-1e-6, 1e-6, (100, n))
+            P[np.arange(100), 1 + rng.integers(n - 1, size=100)] = 3e-6
+            for p in P @ R.T:
+                q = project(K, p)
+                assert np.linalg.norm(q - p) <= np.linalg.norm(p) * (1.0 + 1e-12)
 
 
 class TestOneDimensional:
