@@ -94,9 +94,12 @@ def _parse_point(s):
 
 
 def _check_options(args):
-    """--tol must be a finite number >= 0 and --step a finite number > 0."""
+    """--tol must be a finite number >= 0, --step a finite number > 0 and
+    --grid-size at least 1, in every dimension."""
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise InvalidInput(f"--tol must be a finite number >= 0, got {args.tol!r}")
+    if args.grid_size < 1:
+        raise InvalidInput(f"--grid-size must be at least 1, got {args.grid_size}")
     step = getattr(args, "step", None)
     if step is not None and not (math.isfinite(step) and step > 0.0):
         raise InvalidInput(f"--step must be a finite number > 0, got {step!r}")
@@ -110,7 +113,7 @@ def _config(args):
 
 
 def _grid_for(args, n):
-    if n <= 2:
+    if n <= 3:  # exact widths: no CLI path reads a grid
         return None
     return default_grid(n, args.grid_size, args.seed)
 

@@ -30,7 +30,7 @@ from .geom_core import (
     as_point,
     contains,
     dedup_points,
-    hull,
+    extend_hull,
     rounding_floor,
     support_many,
     unit_directions,
@@ -191,9 +191,9 @@ def normal_cone_mask(K: ConvexBody, q, dirs, tol=1e-9):
 
 
 def cap_body(K: ConvexBody, p) -> ConvexBody:
-    """Hull of K and the point p; equals K whenever p already lies in K."""
-    p = as_point(p, K.dim)
-    return hull(np.vstack([K.vertices, p[None, :]]))
+    """Hull of K and the point p; equals K whenever p already lies in K.  A
+    planar K takes p into its ring without Qhull (geom_core.extend_hull)."""
+    return extend_hull(K, [as_point(p, K.dim)])[0]
 
 
 def cap_support(K: ConvexBody, p, x) -> float:

@@ -6,17 +6,16 @@ each builds its facet structure (`ConvexBody.facets`) once, on first use.
 In R^n, n >= 3, hull() takes its input in canonical order, so a body built
 from its own extreme points keeps Qhull's facets.  A planar body's
 counterclockwise ring is its only boundary: hull() reads a clear ring
-without Qhull, ClearRing grows one point by point, and its facets are
+without Qhull, extend_hull grows one point by point, and its facets are
 the ring's edges.  Relative depth (rel_depth_many) is read off the
 facets; containment and distances ask it first and project only the
 points it leaves open, in closed form for bodies of affine dimension <= 2
 and by the least-distance program on the facets above, solved by _nnls,
 the package's one active-set solver (cones decides membership with it).
-Apart from a ClearRing, which its owner grows, everything here is a pure
-function over immutable arrays.  The one global state is the memo of
-body_from_dict: keyed by the exact input, bounded in stored coordinates and
-guarded by a lock, it hands out read-only bodies, so concurrent use on
-shared bodies is safe.
+Everything here is a pure function over immutable arrays.  The one global
+state is the memo of body_from_dict: keyed by the exact input, bounded in
+stored coordinates and guarded by a lock, it hands out read-only bodies, so
+concurrent use on shared bodies is safe.
 
 Qhull (scipy.spatial) is imported by _qhull on its first run; the rest is
 numpy, so planar bodies from rings, their facets and projections,
@@ -490,60 +489,63 @@ def _ring_margin(P) -> float:
     return min(float(least), float((cross / chord).min()))
 
 
-class ClearRing:
-    """A planar body whose vertices form a clear ring (_ring_margin), grown
-    one point at a time exactly as hull() grows it.  It keeps the bounding
-    box of the points seen and lower bounds on its width and on every edge
-    and vertex height its ring has had (0 if K has no clear ring)."""
+def extend_hull(K: ConvexBody, P) -> list:
+    """The hulls of K with the points P[:1], P[:2], ... ([] when P is
+    empty): each is hull() of the previous one's vertices and the next point.
 
-    def __init__(self, K):
-        self.K, self.width = K, 0.0
-        self.least = _ring_margin(K.vertices) if K.dim == 2 else 0.0
-        self.box = K.vertices.min(axis=0).tolist() + K.vertices.max(axis=0).tolist()
-
-    def insert(self, p):
-        """hull() of the ring and p, kept as the new ring; None unless that
-        is clearly decided.
-
-        While the cross products cr of p with the edges keep min|cr| / diam
-        above the clearance tol, every side is decided exactly, p replaces
-        the run of edges it sees, and the new edges and heights are at least
-        min|cr| / diam.  Rank 2 holds while the width floor exceeds an upper
-        bound on affine_basis's cut.  The ring starts at its
-        lexicographically smallest vertex: p or the old one."""
-        if not self.least:
-            return None
-        R = self.K.vertices
-        m = len(R)
-        x, y = p.tolist()
-        b = self.box
-        b[:] = min(b[0], x), min(b[1], y), max(b[2], x), max(b[3], y)
-        scale, diam = max(-b[0], -b[1], b[2], b[3]), math.hypot(b[2] - b[0], b[3] - b[1])
-        # s_max <= sqrt(m + 1) * diam, s_min >= width / sqrt(2)
-        cut = 4.0 * rank_cut(math.sqrt(m + 1) * diam, scale, m + 1)
-        if self.width <= cut:
-            # At most the width of the triangle of R[0], the vertex farthest
-            # from it and the vertex farthest from their line.
-            d = R[np.argmax(((R - R[0]) ** 2).sum(axis=1))] - R[0]
-            self.width = np.abs(_cross(d, R - R[0])).max() / (2.0 * math.hypot(*d))
-        D = R - p
-        cr = _cross(D, np.concatenate((D[1:], D[:1])))  # negative on the edges p sees
-        least = min(self.least, np.abs(cr).min() / diam)
-        if least <= 4.0 * TAU_PT * (1.0 + scale) or self.width <= cut:
-            return None
-        seen = cr < 0.0
-        if not seen.any():
-            return self.K  # p lies clearly inside
-        a = int(np.argmax(seen > seen[np.arange(-1, m - 1)]))  # the first edge p sees
-        j = a + int(seen.sum())  # R[a + 1] .. R[j - 1] are cut off
-        if j > m:  # R[0] is cut off, so p is below it
-            V = np.vstack((p, R[j - m:a + 1]))
-        elif (x, y) < tuple(R[0].tolist()):
-            V = np.vstack((p, R[j:], R[:a + 1]))
-        else:
-            V = np.vstack((R[:a + 1], p, R[j:]))
-        self.least, self.K = least, ConvexBody(V, 2)
-        return self.K
+    A planar body whose vertices form a clear ring (_ring_margin) takes each
+    point without hull() while that is clearly decided.  The loop keeps the
+    bounding box of the points seen and lower bounds on the width and on
+    every edge and vertex height the ring has had.  While the cross products
+    cr of p with the edges keep min|cr| / diam above the clearance tol,
+    every side is decided exactly, p replaces the run of edges it sees, and
+    the new edges and heights are at least min|cr| / diam.  Rank 2 holds
+    while the width floor exceeds an upper bound on affine_basis's cut.  The
+    ring starts at its lexicographically smallest vertex: p or the old one.
+    Any other point goes to hull(), and the ring is read again from its
+    result.
+    """
+    out = []
+    least = None  # None: read the ring and its bounds off K
+    for p in np.asarray(P, dtype=float):
+        if least is None:
+            least = _ring_margin(K.vertices) if K.dim == 2 else 0.0
+            width = 0.0
+            box = K.vertices.min(axis=0).tolist() + K.vertices.max(axis=0).tolist()
+        if least:
+            R = K.vertices
+            m = len(R)
+            x, y = p.tolist()
+            box[:] = min(box[0], x), min(box[1], y), max(box[2], x), max(box[3], y)
+            scale = max(-box[0], -box[1], box[2], box[3])
+            diam = math.hypot(box[2] - box[0], box[3] - box[1])
+            # s_max <= sqrt(m + 1) * diam, s_min >= width / sqrt(2)
+            cut = 4.0 * rank_cut(math.sqrt(m + 1) * diam, scale, m + 1)
+            if width <= cut:
+                # At most the width of the triangle of R[0], the vertex farthest
+                # from it and the vertex farthest from their line.
+                d = R[np.argmax(((R - R[0]) ** 2).sum(axis=1))] - R[0]
+                width = np.abs(_cross(d, R - R[0])).max() / (2.0 * math.hypot(*d))
+            D = R - p
+            cr = _cross(D, np.concatenate((D[1:], D[:1])))  # negative on the edges p sees
+            clear = min(least, np.abs(cr).min() / diam)
+            if clear > 4.0 * TAU_PT * (1.0 + scale) and width > cut:
+                seen = cr < 0.0
+                if seen.any():  # else p lies clearly inside, and K stays
+                    a = int(np.argmax(seen > seen[np.arange(-1, m - 1)]))  # the first edge p sees
+                    j = a + int(seen.sum())  # R[a + 1] .. R[j - 1] are cut off
+                    if j > m:  # R[0] is cut off, so p is below it
+                        V = np.vstack((p, R[j - m:a + 1]))
+                    elif (x, y) < tuple(R[0].tolist()):
+                        V = np.vstack((p, R[j:], R[:a + 1]))
+                    else:
+                        V = np.vstack((R[:a + 1], p, R[j:]))
+                    least, K = clear, ConvexBody(V, 2)
+                out.append(K)
+                continue
+        K, least = hull(np.vstack([K.vertices, p])), None
+        out.append(K)
+    return out
 
 
 def support(K: ConvexBody, x) -> float:

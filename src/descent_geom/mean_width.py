@@ -240,10 +240,8 @@ def cap_gradient(K: ConvexBody, p, grid=None):
     (2/omega_n) * integral of theta over the sector of N_{K^p}(p)."""
     p = as_point(p, K.dim)
     cap = cap_body(K, p)
-    if contains(cap, p, TAU_PT) and not any(
-        np.linalg.norm(v - p) <= TAU_PT for v in cap.vertices
-    ):
-        return np.zeros(K.dim)  # p interior: the cap body is locally constant
+    if not any(np.linalg.norm(v - p) <= TAU_PT for v in cap.vertices):
+        return np.zeros(K.dim)  # p lies in K, so the cap body is locally constant
     v = normal_sector_vector_flux(cap, p, grid)
     return 2.0 / sphere_measure(K.dim) * np.asarray(v)
 

@@ -5,9 +5,9 @@ A polyline is self-expanding iff along every segment, the distance to every
 earlier vertex is non-decreasing; because that distance is a convex
 function of the segment parameter and linear in the earlier point, checking
 the inequality <d, a - y> >= 0 at segment starts against all earlier
-vertices decides the continuous property exactly.  Planar prefix hulls are
-grown in one pass: each point goes into the previous counterclockwise ring
-(geom_core.ClearRing), and hull() runs only where that is not clear.
+vertices decides the continuous property exactly.  Prefix hulls are grown
+in one pass by geom_core.extend_hull: in the plane each point goes into the
+previous counterclockwise ring, and hull() runs only where that is not clear.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PreconditionViolated
-from .geom_core import TAU_PT, ClearRing, as_points, hull
+from .geom_core import TAU_PT, as_points, extend_hull, hull
 from .mean_width import SphereGrid, lipschitz_constant, mean_width
 
 
@@ -129,17 +129,9 @@ def is_sep(gamma: Polyline, tol: float = 1e-9):
 
 def prefix_hulls(gamma: Polyline):
     """Convex hulls of the vertex prefixes: each is hull() of the previous
-    one's vertices and the next point, in the plane read off a ClearRing
-    where it can place the point."""
-    out = []
-    ring = None
-    for p in gamma.points:
-        K = ring.insert(p) if ring else None
-        if K is None:
-            K = hull(np.vstack([out[-1].vertices, p]) if out else p)
-            ring = ClearRing(K)
-        out.append(K)
-    return out
+    one's vertices and the next point (geom_core.extend_hull)."""
+    K = hull(gamma.points[:1])
+    return [K] + extend_hull(K, gamma.points[1:])
 
 
 def meanwidth_param(gamma: Polyline, grid: SphereGrid = None, tol: float = 1e-9):

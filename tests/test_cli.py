@@ -261,7 +261,8 @@ class TestErrorsAndDeterminism:
         # a member index out of range
         "bounds annulus --curve {curve} --family {family} --k1-index 99",
         "bounds annulus --curve {curve} --family {family} --k1-index -99",
-        # an empty direction grid
+        # an empty direction grid, refused in every dimension
+        "gen random --n 2 --grid-size 0",
         "gen random --n 3 --grid-size 0",
         "gen random --n 4 --grid-size 0",
         "gen random --n 3 --grid-size -5",
@@ -513,6 +514,78 @@ class TestConfigReach:
             assert all(_without_config(out) == _without_config(runs[0][1]) for _, out, _ in runs)
 
 
+def _record_grid_builds(monkeypatch):
+    """(dimension, size) of every SphereGrid built, as it is built."""
+    mean_width = importlib.import_module("descent_geom.mean_width")
+    built = []
+    real = mean_width.SphereGrid.make
+
+    def recorded(cls, n, size=mean_width._DEFAULT_GRID_SIZE, seed=0):
+        built.append((n, size))
+        return real(n, size, seed)
+
+    monkeypatch.setattr(mean_width.SphereGrid, "make", classmethod(recorded))
+    return built
+
+
+class TestGridBuilds:
+    def test_r3_commands_build_no_sphere_grid(self, tmp_path, capsys, monkeypatch):
+        # Every R^3 width is exact, so no command needs quadrature nodes.
+        built = _record_grid_builds(monkeypatch)
+        fam, curve = str(tmp_path / "fam.json"), str(tmp_path / "curve.json")
+        code, out, _ = run_cli(["gen", "random", "--n", "3", "--levels", "3", "--npoints", "12"],
+                               capsys=capsys)
+        assert code == 0
+        (tmp_path / "fam.json").write_text(out)
+        top = json.loads(out)["bodies"][-1]["vertices"]
+        code, _, _ = run_cli(["descend", "--family", fam, "--knots", "4", "--out", curve,
+                              "--endpoint=" + ",".join(map(repr, top[0]))], capsys=capsys)
+        assert code == 0
+        for argv in (["family", "check", "--family", fam],
+                     ["report", "--curve", curve, "--family", fam]):
+            code, _, _ = run_cli(argv, capsys=capsys)
+            assert code in (0, 1), argv
+        assert built == []
+
+    def test_r4_family_check_builds_one_grid_of_grid_size(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "fam.json"
+        grid = ["--grid-size", "600"]
+        code, out, _ = run_cli(["gen", "random", "--n", "4", "--levels", "3", "--npoints", "12"]
+                               + grid, capsys=capsys)
+        assert code == 0
+        path.write_text(out)
+        importlib.import_module("descent_geom.mean_width")._grid_cache.clear()
+        built = _record_grid_builds(monkeypatch)
+        code, _, _ = run_cli(["family", "check", "--family", str(path)] + grid, capsys=capsys)
+        assert code in (0, 1)
+        assert built == [(4, 600)]
+
+
+class TestDescendNoSnap:
+    @staticmethod
+    def _descend(input_files, capsys, endpoint, *extra):
+        return run_cli(["descend", "--family", input_files["family"], "--knots", "4",
+                        "--endpoint=" + ",".join(map(repr, endpoint)), *extra], capsys=capsys)
+
+    @staticmethod
+    def _top(input_files):
+        with open(input_files["family"]) as f:
+            return json.load(f)["bodies"][-1]["vertices"]
+
+    def test_top_vertex_is_the_last_point_bit_for_bit(self, input_files, capsys):
+        top = self._top(input_files)
+        code, out, err = self._descend(input_files, capsys, top[0], "--no-snap")
+        assert code == 0, err
+        assert json.loads(out)["points"][-1] == top[0]
+
+    def test_interior_endpoint_is_refused_unless_snapped(self, input_files, capsys):
+        inside = np.mean(self._top(input_files), axis=0).tolist()
+        code, _, err = self._descend(input_files, capsys, inside, "--no-snap")
+        assert code == 2 and "endpoint must lie on the boundary" in err
+        code, _, err = self._descend(input_files, capsys, inside)
+        assert code == 0, err
+
+
 class TestQhullBudget:
     def test_check_ec_builds_one_hull_per_loaded_member(self, tmp_path, capsys, qhull_calls):
         fpath, cpath = tmp_path / "fam.json", tmp_path / "curve.json"
@@ -756,6 +829,21 @@ class TestColdStart:
                                   "--u=1,1,1"])
         assert code == 0 and json.loads(out)["sandwich_ok"]
         assert "scipy.spatial" in mods and "scipy.optimize" not in mods
+
+    def test_planar_report_cone_limit_never_loads_scipy_spatial(self, tmp_path):
+        # Planar cap bodies grow the body's ring: no Qhull run.
+        body = tmp_path / "top.json"
+        code, out, _ = _fresh(["gen", "random", "--n", "2"])
+        assert code == 0
+        top = json.loads(out)["bodies"][-1]
+        body.write_text(json.dumps(top))
+        V = np.array(top["vertices"])
+        u = V[0] - V.mean(axis=0)
+        code, out, mods = _fresh(["report", "cone-limit", "--body", str(body),
+                                  "--p0=" + ",".join(map(repr, V[0].tolist())),
+                                  "--u=" + ",".join(map(repr, u.tolist()))])
+        assert code == 0 and json.loads(out)["sandwich_ok"]
+        assert "scipy.spatial" not in mods
 
 
 class TestSvg:

@@ -804,11 +804,7 @@ def _planar_builds(rng):
         K = hull(P)
         out += [("hull", K), ("rotated ring", hull(np.roll(K.vertices, 3, axis=0))),
                 ("body_from_dict", body_from_dict(K.to_dict()))]
-        ring = geom_core.ClearRing(hull(P[:3]))
-        for p in P[3:]:
-            grown = ring.insert(p)
-            if grown is not None:
-                out.append(("ClearRing", grown))
+        out += [("extend_hull", B) for B in geom_core.extend_hull(hull(P[:3]), P[3:])]
     for _ in range(5):
         A, B = random_polytope(rng, 2, 12), random_polytope(rng, 2, 12)
         out += [("clip", _intersect_bodies(A, B.translate(0.2 * rng.standard_normal(2)))),
@@ -821,7 +817,7 @@ class TestRingFacets:
     def test_every_planar_build_is_a_ccw_ring_with_qhulls_facets(self, rng):
         built = _planar_builds(rng)
         assert {label for label, _ in built} == {
-            "hull", "rotated ring", "body_from_dict", "ClearRing", "clip", "minkowski ring",
+            "hull", "rotated ring", "body_from_dict", "extend_hull", "clip", "minkowski ring",
             "translate"}
         for label, K in built:
             assert K.dim_affine == 2

@@ -7,7 +7,7 @@ import pytest
 from descent_geom import cli, geom_core
 from descent_geom.errors import PreconditionViolated
 from descent_geom.cones import normal_cone, sphere_measure
-from descent_geom.geom_core import ClearRing, hull
+from descent_geom.geom_core import extend_hull, hull
 from descent_geom.mean_width import normal_sector_vector_flux
 from descent_geom.sep import (
     Polyline,
@@ -179,13 +179,24 @@ class TestPrefixHulls:
         # Each point of a SEP is a vertex of its prefix hull (Manselli-Pucci).
         assert all(p.tolist() in K.vertices.tolist() for p, K in zip(g.points, Ks))
 
-    def test_ring_declines_what_it_cannot_place_clearly(self):
+    def test_ring_declines_what_it_cannot_place_clearly(self, qhull_calls):
         K = hull([(0, 0), (1, 0), (0, 1)])
-        ring = ClearRing(K)
-        assert ring.insert(np.array([0.25, 0.25])) is K  # clearly inside
+        assert extend_hull(K, [(0.25, 0.25)])[0] is K  # clearly inside
+        assert len(qhull_calls) == 0
         for p in ([0.5, 0.5], [2.0, 0.0], [1.0 + 1e-12, 0.0]):  # on an edge line
-            assert ring.insert(np.array(p)) is None
-        assert ClearRing(hull([(0, 0), (1, 0)])).insert(np.array([0.5, 1.0])) is None
+            qhull_calls.clear()
+            (grown,) = extend_hull(K, [p])
+            assert len(qhull_calls) == 1  # the hull() fallback
+            assert np.array_equal(grown.vertices, hull(np.vstack([K.vertices, p])).vertices)
+        # A segment has no ring; hull() reads the triangle's ring instead.
+        qhull_calls.clear()
+        (tri,) = extend_hull(hull([(0, 0), (1, 0)]), [(0.5, 1.0)])
+        assert len(qhull_calls) == 0
+        assert tri.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]
+
+    def test_extending_by_no_points_gives_no_bodies(self):
+        assert extend_hull(hull([(0, 0), (1, 0), (0, 1)]), []) == []
+        assert extend_hull(hull([(0, 0, 0), (1, 0, 0)]), np.empty((0, 3))) == []
 
     def test_bounds_length_runs_is_sep_once(self, tmp_path, capsys, call_counter):
         path = tmp_path / "spiral.json"
