@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DescentGeomError, InvalidInput
 from .cones import normal_cone_limit_report
-from .geom_core import body_from_dict, hull, project
+from .geom_core import body_from_dict, hull, project, rel_depth_many, rounding_floor
 from .mean_width import default_grid, mean_width
 from .sep import (
     is_sep,
@@ -129,10 +129,13 @@ def _doc_grid(args, doc):
 
 def _snap_to_boundary(K, p):
     """Nearest boundary point of K to p (projection outside, ray shooting
-    from the centroid inside)."""
+    from the centroid inside); p itself, as given, when it lies within
+    rounding_floor(K) of the relative boundary."""
     q = project(K, p)
     if np.linalg.norm(q - p) > 1e-12 * (1.0 + K.diameter()):
         return q
+    if abs(rel_depth_many(K, p)[0][0]) <= rounding_floor(K):
+        return p
     c = K.centroid()
     d = p - c
     nd = np.linalg.norm(d)
@@ -436,7 +439,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None, help="RNG seed (env DESCENT_GEOM_SEED overrides)")
     p.add_argument("--grid-size", type=int, default=20000,
                    help="sphere-grid nodes for mean widths in R^4 and up, sector integrals "
-                        "and report cone-limit (which uses at most 10000)")
+                        "and report cone-limit for n >= 3 (which uses at most 10000)")
     p.add_argument("--tol", type=float, default=1e-9)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)

@@ -14,7 +14,10 @@ small for every vertex v: normal_cone_mask, of which in_normal_cone is
 one row; cap_support_batch makes it at the apex of the cap body, against
 K's own vertices.
 Membership in a cone and the angle to it are nonnegative least squares
-problems on its generators, solved in numpy (geom_core._nnls).
+problems on its generators, solved in numpy (geom_core._nnls).  The
+angular Hausdorff distance of the cone-limit study is exact in the plane,
+where a cone's directions are arcs read off its generators, and measured
+on a direction grid for n >= 3.
 """
 
 import math
@@ -282,10 +285,63 @@ def sector_integral_lower_bound(n: int, alpha: float) -> float:
     return sphere_measure(n - 1) / (n - 1) * math.sin(alpha / 4.0) ** n
 
 
-def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs):
+def _arcs(C: PolyCone, tol=1e-9):
+    """The unit circle's part of a planar cone, read off its generators as
+    closed arcs (start angle, length): none for the zero cone, one of length
+    at most pi for a ray, a sector or a half-plane, two points for a line,
+    and the whole circle when no gap between consecutive generators reaches
+    pi - tol."""
+    if C.is_zero:
+        return []
+    theta = np.sort(np.arctan2(C.generators[:, 1], C.generators[:, 0]))
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    if gaps[k] < np.pi - tol:
+        return [(0.0, 2.0 * np.pi)]
+    start, length = float(theta[(k + 1) % len(theta)]), float(2.0 * np.pi - gaps[k])
+    off = np.mod(theta - start, 2.0 * np.pi)
+    if abs(length - np.pi) <= tol and not np.any((off > tol) & (off < length - tol)):  # a line
+        return [(start, 0.0), (start + length, 0.0)]
+    return [(start, length)]
+
+
+def _arc_distance(x, arcs):
+    """Angular distance from the angles x to a union of closed arcs."""
+    d = np.full(len(x), np.inf)
+    for start, length in arcs:
+        off = np.mod(x - start, 2.0 * np.pi)  # from the arc's start, counterclockwise
+        d = np.minimum(d, np.where(off <= length, 0.0,
+                                   np.minimum(off - length, 2.0 * np.pi - off)))
+    return d
+
+
+def _directed_arcs(P, Q):
+    """max over the union of arcs P of the angular distance to the union Q:
+    attained at an end of an arc of P or at the middle of a gap of Q, where
+    the distance to Q peaks (for one arc of Q, its middle's antipode)."""
+    x = [a for s, L in P for a in (s, s + L)]
+    Q = sorted((s % (2.0 * np.pi), L) for s, L in Q)
+    for (s, L), (t, _) in zip(Q, Q[1:] + [(Q[0][0] + 2.0 * np.pi, 0.0)]):
+        gap = t - (s + L)
+        if gap > 0.0:
+            x.append(s + L + 0.5 * gap)
+    x = np.array(x)
+    return float(_arc_distance(x[_arc_distance(x, P) == 0.0], Q).max())
+
+
+def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs=None):
     """Angular Hausdorff distance between the unit-sphere sectors of two
-    cones, estimated on a fixed direction grid augmented by the cones' own
+    cones (pi when exactly one is the zero cone).
+
+    In the plane it is exact: each sector is a union of arcs read off the
+    cone's generators (_arcs), and dirs is not read.  For n >= 3 it is
+    estimated on the direction grid dirs augmented by the cones' own
     generators, a direction counting as a member at tolerance 1e-9."""
+    if A.dim == 2:
+        PA, PB = _arcs(A), _arcs(B)
+        if not PA or not PB:
+            return 0.0 if PA == PB else math.pi
+        return max(_directed_arcs(PA, PB), _directed_arcs(PB, PA))
     dirs = np.asarray(dirs, dtype=float)
 
     def sample(C):
@@ -319,7 +375,9 @@ def normal_cone_limit_report(
     For p_eps = p0 + eps*u the cones are sandwiched between N_K(p0) n {u}*
     and {u}*, and converge (in angular Hausdorff distance of sectors) to
     the lower envelope as eps -> 0.  Requires p0 on the boundary of K and
-    u outside the tangent cone there.
+    u outside the tangent cone there.  The distance is exact in the plane
+    (sector_angular_hausdorff), where no direction grid is built; for
+    n >= 3 it is measured on grid_size directions of unit_directions(seed).
     """
     p0 = as_point(p0, K.dim)
     u = as_point(u, K.dim)
@@ -339,7 +397,7 @@ def normal_cone_limit_report(
         raise InvalidInput("eps_list must be strictly decreasing")
     N0 = normal_cone(K, p0)
     limit = cone_intersect_halfspace(N0, u)
-    dirs = unit_directions(K.dim, grid_size, seed)
+    dirs = None if K.dim == 2 else unit_directions(K.dim, grid_size, seed)
     rows = []
     for eps in eps_list:
         pe = p0 + eps * u

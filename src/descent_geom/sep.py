@@ -10,13 +10,18 @@ in one pass by geom_core.extend_hull: in the plane each point goes into the
 previous counterclockwise ring, and hull() runs only where that is not clear.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, PreconditionViolated
-from .geom_core import TAU_PT, as_points, extend_hull, hull
+from .geom_core import _EPS, _PAIR_BLOCK, TAU_PT, as_points, extend_hull, hull
 from .mean_width import SphereGrid, lipschitz_constant, mean_width
+
+# is_sep measures this many pairs at once: its four buffers hold half of
+# one _PAIR_BLOCK array.
+_SEP_BLOCK = _PAIR_BLOCK // 8
 
 
 @dataclass(frozen=True)
@@ -90,24 +95,44 @@ def is_sep(gamma: Polyline, tol: float = 1e-9):
 
     Exact segment-direction criterion: fails iff some segment with start a
     and unit direction d has an earlier vertex y with
-    <d, a - y> < -tol * |a - y|.  On failure the witness records (y, a, d)
-    as plain lists.
+    <d, a - y> < -tol * |a - y|.  The witness is the first segment of least
+    slack <d, a - y> + tol * |a - y| and its first earlier vertex of that
+    slack, with (y, a, d) as plain lists.
+
+    Every pair's slack is measured in row blocks of at most _SEP_BLOCK
+    pairs.  Those slacks and a per-segment loop's differ by rounding, at
+    most delta each, so the loop runs only on the segments whose least
+    slack is within 2 delta of the least overall and below delta: it
+    decides, and ties break as it breaks them.
     """
     P = gamma.points
-    m = len(P)
+    m, n = P.shape
+    D = np.diff(P, axis=0)
+    nd = np.sqrt((D * D).sum(axis=1))
+    U = D / np.where(nd > TAU_PT, nd, 1.0)[:, None]
+    low = np.full(m - 1, np.inf)  # per segment, the least slack over earlier vertices
+    a = 1
+    while a < m - 1:
+        b = min(m - 1, a + max(1, (math.isqrt(a * a + 4 * _SEP_BLOCK) - a) // 2))
+        slack, sq, R, T = np.zeros((4, b - a, b - 1))
+        for k in range(n):
+            np.subtract(P[a:b, k, None], P[None, :b - 1, k], out=R)
+            slack += np.multiply(R, U[a:b, k, None], out=T)
+            sq += np.multiply(R, R, out=R)
+        slack += np.multiply(np.sqrt(sq, out=sq), tol, out=sq)
+        slack[np.arange(a, b)[:, None] <= np.arange(b - 1)[None, :]] = np.inf
+        low[a:b] = slack.min(axis=1)
+        a = b
+    low[nd <= TAU_PT] = np.inf
+    delta = 4.0 * (n + 2) * _EPS * (1.0 + tol) * math.dist(P.min(axis=0), P.max(axis=0))
+    least = float(low.min(initial=np.inf))
+    near = np.flatnonzero(low <= min(least + 2.0 * delta, delta)).tolist() if least <= delta else []
     worst = None
-    for i in range(m - 1):
+    for i in near:
         d = P[i + 1] - P[i]
-        nd = np.linalg.norm(d)
-        if nd <= TAU_PT:
-            continue
-        d = d / nd
+        d = d / np.linalg.norm(d)
         rel = P[i] - P[:i]
-        if len(rel) == 0:
-            continue
-        norms = np.linalg.norm(rel, axis=1)
-        dots = rel @ d
-        slack = dots + tol * norms
+        slack = rel @ d + tol * np.linalg.norm(rel, axis=1)
         j = int(np.argmin(slack))
         if slack[j] < 0.0 and (worst is None or slack[j] < worst[0]):
             worst = (float(slack[j]), i, j, d)

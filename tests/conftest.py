@@ -7,6 +7,7 @@ import scipy.spatial
 
 from descent_geom.geom_core import _body_memo, hull
 from descent_geom.mean_width import _grid_cache
+from descent_geom.sep import Polyline
 
 MODULES = ("geom_core", "cones", "mean_width", "sep", "family", "descent", "cli")
 
@@ -78,9 +79,10 @@ def qhull_calls(monkeypatch):
 
 @pytest.fixture
 def call_counter(monkeypatch):
-    """count(module, name) returns a list that grows by one per call of the
-    package function descent_geom.<module>.<name>, through every
-    module-level binding of it (internal calls included)."""
+    """count(module, name) returns a list that grows by one entry, the
+    positional arguments, per call of the package function
+    descent_geom.<module>.<name>, through every module-level binding of it
+    (internal calls included)."""
 
     def count(module, name):
         real = getattr(importlib.import_module(f"descent_geom.{module}"), name)
@@ -88,7 +90,7 @@ def call_counter(monkeypatch):
 
         @functools.wraps(real)
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args)
             return real(*args, **kwargs)
 
         for mod_name in MODULES:
@@ -98,3 +100,24 @@ def call_counter(monkeypatch):
         return calls
 
     return count
+
+
+def _monotone(rng, npts):
+    steps = rng.random((npts - 1, 2)) * 0.5
+    return Polyline.make(np.vstack([[0, 0], np.cumsum(steps, axis=0)]))
+
+
+@pytest.fixture(scope="session")
+def sep_corpus():
+    """Acceptance criterion 5's planar polylines: 1 000 monotone ones (SEPs)
+    and 1 000 with seeded noise on them."""
+    rng = np.random.default_rng(11)
+    corpus = []
+    for _ in range(1000):
+        corpus.append(_monotone(rng, int(rng.integers(4, 61))))
+    noises = (0.002, 0.02, 0.08, 0.5)
+    for _ in range(1000):
+        g = _monotone(rng, int(rng.integers(4, 61)))
+        noise = noises[int(rng.integers(len(noises)))]
+        corpus.append(Polyline.make(g.points + rng.standard_normal(g.points.shape) * noise))
+    return corpus

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: LP feasibility for extreme points,
 1-D adaptive quadrature for sector integrals, dense sampling for distances
 and memberships.  None of it shares code paths with the library routines
-it checks.
+it checks, except the per-vertex projection oracles, which call
+geom_core.project once per vertex and so check the bounds, ranking and
+batched kernels of hausdorff and includes against the projection.
 """
 
 import itertools
@@ -201,6 +203,90 @@ def planar_sector_quad(vertices, q, u=None):
         if np.all(D @ t <= 0.0) and (u is None or t @ u >= 0.0):
             out += [quad(math.cos, a, b)[0], quad(math.sin, a, b)[0]]
     return out
+
+
+def hausdorff_per_vertex(A, B):
+    """Hausdorff distance with every vertex of each body projected onto the
+    other by geom_core.project: no bounds, no ranking, no batching."""
+    from descent_geom.geom_core import project
+
+    d = 0.0
+    for X, Y in ((A, B), (B, A)):
+        for v in X.vertices:
+            d = max(d, float(np.linalg.norm(project(Y, v) - v)))
+    return d
+
+
+def includes_per_vertex(A, B, tol):
+    """Every vertex of B within tol of A, by geom_core.project."""
+    from descent_geom.geom_core import project
+
+    return all(np.linalg.norm(project(A, v) - v) <= tol for v in B.vertices)
+
+
+def sep_segment_loop(points, tol=1e-9):
+    """sep.is_sep's criterion one segment at a time: per segment with start
+    a and unit direction d, the earlier vertex y of least slack
+    <d, a - y> + tol |a - y|; the first segment of least negative slack is
+    the witness, in is_sep's output form."""
+    P = np.asarray(points, dtype=float)
+    worst = None
+    for i in range(len(P) - 1):
+        d = P[i + 1] - P[i]
+        nd = np.linalg.norm(d)
+        if nd <= 1e-9 or i == 0:
+            continue
+        d = d / nd
+        rel = P[i] - P[:i]
+        slack = rel @ d + tol * np.linalg.norm(rel, axis=1)
+        j = int(np.argmin(slack))
+        if slack[j] < 0.0 and (worst is None or slack[j] < worst[0]):
+            worst = (float(slack[j]), i, j, d)
+    if worst is None:
+        return {"ok": True, "witness": None}
+    _, i, j, d = worst
+    return {"ok": False, "witness": {
+        "y": P[j].tolist(), "a": P[i].tolist(), "d": d.tolist(), "segment_index": i,
+        "earlier_index": j, "inner_product": float(d @ (P[i] - P[j]))}}
+
+
+def planar_sector_hausdorff_sampling(GA, GB, ndirs=10**6):
+    """Angular Hausdorff distance between the unit-circle parts of the
+    planar cones spanned by the rows of GA and GB, on ndirs equally spaced
+    directions plus the generators: a direction is in a cone when it is a
+    nonnegative combination of one generator or of two (Caratheodory in the
+    plane), solved pair by pair at tolerance 1e-12.  Within 2 pi / ndirs of
+    the exact distance; pi when exactly one cone is zero."""
+    theta = 2.0 * math.pi * np.arange(ndirs) / ndirs
+    X = np.column_stack([np.cos(theta), np.sin(theta)])
+
+    def sample(G):
+        G = np.asarray(G, dtype=float).reshape(-1, 2)
+        member = np.zeros(ndirs, dtype=bool)
+        for i, j in itertools.combinations_with_replacement(range(len(G)), 2):
+            a, b = G[i], G[j]
+            det = a[0] * b[1] - a[1] * b[0]
+            if abs(det) > 1e-12:
+                s = (X[:, 0] * b[1] - X[:, 1] * b[0]) / det
+                t = (a[0] * X[:, 1] - a[1] * X[:, 0]) / det
+                member |= (s >= -1e-12) & (t >= -1e-12)
+            else:
+                member |= (X @ a >= 0.0) & (np.abs(X[:, 0] * a[1] - X[:, 1] * a[0]) <= 1e-12)
+        return np.sort(np.concatenate([theta[member], np.arctan2(G[:, 1], G[:, 0]) % (2.0 * math.pi)]))
+
+    SA, SB = sample(GA), sample(GB)
+    if len(SA) == 0 or len(SB) == 0:
+        return 0.0 if len(SA) == len(SB) else math.pi
+
+    def circular(x):
+        x = np.abs(x) % (2.0 * math.pi)
+        return np.minimum(x, 2.0 * math.pi - x)
+
+    def directed(P, Q):
+        k = np.searchsorted(Q, P) % len(Q)
+        return float(np.minimum(circular(P - Q[k]), circular(P - Q[k - 1])).max())
+
+    return max(directed(SA, SB), directed(SB, SA))
 
 
 def hausdorff_sampling(A, B, ndirs=10000, seed=3):

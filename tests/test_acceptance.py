@@ -57,25 +57,6 @@ def _report(num, ok, text):
 # ---------------------------------------------------------------------------
 
 
-def _monotone(rng, npts):
-    steps = rng.random((npts - 1, 2)) * 0.5
-    return Polyline.make(np.vstack([[0, 0], np.cumsum(steps, axis=0)]))
-
-
-@pytest.fixture(scope="module")
-def sep_corpus():
-    rng = np.random.default_rng(11)
-    corpus = []
-    for _ in range(1000):
-        corpus.append(_monotone(rng, int(rng.integers(4, 61))))
-    noises = (0.002, 0.02, 0.08, 0.5)
-    for _ in range(1000):
-        g = _monotone(rng, int(rng.integers(4, 61)))
-        noise = noises[int(rng.integers(len(noises)))]
-        corpus.append(Polyline.make(g.points + rng.standard_normal(g.points.shape) * noise))
-    return corpus
-
-
 def _random_scaled_family_2d(rng):
     K = random_polytope(rng, 2, int(rng.integers(8, 18)), scale=1.5)
     return scaled_family(

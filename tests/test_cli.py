@@ -578,6 +578,18 @@ class TestDescendNoSnap:
         assert code == 0, err
         assert json.loads(out)["points"][-1] == top[0]
 
+    def test_snap_keeps_a_boundary_endpoint_bit_for_bit(self, tmp_path, capsys):
+        # a vertex lies within rounding_floor(K) of the boundary: ray
+        # shooting from the centroid used to move its y by one ulp here
+        fpath = tmp_path / "fam.json"
+        code, fam_json, _ = run_cli(["gen", "random", "--n", "2", "--seed", "1"], capsys=capsys)
+        fpath.write_text(fam_json)
+        for v in json.loads(fam_json)["bodies"][-1]["vertices"]:
+            code, out, err = run_cli(["descend", "--family", str(fpath), "--knots", "4",
+                                      "--endpoint=" + ",".join(map(repr, v))], capsys=capsys)
+            assert code == 0, err
+            assert json.loads(out)["points"][-1] == v
+
     def test_interior_endpoint_is_refused_unless_snapped(self, input_files, capsys):
         inside = np.mean(self._top(input_files), axis=0).tolist()
         code, _, err = self._descend(input_files, capsys, inside, "--no-snap")

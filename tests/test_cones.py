@@ -15,6 +15,8 @@ from descent_geom.cones import (
     normal_cone,
     normal_cone_limit_report,
     normal_cone_mask,
+    PolyCone,
+    sector_angular_hausdorff,
     sector_integral_exact,
     sector_integral_lower_bound,
     sphere_measure,
@@ -28,6 +30,7 @@ from .oracles import (
     in_cone_lp,
     nnls_kkt_gap,
     nnls_scipy,
+    planar_sector_hausdorff_sampling,
     sector_flux_axis_quad,
     sector_flux_offaxis_quad,
 )
@@ -428,3 +431,63 @@ class TestNormalConeLimit:
             unit_square, (1, 1), (1.0, 0.5), [0.1, 0.01, 0.001], grid_size=1000
         )
         assert rep["rows"][-1]["max_angle_to_base_cone"] < 1e-3
+
+
+def _unit_at(*degrees):
+    a = np.radians(degrees)
+    return np.column_stack([np.cos(a), np.sin(a)])
+
+
+def _planar_cone_pairs(rng):
+    """Planar cones by their generators: the zero cone, rays, sectors,
+    half-planes, a line, the whole plane, arcs sharing an endpoint, and
+    disjoint arcs whose distance is taken at the antipode of one arc's
+    middle; then seeded random sectors."""
+    zero, ray = np.zeros((0, 2)), _unit_at(30)
+    half, line, plane = _unit_at(10, 100, 190), _unit_at(45, 225), _unit_at(0, 120, 240)
+    pairs = [(zero, zero), (zero, ray), (plane, zero), (ray, ray), (ray, _unit_at(75)),
+             (ray, _unit_at(210)), (half, ray), (half, _unit_at(280)),
+             (plane, ray), (plane, half), (plane, plane), (line, ray), (line, half),
+             (line, _unit_at(135)), (line, plane),
+             (_unit_at(0, 40), _unit_at(40, 70)),  # share an endpoint
+             (_unit_at(0, 90), _unit_at(0, 30)),
+             (_unit_at(-20, 20), _unit_at(20, 160)),
+             (_unit_at(0, 170), _unit_at(260, 280)),  # the antipode of 270 decides
+             (_unit_at(100, 260), _unit_at(-10, 10)),
+             (half, _unit_at(250, 310))]
+    for _ in range(6):
+        a, b = rng.uniform(0.0, 360.0, 2)
+        pairs.append((_unit_at(a, a + rng.uniform(0.0, 179.0)), _unit_at(b, b + rng.uniform(0.0, 179.0))))
+    return pairs
+
+
+class TestPlanarSectorHausdorff:
+    def test_matches_a_million_directions(self, rng):
+        spacing = 2.0 * math.pi / 10**6
+        antipodal = False
+        for GA, GB in _planar_cone_pairs(rng):
+            A, B = PolyCone(2, GA, np.zeros((0, 2))), PolyCone(2, GB, np.zeros((0, 2)))
+            got = sector_angular_hausdorff(A, B)
+            assert got == sector_angular_hausdorff(B, A)
+            ref = planar_sector_hausdorff_sampling(GA, GB)
+            assert abs(got - ref) <= spacing, (GA, GB)
+            antipodal |= got > math.radians(150.0) and len(GA) == len(GB) == 2
+        assert antipodal
+
+    def test_reads_no_direction_grid(self, unit_square):
+        C = normal_cone(unit_square, (1, 1))
+        assert sector_angular_hausdorff(C, C, dirs=None) == 0.0
+        N = normal_cone(unit_square, (1, 0.5))
+        assert sector_angular_hausdorff(C, N) == pytest.approx(math.pi / 2, abs=1e-15)
+
+    def test_cone_limit_builds_no_grid_in_the_plane(self, unit_square, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a direction grid was built")
+
+        monkeypatch.setattr(cones, "unit_directions", refuse)
+        rep = normal_cone_limit_report(unit_square, (1, 0.5), (1, 0), [0.5, 0.1, 0.01])
+        assert rep["sandwich_ok"] and rep["metric_decreasing"]
+        # the cap cone at p0 + eps u is the sector of half-angle atan(2 eps)
+        # about u; the limit is the ray u
+        for row in rep["rows"]:
+            assert row["metric"] == pytest.approx(math.atan(2.0 * row["eps"]), abs=1e-15)

@@ -403,12 +403,14 @@ class TestWorkBudget:
         fam = disk_family(n=3, m=64, levels=6)
         calls = call_counter("geom_core", "project")
         assert is_connected(fam)
-        assert len(calls) <= 2 * (len(fam) - 1)
+        assert len(calls) == 0  # every member is a 3-polytope
 
     def test_is_connected_projects_example61(self, ex61, call_counter):
         fam, _ = ex61
         calls = call_counter("geom_core", "project")
         assert is_connected(fam)
+        # only the five flat disks are projected onto (closed form)
+        assert calls and all(K.dim_affine == 2 for K, _ in calls)
         assert len(calls) <= 60
 
     def test_viable_sdc_clips_cantor(self, call_counter):

@@ -14,10 +14,10 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial.distance import cdist
 
-from descent_geom import geom_core
+from descent_geom import cli, geom_core
 from descent_geom.descent import example61_family, rel_depth_many, segment_inside_interval
 from descent_geom.errors import DimensionMismatch, InvalidInput
-from descent_geom.family import _intersect_bodies, outer_parallel
+from descent_geom.family import _intersect_bodies, family_from_dict, outer_parallel
 from descent_geom.geom_core import (
     ConvexBody,
     TAU_PT,
@@ -37,7 +37,15 @@ from descent_geom.geom_core import (
 
 from . import oracles
 from .conftest import disk_polygon, embedded_polytope, nested_pair, random_polytope
-from .oracles import dedup_bruteforce, extreme_points_bruteforce, hausdorff_sampling, in_convex_hull_lp
+from .oracles import (
+    dedup_bruteforce,
+    extreme_points_bruteforce,
+    hausdorff_per_vertex,
+    hausdorff_sampling,
+    in_convex_hull_lp,
+    includes_per_vertex,
+    nearest_point_faces,
+)
 
 
 class TestHull:
@@ -514,21 +522,6 @@ class TestFacets:
         assert segment_inside_interval(bodies[-1], off - [0, 0, 1], off + [0, 0, 1]) is None
 
 
-def _wolfe_hausdorff(A, B):
-    """Reference: every vertex of each body projected onto the other."""
-    d = 0.0
-    for v in A.vertices:
-        d = max(d, np.linalg.norm(project(B, v) - v))
-    for v in B.vertices:
-        d = max(d, np.linalg.norm(project(A, v) - v))
-    return float(d)
-
-
-def _wolfe_includes(A, B, tol):
-    """Reference: every vertex of B within tol of A by projection."""
-    return all(np.linalg.norm(project(A, v) - v) <= tol for v in B.vertices)
-
-
 def _pair_corpus(rng):
     """Seeded body pairs in n = 2..5: nested, identical, concentric (tied
     vertex distances), unrelated, flat, segments and points."""
@@ -567,24 +560,24 @@ def _near_facet_pairs(rng, tol):
 
 
 class TestFacetPruning:
-    def test_hausdorff_matches_per_vertex_wolfe(self, rng):
+    def test_hausdorff_matches_per_vertex_projection(self, rng):
         pairs = _pair_corpus(rng) + [(A, B) for tol in (1e-9, 1e-3, 0.1)
                                      for A, B, _ in _near_facet_pairs(rng, tol)]
         for A, B in pairs:
-            ref = _wolfe_hausdorff(A, B)
+            ref = hausdorff_per_vertex(A, B)
             assert abs(hausdorff(A, B) - ref) <= 1e-12 * (1.0 + ref)
 
-    def test_includes_verdicts_match_wolfe(self, rng):
+    def test_includes_verdicts_match_per_vertex_projection(self, rng):
         pairs = _pair_corpus(rng)
         verdicts = []
         for tol in (1e-9, 1e-3, 0.1):
             for A, B in pairs:
                 for X, Y in ((A, B), (B, A)):
                     got = includes(X, Y, tol)
-                    assert got == _wolfe_includes(X, Y, tol)
+                    assert got == includes_per_vertex(X, Y, tol)
                     verdicts.append(got)
             for A, B, inside in _near_facet_pairs(rng, tol):
-                assert includes(A, B, tol) == _wolfe_includes(A, B, tol) == inside
+                assert includes(A, B, tol) == includes_per_vertex(A, B, tol) == inside
         assert any(verdicts) and not all(verdicts)
 
     def test_negative_tol_rejected(self, unit_square):
@@ -609,6 +602,120 @@ class TestFacetPruning:
         calls = call_counter("geom_core", "project")
         assert all(contains(K, x) for x in X)
         assert not calls
+
+
+def _gen_random_chain(capsys, seed):
+    """The members of `gen random --n 3` at this seed, nested and
+    completed."""
+    assert cli.main(["gen", "random", "--n", "3", "--npoints", "16", "--levels", "4",
+                     "--seed", str(seed)]) == 0
+    return family_from_dict(json.loads(capsys.readouterr().out)).bodies
+
+
+def _solid_pair_corpus(rng, capsys):
+    """Pairs whose Hausdorff distance measures vertices against bodies of
+    affine dimension 3: consecutive and top-nested members of two
+    `gen random --n 3` chains, consecutive members of example 6.1 (solids
+    and flat disks), flat 3-polytopes in R^4 and R^5, and facet-triangle
+    centroids and vertices moved +/-1e-16 off a body's facets."""
+    pairs = []
+    for seed in (1, 2):
+        B = _gen_random_chain(capsys, seed)
+        pairs += list(zip(B, B[1:])) + [(K, B[-1]) for K in B[:-2]]
+    E = example61_family().bodies
+    pairs += list(zip(E, E[1:]))
+    for n in (4, 5):
+        F = embedded_polytope(rng, n, 3, 12)
+        c = F.centroid()
+        pairs += [(F, hull(c + 0.6 * (F.vertices - c))), (F, random_polytope(rng, n, 12)),
+                  (F, F.translate(0.3 * rng.standard_normal(n))), (F, embedded_polytope(rng, n, 3, 9))]
+    for _ in range(3):
+        A = random_polytope(rng, 3, 30)
+        _, _, eqs, S = A.facets
+        for shift in (1e-16, -1e-16):
+            pairs.append((A, hull(A.vertices[S].mean(axis=1) + shift * eqs[:, :-1])))
+            sign = rng.choice([-1.0, 1.0], size=(A.nvertices, 1))
+            pairs.append((A, hull(A.vertices + shift * sign * (A.vertices - A.centroid()))))
+    return pairs
+
+
+@pytest.fixture
+def joggled(monkeypatch):
+    """Builds bodies as when Qhull refuses the input: every run without
+    options raises QhullError, so geom_core._qhull falls back to QJ."""
+    import scipy.spatial
+
+    real = scipy.spatial.ConvexHull
+
+    class Refusing(real):
+        def __init__(self, points, qhull_options=None, **kwargs):
+            if qhull_options is None:
+                raise scipy.spatial.QhullError("refused")
+            super().__init__(points, qhull_options=qhull_options, **kwargs)
+
+    def build(points):
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", Refusing)
+        K = hull(points)
+        K.facets  # built under the same refusal
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", real)
+        return K
+
+    return build
+
+
+class TestSolidHausdorff:
+    """hausdorff with a body of affine dimension 3 on the far side is read
+    off its facet triangles in closed form, not projected."""
+
+    def test_matches_per_vertex_projection(self, rng, capsys, call_counter):
+        pairs = _solid_pair_corpus(rng, capsys)
+        assert sum(A.dim_affine == 3 and B.dim_affine == 3 for A, B in pairs) >= 40
+        calls = call_counter("geom_core", "project")
+        got = [hausdorff(A, B) for A, B in pairs]
+        # only example 6.1's flat disks and the solids of R^4 and R^5
+        assert calls and all(K.dim_affine != 3 for K, _ in calls)
+        for (A, B), d in zip(pairs, got):
+            ref = hausdorff_per_vertex(A, B)
+            assert abs(d - ref) <= 1e-12 * (1.0 + ref)
+
+    def test_cubes_far_from_the_origin(self):
+        # A nearest point formed at 1e7 is rounded to the ulp there, 1.9e-9,
+        # so the reference is taken on the same cubes moved back to the
+        # origin, a translation that is exact for these coordinates.
+        far = np.array([1e7, -5e6, 3e6])
+        cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        C = hull(far + cube)
+        others = [far + 0.5 * cube, far + 0.75 * cube + [0.5, -0.25, 0.125],
+                  far + cube + [0.25, 0.5, 3.0], far + 4.0 * np.vstack([np.zeros(3), np.eye(3)])]
+        for P in others:
+            B = hull(P)
+            ref = hausdorff_per_vertex(C.translate(-far), B.translate(-far))
+            assert abs(hausdorff(C, B) - ref) <= 1e-12 * (1.0 + ref)
+            assert abs(hausdorff(B, C) - ref) <= 1e-12 * (1.0 + ref)
+
+    def test_joggled_bodies_with_sliver_triangles(self, rng, joggled):
+        # QJ's facet equations belong to the joggled points, so project's
+        # least-distance program, which reads them, is off by up to ~4e-11
+        # here; the reference is face enumeration on the true points.
+        ang = 2.0 * np.pi * np.arange(16) / 16
+        ring = np.column_stack([np.cos(ang), np.sin(ang)])
+        g = np.linspace(-1.0, 1.0, 4)
+        bodies = [joggled(np.vstack([np.column_stack([ring, np.zeros(16)]),
+                                     np.column_stack([ring, np.ones(16)])])),
+                  joggled(np.array(list(itertools.product(g, g, g)))),
+                  joggled(rng.standard_normal((25, 3)))]
+        T = bodies[1].vertices[bodies[1].facets.simplices]
+        E, F = T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
+        gram = (E * E).sum(axis=1) * (F * F).sum(axis=1) - ((E * F).sum(axis=1)) ** 2
+        assert gram.min() <= 1e-20  # a sliver: three collinear grid points
+        for S in bodies:
+            c = S.centroid()
+            for B in (hull(c + 0.7 * (S.vertices - c)), S.translate(0.1 * rng.standard_normal(3)),
+                      random_polytope(rng, 3, 12)):
+                ref = max(np.linalg.norm(nearest_point_faces(Y.vertices, X.vertices) - X.vertices,
+                                         axis=1).max() for X, Y in ((S, B), (B, S)))
+                assert abs(hausdorff(S, B) - ref) <= 1e-12 * (1.0 + ref)
+                assert abs(hausdorff(S, B) - hausdorff_per_vertex(S, B)) <= 1e-9
 
 
 def _containment_corpus(rng):

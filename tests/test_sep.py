@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from descent_geom import cli, geom_core
+from descent_geom import cli, geom_core, sep
 from descent_geom.errors import PreconditionViolated
 from descent_geom.cones import normal_cone, sphere_measure
 from descent_geom.geom_core import extend_hull, hull
@@ -20,7 +20,7 @@ from descent_geom.sep import (
 )
 from descent_geom.descent import cantor_graph, log_spiral
 
-from .oracles import sep_bruteforce
+from .oracles import sep_bruteforce, sep_segment_loop
 
 
 def staircase():
@@ -111,6 +111,46 @@ class TestIsSep:
         steps = rng.random((30, 3))
         g = Polyline.make(np.vstack([np.zeros(3), np.cumsum(steps, axis=0)]))
         assert is_sep(g)["ok"]
+
+
+def seeded_polylines(rng, count=1000):
+    """count polylines in each of R^2, R^3, R^4: monotone walks, noisy
+    monotone walks, Gaussian walks, and integer-lattice walks, whose slacks
+    tie exactly."""
+    out = []
+    for n in (2, 3, 4):
+        for t in range(count):
+            m = int(rng.integers(3, 80))
+            if t % 4 == 2:
+                P = np.cumsum(rng.integers(-1, 3, size=(m, n)), axis=0).astype(float)
+            elif t % 4 == 1:
+                P = np.cumsum(rng.standard_normal((m, n)), axis=0)
+            else:
+                P = np.vstack([np.zeros(n), np.cumsum(rng.random((m - 1, n)) * 0.5, axis=0)])
+                if t % 4 == 3:
+                    P += rng.standard_normal(P.shape) * rng.choice([0.002, 0.02, 0.08])
+            out.append(Polyline.make(P))
+    return out
+
+
+class TestBlockedSlacks:
+    """is_sep measures all pairs in blocks; the per-segment loop is the
+    oracle, witness included."""
+
+    def test_matches_the_segment_loop(self, rng, sep_corpus):
+        corpus = list(sep_corpus) + seeded_polylines(rng)
+        verdicts = [is_sep(g) for g in corpus]
+        assert verdicts == [sep_segment_loop(g.points) for g in corpus]
+        assert 1000 < sum(not v["ok"] for v in verdicts) < len(corpus) - 1000
+
+    def test_blocks_cover_every_pair(self, monkeypatch):
+        # blocks of a few entries: each row block is its own numpy pass
+        monkeypatch.setattr(sep, "_SEP_BLOCK", 7)
+        g = log_spiral(0.28, 3.0, 300)
+        bad = Polyline.make(np.vstack([g.points, g.points[150] + 1e-3 * (g.points[149] - g.points[150])]))
+        for h in (g, bad, staircase(), Polyline.make([(0, 0), (1, 0), (0.5, 0)])):
+            assert is_sep(h) == sep_segment_loop(h.points)
+        assert not is_sep(bad)["ok"]
 
 
 class TestMeanWidthParam:
