@@ -318,48 +318,59 @@ def _arc_distance(x, arcs):
 def _directed_arcs(P, Q):
     """max over the union of arcs P of the angular distance to the union Q:
     attained at an end of an arc of P or at the middle of a gap of Q, where
-    the distance to Q peaks (for one arc of Q, its middle's antipode)."""
-    x = [a for s, L in P for a in (s, s + L)]
+    the distance to Q peaks (for one arc of Q, its middle's antipode).  The
+    ends belong to P by construction, whatever the rounding of s + L, so
+    only the gap middles are tested for membership in P."""
+    ends = [a for s, L in P for a in (s, s + L)]
     Q = sorted((s % (2.0 * np.pi), L) for s, L in Q)
+    mid = []
     for (s, L), (t, _) in zip(Q, Q[1:] + [(Q[0][0] + 2.0 * np.pi, 0.0)]):
         gap = t - (s + L)
         if gap > 0.0:
-            x.append(s + L + 0.5 * gap)
-    x = np.array(x)
-    return float(_arc_distance(x[_arc_distance(x, P) == 0.0], Q).max())
+            mid.append(s + L + 0.5 * gap)
+    mid = np.array(mid)
+    x = np.concatenate([ends, mid[_arc_distance(mid, P) == 0.0]])
+    return float(_arc_distance(x, Q).max())
 
 
-def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs=None):
+def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs):
     """Angular Hausdorff distance between the unit-sphere sectors of two
     cones (pi when exactly one is the zero cone).
 
     In the plane it is exact: each sector is a union of arcs read off the
-    cone's generators (_arcs), and dirs is not read.  For n >= 3 it is
-    estimated on the direction grid dirs augmented by the cones' own
-    generators, a direction counting as a member at tolerance 1e-9."""
+    cone's generators (_arcs), and dirs is not read (it may be None).  For
+    n >= 3 it is estimated on the direction grid dirs augmented by the
+    cones' own generators, a direction counting as a member at tolerance
+    1e-9; a grid direction in both samples is measured only when the
+    others leave it a candidate for the farthest."""
     if A.dim == 2:
         PA, PB = _arcs(A), _arcs(B)
         if not PA or not PB:
             return 0.0 if PA == PB else math.pi
         return max(_directed_arcs(PA, PB), _directed_arcs(PB, PA))
     dirs = np.asarray(dirs, dtype=float)
+    mA, mB = A.member_mask(dirs, tol=1e-9), B.member_mask(dirs, tol=1e-9)
 
-    def sample(C):
-        pts = dirs[C.member_mask(dirs, tol=1e-9)]
-        if not C.is_zero:
-            pts = np.vstack([pts, C.generators])
-        return pts
+    def sample(C, m):
+        return np.vstack([dirs[m], C.generators])
 
-    SA, SB = sample(A), sample(B)
+    SA, SB = sample(A, mA), sample(B, mB)
     if len(SA) == 0 and len(SB) == 0:
         return 0.0
     if len(SA) == 0 or len(SB) == 0:
         return math.pi
 
-    def directed(P, Q):
-        return float(np.arccos(np.clip(support_many(P, Q), -1.0, 1.0)).max())
+    def directed(C, m, S, mS):
+        # a direction x in both samples has support at least <x, x> on S, so
+        # it cannot be the farthest while another row's support is below
+        # that; it is measured only when none is
+        h = support_many(sample(C, m & ~mS), S)
+        both = dirs[m & mS]
+        if len(both) and (1.0 - 1e-12) * np.einsum("ij,ij->i", both, both).min() < h.min(initial=np.inf):
+            h = np.concatenate([h, support_many(both, S)])
+        return float(np.arccos(np.clip(h, -1.0, 1.0)).max())
 
-    return max(directed(SA, SB), directed(SB, SA))
+    return max(directed(A, mA, SB, mB), directed(B, mB, SA, mA))
 
 
 def normal_cone_limit_report(

@@ -633,6 +633,13 @@ def _nnls(A, b):
     return x, math.sqrt(r @ r)
 
 
+def _certified(W, X, v):
+    """Per row x of X and the vertex v of W in the same row of v, nearest to
+    x: True where v is the nearest point of conv W to x, which holds iff
+    <x - v, w - v> <= 0 for every vertex w."""
+    return ((W[None, :, :] - v[:, None, :]) @ (X - v)[:, :, None]).max(axis=(1, 2)) <= 0.0
+
+
 def project(K: ConvexBody, p):
     """Nearest point of K to p.
 
@@ -665,7 +672,7 @@ def project(K: ConvexBody, p):
         return X[int(np.argmin(_sq_dists(X, p)))]
     d2 = _sq_dists(V, p)
     v = V[int(np.argmin(d2))]
-    if np.max((V - v) @ (p - v)) <= 0.0:
+    if _certified(V, p[None], v[None])[0]:
         q = v.copy()
     else:
         # delta = |p - v| >= dist(p, K): a facet with r < -delta cannot bind
@@ -783,16 +790,16 @@ def _distances_3(B: ConvexBody, X, near):
     """dist(x, B) for each row x of X, B of affine dimension 3 and near[i]
     the index of the vertex of B nearest to X[i].
 
-    Two batched passes.  The nearest vertex v is the nearest point when
-    <x - v, w - v> <= 0 for every vertex w (project's certificate).  For
-    the other rows the nearest point lies on a facet triangle whose
-    residual at x is positive (the outer normals there combine to x - q,
-    which has positive product with itself), so the least distance to the
-    triangles with residual above -rounding_floor(B) is the distance."""
+    Two batched passes.  The nearest vertex is the nearest point where it
+    is certified (_certified).  For the other rows the nearest point lies
+    on a facet triangle whose residual at x is positive (the outer normals
+    there combine to x - q, which has positive product with itself), so
+    the least distance to the triangles with residual above
+    -rounding_floor(B) is the distance."""
     W = B.vertices
     v = W[near]
     sq = _sq_dists(X, v)
-    open_ = np.einsum("ijk,ik->ij", W[None, :, :] - v[:, None, :], X - v).max(axis=1) > 0.0
+    open_ = ~_certified(W, X, v)
     if open_.any():
         Y = X[open_]
         _, _, eqs, S = B.facets
@@ -804,53 +811,58 @@ def _distances_3(B: ConvexBody, X, near):
 
 
 def _directed_hausdorff(A: ConvexBody, B: ConvexBody) -> float:
-    """max over the vertices v of A of dist(v, B), measuring only the
-    vertices whose upper bound exceeds the largest distance found so far.
+    """max over the vertices v of A of dist(v, B).
 
-    The upper bound is the exact facet distance where the facets give it,
-    and the distance to the nearest vertex of B otherwise.  For B of affine
-    dimension 3 the open vertices are measured by _distances_3 in chunks
-    of 1, 2, 4, ... rows in that order; otherwise one by one by project.
+    The facets give dist(v, B) itself where the projection of v onto
+    Aff(B) falls in B (_facet_bounds).  The other vertices are measured in decreasing order of their distance
+    to the nearest vertex of B, an upper bound, and only while it exceeds
+    the largest distance found so far: in chunks of 1, 2, 4, ... rows by
+    _distances_3 against a body of affine dimension 3, one by one by
+    project against any other body.
     """
     V = A.vertices
     upper, exact = _facet_bounds(B, V)
+    d = float(upper.max(where=exact, initial=0.0))
+    if np.all(exact):
+        return d
+    X = V[~exact]
+    D2 = _sq_dists(X[:, None, :], B.vertices[None, :, :])
+    upper = np.sqrt(D2.min(axis=1))
     if B.dim_affine == 3:
-        d = float(upper[exact].max(initial=0.0))
-        X = V[~exact]
-        D2 = _sq_dists(X[:, None, :], B.vertices[None, :, :])
         near = D2.argmin(axis=1)
-        up = np.sqrt(D2[np.arange(len(X)), near])
-        order = np.argsort(-up, kind="stable")
         # a chunk's arrays over its rows and B's vertices or facets hold at
         # most _PAIR_BLOCK numbers
         cap = max(1, _PAIR_BLOCK // (B.dim * max(B.nvertices, len(B.facets.equations))))
-        start, size = 0, 1
-        while start < len(order) and up[order[start]] > d:
-            rows = order[start:start + size]
-            rows = rows[up[rows] > d]
-            d = max(d, float(_distances_3(B, X[rows], near[rows]).max()))
-            start, size = start + size, min(2 * size, cap)
-        return d
-    if not np.all(exact):
-        upper[~exact] = distances(V[~exact], B.vertices).min(axis=1)
-    d = 0.0
+
+        def measure(rows):
+            return float(_distances_3(B, X[rows], near[rows]).max())
+    else:
+        cap = 1
+
+        def measure(rows):
+            i, = rows
+            return np.linalg.norm(project(B, X[i]) - X[i])
+    rows, size = [], 1
     for i in np.argsort(-upper, kind="stable"):
         if upper[i] <= d:
             break
-        d = max(d, np.linalg.norm(project(B, V[i]) - V[i]))
-    return d
+        rows.append(i)
+        if len(rows) == size:
+            d, rows, size = max(d, measure(rows)), [], min(2 * size, cap)
+    return max(d, measure(rows)) if rows else d
 
 
 def hausdorff(A: ConvexBody, B: ConvexBody) -> float:
     """Hausdorff distance between two bodies.
 
     Exact for V-polytopes: the directed distance from a convex body is
-    attained at an extreme point, so it suffices to measure vertices, in
-    decreasing order of an upper bound and only while that bound can still
-    raise the maximum.  Against a body of affine dimension 3 a vertex is
-    measured in closed form, by its nearest vertex when that is certified,
-    else by the facet triangles it lies outside of (_distances_3); against
-    any other body it is projected (project).
+    attained at an extreme point, so it suffices to measure vertices: those
+    over the other body by its facets, the rest in decreasing order of an
+    upper bound and only while that bound can still raise the maximum.
+    Against a body of affine dimension 3 such a vertex is measured in
+    closed form, by its nearest vertex when that is certified, else by the
+    facet triangles it lies outside of (_distances_3); against any other
+    body it is projected (project).
     """
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")

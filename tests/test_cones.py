@@ -23,7 +23,7 @@ from descent_geom.cones import (
     tangent_cone,
 )
 from descent_geom.descent import disk_family
-from descent_geom.geom_core import hull, support, unit_directions
+from descent_geom.geom_core import hull, support, support_many, unit_directions
 
 from .conftest import disk_polygon, embedded_polytope, random_polytope
 from .oracles import (
@@ -461,24 +461,62 @@ def _planar_cone_pairs(rng):
     return pairs
 
 
+class TestSampledSectorHausdorff:
+    def test_matches_the_full_sample(self, rng):
+        # cap-body normal cones against their limits in R^3 and R^4, and
+        # each cone against itself, where every grid node is in both samples
+        def full(A, B, dirs):
+            S = [np.vstack([dirs[C.member_mask(dirs, tol=1e-9)], C.generators]) for C in (A, B)]
+            return max(np.arccos(np.clip(support_many(P, Q), -1.0, 1.0)).max()
+                       for P, Q in (S, S[::-1]))
+
+        for n in (3, 3, 4, 4):
+            K = random_polytope(rng, n=n, npts=25)
+            p0 = K.vertices[0]
+            u = (p0 - K.centroid()) / np.linalg.norm(p0 - K.centroid())
+            limit = cone_intersect_halfspace(normal_cone(K, p0), u)
+            dirs = unit_directions(n, 4000, seed=n)
+            for eps in (0.5, 0.05):
+                Ne = normal_cone(cap_body(K, p0 + eps * u), p0 + eps * u)
+                for A, B in ((Ne, limit), (limit, Ne), (Ne, Ne)):
+                    got = sector_angular_hausdorff(A, B, dirs)
+                    assert got == pytest.approx(full(A, B, dirs), abs=1e-15)
+
+
 class TestPlanarSectorHausdorff:
     def test_matches_a_million_directions(self, rng):
         spacing = 2.0 * math.pi / 10**6
         antipodal = False
         for GA, GB in _planar_cone_pairs(rng):
             A, B = PolyCone(2, GA, np.zeros((0, 2))), PolyCone(2, GB, np.zeros((0, 2)))
-            got = sector_angular_hausdorff(A, B)
-            assert got == sector_angular_hausdorff(B, A)
+            got = sector_angular_hausdorff(A, B, None)
+            assert got == sector_angular_hausdorff(B, A, None)
             ref = planar_sector_hausdorff_sampling(GA, GB)
             assert abs(got - ref) <= spacing, (GA, GB)
             antipodal |= got > math.radians(150.0) and len(GA) == len(GB) == 2
         assert antipodal
 
+    def test_distance_at_an_arcs_far_end(self, rng):
+        # a sector [a, a + L] against the ray at a, and against the sector
+        # [a, a + M] sharing its first edge: the distance, L and L - M, is
+        # reached only at the far end a + L, whose angle is rounded
+        spacing = 2.0 * math.pi / 10**5
+        for _ in range(40):
+            a, L = rng.uniform(0.0, 360.0), rng.uniform(1.0, 179.0)
+            M = rng.uniform(0.0, L)
+            sector = _unit_at(a, a + L)
+            for G, want in ((_unit_at(a), L), (_unit_at(a, a + M), L - M)):
+                A, B = PolyCone(2, sector, np.zeros((0, 2))), PolyCone(2, G, np.zeros((0, 2)))
+                got = sector_angular_hausdorff(A, B, None)
+                assert got == sector_angular_hausdorff(B, A, None)
+                assert got == pytest.approx(math.radians(want), abs=1e-12)
+                assert abs(got - planar_sector_hausdorff_sampling(sector, G, 10**5)) <= spacing
+
     def test_reads_no_direction_grid(self, unit_square):
         C = normal_cone(unit_square, (1, 1))
-        assert sector_angular_hausdorff(C, C, dirs=None) == 0.0
+        assert sector_angular_hausdorff(C, C, None) == 0.0
         N = normal_cone(unit_square, (1, 0.5))
-        assert sector_angular_hausdorff(C, N) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert sector_angular_hausdorff(C, N, None) == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_cone_limit_builds_no_grid_in_the_plane(self, unit_square, monkeypatch):
         def refuse(*args, **kwargs):
