@@ -637,7 +637,7 @@ def _certified(W, X, v):
     """Per row x of X and the vertex v of W in the same row of v, nearest to
     x: True where v is the nearest point of conv W to x, which holds iff
     <x - v, w - v> <= 0 for every vertex w."""
-    return ((W[None, :, :] - v[:, None, :]) @ (X - v)[:, :, None]).max(axis=(1, 2)) <= 0.0
+    return ((W - v[:, None, :]) @ (X - v)[:, :, None])[:, :, 0].max(axis=1) <= 0.0
 
 
 def project(K: ConvexBody, p):
