@@ -361,9 +361,10 @@ def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs):
         return math.pi
 
     def directed(C, m, S, mS):
-        # a direction x in both samples has support at least <x, x> on S, so
-        # it cannot be the farthest while another row's support is below
-        # that; it is measured only when none is
+        # a direction x in both samples has support at least <x, x> on S
+        # (less its rounding, which the factor 1 - 1e-12 covers), so it
+        # cannot be the farthest while another row's support is below that;
+        # it is measured only when none is
         h = support_many(sample(C, m & ~mS), S)
         both = dirs[m & mS]
         if len(both) and (1.0 - 1e-12) * np.einsum("ij,ij->i", both, both).min() < h.min(initial=np.inf):
