@@ -409,8 +409,8 @@ def _cmd_report(args):
     sep_ok = args.tol >= 1e-7 or is_sep(curve, args.tol)["ok"]
     out = {"config": _config(args), "checks": {
         "sep": sep_ok,
-        "ec": _ec_tail(curve.points, fam.bodies, max(args.tol, 1e-7))["ok"],
-        "sdc": _sdc_verdict(curve, fam, ec.align_s, ec.align_x, max(args.tol, 1e-6))["ok"],
+        "ec": _ec_tail(ec.family_pass, max(args.tol, 1e-7))["ok"],
+        "sdc": _sdc_verdict(ec.family_pass, max(args.tol, 1e-6))["ok"],
     }}
     if sep_ok:
         lb = length_bound_check(curve, grid, args.tol, w_hull=mean_width(hull(curve.points), grid))

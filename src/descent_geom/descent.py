@@ -9,20 +9,26 @@ Lipschitz certificate, stability and annulus-length bounds, and the
 counterexample fixtures (Cantor graph, revolved-pancake family,
 near-extremal spirals).
 
-A couple holds the alignment of its curve to the members: the last curve
-point inside each, by one backward walk clipped by _segment_interval.  EC
-conditions (ii)-(iii) (_ec_tail) and the per-knot SDC test (_sdc_verdict)
-take points or an alignment, so a couple's holder reads both without
-aligning again.
+The validators read a curve against a whole family in one family pass
+(_family_pass): the facet-by-point residual table of every member at
+once, in blocks of bounded size.  It gives each member's candidate
+segments, of which _segment_interval clips the last ones into the
+alignment (the last curve point inside each member), and the depth and
+off-plane tables of the curve points.  EC conditions (ii)-(iii)
+(_ec_tail) and the SDC knot tests (_sdc_verdict) read the pass, over the
+members' stacked vertices; a couple keeps its pass, so its holder reads
+both verdicts without aligning again.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import Degenerate, DimensionMismatch, InvalidInput, PreconditionViolated
 from .geom_core import (
+    _PAIR_BLOCK,
     TAU_PT,
     ConvexBody,
     as_point,
@@ -34,7 +40,6 @@ from .geom_core import (
     rel_depth_many,
     unit_directions,
 )
-from .cones import in_normal_cone
 from .family import Family, Stratification, validate_stratification
 from .mean_width import SphereGrid, lipschitz_constant, mean_width, width_gap_constant
 from .sep import Polyline, is_sep
@@ -141,31 +146,157 @@ def clip_length_outside(gamma: Polyline, K: ConvexBody) -> float:
     return gamma.length() - inside
 
 
+# -- the family pass -----------------------------------------------------------
+
+
+# Entries per temporary table of a family pass: tables of 128 KB ran
+# faster than those of _PAIR_BLOCK's 512 KB on the Cantor family.
+_PASS_BLOCK = _PAIR_BLOCK // 4
+
+
+def _stack(arrays):
+    """The rows of arrays stacked, and offsets: array k holds the rows
+    offsets[k]:offsets[k + 1]."""
+    return np.concatenate(arrays), np.concatenate(([0], np.cumsum([len(a) for a in arrays])))
+
+
+def _member_max(offsets, step, block, out):
+    """Raise each (members x columns) table of out to the largest row, per
+    member, of the same table of block(r0, r1), a tuple of tables over the
+    stacked rows r0:r1; member k owns the rows offsets[k]:offsets[k + 1].
+    The rows go by in blocks of step."""
+    counts = np.diff(offsets)
+    total, step = int(offsets[-1]), max(1, step)
+    for r0 in range(0, total, step):
+        r1 = min(r0 + step, total)
+        k = np.arange(np.searchsorted(offsets, r0, "right") - 1, np.searchsorted(offsets, r1))
+        k = k[counts[k] > 0]  # reduceat reads an empty group as one row
+        starts = np.maximum(offsets[k], r0) - r0
+        for acc, T in zip(out, block(r0, r1)):
+            acc[k] = np.maximum(acc[k], np.maximum.reduceat(T, starts))
+
+
+@dataclass(frozen=True)
+class _FamilyPass:
+    """A curve against every member of a family, read off one residual
+    table.
+
+    align_s and align_x hold each member's last curve point, as
+    align_curve returns them, for the members before missed: the first
+    member that misses the curve, or None.  equations stacks the members'
+    facet rows, member k's at eq_offsets[k]:eq_offsets[k + 1]; params, when
+    given, name the members in messages.
+    """
+
+    points: np.ndarray
+    cums: np.ndarray
+    bodies: tuple
+    params: tuple
+    equations: np.ndarray
+    eq_offsets: np.ndarray
+    align_s: np.ndarray
+    align_x: np.ndarray
+    missed: object
+
+    def alignment(self):
+        """(align_s, align_x); InvalidInput naming the missed member."""
+        k = self.missed
+        if k is not None:
+            param = "" if self.params is None else f" (param {self.params[k]:.6g})"
+            raise InvalidInput(f"alignment failure: member {k} of {len(self.bodies)}{param} "
+                               "misses the curve")
+        return self.align_s, self.align_x
+
+    @cached_property
+    def interior(self):
+        """(members x curve points) table: True where the point lies within
+        _bd_tol(Q) of Aff(Q) and deeper than that inside Q (rel_depth_many)."""
+        P, eoff = self.points, self.eq_offsets
+        top = np.full((len(self.bodies), len(P)), -np.inf)
+        _member_max(eoff, _PASS_BLOCK // len(P),
+                    lambda r0, r1: (_residuals(self.equations[r0:r1], P),), (top,))
+        bd = np.array([_bd_tol(Q) for Q in self.bodies])[:, None]
+        inner = (top < -bd) & (np.diff(eoff)[:, None] > 0)  # a point member has depth 0
+        for k, Q in enumerate(self.bodies):
+            if Q.dim_affine < Q.dim:
+                inner[k] &= rel_depth_many(Q, P)[1] <= bd[k]
+        return inner
+
+    @cached_property
+    def vertex_rows(self):
+        """The members' vertices stacked, with their offsets (_stack)."""
+        return _stack([Q.vertices for Q in self.bodies])
+
+
+def _residuals(E, P):
+    """The residuals of the points P at the facet rows E, one row per facet."""
+    return E[:, :-1] @ P.T + E[:, -1:]
+
+
+def _family_pass(curve: Polyline, bodies, params=None, tol=0.0) -> _FamilyPass:
+    """The family pass of curve against bodies.
+
+    The facet-by-point residual table of every member is formed in blocks
+    of at most _PASS_BLOCK entries.  Segment i stays a candidate for a
+    member unless both its ends lie beyond one of the member's facets by
+    1e-9 * (1 + the largest |residual| of either end over all members), a
+    margin at least _candidate_segments', so _segment_interval rejects
+    every dropped segment as well.  The last candidate that
+    _segment_interval clips gives the alignment.  A one-point curve meets
+    a member within max(tol, _bd_tol) of it (contains).
+    """
+    _same_dim(curve, bodies)
+    bodies = tuple(bodies)
+    P, cums = curve.points, curve.arclengths()
+    m, n = P.shape
+    E, eoff = _stack([Q.facets.equations for Q in bodies])
+    s, x = np.zeros(len(bodies)), np.zeros((len(bodies), n))
+    missed = None
+    if m == 1:
+        x[:] = P[0]
+        missed = next((k for k, Q in enumerate(bodies)
+                       if not contains(Q, P[0], max(tol, _bd_tol(Q)))), None)
+    else:
+        size = np.zeros(m)
+
+        def ends(r0, r1):
+            R = _residuals(E[r0:r1], P)
+            np.maximum(size, np.abs(R).max(axis=0), out=size)
+            return np.minimum(R[:, :-1], R[:, 1:]),
+
+        low = np.full((len(bodies), m - 1), -np.inf)
+        _member_max(eoff, _PASS_BLOCK // m, ends, (low,))
+        scale = 1.0 + size
+        cand = ~(low > 1e-9 * np.maximum(scale[:-1], scale[1:]))
+        seg, t = np.zeros(len(bodies), dtype=int), np.zeros(len(bodies))
+        for k, Q in enumerate(bodies):
+            for i in np.flatnonzero(cand[k])[::-1].tolist():
+                iv = _segment_interval(Q, P[i], P[i + 1])
+                if iv is not None:
+                    seg[k], t[k] = i, iv[1]
+                    break
+            else:
+                missed = k
+                break
+        s = cums[seg] + t * (cums[seg + 1] - cums[seg])
+        x = P[seg] + t[:, None] * (P[seg + 1] - P[seg])
+    return _FamilyPass(P, cums, bodies, params, E, eoff, s, x, missed)
+
+
 # -- expanding couples ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExpandingCouple:
     """A curve, a family, and the joint alignment x(t) = last curve point
-    inside each member (as (arclength, point) rows, one per member)."""
+    inside each member (as (arclength, point) rows, one per member), with
+    the family pass it was read from."""
 
     curve: Polyline
     family: Family
     align_s: np.ndarray
     align_x: np.ndarray
-
-
-def _last_inside(K: ConvexBody, P, cums, tol):
-    """(arc length, point) of the last point of the polyline P inside K, or
-    None.  Segments are clipped exactly; tol is the membership tolerance of
-    a one-point curve."""
-    if len(P) == 1:
-        return (0.0, P[0].copy()) if contains(K, P[0], tol) else None
-    for i in _candidate_segments(K, P)[::-1]:
-        iv = _segment_interval(K, P[i], P[i + 1])
-        if iv is not None:
-            return cums[i] + iv[1] * (cums[i + 1] - cums[i]), P[i] + iv[1] * (P[i + 1] - P[i])
-    return None
+    family_pass: _FamilyPass = field(default=None, repr=False, compare=False)
 
 
 def _same_dim(curve: Polyline, bodies):
@@ -178,20 +309,11 @@ def align_curve(curve: Polyline, bodies):
     """Last curve point (by arc length) inside each body.
 
     Returns (s_values, points); raises DimensionMismatch when the curve and
-    a body live in different dimensions, and InvalidInput when some body
-    contains no point of the curve.  _bd_tol(K) is the membership tolerance
-    of a one-point curve.
+    a body live in different dimensions, and InvalidInput naming the first
+    body that contains no point of the curve.  _bd_tol(K) is the
+    membership tolerance of a one-point curve.
     """
-    _same_dim(curve, bodies)
-    P, cums = curve.points, curve.arclengths()
-    s_out, x_out = [], []
-    for K in bodies:
-        found = _last_inside(K, P, cums, _bd_tol(K))
-        if found is None:
-            raise InvalidInput("alignment failure: a family member misses the curve")
-        s_out.append(found[0])
-        x_out.append(found[1])
-    return np.array(s_out), np.array(x_out)
+    return _family_pass(curve, bodies).alignment()
 
 
 def make_expanding_couple(curve: Polyline, fam: Family, tol=None) -> ExpandingCouple:
@@ -206,10 +328,11 @@ def make_expanding_couple(curve: Polyline, fam: Family, tol=None) -> ExpandingCo
     top = fam.bodies[-1]
     if not on_rel_boundary(top, curve.points[-1], max(tol or 0.0, _bd_tol(top))):
         raise PreconditionViolated("curve must end on the boundary of max(family)")
-    s, x = align_curve(curve, fam.bodies)
+    fp = _family_pass(curve, fam.bodies, fam.params)
+    s, x = fp.alignment()
     if np.any(np.diff(s) < -1e-9 * (1.0 + s[-1])):
         raise InvalidInput("alignment is not monotone along the curve")
-    return ExpandingCouple(curve, fam, s, x)
+    return ExpandingCouple(curve, fam, s, x, fp)
 
 
 def construct_descent(fam: Family, endpoint, m: int) -> Polyline:
@@ -253,50 +376,59 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     sep_chk = is_sep(gamma, tol)
     if not sep_chk["ok"]:
         return {"ok": False, "condition": "sep", "witness": sep_chk["witness"]}
-    P, cums = gamma.points, gamma.arclengths()
-    for Q in strat.bodies:
-        if _last_inside(Q, P, cums, max(tol, _bd_tol(Q))) is None:
-            return {"ok": False, "condition": "i", "witness": {"body_width": mean_width(Q, grid)}}
-    return _ec_tail(P, strat.bodies, tol)
+    fp = _family_pass(gamma, strat.bodies, strat.params, tol)
+    if fp.missed is not None:
+        return {"ok": False, "condition": "i",
+                "witness": {"body_width": mean_width(strat.bodies[fp.missed], grid)}}
+    return _ec_tail(fp, tol)
 
 
-def _ec_tail(P, bodies, tol):
-    """Conditions (ii) and (iii) of is_expanding_couple for the curve
-    vertices P, as its verdict; the caller has proved the SEP property and
-    condition (i)."""
+def _ec_tail(fp: _FamilyPass, tol):
+    """Conditions (ii) and (iii) of is_expanding_couple from the family
+    pass, as its verdict; the caller has proved the SEP property and
+    condition (i).
+
+    (iii) reads every member's gaps D[i, j] - min over l > i of D[l, j], D
+    the distances from the curve points to its vertices, over column
+    blocks of the stacked vertices.  Only the worst member's gaps are
+    formed again, for the witness: the first member with the strictly
+    largest gap, its first row of that gap, and there its first vertex.
+    """
+    P, bodies = fp.points, fp.bodies
     top = bodies[-1]
     btol = max(tol, _bd_tol(top))
     depth, off = rel_depth_many(top, P)
     if not np.any((off <= btol) & (np.abs(depth) <= btol)):
         return {"ok": False, "condition": "ii", "witness": None}
-    worst = None
-    scale = 1.0 + top.diameter()
-    for qi, Q in enumerate(bodies):
-        D = distances(P, Q.vertices)  # m x q
+    outside = ~fp.interior[:, :-1]
+    V, voff = fp.vertex_rows
+    member = np.repeat(np.arange(len(bodies)), np.diff(voff))
+
+    def gaps(r0, r1):
+        D = distances(P, V[r0:r1])
         suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
-        depth, off = rel_depth_many(Q, P)
-        outside = ~((off <= _bd_tol(Q)) & (depth > _bd_tol(Q)))
-        rows = np.nonzero(outside[:-1])[0]
-        if len(rows) == 0:
-            continue
-        # worst over this body: the first row, and in it the first vertex,
-        # of the largest gap; it replaces an earlier body's only if larger
-        gap = D[rows] - suffix[rows + 1]
-        best = gap.max(axis=1)
-        r = int(np.argmax(best))
-        if best[r] > tol * scale and (worst is None or best[r] > worst[0]):
-            i, j = int(rows[r]), int(np.argmax(gap[r]))
-            later = int(i + 1 + np.argmin(D[i + 1 :, j]))
-            worst = (float(best[r]), qi, i, j, later)
-    if worst is None:
+        return np.max(D[:-1] - suffix[1:], axis=0, initial=-np.inf,
+                      where=outside[member[r0:r1]].T)[:, None],
+
+    best = np.full((len(bodies), 1), -np.inf)
+    _member_max(voff, _PASS_BLOCK // len(P), gaps, (best,))
+    qi = int(np.argmax(best))
+    if not best[qi, 0] > tol * (1.0 + top.diameter()):
         return {"ok": True, "condition": None, "witness": None}
-    gap, qi, i, j, later = worst
-    y = bodies[qi].vertices[j]
+    y_all = bodies[qi].vertices
+    D = distances(P, y_all)
+    suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
+    rows = np.nonzero(outside[qi])[0]
+    gap = D[rows] - suffix[rows + 1]
+    r = int(np.argmax(gap.max(axis=1)))
+    i, j = int(rows[r]), int(np.argmax(gap[r]))
+    later = int(i + 1 + np.argmin(D[i + 1:, j]))
+    y = y_all[j]
     return {"ok": False, "condition": "iii", "witness": {
         "body_index": qi, "x": P[i].copy(), "y": y.copy(), "x1": P[later].copy(),
         "dist_x_y": float(np.linalg.norm(P[i] - y)),
         "dist_x1_y": float(np.linalg.norm(P[later] - y)),
-        "violation": gap,
+        "violation": float(gap[r, j]),
     }}
 
 
@@ -306,41 +438,60 @@ def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6):
     At each knot the aligned point must lie on the relative boundary of the
     member, and some one-sided curve direction there must belong to the
     member's normal cone (support-gap membership at tolerance tol).  The
-    witness is the first failing knot.  Raises DimensionMismatch as
-    align_curve does.
+    witness is the first failing knot.  Raises DimensionMismatch and
+    InvalidInput as align_curve does.
     """
-    s, x = align_curve(gamma, fam.bodies)
-    return _sdc_verdict(gamma, fam, s, x, tol)
+    fp = _family_pass(gamma, fam.bodies, fam.params)
+    fp.alignment()
+    return _sdc_verdict(fp, tol)
 
 
-def _sdc_verdict(gamma: Polyline, fam: Family, s, x, tol):
-    """is_viable_sdc's verdict from the alignment (s, x) of gamma to the
-    members of fam, as align_curve returns it."""
-    P, cums = gamma.points, gamma.arclengths()
-    failures = []
-    for k, (K, sk, xk) in enumerate(zip(fam.bodies, s, x)):
-        if not on_rel_boundary(K, xk, _bd_tol(K)):
-            failures.append({"knot": k, "param": fam.params[k], "x": xk, "condition": "i"})
-            continue
-        dirs = []
-        if len(P) >= 2:
-            stol = 1e-9 * (1.0 + cums[-1])
-            i = int(np.searchsorted(cums, sk + stol)) - 1
-            i = max(0, min(i, len(P) - 2))
-            segs = [i]  # the segment at sk, and the other one at a curve vertex
-            if i > 0 and abs(sk - cums[i]) <= stol:
-                segs.append(i - 1)
-            if abs(sk - cums[i + 1]) <= stol and i + 2 < len(P):
-                segs.append(i + 1)
-            for j in segs:
-                d = P[j + 1] - P[j]
-                nd = np.linalg.norm(d)
-                if nd > TAU_PT:
-                    dirs.append(d / nd)
-        if not dirs:
-            continue
-        if not any(in_normal_cone(K, xk, d, tol) for d in dirs):
-            failures.append({"knot": k, "param": fam.params[k], "x": xk, "condition": "ii"})
+def _sdc_verdict(fp: _FamilyPass, tol):
+    """is_viable_sdc's verdict from the family pass of an aligned curve.
+
+    Each knot x_k is tested on its own member's rows: on its facet rows for
+    the boundary test (on_rel_boundary), and on its vertex rows for the
+    support gap of each of its one-sided curve directions, at most three
+    (cones.in_normal_cone), all at once.
+    """
+    P, cums, bodies = fp.points, fp.cums, fp.bodies
+    s, x = fp.align_s, fp.align_x
+    E, eoff = fp.equations, fp.eq_offsets
+    nk, m = len(bodies), len(P)
+    has = np.diff(eoff) > 0
+    depth, off = np.zeros(nk), np.zeros(nk)
+    if has.any():
+        R = np.einsum("ij,ij->i", E[:, :-1], np.repeat(x, np.diff(eoff), axis=0)) + E[:, -1]
+        depth[has] = -np.maximum.reduceat(R, eoff[:-1][has])
+    for k, Q in enumerate(bodies):
+        if Q.dim_affine < Q.dim:
+            off[k] = rel_depth_many(Q, x[k])[1][0]
+    bd = np.array([_bd_tol(Q) for Q in bodies])
+    on_bd = (off <= bd) & (np.abs(depth) <= bd)
+    in_cone = np.ones(nk, dtype=bool)  # some direction passes, or there is none
+    if m >= 2:
+        # the segment at s, and the other one where s is a curve vertex
+        stol = 1e-9 * (1.0 + cums[-1])
+        i = np.clip(np.searchsorted(cums, s + stol) - 1, 0, m - 2)
+        segs = np.column_stack([i, np.maximum(i - 1, 0), np.minimum(i + 1, m - 2)])
+        use = np.column_stack([np.ones(nk, dtype=bool), (i > 0) & (np.abs(s - cums[i]) <= stol),
+                               (np.abs(s - cums[i + 1]) <= stol) & (i + 2 < m)])
+        d = np.diff(P, axis=0)
+        nd = np.linalg.norm(d, axis=1)
+        use &= (nd > TAU_PT)[segs]
+        U = d / np.where(nd > TAU_PT, nd, 1.0)[:, None]
+        thr = tol * (1.0 + np.linalg.norm(U, axis=1))
+        V, voff = fp.vertex_rows
+        reps = np.diff(voff)
+        W = V - np.repeat(x, reps, axis=0)
+        diam = 1.0 + np.array([Q.diameter() for Q in bodies])
+        passed = np.column_stack([
+            np.maximum.reduceat(np.einsum("ij,ij->i", W, np.repeat(U[j], reps, axis=0)),
+                                voff[:-1]) <= thr[j] * diam
+            for j in segs.T])
+        in_cone = ~use.any(axis=1) | (use & passed).any(axis=1)
+    failures = [{"knot": k, "param": fp.params[k], "x": x[k], "condition": "ii" if on_bd[k] else "i"}
+                for k in np.flatnonzero(~on_bd | ~in_cone).tolist()]
     return {"ok": not failures, "witness": failures[0] if failures else None,
             "failures": failures}
 

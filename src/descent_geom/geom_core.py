@@ -2,7 +2,8 @@
 projection, containment and Hausdorff distance.
 
 Bodies are stored canonically as the extreme points of their convex hull;
-each builds its facet structure (`ConvexBody.facets`) once, on first use.
+each builds its facet structure (`ConvexBody.facets`) once, on first use,
+and keeps its diameter and its mean width (`ConvexBody.kept_width`).
 In R^n, n >= 3, hull() takes its input in canonical order, so a body built
 from its own extreme points keeps Qhull's facets.  A planar body's
 counterclockwise ring is its only boundary: hull() reads a clear ring
@@ -334,6 +335,18 @@ class ConvexBody:
         once."""
         return self._diameter
 
+    def kept_width(self, grid, make):
+        """The body's mean width on grid (None: exact), kept in one slot with
+        the grid object it came from: make() runs on first use and whenever
+        another grid object (by identity) comes back, and its value
+        replaces the kept one.  The slot keeps that grid alive."""
+        kept = self.__dict__.get("_width")
+        if kept is not None and kept[0] is grid:
+            return kept[1]
+        w = make()
+        self.__dict__["_width"] = (grid, w)
+        return w
+
     def translate(self, t):
         return ConvexBody(self.vertices + as_point(t, self.dim), self.dim_affine)
 
@@ -371,7 +384,7 @@ def body_from_dict(d):
     A stored planar body is a clear ring, so hull() reads it without Qhull.
     The body is canonicalized once per distinct input (shape and exact
     coordinates) while _body_memo keeps it: later loads return the same
-    read-only body, its facets and diameter kept.
+    read-only body, its facets, diameter and mean width (kept_width) kept.
     """
     try:
         verts = d["vertices"]

@@ -4,7 +4,9 @@ deformations.
 Mean width is exact up to R^3: perimeter / pi in the plane (Cauchy's
 formula, a segment's perimeter counting both sides), and in R^3 a sum over
 the edges of the facet triangulation; n >= 4 averages support values over a
-deterministic seeded sphere grid of equal-weight nodes.  The first
+deterministic seeded sphere grid of equal-weight nodes.  A body keeps its
+width (ConvexBody.kept_width): an exact one from first use, a quadrature
+one together with the grid object it came from.  The first
 variation reads one normal-cone sector integral, _sector_integral: the
 vector integral of theta over the sector of N_K(q), cut to a halfspace when
 asked, exact over arcs in the plane and a grid sum otherwise.  Summation
@@ -120,18 +122,25 @@ def mean_width(K: ConvexBody, grid: SphereGrid = None) -> float:
     Exact for n <= 3 (segment length in the line, perimeter/pi in the
     plane, facet edges in space); for n >= 4, twice the mean support value
     over the nodes of the given or default grid.  Strictly monotone under
-    strict inclusion at quadrature resolution.
+    strict inclusion at quadrature resolution.  The body keeps its width
+    (ConvexBody.kept_width): an exact one from first use, a quadrature one
+    while the same grid object comes back.
     """
     n = K.dim
-    if n == 1:
-        return float(K.vertices.max() - K.vertices.min())
-    if n == 2:
-        return perimeter(K) / math.pi
-    if n == 3:
-        return _mean_width_3d(K)
+    if n <= 3:
+        return K.kept_width(None, lambda: _exact_mean_width(K))
     if grid is None:
         grid = default_grid(n)
-    return mean_width_quadrature(K, grid)
+    return K.kept_width(grid, lambda: mean_width_quadrature(K, grid))
+
+
+def _exact_mean_width(K: ConvexBody) -> float:
+    """mean_width of a body in R^n, n <= 3, by its exact formula."""
+    if K.dim == 1:
+        return float(K.vertices.max() - K.vertices.min())
+    if K.dim == 2:
+        return perimeter(K) / math.pi
+    return _mean_width_3d(K)
 
 
 def mean_width_ratio(n: int, k: int) -> float:

@@ -5,7 +5,9 @@ Everything here is deliberately naive: LP feasibility for extreme points,
 and memberships.  None of it shares code paths with the library routines
 it checks, except the per-vertex projection oracles, which call
 geom_core.project once per vertex and so check the bounds, ranking and
-batched kernels of hausdorff and includes against the projection.
+batched kernels of hausdorff and includes against the projection, and the
+per-member validators, which walk one member or knot at a time through the
+library's exact segment clipping.
 """
 
 import itertools
@@ -321,3 +323,129 @@ def segment_distance(pts, a, b):
     t = np.clip((X - a) @ d / dd, 0.0, 1.0)
     proj = a + t[:, None] * d
     return np.linalg.norm(X - proj, axis=1)
+
+
+# -- the per-member validators the family pass replaced ------------------------
+#
+# descent's family pass reads a curve against all members at once.  These are
+# the loops it replaced, one member or knot at a time; they share the exact
+# clipping (_segment_interval) and the candidate filter with the library.
+
+
+def align_per_member(curve, bodies, tol=0.0):
+    """Per body, (arc length, point) of the last curve point inside it, or
+    None: the last segment kept by _candidate_segments that
+    _segment_interval clips, walking back from the end.  A one-point curve
+    meets a body within max(tol, _bd_tol) of it."""
+    from descent_geom.descent import _bd_tol, _candidate_segments, _segment_interval
+    from descent_geom.geom_core import contains
+
+    P, cums = curve.points, curve.arclengths()
+    out = []
+    for K in bodies:
+        found = None
+        if len(P) == 1:
+            if contains(K, P[0], max(tol, _bd_tol(K))):
+                found = (0.0, P[0].copy())
+        else:
+            for i in _candidate_segments(K, P)[::-1]:
+                iv = _segment_interval(K, P[i], P[i + 1])
+                if iv is not None:
+                    found = (cums[i] + iv[1] * (cums[i + 1] - cums[i]),
+                             P[i] + iv[1] * (P[i + 1] - P[i]))
+                    break
+        out.append(found)
+    return out
+
+
+def ec_tail_per_member(P, bodies, tol):
+    """Conditions (ii) and (iii) of is_expanding_couple, one member at a
+    time: the first member with the strictly largest gap, its first row,
+    and in that row its first vertex."""
+    from descent_geom.descent import _bd_tol
+    from descent_geom.geom_core import distances, rel_depth_many
+
+    top = bodies[-1]
+    btol = max(tol, _bd_tol(top))
+    depth, off = rel_depth_many(top, P)
+    if not np.any((off <= btol) & (np.abs(depth) <= btol)):
+        return {"ok": False, "condition": "ii", "witness": None}
+    worst = None
+    scale = 1.0 + top.diameter()
+    for qi, Q in enumerate(bodies):
+        D = distances(P, Q.vertices)  # m x q
+        suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
+        depth, off = rel_depth_many(Q, P)
+        outside = ~((off <= _bd_tol(Q)) & (depth > _bd_tol(Q)))
+        rows = np.nonzero(outside[:-1])[0]
+        if len(rows) == 0:
+            continue
+        gap = D[rows] - suffix[rows + 1]
+        best = gap.max(axis=1)
+        r = int(np.argmax(best))
+        if best[r] > tol * scale and (worst is None or best[r] > worst[0]):
+            i, j = int(rows[r]), int(np.argmax(gap[r]))
+            later = int(i + 1 + np.argmin(D[i + 1:, j]))
+            worst = (float(best[r]), qi, i, j, later)
+    if worst is None:
+        return {"ok": True, "condition": None, "witness": None}
+    gap, qi, i, j, later = worst
+    y = bodies[qi].vertices[j]
+    return {"ok": False, "condition": "iii", "witness": {
+        "body_index": qi, "x": P[i].copy(), "y": y.copy(), "x1": P[later].copy(),
+        "dist_x_y": float(np.linalg.norm(P[i] - y)),
+        "dist_x1_y": float(np.linalg.norm(P[later] - y)),
+        "violation": gap,
+    }}
+
+
+def is_expanding_couple_per_member(gamma, strat, tol=1e-7, grid=None):
+    """is_expanding_couple by align_per_member and ec_tail_per_member."""
+    from descent_geom.mean_width import mean_width
+    from descent_geom.sep import is_sep
+
+    chk = is_sep(gamma, tol)
+    if not chk["ok"]:
+        return {"ok": False, "condition": "sep", "witness": chk["witness"]}
+    for Q, found in zip(strat.bodies, align_per_member(gamma, strat.bodies, tol)):
+        if found is None:
+            return {"ok": False, "condition": "i", "witness": {"body_width": mean_width(Q, grid)}}
+    return ec_tail_per_member(gamma.points, strat.bodies, tol)
+
+
+def sdc_per_knot(gamma, fam, s, x, tol):
+    """is_viable_sdc's verdict from the alignment (s, x), one knot at a
+    time: on_rel_boundary, then in_normal_cone for each one-sided curve
+    direction at the knot."""
+    from descent_geom.cones import in_normal_cone
+    from descent_geom.descent import _bd_tol, on_rel_boundary
+    from descent_geom.geom_core import TAU_PT
+
+    P, cums = gamma.points, gamma.arclengths()
+    failures = []
+    for k, (K, sk, xk) in enumerate(zip(fam.bodies, s, x)):
+        if not on_rel_boundary(K, xk, _bd_tol(K)):
+            failures.append({"knot": k, "param": fam.params[k], "x": xk, "condition": "i"})
+            continue
+        dirs = []
+        if len(P) >= 2:
+            stol = 1e-9 * (1.0 + cums[-1])
+            i = int(np.searchsorted(cums, sk + stol)) - 1
+            i = max(0, min(i, len(P) - 2))
+            segs = [i]  # the segment at sk, and the other one at a curve vertex
+            if i > 0 and abs(sk - cums[i]) <= stol:
+                segs.append(i - 1)
+            if abs(sk - cums[i + 1]) <= stol and i + 2 < len(P):
+                segs.append(i + 1)
+            for j in segs:
+                d = P[j + 1] - P[j]
+                nd = np.linalg.norm(d)
+                if nd > TAU_PT:
+                    dirs.append(d / nd)
+        if not dirs:
+            continue
+        if not any(in_normal_cone(K, xk, d, tol) for d in dirs):
+            failures.append({"knot": k, "param": fam.params[k], "x": xk, "condition": "ii"})
+    return {"ok": not failures, "witness": failures[0] if failures else None,
+            "failures": failures}
+

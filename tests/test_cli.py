@@ -20,7 +20,7 @@ from descent_geom.descent import (
     is_viable_sdc,
 )
 from descent_geom.family import family_from_dict
-from descent_geom.geom_core import hausdorff, hull
+from descent_geom.geom_core import _body_memo, hausdorff, hull
 from descent_geom.mean_width import width_gap_constant
 from descent_geom.sep import is_sep, polyline_from_dict
 
@@ -473,13 +473,18 @@ class TestConfigReach:
         miss = [top[0], top[0] + 0.2 * (top[0] - top.mean(axis=0))]
         mpath.write_text(json.dumps({"dim": 4, "points": np.array(miss).tolist()}))
         sizes.clear()
+        # Each command starts as a fresh process does: no loaded body keeps a
+        # width from an earlier command.
+        _body_memo.clear()
         code, out, _ = run_cli(["bounds", "annulus", "--curve", str(cpath), "--family",
                                 str(fpath)] + grid, capsys=capsys)
         assert code == 0 and json.loads(out)["bound_ii_ok"]
         for strat in (["--family", str(fpath)], ["--strat", str(spath)]):
+            _body_memo.clear()
             code, _, _ = run_cli(["check", "ec", "--curve", str(cpath)] + strat + grid,
                                  capsys=capsys)
             assert code == 0
+        _body_memo.clear()
         code, out, _ = run_cli(["check", "ec", "--curve", str(mpath), "--strat", str(spath)]
                                + grid, capsys=capsys)
         assert code == 1 and json.loads(out)["condition"] == "i"
@@ -749,19 +754,44 @@ class TestReportCouple:
         cpath = tmp_path / "curve.json"
         cpath.write_text(run_cli(["descend", "--family", str(fpath), f"--endpoint={v}"],
                                  capsys=capsys)[1])
-        aligns = call_counter("descent", "_last_inside")
+        passes = call_counter("descent", "_family_pass")
         seps = call_counter("sep", "is_sep")
         code, out, err = run_cli(["report", "--curve", str(cpath), "--family", str(fpath)],
                                  capsys=capsys)
         assert code == 0 and json.loads(out)["ok"], err
         assert len(fam) > 4
-        assert len(aligns) <= len(fam) and len(seps) <= 2
+        assert len(passes) == 1 and len(seps) <= 2
         # At --tol >= 1e-7 the couple's SEP check is the one asked for.
         seps.clear()
         code, out, err = run_cli(["report", "--curve", str(cpath), "--family", str(fpath),
                                   "--tol", "1e-3"], capsys=capsys)
         assert code == 0 and json.loads(out)["checks"]["sep"], err
         assert len(seps) == 1
+
+    def test_missed_member_is_named(self, tmp_path, capsys):
+        code, out, _ = run_cli(["fixtures", "cantor-disks", "--level", "3"], capsys=capsys)
+        doc = json.loads(out)
+        fpath, cpath = tmp_path / "fam.json", tmp_path / "point.json"
+        fpath.write_text(json.dumps(doc["family"]))
+        # the curve's outer end alone lies on the top member only
+        cpath.write_text(json.dumps({"dim": 2, "points": doc["curve"]["points"][-1:]}))
+        n, p0 = len(doc["family"]["bodies"]), doc["family"]["params"][0]
+        code, out, err = run_cli(["check", "sdc", "--curve", str(cpath), "--family", str(fpath)],
+                                 capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: alignment failure: member 0 of {n} (param {p0:.6g}) misses the curve\n"
+
+
+class TestWidthMemoCli:
+    def test_second_r4_family_check_runs_no_quadrature(self, tmp_path, capsys, call_counter):
+        fpath = tmp_path / "fam.json"
+        fpath.write_text(run_cli(["gen", "disks", "--n", "4", "--levels", "5"], capsys=capsys)[1])
+        runs = call_counter("mean_width", "mean_width_quadrature")
+        first = run_cli(["family", "check", "--family", str(fpath)], capsys=capsys)
+        assert first[0] == 0 and len(runs) == 5  # one per loaded member
+        runs.clear()
+        second = run_cli(["family", "check", "--family", str(fpath)], capsys=capsys)
+        assert second == first and runs == []
 
 
 # One CLI command in a fresh interpreter; its last stderr line lists the

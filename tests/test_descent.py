@@ -1,6 +1,10 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from descent_geom.sep import Polyline, is_sep, length_bound_check
 from descent_geom.cli import main as cli_main
 from descent_geom.descent import (
     _bd_tol,
+    _ec_tail,
+    _sdc_verdict,
     _segment_interval,
     align_curve,
     annulus_length_check,
@@ -38,6 +44,7 @@ from descent_geom.descent import (
     stability_check,
 )
 
+from . import oracles
 from .conftest import disk_polygon
 
 
@@ -396,6 +403,135 @@ class TestPrunedEquivalence:
             assert w["violation"] == gap and w["body_index"] == qi
             assert np.array_equal(w["x"], g.points[i]) and np.array_equal(w["x1"], g.points[later])
             assert np.array_equal(w["y"], fam.bodies[qi].vertices[j])
+
+
+def _cli_doc(argv):
+    """The JSON document a CLI command writes to stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli_main(argv) == 0
+    return json.loads(buf.getvalue())
+
+
+def _descended(fam):
+    """fam and its descent curve from the first vertex of the top member,
+    one knot per member."""
+    return construct_descent(fam, fam.bodies[-1].vertices[0], len(fam)), fam
+
+
+def _turned(P, angle):
+    """P with its final chord turned by angle about its start, in the plane
+    of the chord and the coordinate axis least parallel to it."""
+    v = P[-1] - P[-2]
+    u = np.eye(P.shape[1])[int(np.argmin(np.abs(v)))]
+    u = u - (u @ v) / (v @ v) * v
+    u *= np.linalg.norm(v) / np.linalg.norm(u)
+    Q = P.copy()
+    Q[-1] = P[-2] + math.cos(angle) * v + math.sin(angle) * u
+    return Q
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus():
+    """(name, curve, family) pairs: fixtures, constructed couples in R^2 to
+    R^4, flat and point members, one-point curves, and negatives (an
+    interior point pushed 1e-3 diam off its member's boundary, inward and
+    outward, and the final chord turned 2e-3 rad)."""
+    cases = [(f"cantor{L}", cantor_graph(L), cantor_family(L)) for L in range(2, 8)]
+    # every member twice: (iii) ties between members, and the first one wins
+    fam = cantor_family(4)
+    cases.append(("cantor4-doubled", cantor_graph(4), Family(
+        tuple(K for K in fam.bodies for _ in "ab"), tuple(p for p in fam.params for _ in "ab"),
+        fam.h)))
+    for L in (4, 7):
+        fam, curve = cantor_disks(L)
+        cases.append((f"cantor-disks{L}", curve, fam))
+    ex = example61_family()
+    cases += [(f"example61-{r}", example61_curve(ex, radial=r), ex) for r in (0.3, 0.55)]
+    strat = rotated_squares(4)
+    built = {"squares": _descended(complete(strat, (strat.params[-1] - strat.params[0]) / 8))}
+    for n, levels in ((2, 8), (3, 6), (4, 5)):
+        built[f"disks-r{n}"] = _descended(disk_family(0.5, 1.0, levels, n=n))
+    built["point-member"] = _descended(disk_family(0.0, 1.0, 6))
+    built["segments"] = _descended(disk_family(0.2, 1.0, 6, m=2))
+    tri = hull(np.array([[0.0, 0.0, 0.0], [1.0, 0.2, 0.3], [0.1, 1.0, -0.4]]) + 0.5)
+    built["triangles-r3"] = _descended(scaled_family(tri, 0.3, 6))
+    for n, npoints in ((2, 12), (3, 10)):
+        for seed in range(1, 9):
+            with tempfile.TemporaryDirectory() as wd:
+                path = os.path.join(wd, "fam.json")
+                doc = _cli_doc(["gen", "random", "--n", str(n), "--npoints", str(npoints),
+                                "--levels", "3", "--seed", str(seed)])
+                with open(path, "w") as f:
+                    json.dump(doc, f)
+                fam = family_from_dict(doc)
+                ep = ",".join(map(repr, fam.bodies[-1].vertices[seed % 3].tolist()))
+                curve = Polyline.make(_cli_doc(["descend", "--family", path, "--knots",
+                                                str(len(fam)), f"--endpoint={ep}"])["points"])
+            built[f"random-r{n}-{seed}"] = (curve, fam)
+    for name, (curve, fam) in built.items():
+        cases.append((name, curve, fam))
+        P = curve.points
+        top = fam.bodies[-1]
+        if len(P) >= 3:
+            j = len(P) // 2
+            c = fam.bodies[min(j, len(fam) - 1)].centroid()
+            step = 1e-3 * top.diameter() * (c - P[j]) / max(np.linalg.norm(c - P[j]), 1e-300)
+            for sign, tag in ((1.0, "in"), (-1.0, "out")):
+                Q = P.copy()
+                Q[j] += sign * step
+                cases.append((f"{name}-pushed-{tag}", Polyline.make(Q), fam))
+        if len(P) >= 2:
+            cases.append((f"{name}-turned", Polyline.make(_turned(P, 2e-3)), fam))
+        cases.append((f"{name}-top-point", Polyline.make(P[-1:]), fam))
+        cases.append((f"{name}-inner-point", Polyline.make(P[:1]), fam))
+    return cases
+
+
+def _same(a, b):
+    """a and b bit for bit: equal keys, lengths, array entries and scalars."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return isinstance(b, (list, tuple)) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestFamilyPassAgainstPerMemberLoops:
+    def test_verdicts_and_witnesses_bit_equal(self, oracle_corpus):
+        seen = set()
+        for name, curve, fam in oracle_corpus:
+            ref = oracles.align_per_member(curve, fam.bodies)
+            if any(r is None for r in ref):
+                with pytest.raises(InvalidInput):
+                    align_curve(curve, fam.bodies)
+                with pytest.raises(InvalidInput):
+                    is_viable_sdc(curve, fam)
+                seen.add("miss")
+            else:
+                s, x = align_curve(curve, fam.bodies)
+                assert np.array_equal(s, [r[0] for r in ref]), name
+                assert np.array_equal(x, [r[1] for r in ref]), name
+                res = is_viable_sdc(curve, fam)
+                exp = oracles.sdc_per_knot(curve, fam, s, x, 1e-6)
+                assert _same(res, exp), name
+                seen.update(("sdc",) + tuple(f["condition"] for f in res["failures"]))
+            res = is_expanding_couple(curve, fam, 1e-7)
+            assert _same(res, oracles.is_expanding_couple_per_member(curve, fam, 1e-7)), name
+            seen.add(("ec", res["condition"]))
+            try:
+                ec = make_expanding_couple(curve, fam)
+            except (InvalidInput, PreconditionViolated):
+                continue
+            seen.add("couple")
+            assert _same(_ec_tail(ec.family_pass, 1e-7),
+                         oracles.ec_tail_per_member(curve.points, fam.bodies, 1e-7)), name
+            assert _same(_sdc_verdict(ec.family_pass, 1e-6),
+                         oracles.sdc_per_knot(curve, fam, ec.align_s, ec.align_x, 1e-6)), name
+        assert {"miss", "sdc", "i", "ii", "couple", ("ec", None), ("ec", "i"), ("ec", "ii"),
+                ("ec", "iii")} <= seen
 
 
 class TestWorkBudget:

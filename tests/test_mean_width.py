@@ -14,6 +14,7 @@ from descent_geom.cones import cap_body
 from descent_geom.geom_core import hull, unit_directions
 from descent_geom.mean_width import (
     SphereGrid,
+    _mean_width_3d,
     _grid_cache,
     cap_gradient,
     default_grid,
@@ -25,6 +26,7 @@ from descent_geom.mean_width import (
     mean_width_ratio,
     normal_sector_flux,
     normal_sector_vector_flux,
+    perimeter,
     width_distance_bounds,
     width_gap_constant,
 )
@@ -158,6 +160,40 @@ class TestExactWidth3d:
             qhull_calls.clear()
             mean_width(L)
             assert qhull_calls == []
+
+
+class TestWidthMemo:
+    def test_quadrature_runs_once_per_body_and_grid(self, rng, call_counter):
+        K = random_polytope(rng, 4, 30)
+        grid, other = SphereGrid.make(4, 3000, 1), SphereGrid.make(4, 3000, 2)
+        runs = call_counter("mean_width", "mean_width_quadrature")
+        w = mean_width(K, grid)
+        assert mean_width(K, grid) == w and mean_width(K, grid) == w
+        assert len(runs) == 1
+        # a grid of another seed runs again, and gives its own value
+        w2 = mean_width(K, other)
+        assert len(runs) == 2 and w2 != w
+        assert w2 == mean_width_quadrature(hull(K.vertices), other)
+        # the slot keeps one grid: the first one comes back as a new run
+        assert mean_width(K, grid) == w and len(runs) == 3
+
+    def test_same_nodes_in_another_grid_object_run_again(self, rng, call_counter):
+        K = random_polytope(rng, 4, 20)
+        runs = call_counter("mean_width", "mean_width_quadrature")
+        w = mean_width(K, SphereGrid.make(4, 2000, 3))
+        assert mean_width(K, SphereGrid.make(4, 2000, 3)) == w and len(runs) == 2
+        assert mean_width(K) == mean_width(K) and len(runs) == 3  # default_grid's one object
+
+    def test_exact_widths_equal_the_formula(self, rng):
+        planar = [random_polytope(rng, 2, 20), hull([(0.0, 1.0), (2.0, 3.5)]), hull([(1.0, 2.0)])]
+        spatial = [random_polytope(rng, 3, 25), embedded_polytope(rng, 3, 2, 12),
+                   hull([(1.0, 2.0, 3.0), (2.0, 4.0, 5.0)])]
+        for K in planar + spatial:
+            w = mean_width(K)
+            assert mean_width(K) == w and mean_width(K, SphereGrid.make(K.dim, 500, 1)) == w
+            L = hull(K.vertices)  # the same body, its width not yet kept
+            exact = perimeter(L) / math.pi if K.dim == 2 else _mean_width_3d(L)
+            assert w == exact
 
 
 class TestMeanWidthRatio:

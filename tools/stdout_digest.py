@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Digest of the CLI's stdout over a fixed, seeded list of commands.
+
+    python3 tools/stdout_digest.py [--src DIR] > digest.txt
+
+Runs every command in this process through `descent_geom.cli.main`, with
+JSON files passed between commands as in a shell pipeline: at seeds 1, 2
+and 3, the `family_validation` store and all of its queries and four cycles
+of `planar_pipeline` jobs (perfbench/workloads.py), then the Cantor fixtures
+at levels 2 to 7 and `example61` with their checks.  Prints one line per
+command: its index, exit code, the sha256 of its stdout and the command,
+with the working directory written as $WD.  Two source trees (--src, by
+default this one's) agree in stdout and exit codes iff `diff` finds no
+difference between their digests.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2, 3)
+PLANAR_CYCLES = 4
+CANTOR_LEVELS = range(2, 8)
+
+
+def fixture_commands(wd):
+    """(argv, file the stdout goes to or None) of the fixture checks.  A
+    fixture that prints {"family": ..., "curve": ...} to X.json also leaves
+    its parts in X_family.json and X_curve.json."""
+    def f(name):
+        return os.path.join(wd, name + ".json")
+
+    cmds = []
+    for level in CANTOR_LEVELS:
+        L = str(level)
+        cmds += [
+            (["fixtures", "cantor", "--level", L], f(f"cantor{L}")),
+            (["fixtures", "cantor-family", "--level", L], f(f"cantor_family{L}")),
+            (["check", "ec", "--curve", f(f"cantor{L}"), "--strat", f(f"cantor_family{L}")], None),
+            (["check", "sdc", "--curve", f(f"cantor{L}"), "--family", f(f"cantor_family{L}")],
+             None),
+            (["report", "--curve", f(f"cantor{L}"), "--family", f(f"cantor_family{L}")], None),
+            (["fixtures", "cantor-disks", "--level", L], f(f"cantor_disks{L}")),
+        ]
+        cd = ["--curve", f(f"cantor_disks{L}_curve"), "--family", f(f"cantor_disks{L}_family")]
+        cmds += [(["check", "sdc"] + cd, None), (["check", "ec"] + cd, None),
+                 (["report"] + cd, None), (["bounds", "annulus"] + cd, None)]
+    cmds.append((["fixtures", "example61"], f("example61")))
+    ex = ["--curve", f("example61_curve"), "--family", f("example61_family")]
+    cmds += [(["check", "sdc"] + ex, None), (["check", "ec"] + ex, None), (["report"] + ex, None),
+             (["family", "check", "--family", f("example61_family")], None)]
+    return cmds
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="directory holding the descent_geom package to run")
+    args = p.parse_args(argv)
+    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
+    from descent_geom import cli
+    from workloads import Workload
+
+    lines = []
+    with tempfile.TemporaryDirectory() as wd:
+        def call(argv, out=None):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
+            text = buf.getvalue()
+            if out is not None:
+                with open(out, "w") as fh:
+                    fh.write(text)
+                if argv[:2] == ["fixtures", "cantor-disks"] or argv[:2] == ["fixtures", "example61"]:
+                    for part, value in json.loads(text).items():
+                        with open(out[:-len(".json")] + f"_{part}.json", "w") as fh:
+                            json.dump(value, fh)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            lines.append(f"{len(lines):4d} {rc} {digest} {' '.join(argv).replace(wd, '$WD')}")
+            return rc, text
+
+        for seed in SEEDS:
+            for name in ("family_validation", "planar_pipeline"):
+                sub = os.path.join(wd, f"{name}{seed}")
+                os.mkdir(sub)
+                w = Workload(name, seed, sub)
+                w.setup(call)
+                jobs = [job for _ in range(PLANAR_CYCLES) for job in w.cycle()] \
+                    if name == "planar_pipeline" else w.cycle()
+                for job in jobs:
+                    w.run(job, call)
+        for argv, out in fixture_commands(wd):
+            call(argv, out)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
