@@ -13,11 +13,11 @@ The validators read a curve against a whole family in one family pass
 (_family_pass): the facet-by-point residual table of every member at
 once, in blocks of bounded size.  It gives each member's candidate
 segments, of which _segment_interval clips the last ones into the
-alignment (the last curve point inside each member), and the depth and
-off-plane tables of the curve points.  EC conditions (ii)-(iii)
-(_ec_tail) and the SDC knot tests (_sdc_verdict) read the pass, over the
-members' stacked vertices; a couple keeps its pass, so its holder reads
-both verdicts without aligning again.
+alignment (the last curve point inside each member), and which curve
+points lie inside each member.  EC conditions (ii)-(iii) (_ec_tail) and
+the SDC knot tests (_sdc_verdict) read the pass, over the members'
+stacked vertices; a couple keeps its pass, so its holder reads both
+verdicts without aligning again.
 """
 
 import math
@@ -149,11 +149,6 @@ def clip_length_outside(gamma: Polyline, K: ConvexBody) -> float:
 # -- the family pass -----------------------------------------------------------
 
 
-# Entries per temporary table of a family pass: tables of 128 KB ran
-# faster than those of _PAIR_BLOCK's 512 KB on the Cantor family.
-_PASS_BLOCK = _PAIR_BLOCK // 4
-
-
 def _stack(arrays):
     """The rows of arrays stacked, and offsets: array k holds the rows
     offsets[k]:offsets[k + 1]."""
@@ -161,19 +156,19 @@ def _stack(arrays):
 
 
 def _member_max(offsets, step, block, out):
-    """Raise each (members x columns) table of out to the largest row, per
-    member, of the same table of block(r0, r1), a tuple of tables over the
-    stacked rows r0:r1; member k owns the rows offsets[k]:offsets[k + 1].
-    The rows go by in blocks of step."""
+    """Raise each (rows x members) table of out to the largest column, per
+    member, of the same table of block(c0, c1), a tuple of tables over the
+    stacked columns c0:c1; member k owns the columns offsets[k]:offsets[k +
+    1].  The columns go by in blocks of step."""
     counts = np.diff(offsets)
     total, step = int(offsets[-1]), max(1, step)
-    for r0 in range(0, total, step):
-        r1 = min(r0 + step, total)
-        k = np.arange(np.searchsorted(offsets, r0, "right") - 1, np.searchsorted(offsets, r1))
-        k = k[counts[k] > 0]  # reduceat reads an empty group as one row
-        starts = np.maximum(offsets[k], r0) - r0
-        for acc, T in zip(out, block(r0, r1)):
-            acc[k] = np.maximum(acc[k], np.maximum.reduceat(T, starts))
+    for c0 in range(0, total, step):
+        c1 = min(c0 + step, total)
+        k = np.arange(np.searchsorted(offsets, c0, "right") - 1, np.searchsorted(offsets, c1))
+        k = k[counts[k] > 0]  # reduceat reads an empty group as one column
+        starts = np.maximum(offsets[k], c0) - c0
+        for acc, T in zip(out, block(c0, c1)):
+            acc[:, k] = np.maximum(acc[:, k], np.maximum.reduceat(T, starts, axis=1))
 
 
 @dataclass(frozen=True)
@@ -209,17 +204,17 @@ class _FamilyPass:
 
     @cached_property
     def interior(self):
-        """(members x curve points) table: True where the point lies within
+        """(curve points x members) table: True where the point lies within
         _bd_tol(Q) of Aff(Q) and deeper than that inside Q (rel_depth_many)."""
         P, eoff = self.points, self.eq_offsets
-        top = np.full((len(self.bodies), len(P)), -np.inf)
-        _member_max(eoff, _PASS_BLOCK // len(P),
-                    lambda r0, r1: (_residuals(self.equations[r0:r1], P),), (top,))
-        bd = np.array([_bd_tol(Q) for Q in self.bodies])[:, None]
-        inner = (top < -bd) & (np.diff(eoff)[:, None] > 0)  # a point member has depth 0
+        top = np.full((len(P), len(self.bodies)), -np.inf)
+        _member_max(eoff, _PAIR_BLOCK // len(P),
+                    lambda c0, c1: (_residuals(self.equations[c0:c1], P),), (top,))
+        bd = np.array([_bd_tol(Q) for Q in self.bodies])
+        inner = (top < -bd) & (np.diff(eoff) > 0)  # a point member has depth 0
         for k, Q in enumerate(self.bodies):
             if Q.dim_affine < Q.dim:
-                inner[k] &= rel_depth_many(Q, P)[1] <= bd[k]
+                inner[:, k] &= rel_depth_many(Q, P)[1] <= bd[k]
         return inner
 
     @cached_property
@@ -229,15 +224,16 @@ class _FamilyPass:
 
 
 def _residuals(E, P):
-    """The residuals of the points P at the facet rows E, one row per facet."""
-    return E[:, :-1] @ P.T + E[:, -1:]
+    """The residuals of the points P at the facet rows E, one column per
+    facet."""
+    return P @ E[:, :-1].T + E[:, -1]
 
 
 def _family_pass(curve: Polyline, bodies, params=None, tol=0.0) -> _FamilyPass:
     """The family pass of curve against bodies.
 
     The facet-by-point residual table of every member is formed in blocks
-    of at most _PASS_BLOCK entries.  Segment i stays a candidate for a
+    of at most _PAIR_BLOCK entries.  Segment i stays a candidate for a
     member unless both its ends lie beyond one of the member's facets by
     1e-9 * (1 + the largest |residual| of either end over all members), a
     margin at least _candidate_segments', so _segment_interval rejects
@@ -259,15 +255,15 @@ def _family_pass(curve: Polyline, bodies, params=None, tol=0.0) -> _FamilyPass:
     else:
         size = np.zeros(m)
 
-        def ends(r0, r1):
-            R = _residuals(E[r0:r1], P)
-            np.maximum(size, np.abs(R).max(axis=0), out=size)
-            return np.minimum(R[:, :-1], R[:, 1:]),
+        def ends(c0, c1):
+            R = _residuals(E[c0:c1], P)
+            np.maximum(size, np.abs(R).max(axis=1), out=size)
+            return np.minimum(R[:-1], R[1:]),
 
-        low = np.full((len(bodies), m - 1), -np.inf)
-        _member_max(eoff, _PASS_BLOCK // m, ends, (low,))
+        low = np.full((m - 1, len(bodies)), -np.inf)
+        _member_max(eoff, _PAIR_BLOCK // m, ends, (low,))
         scale = 1.0 + size
-        cand = ~(low > 1e-9 * np.maximum(scale[:-1], scale[1:]))
+        cand = (low <= 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]).T
         seg, t = np.zeros(len(bodies), dtype=int), np.zeros(len(bodies))
         for k, Q in enumerate(bodies):
             for i in np.flatnonzero(cand[k])[::-1].tolist():
@@ -388,11 +384,12 @@ def _ec_tail(fp: _FamilyPass, tol):
     pass, as its verdict; the caller has proved the SEP property and
     condition (i).
 
-    (iii) reads every member's gaps D[i, j] - min over l > i of D[l, j], D
-    the distances from the curve points to its vertices, over column
-    blocks of the stacked vertices.  Only the worst member's gaps are
-    formed again, for the witness: the first member with the strictly
-    largest gap, its first row of that gap, and there its first vertex.
+    (iii) reads every member's gaps D[i, j] - min over l > i of D[l, j],
+    D the distances from the curve points to its vertices, at the points i
+    not in its interior, over blocks of the stacked vertices.  Only the
+    worst member's gaps are formed again, for the witness: the first
+    member with the strictly largest gap, its first row of that gap, and
+    there its first vertex.
     """
     P, bodies = fp.points, fp.bodies
     top = bodies[-1]
@@ -400,7 +397,7 @@ def _ec_tail(fp: _FamilyPass, tol):
     depth, off = rel_depth_many(top, P)
     if not np.any((off <= btol) & (np.abs(depth) <= btol)):
         return {"ok": False, "condition": "ii", "witness": None}
-    outside = ~fp.interior[:, :-1]
+    outside = ~fp.interior[:-1]
     V, voff = fp.vertex_rows
     member = np.repeat(np.arange(len(bodies)), np.diff(voff))
 
@@ -408,17 +405,17 @@ def _ec_tail(fp: _FamilyPass, tol):
         D = distances(P, V[r0:r1])
         suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
         return np.max(D[:-1] - suffix[1:], axis=0, initial=-np.inf,
-                      where=outside[member[r0:r1]].T)[:, None],
+                      where=outside[:, member[r0:r1]])[None],
 
-    best = np.full((len(bodies), 1), -np.inf)
-    _member_max(voff, _PASS_BLOCK // len(P), gaps, (best,))
+    best = np.full((1, len(bodies)), -np.inf)
+    _member_max(voff, _PAIR_BLOCK // len(P), gaps, (best,))
     qi = int(np.argmax(best))
-    if not best[qi, 0] > tol * (1.0 + top.diameter()):
+    if not best[0, qi] > tol * (1.0 + top.diameter()):
         return {"ok": True, "condition": None, "witness": None}
     y_all = bodies[qi].vertices
     D = distances(P, y_all)
     suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
-    rows = np.nonzero(outside[qi])[0]
+    rows = np.nonzero(outside[:, qi])[0]
     gap = D[rows] - suffix[rows + 1]
     r = int(np.argmax(gap.max(axis=1)))
     i, j = int(rows[r]), int(np.argmax(gap[r]))

@@ -19,6 +19,7 @@ from descent_geom.cli import main as cli_main
 from descent_geom.descent import (
     _bd_tol,
     _ec_tail,
+    _family_pass,
     _sdc_verdict,
     _segment_interval,
     align_curve,
@@ -436,7 +437,9 @@ def oracle_corpus():
     """(name, curve, family) pairs: fixtures, constructed couples in R^2 to
     R^4, flat and point members, one-point curves, and negatives (an
     interior point pushed 1e-3 diam off its member's boundary, inward and
-    outward, and the final chord turned 2e-3 rad)."""
+    outward, the last point pushed into the top member by 1.5 and 0.5
+    times its boundary tolerance _bd_tol, and the final chord turned 2e-3
+    rad)."""
     cases = [(f"cantor{L}", cantor_graph(L), cantor_family(L)) for L in range(2, 8)]
     # every member twice: (iii) ties between members, and the first one wins
     fam = cantor_family(4)
@@ -475,12 +478,17 @@ def oracle_corpus():
         top = fam.bodies[-1]
         if len(P) >= 3:
             j = len(P) // 2
-            c = fam.bodies[min(j, len(fam) - 1)].centroid()
-            step = 1e-3 * top.diameter() * (c - P[j]) / max(np.linalg.norm(c - P[j]), 1e-300)
-            for sign, tag in ((1.0, "in"), (-1.0, "out")):
+            K = fam.bodies[min(j, len(fam) - 1)]
+            u = (K.centroid() - P[j]) / max(np.linalg.norm(K.centroid() - P[j]), 1e-300)
+            for step, tag in ((1e-3 * top.diameter(), "in"), (-1e-3 * top.diameter(), "out")):
                 Q = P.copy()
-                Q[j] += sign * step
+                Q[j] += step * u
                 cases.append((f"{name}-pushed-{tag}", Polyline.make(Q), fam))
+        u = (top.centroid() - P[-1]) / np.linalg.norm(top.centroid() - P[-1])
+        for f in (1.5, 0.5):
+            Q = P.copy()
+            Q[-1] += f * _bd_tol(top) * u
+            cases.append((f"{name}-end-in-{f}tol", Polyline.make(Q), fam))
         if len(P) >= 2:
             cases.append((f"{name}-turned", Polyline.make(_turned(P, 2e-3)), fam))
         cases.append((f"{name}-top-point", Polyline.make(P[-1:]), fam))
@@ -511,6 +519,13 @@ class TestFamilyPassAgainstPerMemberLoops:
                     is_viable_sdc(curve, fam)
                 seen.add("miss")
             else:
+                # (iii)'s mask, against rel_depth_many member by member
+                inner = []
+                for Q in fam.bodies:
+                    depth, off = rel_depth_many(Q, curve.points)
+                    inner.append((off <= _bd_tol(Q)) & (depth > _bd_tol(Q)))
+                assert np.array_equal(_family_pass(curve, fam.bodies).interior,
+                                      np.column_stack(inner)), name
                 s, x = align_curve(curve, fam.bodies)
                 assert np.array_equal(s, [r[0] for r in ref]), name
                 assert np.array_equal(x, [r[1] for r in ref]), name
