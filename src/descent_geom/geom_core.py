@@ -335,15 +335,15 @@ class ConvexBody:
         once."""
         return self._diameter
 
-    def kept_width(self, grid, make):
+    def kept_width(self, grid, width):
         """The body's mean width on grid (None: exact), kept in one slot with
-        the grid object it came from: make() runs on first use and whenever
-        another grid object (by identity) comes back, and its value
-        replaces the kept one.  The slot keeps that grid alive."""
+        the grid object it came from: width(self, grid) runs on first use
+        and whenever another grid object (by identity) comes back, and its
+        value replaces the kept one.  The slot keeps that grid alive."""
         kept = self.__dict__.get("_width")
         if kept is not None and kept[0] is grid:
             return kept[1]
-        w = make()
+        w = width(self, grid)
         self.__dict__["_width"] = (grid, w)
         return w
 

@@ -128,14 +128,15 @@ def mean_width(K: ConvexBody, grid: SphereGrid = None) -> float:
     """
     n = K.dim
     if n <= 3:
-        return K.kept_width(None, lambda: _exact_mean_width(K))
+        return K.kept_width(None, _exact_mean_width)
     if grid is None:
         grid = default_grid(n)
-    return K.kept_width(grid, lambda: mean_width_quadrature(K, grid))
+    return K.kept_width(grid, mean_width_quadrature)
 
 
-def _exact_mean_width(K: ConvexBody) -> float:
-    """mean_width of a body in R^n, n <= 3, by its exact formula."""
+def _exact_mean_width(K: ConvexBody, grid=None) -> float:
+    """mean_width of a body in R^n, n <= 3, by its exact formula; no grid
+    is read."""
     if K.dim == 1:
         return float(K.vertices.max() - K.vertices.min())
     if K.dim == 2:
