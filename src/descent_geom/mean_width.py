@@ -78,7 +78,7 @@ def perimeter(K: ConvexBody) -> float:
     V = K.vertices
     if len(V) == 1:
         return 0.0
-    return float(np.linalg.norm(np.diff(V, axis=0, append=V[:1]), axis=1).sum())
+    return float(np.linalg.norm(np.concatenate((V[1:], V[:1])) - V, axis=1).sum())
 
 
 def mean_width_quadrature(K: ConvexBody, grid: SphereGrid) -> float:
