@@ -12,9 +12,10 @@ near-extremal spirals).
 The validators read a curve against a whole family in one family pass
 (_family_pass): the facet-by-point residual table of every member at
 once, in blocks of bounded size.  It gives each member's candidate
-segments, of which _segment_interval clips the last ones into the
-alignment (the last curve point inside each member), and which curve
-points lie inside each member.  EC conditions (ii)-(iii) (_ec_tail) and
+segments (_candidates, the one filter of a curve against members, which
+clip_length_outside reads too), of which _segment_interval clips the
+last ones into the alignment (the last curve point inside each member),
+and which curve points lie inside each member.  EC conditions (ii)-(iii) (_ec_tail) and
 the SDC knot tests (_sdc_verdict) read the pass, over the members'
 stacked vertices; a couple keeps its pass, so its holder reads both
 verdicts without aligning again.
@@ -114,21 +115,6 @@ def _segment_interval(K: ConvexBody, a, b):
     return lo, hi
 
 
-def _candidate_segments(K: ConvexBody, P):
-    """Indices i, rising, of the segments P[i] -> P[i+1] that may meet K.
-
-    A segment is dropped when both its ends lie beyond one facet (of K, or
-    of the cylinder over a lower-dimensional K) by 1e-9 * (1 + the largest
-    |residual| at either end), which _segment_interval rejects
-    as well, so clipping the remaining segments gives the same answers.
-    """
-    eqs = K.facets.equations
-    R = P @ eqs[:, :-1].T + eqs[:, -1]
-    scale = 1.0 + np.abs(R).max(axis=1, initial=0.0)
-    margin = 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]
-    return np.nonzero(~((R[:-1] > margin) & (R[1:] > margin)).any(axis=1))[0]
-
-
 def segment_inside_interval(K: ConvexBody, a, b):
     """Interval of the segment a->b lying inside K ((t0, t1) or None)."""
     return _segment_interval(K, as_point(a, K.dim), as_point(b, K.dim))
@@ -136,10 +122,12 @@ def segment_inside_interval(K: ConvexBody, a, b):
 
 def clip_length_outside(gamma: Polyline, K: ConvexBody) -> float:
     """Length of the part of the curve outside K, by exact segment
-    clipping (lower-dimensional K within a relative 1e-12 of Aff(K))."""
+    clipping (lower-dimensional K within a relative 1e-12 of Aff(K)) of the
+    candidate segments (_candidates with K the one member)."""
     P = gamma.points
+    E = K.facets.equations
     inside = 0.0
-    for i in _candidate_segments(K, P):
+    for i in np.flatnonzero(_candidates(P, E, np.array([0, len(E)]))[0]):
         iv = _segment_interval(K, P[i], P[i + 1])
         if iv is not None:
             inside += (iv[1] - iv[0]) * float(np.linalg.norm(P[i + 1] - P[i]))
@@ -229,17 +217,38 @@ def _residuals(E, P):
     return P @ E[:, :-1].T + E[:, -1]
 
 
+def _candidates(P, E, offsets):
+    """(members x segments) table of the segments P[i] -> P[i+1] that may
+    meet each member, whose facet rows are E[offsets[k]:offsets[k + 1]].
+
+    The point-by-facet residual table is formed in blocks of at most
+    _PAIR_BLOCK entries.  Segment i stays a candidate for a member unless
+    both its ends lie beyond one of the member's facets by 1e-9 * (1 + the
+    largest |residual| of either end over all members), so
+    _segment_interval rejects every dropped segment as well.  A point
+    member, with no facet rows, keeps every segment.
+    """
+    m = len(P)
+    size = np.zeros(m)
+
+    def ends(c0, c1):
+        R = _residuals(E[c0:c1], P)
+        np.maximum(size, np.abs(R).max(axis=1), out=size)
+        return np.minimum(R[:-1], R[1:]),
+
+    low = np.full((m - 1, len(offsets) - 1), -np.inf)
+    _member_max(offsets, _PAIR_BLOCK // m, ends, (low,))
+    scale = 1.0 + size
+    return (low <= 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]).T
+
+
 def _family_pass(curve: Polyline, bodies, params=None, tol=0.0) -> _FamilyPass:
     """The family pass of curve against bodies.
 
-    The facet-by-point residual table of every member is formed in blocks
-    of at most _PAIR_BLOCK entries.  Segment i stays a candidate for a
-    member unless both its ends lie beyond one of the member's facets by
-    1e-9 * (1 + the largest |residual| of either end over all members), a
-    margin at least _candidate_segments', so _segment_interval rejects
-    every dropped segment as well.  The last candidate that
-    _segment_interval clips gives the alignment.  A one-point curve meets
-    a member within max(tol, _bd_tol) of it (contains).
+    Every member's candidate segments come from one table (_candidates);
+    the last candidate that _segment_interval clips gives the alignment.
+    A one-point curve meets a member within max(tol, _bd_tol) of it
+    (contains).
     """
     _same_dim(curve, bodies)
     bodies = tuple(bodies)
@@ -253,17 +262,7 @@ def _family_pass(curve: Polyline, bodies, params=None, tol=0.0) -> _FamilyPass:
         missed = next((k for k, Q in enumerate(bodies)
                        if not contains(Q, P[0], max(tol, _bd_tol(Q)))), None)
     else:
-        size = np.zeros(m)
-
-        def ends(c0, c1):
-            R = _residuals(E[c0:c1], P)
-            np.maximum(size, np.abs(R).max(axis=1), out=size)
-            return np.minimum(R[:-1], R[1:]),
-
-        low = np.full((m - 1, len(bodies)), -np.inf)
-        _member_max(eoff, _PAIR_BLOCK // m, ends, (low,))
-        scale = 1.0 + size
-        cand = (low <= 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]).T
+        cand = _candidates(P, E, eoff)
         seg, t = np.zeros(len(bodies), dtype=int), np.zeros(len(bodies))
         for k, Q in enumerate(bodies):
             for i in np.flatnonzero(cand[k])[::-1].tolist():

@@ -9,13 +9,14 @@ from its own extreme points keeps Qhull's facets.  A planar body's
 counterclockwise ring is its only boundary: hull() reads a clear ring
 without Qhull, extend_hull grows one point by point, and its facets are
 the ring's edges.  Relative depth (rel_depth_many) is read off the
-facets; containment and distances ask it first and project only the
-points it leaves open, in closed form for bodies of affine dimension <= 2
-and by the least-distance program on the facets above, solved by _nnls,
-the package's one active-set solver (cones decides membership with it).
-Hausdorff distance to a body of affine dimension 3 projects nothing: the
-vertices it leaves open are measured in batches against the body's facet
-triangles, in closed form (_distances_3).
+facets; containment and distances ask it first and pass only the points
+it leaves open to one batched nearest-point kernel, _nearest, chosen by
+the body's affine dimension k: a closed form over the facet simplices for
+k <= 3 (edges for k <= 2; for k = 3 the nearest vertex when it certifies
+itself, else the facet triangles), and for k >= 4 the least-distance
+program on the facets, solved by _nnls, the package's one active-set
+solver (cones decides membership with it).  project, contains, includes
+and hausdorff all read that kernel.
 Everything here is a pure function over immutable arrays.  The one global
 state is the memo of body_from_dict: keyed by the exact input, bounded in
 stored coordinates and guarded by a lock, it hands out read-only bodies, so
@@ -653,61 +654,119 @@ def _certified(W, X, v):
     return ((W - v[:, None, :]) @ (X - v)[:, :, None])[:, :, 0].max(axis=1) <= 0.0
 
 
-def project(K: ConvexBody, p):
-    """Nearest point of K to p.
+def _row_norms(G):
+    """The length of each row of G, formed as np.linalg.norm forms that of
+    one vector: the square root of the row's product with itself."""
+    return np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])
 
-    When p violates no facet equation: p itself, or its projection onto
-    Aff(K) for a lower-dimensional K.  Otherwise, for a body of affine
-    dimension k <= 2 in any R^n, the nearest point of the facet simplices
-    (vertices or edges), in closed form.  For k >= 3, the nearest vertex v
-    when <p - v, w - v> <= 0 for every vertex w; else the least-distance
-    program on the facets that can bind (Lawson and Hanson 1974, ch. 23),
-    solved by _nnls in units of |p - v|, so that its entries and its
-    solution are at most 1 at any distance.  A k >= 3 result q
-    satisfies <p - q, v - q> <= 1e-8 * (1 + |p - q|) over all vertices v
-    and violates no facet by more than max(TAU_PT, rounding_floor(K)), or
-    NumericalFailure is raised rather than returning.
+
+def _row_block(K: ConvexBody) -> int:
+    """Rows that _nearest takes at once: their arrays over K's vertices or
+    facets hold at most _PAIR_BLOCK numbers."""
+    return max(1, _PAIR_BLOCK // (K.dim * max(K.nvertices, len(K.facets.equations))))
+
+
+def _nearest(K: ConvexBody, X):
+    """Nearest points Q of K to the rows of X, and their distances d.
+
+    A row that violates no facet equation gives itself, or its projection
+    onto Aff(K) for a lower-dimensional K.  The others go, in blocks of
+    _row_block(K) rows, by the affine dimension k of K:
+    - k <= 2: the nearest of the points of the facet simplices (vertices or
+      edges), in closed form;
+    - k >= 3: the nearest vertex v where it is certified (_certified); else,
+      for k = 3, the nearest of the points of the facet triangles at which
+      the row's residual exceeds -rounding_floor(K) (_triangle_nearest; the
+      outer normals of the facets through the nearest point q combine to
+      x - q, so one of them has a positive residual at x); for k >= 4, row
+      by row, the least-distance program on the facets that can bind
+      (Lawson and Hanson 1974, ch. 23), solved by _nnls in units of
+      |x - v|, so that its entries and solution are at most 1.
+    A k >= 3 point q satisfies <x - q, v - q> <= 1e-8 * (1 + |x - q|) over
+    all vertices v and violates no facet by more than max(TAU_PT,
+    rounding_floor(K)), or NumericalFailure is raised.  d is |q - x|, but
+    for k = 3 it is formed from the offsets x - (a vertex), to keep its
+    precision far from the origin.  Each row's residuals and products are
+    formed as for that row alone, so its answer does not depend on the
+    rows beside it.
     """
-    p = as_point(p, K.dim)
-    k = K.dim_affine
+    c, B, eqs, _ = K.facets
+    R = (X[:, None, :] @ eqs[:, :-1].T)[:, 0, :] + eqs[:, -1]
+    rows = np.flatnonzero((R > 0.0).any(axis=1))
+    step = _row_block(K)
+    if 0 < len(rows) == len(X) <= step:  # every row open, in one block
+        return _nearest_open(K, X, R)
+    if K.dim_affine == K.dim:
+        Q, d = X.copy(), np.zeros(len(X))
+    else:
+        Q = c + ((X - c)[:, None, :] @ B.T @ B)[:, 0, :]
+        d = _row_norms(Q - X)
+    for i in range(0, len(rows), step):
+        r = rows[i:i + step]
+        Q[r], d[r] = _nearest_open(K, X[r], R[r])
+    return Q, d
+
+
+def _nearest_open(K: ConvexBody, X, R):
+    """_nearest for rows X outside some facet, R their facet residuals."""
+    k, V = K.dim_affine, K.vertices
     c, B, eqs, S = K.facets
-    N = eqs[:, :-1]
-    r = p @ N.T + eqs[:, -1]
-    if np.all(r <= 0.0):
-        return p.copy() if k == K.dim else c + ((p - c) @ B.T) @ B
-    V = K.vertices
     if k <= 2:
         A = V[S[:, 0]]
         D = V[S[:, -1]] - A
         dd = np.einsum("ij,ij->i", D, D)
-        t = np.clip(np.einsum("ij,ij->i", p - A, D) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
-        X = A + t[:, None] * D
-        return X[int(np.argmin(_sq_dists(X, p)))]
-    d2 = _sq_dists(V, p)
-    v = V[int(np.argmin(d2))]
-    if _certified(V, p[None], v[None])[0]:
-        q = v.copy()
-    else:
-        # delta = |p - v| >= dist(p, K): a facet with r < -delta cannot bind
-        # at q, and in units of delta the kept entries and |q - p| are <= 1.
-        delta = math.sqrt(float(d2.min()))
-        near = r >= -delta
-        E = np.vstack([-N[near].T, r[near] / delta])
+        t = np.einsum("mfk,fk->mf", X[:, None, :] - A, D) / np.where(dd > 0.0, dd, 1.0)
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
+        C = A + t[:, :, None] * D
+        Q = C[np.arange(len(X)), np.argmin(_sq_dists(C, X[:, None, :]), axis=1)]
+        return Q, _row_norms(Q - X)
+    D2 = _sq_dists(X[:, None, :], V[None, :, :])
+    Q, sq = V[np.argmin(D2, axis=1)], D2.min(axis=1)
+    open_ = np.flatnonzero(~_certified(V, X, Q))  # the vertex fails the gap test
+    floor = rounding_floor(K)
+    if k == 3 and len(open_):
+        row, tri = np.nonzero(R[open_] > -floor)
+        tsq, tq = _triangle_nearest(X[open_[row]], V[S[tri]])
+        # np.nonzero gives the rows in order, so the least candidate of each
+        # row leads its run in this order
+        order = np.lexsort((tsq, row))
+        first = order[np.searchsorted(row, np.arange(len(open_)))]
+        better = tsq[first] < sq[open_]
+        sq[open_[better]], Q[open_[better]] = tsq[first[better]], tq[first[better]]
+    for i in open_.tolist() if k > 3 else ():
+        # delta = |x - v| >= dist(x, K): a facet with r < -delta cannot bind
+        # at q, and in units of delta the kept entries and |q - x| are <= 1.
+        delta = math.sqrt(sq[i])
+        near = R[i] >= -delta
+        E = np.vstack([-eqs[near, :-1].T, R[i, near] / delta])
         e = np.eye(K.dim + 1)[-1]
-        u, _ = _nnls(E, e)
-        rho = E @ u - e
+        rho = E @ _nnls(E, e)[0] - e
         if not rho[-1] < 0.0:
             raise NumericalFailure("least-distance program found no feasible point")
-        q = p - delta * rho[:-1] / rho[-1]
+        Q[i] = X[i] - delta * rho[:-1] / rho[-1]
         if k < K.dim:
-            q = c + ((q - c) @ B.T) @ B
-    gap = float(np.max((V - q) @ (p - q)))
-    if gap > 1e-8 * (1.0 + np.linalg.norm(p - q)):
-        raise NumericalFailure(f"projection certificate violated (gap {gap:.3e})")
-    worst = float(np.max(q @ N.T + eqs[:, -1]))
-    if worst > max(TAU_PT, rounding_floor(K)):
-        raise NumericalFailure(f"projection left K by a facet residual of {worst:.3e}")
-    return q
+            Q[i] = c + ((Q[i] - c) @ B.T) @ B
+    dist = np.sqrt(sq) if k == 3 else _row_norms(Q - X)
+    if len(open_):
+        q = Q[open_]
+        gap = ((V - q[:, None, :]) @ (X[open_] - q)[:, :, None])[:, :, 0].max(axis=1)
+        bad = np.flatnonzero(gap > 1e-8 * (1.0 + dist[open_]))
+        if len(bad):
+            raise NumericalFailure(f"projection certificate violated (gap {gap[bad[0]]:.3e})")
+        worst = float((q @ eqs[:, :-1].T + eqs[:, -1]).max())
+        if worst > max(TAU_PT, floor):
+            raise NumericalFailure(f"projection left K by a facet residual of {worst:.3e}")
+    return Q, dist
+
+
+def project(K: ConvexBody, p):
+    """Nearest point of K to p: _nearest on the one row p, so p itself (or
+    its projection onto Aff(K)) when it violates no facet equation, else
+    the closed form over the facet simplices of a body of affine dimension
+    k <= 3, and the least-distance program for k >= 4.  A k >= 3 result
+    carries _nearest's projection certificate, or NumericalFailure is
+    raised."""
+    return _nearest(K, as_point(p, K.dim)[None])[0][0]
 
 
 def rel_depth_many(K: ConvexBody, X):
@@ -748,90 +807,70 @@ def rounding_floor(K: ConvexBody) -> float:
 def _within(K: ConvexBody, X, tol):
     """True iff every row of X lies within distance tol of K, tol raised to
     K's rounding_floor: the facet bounds decide each row whose lower bound
-    exceeds tol or is exact, the nearest-point projection the rest."""
+    exceeds tol or is exact, _nearest the rest, in one call."""
     if tol < 0:
         raise InvalidInput("tol must be nonnegative")
     tol = max(tol, rounding_floor(K))
     lower, exact = _facet_bounds(K, X)
     if np.any(lower > tol):
         return False
-    return all(np.linalg.norm(project(K, x) - x) <= tol for x in X[~exact])
+    return bool(np.all(_nearest(K, X[~exact])[1] <= tol))
 
 
 def contains(K: ConvexBody, p, tol=TAU_PT) -> bool:
     """True iff p lies within distance tol of K (facets first, then the
-    nearest-point projection, as in includes)."""
+    nearest point, _nearest, as in includes)."""
     return _within(K, as_point(p, K.dim)[None], tol)
 
 
 def includes(A: ConvexBody, B: ConvexBody, tol=TAU_PT) -> bool:
-    """True iff every vertex of B lies in A (up to tol), i.e. B is inside A."""
+    """True iff every vertex of B lies in A (up to tol), i.e. B is inside A:
+    the vertices the facets of A leave open are measured by _nearest, all
+    in one call, and keep its projection certificate."""
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")
     return _within(A, B.vertices, tol)
 
 
-def _triangle_sq_dists(X, T):
-    """Squared distance from each row x of X to the triangle in the same row
-    of T (three vertices, shape (m, 3, n)): the least over the nearest
-    points of its three edges and, where it falls inside the triangle, the
-    orthogonal projection of x onto its plane (C. Ericson, Real-Time
-    Collision Detection, 2005, 5.1.5).  Every candidate is a point of the
-    triangle, so a sliver, whose plane is ill-posed, is still measured by
-    its edges; a zero Gram determinant drops the plane candidate.  The
-    offsets x - q are formed from x - (a vertex), so they keep the
-    precision of the distance far from the origin."""
+def _triangle_nearest(X, T):
+    """(squared distance, nearest point) from each row x of X to the
+    triangle in the same row of T (three vertices, shape (m, 3, n)): the
+    nearest of the nearest points of its three edges and, where it falls
+    inside the triangle, the orthogonal projection of x onto its plane (C.
+    Ericson, Real-Time Collision Detection, 2005, 5.1.5).  Every candidate
+    is a point of the triangle, so a sliver, whose plane is ill-posed, is
+    still measured by its edges; a zero Gram determinant drops the plane
+    candidate.  Each point is a vertex plus a step, and its offset from x
+    is formed from x - (that vertex), so the distance keeps its precision
+    far from the origin."""
     Y = X[:, None, :] - T  # x minus each vertex
     D = T[:, [1, 2, 0]] - T  # the edges, each from its vertex to the next
     dd, yd = np.einsum("ijk,ijk->ij", D, D), np.einsum("ijk,ijk->ij", Y, D)
     t = np.clip(yd / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
-    best = _sq_dists(Y, t[:, :, None] * D).min(axis=1)
-    Y, E, F = Y[:, 0], D[:, 0], -D[:, 2]
+    E, F = D[:, 0], -D[:, 2]
     ee, ff, ye = dd[:, 0], dd[:, 2], yd[:, 0]
-    ef, yf = np.einsum("ij,ij->i", E, F), np.einsum("ij,ij->i", Y, F)
+    ef, yf = np.einsum("ij,ij->i", E, F), np.einsum("ij,ij->i", Y[:, 0], F)
     det = ee * ff - ef * ef
     den = np.where(det > 0.0, det, 1.0)
-    s, t = (ff * ye - ef * yf) / den, (ee * yf - ef * ye) / den
-    inside = (det > 0.0) & (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
-    if inside.any():
-        Q = s[inside, None] * E[inside] + t[inside, None] * F[inside]
-        best[inside] = np.minimum(best[inside], _sq_dists(Y[inside], Q))
-    return best
-
-
-def _distances_3(B: ConvexBody, X, near):
-    """dist(x, B) for each row x of X, B of affine dimension 3 and near[i]
-    the index of the vertex of B nearest to X[i].
-
-    Two batched passes.  The nearest vertex is the nearest point where it
-    is certified (_certified).  For the other rows the nearest point lies
-    on a facet triangle whose residual at x is positive (the outer normals
-    there combine to x - q, which has positive product with itself), so
-    the least distance to the triangles with residual above
-    -rounding_floor(B) is the distance."""
-    W = B.vertices
-    v = W[near]
-    sq = _sq_dists(X, v)
-    open_ = ~_certified(W, X, v)
-    if open_.any():
-        Y = X[open_]
-        _, _, eqs, S = B.facets
-        row, tri = np.nonzero(Y @ eqs[:, :-1].T + eqs[:, -1] > -rounding_floor(B))
-        best = sq[open_]
-        np.minimum.at(best, row, _triangle_sq_dists(Y[row], W[S[tri]]))
-        sq[open_] = best
-    return np.sqrt(sq)
+    a, b = (ff * ye - ef * yf) / den, (ee * yf - ef * ye) / den
+    inside = (det > 0.0) & (a >= 0.0) & (b >= 0.0) & (a + b <= 1.0)
+    # steps from the vertices 0, 1, 2 and 0 to the nearest points of the
+    # three edges and of the plane
+    step = np.concatenate((t[:, :, None] * D, (a[:, None] * E + b[:, None] * F)[:, None]), axis=1)
+    sq = _sq_dists(Y[:, [0, 1, 2, 0]], step)
+    sq[:, 3] = np.where(inside, sq[:, 3], np.inf)
+    i, j = np.arange(len(X)), np.argmin(sq, axis=1)
+    return sq[i, j], T[i, j % 3] + step[i, j]
 
 
 def _directed_hausdorff(A: ConvexBody, B: ConvexBody) -> float:
     """max over the vertices v of A of dist(v, B).
 
     The facets give dist(v, B) itself where the projection of v onto
-    Aff(B) falls in B (_facet_bounds).  The other vertices are measured in decreasing order of their distance
-    to the nearest vertex of B, an upper bound, and only while it exceeds
-    the largest distance found so far: in chunks of 1, 2, 4, ... rows by
-    _distances_3 against a body of affine dimension 3, one by one by
-    project against any other body.
+    Aff(B) falls in B (_facet_bounds).  The other vertices are measured by
+    _nearest in decreasing order of their distance to the nearest vertex of
+    B, an upper bound, and only while it exceeds the largest distance found
+    so far: in chunks of 1, 2, 4, ... rows, at most _row_block(B).
     """
     V = A.vertices
     upper, exact = _facet_bounds(B, V)
@@ -839,22 +878,12 @@ def _directed_hausdorff(A: ConvexBody, B: ConvexBody) -> float:
     if np.all(exact):
         return d
     X = V[~exact]
-    D2 = _sq_dists(X[:, None, :], B.vertices[None, :, :])
-    upper = np.sqrt(D2.min(axis=1))
-    if B.dim_affine == 3:
-        near = D2.argmin(axis=1)
-        # a chunk's arrays over its rows and B's vertices or facets hold at
-        # most _PAIR_BLOCK numbers
-        cap = max(1, _PAIR_BLOCK // (B.dim * max(B.nvertices, len(B.facets.equations))))
+    upper = np.sqrt(_sq_dists(X[:, None, :], B.vertices[None, :, :]).min(axis=1))
+    cap = _row_block(B)
 
-        def measure(rows):
-            return float(_distances_3(B, X[rows], near[rows]).max())
-    else:
-        cap = 1
+    def measure(rows):
+        return float(_nearest(B, X[rows])[1].max())
 
-        def measure(rows):
-            i, = rows
-            return np.linalg.norm(project(B, X[i]) - X[i])
     rows, size = [], 1
     for i in np.argsort(-upper, kind="stable"):
         if upper[i] <= d:
@@ -870,12 +899,9 @@ def hausdorff(A: ConvexBody, B: ConvexBody) -> float:
 
     Exact for V-polytopes: the directed distance from a convex body is
     attained at an extreme point, so it suffices to measure vertices: those
-    over the other body by its facets, the rest in decreasing order of an
-    upper bound and only while that bound can still raise the maximum.
-    Against a body of affine dimension 3 such a vertex is measured in
-    closed form, by its nearest vertex when that is certified, else by the
-    facet triangles it lies outside of (_distances_3); against any other
-    body it is projected (project).
+    over the other body by its facets, the rest by _nearest, in decreasing
+    order of an upper bound and only while that bound can still raise the
+    maximum.
     """
     if A.dim != B.dim:
         raise DimensionMismatch("bodies live in different dimensions")

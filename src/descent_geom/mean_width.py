@@ -32,6 +32,7 @@ from .geom_core import (
     unit_directions,
 )
 from .cones import (
+    _arcs,
     cap_body,
     normal_cone,
     normal_cone_mask,
@@ -171,55 +172,25 @@ def mean_width_intrinsic(K: ConvexBody, grid: SphereGrid = None) -> float:
 # -- sector integrals over normal cones --------------------------------------
 
 
-def _cone_arcs_2d(gens):
-    """Angular arcs [(a, b)], a < b, of a 2-D cone given by unit generators;
-    (0, 2 pi) is the whole plane.  Rays and lines, of measure zero on the
-    circle, give no arc."""
-    if len(gens) < 2:
-        return []
-    ang = np.sort(np.arctan2(gens[:, 1], gens[:, 0]))
-    gaps = np.diff(np.concatenate([ang, [ang[0] + 2.0 * math.pi]]))
-    imax = int(np.argmax(gaps))
-    maxgap = float(gaps[imax])
-    if maxgap < math.pi - 1e-9:
-        return [(0.0, 2.0 * math.pi)]
-    width = 2.0 * math.pi - maxgap
-    if width <= 1e-12:
-        return []
-    if abs(width - math.pi) <= 1e-9:
-        # all generators antipodal in pairs -> a line, not a halfplane
-        spread = np.abs(((ang - ang[0]) + math.pi) % (2 * math.pi) - math.pi)
-        if np.all((spread <= 1e-9) | (np.abs(spread - math.pi) <= 1e-9)):
-            return []
-    start = float(ang[(imax + 1) % len(ang)])
-    return [(start, start + width)]
-
-
-def _intersect_arc(a, b, lo, hi):
-    """Intersect the circular arc [a, b] with [lo, hi] (hi - lo <= 2*pi);
-    returns sub-arcs as (a, b) pairs."""
-    out = []
-    for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
-        lo_s, hi_s = max(a + shift, lo), min(b + shift, hi)
-        if hi_s > lo_s + 1e-15:
-            out.append((lo_s, hi_s))
-    return out
-
-
 def _sector_integral(K, q, grid, u=None):
     """Vector integral of theta over the sector of N_K(q) on the unit
     sphere, cut to {<theta, u> >= 0} when u is given.
 
-    Exact over arcs in the plane; above, the sum over the nodes of grid
-    (the default grid when None) that pass normal_cone_mask at 1e-9.
+    Exact over arcs in the plane: the cone's arcs (cones._arcs; a ray or a
+    line has none of positive length, so adds 0), each cut to the closed
+    half-circle around u by its copies 2 pi apart.  Above, the sum over the
+    nodes of grid (the default grid when None) that pass normal_cone_mask
+    at 1e-9.
     """
     q = as_point(q, K.dim)
     if K.dim == 2:
-        arcs = _cone_arcs_2d(normal_cone(K, q).generators)
+        arcs = [(a, a + L) for a, L in _arcs(normal_cone(K, q)) if L > 0.0]
         if u is not None:
             phi = math.atan2(u[1], u[0])
-            arcs = [c for a, b in arcs
-                    for c in _intersect_arc(a, b, phi - math.pi / 2.0, phi + math.pi / 2.0)]
+            lo, hi = phi - math.pi / 2.0, phi + math.pi / 2.0
+            arcs = [(max(a + s, lo), min(b + s, hi)) for a, b in arcs
+                    for s in (-2.0 * math.pi, 0.0, 2.0 * math.pi)]
+            arcs = [(a, b) for a, b in arcs if b > a + 1e-15]
         v = np.zeros(2)
         for a, b in arcs:
             v += (math.sin(b) - math.sin(a), math.cos(a) - math.cos(b))

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: LP feasibility for extreme points,
 1-D adaptive quadrature for sector integrals, dense sampling for distances
-and memberships.  None of it shares code paths with the library routines
-it checks, except the per-vertex projection oracles, which call
-geom_core.project once per vertex and so check the bounds, ranking and
-batched kernels of hausdorff and includes against the projection, and the
-per-member validators, which walk one member or knot at a time through the
-library's exact segment clipping.
+and memberships, face enumeration for nearest points.  None of it shares
+code paths with the library routines it checks, except two families.  The
+per-vertex projection oracles call geom_core.project once per vertex, and
+project reads the same nearest-point kernel (geom_core._nearest) as
+hausdorff and includes: they check the bounds, ranking and batching of
+those two, not the kernel; nearest_point_faces is the kernel's independent
+check.  The per-member validators walk one member or knot at a time
+through the library's exact segment clipping.
 """
 
 import itertools
@@ -209,7 +211,8 @@ def planar_sector_quad(vertices, q, u=None):
 
 def hausdorff_per_vertex(A, B):
     """Hausdorff distance with every vertex of each body projected onto the
-    other by geom_core.project: no bounds, no ranking, no batching."""
+    other by geom_core.project, one at a time: no bounds, no ranking, no
+    batching."""
     from descent_geom.geom_core import project
 
     d = 0.0
@@ -328,16 +331,32 @@ def segment_distance(pts, a, b):
 # -- the per-member validators the family pass replaced ------------------------
 #
 # descent's family pass reads a curve against all members at once.  These are
-# the loops it replaced, one member or knot at a time; they share the exact
-# clipping (_segment_interval) and the candidate filter with the library.
+# the loops it replaced, one member or knot at a time, with their own
+# candidate filter; they share the exact clipping (_segment_interval) with the
+# library.
+
+
+def candidate_segments(K, P):
+    """Indices i, rising, of the segments P[i] -> P[i+1] that may meet K.
+
+    A segment is dropped when both its ends lie beyond one facet (of K, or
+    of the cylinder over a lower-dimensional K) by 1e-9 * (1 + the largest
+    |residual| at either end), which _segment_interval rejects as well, so
+    clipping the remaining segments gives the same answers.
+    """
+    eqs = K.facets.equations
+    R = P @ eqs[:, :-1].T + eqs[:, -1]
+    scale = 1.0 + np.abs(R).max(axis=1, initial=0.0)
+    margin = 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]
+    return np.nonzero(~((R[:-1] > margin) & (R[1:] > margin)).any(axis=1))[0]
 
 
 def align_per_member(curve, bodies, tol=0.0):
     """Per body, (arc length, point) of the last curve point inside it, or
-    None: the last segment kept by _candidate_segments that
+    None: the last segment kept by candidate_segments that
     _segment_interval clips, walking back from the end.  A one-point curve
     meets a body within max(tol, _bd_tol) of it."""
-    from descent_geom.descent import _bd_tol, _candidate_segments, _segment_interval
+    from descent_geom.descent import _bd_tol, _segment_interval
     from descent_geom.geom_core import contains
 
     P, cums = curve.points, curve.arclengths()
@@ -348,7 +367,7 @@ def align_per_member(curve, bodies, tol=0.0):
             if contains(K, P[0], max(tol, _bd_tol(K))):
                 found = (0.0, P[0].copy())
         else:
-            for i in _candidate_segments(K, P)[::-1]:
+            for i in candidate_segments(K, P)[::-1]:
                 iv = _segment_interval(K, P[i], P[i + 1])
                 if iv is not None:
                     found = (cums[i] + iv[1] * (cums[i + 1] - cums[i]),

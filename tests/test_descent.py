@@ -552,17 +552,21 @@ class TestFamilyPassAgainstPerMemberLoops:
 class TestWorkBudget:
     def test_is_connected_projects_disks_3d(self, call_counter):
         fam = disk_family(n=3, m=64, levels=6)
-        calls = call_counter("geom_core", "project")
+        solver = call_counter("geom_core", "_nnls")
+        rows = call_counter("geom_core", "_nearest")
         assert is_connected(fam)
-        assert len(calls) == 0  # every member is a 3-polytope
+        # every member is a 3-polytope: closed forms, one row per consecutive pair
+        assert not solver
+        assert sum(len(X) for _, X in rows) <= len(fam) - 1
 
     def test_is_connected_projects_example61(self, ex61, call_counter):
         fam, _ = ex61
-        calls = call_counter("geom_core", "project")
+        solver = call_counter("geom_core", "_nnls")
+        rows = call_counter("geom_core", "_nearest")
         assert is_connected(fam)
-        # only the five flat disks are projected onto (closed form)
-        assert calls and all(K.dim_affine == 2 for K, _ in calls)
-        assert len(calls) <= 60
+        # flat disks and solids alike are measured in closed form
+        assert rows and not solver
+        assert sum(len(X) for _, X in rows) <= 60
 
     def test_viable_sdc_clips_cantor(self, call_counter):
         g, fam = cantor_graph(6), cantor_family(6)
@@ -573,7 +577,7 @@ class TestWorkBudget:
     def test_viable_sdc_example61_clips_exactly(self, ex61, call_counter):
         # five of the members are flat disks: clipped in Aff(K), never projected
         fam, curve = ex61
-        projects = call_counter("geom_core", "project")
+        projects = call_counter("geom_core", "_nearest")
         clips = call_counter("descent", "_segment_interval")
         res = is_viable_sdc(curve, fam)
         assert not res["ok"] and res["witness"]["knot"] == 2

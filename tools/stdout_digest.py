@@ -5,9 +5,12 @@
 
 Runs every command in this process through `descent_geom.cli.main`, with
 JSON files passed between commands as in a shell pipeline: at seeds 1, 2
-and 3, the `family_validation` store and all of its queries and four cycles
-of `planar_pipeline` jobs (perfbench/workloads.py), then the Cantor fixtures
-at levels 2 to 7 and `example61` with their checks.  Prints one line per
+and 3, the `family_validation` store and all of its queries, four cycles
+of `planar_pipeline` jobs (perfbench/workloads.py) and an R^3 pipeline
+(`gen random --n 3 --npoints 16 --levels 4`, `descend` from the top
+member's first vertex with one knot per member, `report`); then the Cantor
+fixtures at levels 2 to 7 and `example61` with their checks and a `descend`
+on its family.  Prints one line per
 command: its index, exit code, the sha256 of its stdout and the command,
 with the working directory written as $WD.  Two source trees (--src, by
 default this one's) agree in stdout and exit codes iff `diff` finds no
@@ -65,7 +68,7 @@ def main(argv=None):
     args = p.parse_args(argv)
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
     from descent_geom import cli
-    from workloads import Workload
+    from workloads import Workload, fmt_point
 
     lines = []
     with tempfile.TemporaryDirectory() as wd:
@@ -85,6 +88,15 @@ def main(argv=None):
             lines.append(f"{len(lines):4d} {rc} {digest} {' '.join(argv).replace(wd, '$WD')}")
             return rc, text
 
+        def descend(fam, curve):
+            """descend on the family file fam from its top member's first
+            vertex, one knot per member, into the file curve; its exit code."""
+            with open(fam) as fh:
+                bodies = json.load(fh)["bodies"]
+            return call(["descend", "--family", fam,
+                         f"--endpoint={fmt_point(bodies[-1]['vertices'][0])}",
+                         "--knots", str(len(bodies))], curve)[0]
+
         for seed in SEEDS:
             for name in ("family_validation", "planar_pipeline"):
                 sub = os.path.join(wd, f"{name}{seed}")
@@ -95,8 +107,13 @@ def main(argv=None):
                     if name == "planar_pipeline" else w.cycle()
                 for job in jobs:
                     w.run(job, call)
+            fam, curve = (os.path.join(wd, f"random3_{seed}{part}.json") for part in ("", "_curve"))
+            if call(["gen", "random", "--n", "3", "--npoints", "16", "--levels", "4",
+                     "--seed", str(seed)], fam)[0] == 0 and descend(fam, curve) == 0:
+                call(["report", "--curve", curve, "--family", fam])
         for argv, out in fixture_commands(wd):
             call(argv, out)
+        descend(os.path.join(wd, "example61_family.json"), os.path.join(wd, "example61_descent.json"))
     print("\n".join(lines))
     return 0
 
