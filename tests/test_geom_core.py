@@ -744,8 +744,9 @@ class TestSolidHausdorff:
 
     def test_project_on_joggled_bodies(self, rng, joggled):
         """project of the other body's vertices onto a body built under QJ
-        is exact on its stored vertices: a least-distance program on the
-        joggled facet equations was off by up to 4.2e-11 on these bodies."""
+        is exact on its stored vertices, one vertex at a time (hausdorff is
+        checked in the test above): a least-distance program on the joggled
+        facet equations was off by up to 4.2e-11 on these bodies."""
         count = 0
         for S in _joggled_bodies(rng, joggled):
             c = S.centroid()
@@ -756,9 +757,6 @@ class TestSolidHausdorff:
                     want = np.linalg.norm(o - x)
                     assert abs(np.linalg.norm(project(S, x) - x) - want) <= 1e-12 * (1.0 + want)
                     count += 1
-                ref = max(np.linalg.norm(nearest_point_faces(Y.vertices, X.vertices) - X.vertices,
-                                         axis=1).max() for X, Y in ((S, B), (B, S)))
-                assert abs(hausdorff_per_vertex(S, B) - ref) <= 1e-12 * (1.0 + ref)
         assert count > 100
 
 
