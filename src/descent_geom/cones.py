@@ -150,16 +150,22 @@ def _body_at(K: ConvexBody, q, tol):
     Aff(K)^perp, and the unit directions D from q to the other vertices.
 
     N_K(q) = cone(A, +/-W) = {x : <x, d> <= 0 for d in D}, and the tangent
-    cone T_K(q) = cone(D) = {x : <x, a> <= 0 for a in A, x perp W}.
+    cone T_K(q) = cone(D) = {x : <x, a> <= 0 for a in A, x perp W}.  At a
+    vertex q of a K of dimension >= 2, D keeps the vertices that share a
+    facet simplex with q (the edges at q span T_K(q)), unless a vertex lies
+    beyond a facet by more than rounding_floor(K), as under Qhull's QJ.
     """
     q, tol = as_point(q, K.dim), max(tol, TAU_PT, rounding_floor(K))
     if not contains(K, q, tol):
         raise InvalidInput("q is not a point of K")
-    _, B, eqs, _ = K.facets
+    _, B, eqs, S = K.facets
     n, k = K.dim, len(B)
     A = dedup_points(eqs[eqs[:, :-1] @ q + eqs[:, -1] >= -tol, :-1])
     W = np.linalg.svd(np.eye(n) - B.T @ B)[0][:, : n - k].T if k < n else B[:0]
-    return q, A, W, _unit(K.vertices - q)
+    V, at = K.vertices, (S[..., None] == np.flatnonzero((K.vertices == q).all(axis=1))).any(axis=(1, 2))
+    if k >= 2 and at.any() and (V @ eqs[:, :-1].T + eqs[:, -1]).max() <= rounding_floor(K):
+        V = V[np.unique(S[at])]
+    return q, A, W, _unit(V - q)
 
 
 def tangent_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:

@@ -13,12 +13,14 @@ The validators read a curve against a whole family in one family pass
 (_family_pass): the facet-by-point residual table of every member at
 once, in blocks of bounded size.  It gives each member's candidate
 segments (_candidates, the one filter of a curve against members, which
-clip_length_outside reads too), of which _segment_interval clips the
-last ones into the alignment (the last curve point inside each member),
-and which curve points lie inside each member.  EC conditions (ii)-(iii) (_ec_tail) and
-the SDC knot tests (_sdc_verdict) read the pass, over the members'
-stacked vertices; a couple keeps its pass, so its holder reads both
-verdicts without aligning again.
+clip_length_outside reads too) and each point's largest residual per
+member, which tells the points inside it.  One batched clip (_intervals)
+turns the last candidates into the alignment (the last curve point inside
+each member), one candidate of every member per round; clip_length_outside
+and segment_inside_interval call it too.  EC conditions (ii)-(iii)
+(_ec_tail) and the SDC knot tests (_sdc_verdict) read the pass, over the
+members' stacked vertices; a couple keeps its pass, so its holder reads
+both verdicts without aligning again.
 """
 
 import math
@@ -31,6 +33,7 @@ from .errors import Degenerate, DimensionMismatch, InvalidInput, PreconditionVio
 from .geom_core import (
     _PAIR_BLOCK,
     TAU_PT,
+    _row_norms,
     ConvexBody,
     as_point,
     contains,
@@ -61,77 +64,68 @@ def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
 # -- segment / body clipping ---------------------------------------------------
 
 
-def _segment_interval(K: ConvexBody, a, b):
-    """Inside interval (t0, t1) of the segment a->b, or None: exact
-    clipping by K's facet equations.  No equations (a point body) give
-    [0, 1].
-
-    For a lower-dimensional K the facets bound the cylinder over K, so the
-    interval is also cut to the parameters where the segment lies within
-    eps = 1e-12 * (1 + max|a - c|) of Aff(K).  With o0 and o1 the parts of
-    a - c and b - a orthogonal to Aff(K), that band is the interval of
-    half-width sqrt(eps^2 - r^2) / |o1| around the parameter t* nearest to
-    Aff(K), r = |o0 + t* o1|; a segment parallel to Aff(K) is in the band
-    everywhere or nowhere.
+def _intervals(bodies, A, B):
+    """Inside intervals [lo, hi] of the segments A[j] -> B[j] against
+    bodies[j], and hit, False where a segment misses its body: exact
+    clipping by the facet rows (Cyrus and Beck 1978), padded to one table.
+    With alpha = e.a + e0 and beta = e.(b - a), formed by stacked products
+    as for one segment alone, each row with |beta| > 1e-14 * (1 + max
+    |alpha|) bounds t by -alpha / beta; a parallel one misses when alpha >
+    1e-12 * (1 + max |alpha|).  A lower-dimensional body bounds only the
+    cylinder over it, so its segments are also cut to within eps = 1e-12 *
+    (1 + max|a - c|) of Aff(K), in closed form per affine dimension: with
+    o0, o1 the parts of a - c and b - a orthogonal to Aff(K), t lies within
+    sqrt(eps^2 - r^2) / |o1| of the t* nearest to Aff(K), r = |o0 + t* o1|.
     """
-    c, B, eqs, _ = K.facets
-    d = b - a
-    alpha = eqs[:, :-1] @ a + eqs[:, -1]
-    beta = eqs[:, :-1] @ d
-    lo, hi = 0.0, 1.0
-    scale = 1.0 + np.abs(alpha).max(initial=0.0)
-    # on a polygon's few facets a loop over floats beats array operations
-    for al, be in zip(alpha.tolist(), beta.tolist()):
-        if abs(be) <= 1e-14 * scale:
-            if al > 1e-12 * scale:
-                return None
-            continue
-        t = -al / be
-        if be > 0:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-    if lo > hi + 1e-12:
-        return None
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
-    if len(B) == K.dim:
-        return lo, hi
-    y = a - c
-    o0 = y - (y @ B.T) @ B
-    o1 = d - (d @ B.T) @ B
-    scale = 1.0 + np.abs(y).max()
-    eps = 1e-12 * scale
-    n1 = np.linalg.norm(o1)
-    if n1 <= 1e-14 * scale:
-        return (lo, hi) if np.linalg.norm(o0) <= eps else None
-    ts = -(o0 @ o1) / (n1 * n1)
-    r = np.linalg.norm(o0 + ts * o1)
-    if r > eps:
-        return None
-    hw = math.sqrt(eps * eps - r * r) / n1
-    lo, hi = max(lo, ts - hw), min(hi, ts + hw)
-    if lo > hi:
-        return None
-    return lo, hi
+    if not len(A):
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
+    E, off = _stack([K.facets.equations for K in bodies])
+    D = B - A
+    f = np.arange(np.diff(off).max(initial=0))
+    valid = f < np.diff(off)[:, None]
+    G = E[np.where(valid, off[:-1, None] + f, 0)]
+    N = G[:, :, :-1].transpose(0, 2, 1)
+    alpha = (A[:, None, :] @ N)[:, 0, :] + G[:, :, -1]
+    beta = (D[:, None, :] @ N)[:, 0, :]
+    scale = 1.0 + np.max(np.abs(alpha), axis=1, initial=0.0, where=valid)[:, None]
+    par = np.abs(beta) <= 1e-14 * scale
+    t = np.divide(-alpha, beta, out=np.zeros_like(alpha), where=valid & ~par)
+    hi = np.min(t, axis=1, initial=1.0, where=valid & ~par & (beta > 0))
+    lo = np.max(t, axis=1, initial=0.0, where=valid & ~par & (beta < 0))
+    hit = ~(valid & par & (alpha > 1e-12 * scale)).any(axis=1) & ~(lo > hi + 1e-12)
+    k = np.array([len(K.facets.basis) for K in bodies])
+    for dim in np.unique(k[hit & (k < A.shape[1])]).tolist():
+        j = np.flatnonzero(hit & (k == dim))
+        Bs = np.array([bodies[i].facets.basis for i in j.tolist()])
+        y = A[j] - np.array([bodies[i].facets.center for i in j.tolist()])
+        o0, o1 = (X - ((X[:, None, :] @ Bs.transpose(0, 2, 1)) @ Bs)[:, 0, :] for X in (y, D[j]))
+        sc = 1.0 + np.abs(y).max(axis=1)
+        eps, n1 = 1e-12 * sc, _row_norms(o1)
+        flat = n1 <= 1e-14 * sc
+        ts = -(o0[:, None, :] @ o1[:, :, None])[:, 0, 0] / np.where(flat, 1.0, n1 * n1)
+        r = _row_norms(o0 + ts[:, None] * o1)
+        hw = np.sqrt(np.maximum(eps * eps - r * r, 0.0)) / np.where(flat, 1.0, n1)
+        lo[j] = np.where(flat, lo[j], np.maximum(lo[j], ts - hw))
+        hi[j] = np.where(flat, hi[j], np.minimum(hi[j], ts + hw))
+        hit[j] = np.where(flat, _row_norms(o0) <= eps, (r <= eps) & (lo[j] <= hi[j]))
+    return lo, hi, hit
 
 
 def segment_inside_interval(K: ConvexBody, a, b):
     """Interval of the segment a->b lying inside K ((t0, t1) or None)."""
-    return _segment_interval(K, as_point(a, K.dim), as_point(b, K.dim))
+    lo, hi, hit = _intervals((K,), as_point(a, K.dim)[None], as_point(b, K.dim)[None])
+    return (float(lo[0]), float(hi[0])) if hit[0] else None
 
 
 def clip_length_outside(gamma: Polyline, K: ConvexBody) -> float:
     """Length of the part of the curve outside K, by exact segment
     clipping (lower-dimensional K within a relative 1e-12 of Aff(K)) of the
     candidate segments (_candidates with K the one member)."""
-    P = gamma.points
-    E = K.facets.equations
-    inside = 0.0
-    for i in np.flatnonzero(_candidates(P, E, np.array([0, len(E)]))[0]):
-        iv = _segment_interval(K, P[i], P[i + 1])
-        if iv is not None:
-            inside += (iv[1] - iv[0]) * float(np.linalg.norm(P[i + 1] - P[i]))
-    return gamma.length() - inside
+    P, E = gamma.points, K.facets.equations
+    i = np.flatnonzero(_candidates(P, E, np.array([0, len(E)]))[0][0])
+    lo, hi, hit = _intervals((K,) * len(i), P[i], P[i + 1])
+    inside = np.cumsum(np.append(0.0, ((hi - lo) * _row_norms(P[i + 1] - P[i]))[hit]))  # curve order
+    return gamma.length() - float(inside[-1])
 
 
 # -- the family pass -----------------------------------------------------------
@@ -167,8 +161,9 @@ class _FamilyPass:
     align_s and align_x hold each member's last curve point, as
     align_curve returns them, for the members before missed: the first
     member that misses the curve, or None.  equations stacks the members'
-    facet rows, member k's at eq_offsets[k]:eq_offsets[k + 1]; params, when
-    given, name the members in messages.
+    facet rows, member k's at eq_offsets[k]:eq_offsets[k + 1], and
+    max_residual[i, k] is the largest residual of point i at member k's
+    rows; params, when given, name the members in messages.
     """
 
     points: np.ndarray
@@ -177,6 +172,7 @@ class _FamilyPass:
     params: tuple
     equations: np.ndarray
     eq_offsets: np.ndarray
+    max_residual: np.ndarray
     align_s: np.ndarray
     align_x: np.ndarray
     missed: object
@@ -194,15 +190,11 @@ class _FamilyPass:
     def interior(self):
         """(curve points x members) table: True where the point lies within
         _bd_tol(Q) of Aff(Q) and deeper than that inside Q (rel_depth_many)."""
-        P, eoff = self.points, self.eq_offsets
-        top = np.full((len(P), len(self.bodies)), -np.inf)
-        _member_max(eoff, _PAIR_BLOCK // len(P),
-                    lambda c0, c1: (_residuals(self.equations[c0:c1], P),), (top,))
         bd = np.array([_bd_tol(Q) for Q in self.bodies])
-        inner = (top < -bd) & (np.diff(eoff) > 0)  # a point member has depth 0
+        inner = (self.max_residual < -bd) & (np.diff(self.eq_offsets) > 0)  # a point: depth 0
         for k, Q in enumerate(self.bodies):
             if Q.dim_affine < Q.dim:
-                inner[:, k] &= rel_depth_many(Q, P)[1] <= bd[k]
+                inner[:, k] &= rel_depth_many(Q, self.points)[1] <= bd[k]
         return inner
 
     @cached_property
@@ -211,50 +203,48 @@ class _FamilyPass:
         return _stack([Q.vertices for Q in self.bodies])
 
 
-def _residuals(E, P):
-    """The residuals of the points P at the facet rows E, one column per
-    facet."""
-    return P @ E[:, :-1].T + E[:, -1]
-
-
 def _candidates(P, E, offsets):
     """(members x segments) table of the segments P[i] -> P[i+1] that may
-    meet each member, whose facet rows are E[offsets[k]:offsets[k + 1]].
+    meet each member, whose facet rows are E[offsets[k]:offsets[k + 1]], and
+    (points x members) table of each point's largest residual at them.
 
     The point-by-facet residual table is formed in blocks of at most
     _PAIR_BLOCK entries.  Segment i stays a candidate for a member unless
     both its ends lie beyond one of the member's facets by 1e-9 * (1 + the
-    largest |residual| of either end over all members), so
-    _segment_interval rejects every dropped segment as well.  A point
-    member, with no facet rows, keeps every segment.
+    largest |residual| of either end over all members), so _intervals
+    rejects every dropped segment as well.  A point member, with no facet
+    rows, keeps every segment.
     """
     m = len(P)
     size = np.zeros(m)
 
     def ends(c0, c1):
-        R = _residuals(E[c0:c1], P)
+        R = P @ E[c0:c1, :-1].T + E[c0:c1, -1]
         np.maximum(size, np.abs(R).max(axis=1), out=size)
-        return np.minimum(R[:-1], R[1:]),
+        return np.minimum(R[:-1], R[1:]), R
 
     low = np.full((m - 1, len(offsets) - 1), -np.inf)
-    _member_max(offsets, _PAIR_BLOCK // m, ends, (low,))
+    top = np.full((m, len(offsets) - 1), -np.inf)
+    _member_max(offsets, _PAIR_BLOCK // m, ends, (low, top))
     scale = 1.0 + size
-    return (low <= 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]).T
+    return (low <= 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]).T, top
 
 
 def _family_pass(curve: Polyline, bodies, params=None, tol=0.0) -> _FamilyPass:
     """The family pass of curve against bodies.
 
-    Every member's candidate segments come from one table (_candidates);
-    the last candidate that _segment_interval clips gives the alignment.
-    A one-point curve meets a member within max(tol, _bd_tol) of it
-    (contains).
+    Every member's candidate segments come from one table (_candidates),
+    and the last one that _intervals clips gives the alignment: round r
+    clips, in one call, the r-th last candidate of every member before the
+    first missed one that no earlier round aligned.  A one-point curve
+    meets a member within max(tol, _bd_tol) of it (contains).
     """
     _same_dim(curve, bodies)
     bodies = tuple(bodies)
     P, cums = curve.points, curve.arclengths()
     m, n = P.shape
     E, eoff = _stack([Q.facets.equations for Q in bodies])
+    cand, top = _candidates(P, E, eoff)
     s, x = np.zeros(len(bodies)), np.zeros((len(bodies), n))
     missed = None
     if m == 1:
@@ -262,20 +252,24 @@ def _family_pass(curve: Polyline, bodies, params=None, tol=0.0) -> _FamilyPass:
         missed = next((k for k, Q in enumerate(bodies)
                        if not contains(Q, P[0], max(tol, _bd_tol(Q)))), None)
     else:
-        cand = _candidates(P, E, eoff)
+        segment, count = np.nonzero(cand)[1], cand.sum(axis=1)  # each member's candidates, rising
+        last = np.cumsum(count) - 1
         seg, t = np.zeros(len(bodies), dtype=int), np.zeros(len(bodies))
-        for k, Q in enumerate(bodies):
-            for i in np.flatnonzero(cand[k])[::-1].tolist():
-                iv = _segment_interval(Q, P[i], P[i + 1])
-                if iv is not None:
-                    seg[k], t[k] = i, iv[1]
-                    break
-            else:
-                missed = k
-                break
+        todo, r = np.ones(len(bodies), dtype=bool), 0
+        while todo.any():
+            k = np.flatnonzero(todo)
+            if (count[k] <= r).any():  # the first member with no candidate left misses
+                missed = int(k[count[k] <= r][0])
+                todo[missed:] = False
+                k = k[k < missed]
+            i = segment[last[k] - r]
+            _, hi, hit = _intervals([bodies[j] for j in k.tolist()], P[i], P[i + 1])
+            seg[k[hit]], t[k[hit]] = i[hit], hi[hit]
+            todo[k[hit]] = False
+            r += 1
         s = cums[seg] + t * (cums[seg + 1] - cums[seg])
         x = P[seg] + t[:, None] * (P[seg + 1] - P[seg])
-    return _FamilyPass(P, cums, bodies, params, E, eoff, s, x, missed)
+    return _FamilyPass(P, cums, bodies, params, E, eoff, top, s, x, missed)
 
 
 # -- expanding couples ---------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PreconditionViolated
-from .geom_core import _EPS, _PAIR_BLOCK, TAU_PT, as_points, extend_hull, hull
+from .geom_core import _EPS, _PAIR_BLOCK, TAU_PT, _row_norms, as_points, extend_hull, hull
 from .mean_width import SphereGrid, lipschitz_constant, mean_width
 
 # is_sep measures this many pairs at once: its four buffers hold half of
@@ -32,11 +32,19 @@ class Polyline:
 
     @classmethod
     def make(cls, pts):
+        """The points farther than TAU_PT from the last kept one: one array
+        pass over the steps, then a walk over the points after a dropped one."""
         P = as_points(pts)
-        keep = [0]
-        for i in range(1, len(P)):
-            if np.linalg.norm(P[i] - P[keep[-1]]) > TAU_PT:
-                keep.append(i)
+        keep = np.concatenate(([True], _row_norms(np.diff(P, axis=0)) > TAU_PT))
+        j = 0
+        for d in np.flatnonzero(~keep).tolist():
+            if d < j:
+                continue  # walked from an earlier dropped point
+            last, j = d - 1, d
+            while j < len(P) and (j == d or not keep[j - 1]):
+                keep[j] = np.linalg.norm(P[j] - P[last]) > TAU_PT
+                last = j if keep[j] else last
+                j += 1
         return cls(np.ascontiguousarray(P[keep]))
 
     @property
@@ -179,21 +187,12 @@ def lipschitz_ratio(gamma: Polyline, grid: SphereGrid = None, tol: float = 1e-9)
     ratio and flagged in 'stalled'.
     """
     ws = meanwidth_param(gamma, grid, tol)
-    P = gamma.points
-    stalled = []
-    max_ratio = 0.0
-    scale = max(ws[-1], 1.0)
-    for i in range(len(P) - 1):
-        dw = ws[i + 1] - ws[i]
-        step = float(np.linalg.norm(P[i + 1] - P[i]))
-        if dw <= 1e-12 * scale:
-            stalled.append(i)
-            continue
-        max_ratio = max(max_ratio, step / dw)
+    dw, step = np.diff(ws), _row_norms(np.diff(gamma.points, axis=0))
+    stalled = dw <= 1e-12 * max(ws[-1], 1.0)
     return {
-        "max_ratio": max_ratio,
+        "max_ratio": float(np.max(step[~stalled] / dw[~stalled], initial=0.0)),
         "bound": lipschitz_constant(gamma.dim),
-        "stalled": stalled,
+        "stalled": np.flatnonzero(stalled).tolist(),
         "widths": ws,
     }
 

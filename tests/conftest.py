@@ -1,5 +1,6 @@
 import functools
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -58,6 +59,40 @@ def nested_pair(rng, n=2, npts=16):
     f = 0.3 + 0.5 * rng.random()
     A = hull(c + f * (B.vertices - c))
     return A, B
+
+
+def joggled_bodies(rng, joggled):
+    """A 16-gon prism, a 4x4x4 grid box (its facet triangulation has
+    slivers) and a random body, each built under QJ (joggled)."""
+    ang = 2.0 * np.pi * np.arange(16) / 16
+    ring = np.column_stack([np.cos(ang), np.sin(ang)])
+    g = np.linspace(-1.0, 1.0, 4)
+    return [joggled(np.vstack([np.column_stack([ring, np.zeros(16)]),
+                               np.column_stack([ring, np.ones(16)])])),
+            joggled(np.array(list(itertools.product(g, g, g)))),
+            joggled(rng.standard_normal((25, 3)))]
+
+
+@pytest.fixture
+def joggled(monkeypatch):
+    """Builds bodies as when Qhull refuses the input: every run without
+    options raises QhullError, so geom_core._qhull falls back to QJ."""
+    real = scipy.spatial.ConvexHull
+
+    class Refusing(real):
+        def __init__(self, points, qhull_options=None, **kwargs):
+            if qhull_options is None:
+                raise scipy.spatial.QhullError("refused")
+            super().__init__(points, qhull_options=qhull_options, **kwargs)
+
+    def build(points):
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", Refusing)
+        K = hull(points)
+        K.facets  # built under the same refusal
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", real)
+        return K
+
+    return build
 
 
 @pytest.fixture

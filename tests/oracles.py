@@ -8,8 +8,10 @@ per-vertex projection oracles call geom_core.project once per vertex, and
 project reads the same nearest-point kernel (geom_core._nearest) as
 hausdorff and includes: they check the bounds, ranking and batching of
 those two, not the kernel; nearest_point_faces is the kernel's independent
-check.  The per-member validators walk one member or knot at a time
-through the library's exact segment clipping.
+check.  The exact segment clipping the library batches
+(descent._intervals) lives here as it was written for one segment at a
+time, a loop over the facets (segment_interval), and the per-member
+validators walk one member or knot at a time through it.
 """
 
 import itertools
@@ -229,6 +231,31 @@ def includes_per_vertex(A, B, tol):
     return all(np.linalg.norm(project(A, v) - v) <= tol for v in B.vertices)
 
 
+def polyline_keep(points, tau):
+    """Indices of the points Polyline.make keeps, by the point loop: a point
+    is kept when it lies farther than tau from the last kept one."""
+    keep = [0]
+    for i in range(1, len(points)):
+        if np.linalg.norm(points[i] - points[keep[-1]]) > tau:
+            keep.append(i)
+    return keep
+
+
+def step_ratios_loop(points, widths):
+    """lipschitz_ratio's (max_ratio, stalled) by the step loop over the
+    points and their prefix-hull widths."""
+    stalled, max_ratio = [], 0.0
+    scale = max(widths[-1], 1.0)
+    for i in range(len(points) - 1):
+        dw = widths[i + 1] - widths[i]
+        step = float(np.linalg.norm(points[i + 1] - points[i]))
+        if dw <= 1e-12 * scale:
+            stalled.append(i)
+            continue
+        max_ratio = max(max_ratio, step / dw)
+    return max_ratio, stalled
+
+
 def sep_segment_loop(points, tol=1e-9):
     """sep.is_sep's criterion one segment at a time: per segment with start
     a and unit direction d, the earlier vertex y of least slack
@@ -332,8 +359,61 @@ def segment_distance(pts, a, b):
 #
 # descent's family pass reads a curve against all members at once.  These are
 # the loops it replaced, one member or knot at a time, with their own
-# candidate filter; they share the exact clipping (_segment_interval) with the
-# library.
+# candidate filter and the one-segment clipping (segment_interval) that
+# descent._intervals batches.
+
+
+def segment_interval(K, a, b):
+    """Inside interval (t0, t1) of the segment a->b, or None: exact
+    clipping by K's facet equations, one facet at a time.  No equations (a
+    point body) give [0, 1].
+
+    For a lower-dimensional K the facets bound the cylinder over K, so the
+    interval is also cut to the parameters where the segment lies within
+    eps = 1e-12 * (1 + max|a - c|) of Aff(K).  With o0 and o1 the parts of
+    a - c and b - a orthogonal to Aff(K), that band is the interval of
+    half-width sqrt(eps^2 - r^2) / |o1| around the parameter t* nearest to
+    Aff(K), r = |o0 + t* o1|; a segment parallel to Aff(K) is in the band
+    everywhere or nowhere.
+    """
+    c, B, eqs, _ = K.facets
+    d = b - a
+    alpha = eqs[:, :-1] @ a + eqs[:, -1]
+    beta = eqs[:, :-1] @ d
+    lo, hi = 0.0, 1.0
+    scale = 1.0 + np.abs(alpha).max(initial=0.0)
+    for al, be in zip(alpha.tolist(), beta.tolist()):
+        if abs(be) <= 1e-14 * scale:
+            if al > 1e-12 * scale:
+                return None
+            continue
+        t = -al / be
+        if be > 0:
+            hi = min(hi, t)
+        else:
+            lo = max(lo, t)
+    if lo > hi + 1e-12:
+        return None
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    if len(B) == K.dim:
+        return lo, hi
+    y = a - c
+    o0 = y - (y @ B.T) @ B
+    o1 = d - (d @ B.T) @ B
+    scale = 1.0 + np.abs(y).max()
+    eps = 1e-12 * scale
+    n1 = np.linalg.norm(o1)
+    if n1 <= 1e-14 * scale:
+        return (lo, hi) if np.linalg.norm(o0) <= eps else None
+    ts = -(o0 @ o1) / (n1 * n1)
+    r = np.linalg.norm(o0 + ts * o1)
+    if r > eps:
+        return None
+    hw = math.sqrt(eps * eps - r * r) / n1
+    lo, hi = max(lo, ts - hw), min(hi, ts + hw)
+    if lo > hi:
+        return None
+    return lo, hi
 
 
 def candidate_segments(K, P):
@@ -341,7 +421,7 @@ def candidate_segments(K, P):
 
     A segment is dropped when both its ends lie beyond one facet (of K, or
     of the cylinder over a lower-dimensional K) by 1e-9 * (1 + the largest
-    |residual| at either end), which _segment_interval rejects as well, so
+    |residual| at either end), which segment_interval rejects as well, so
     clipping the remaining segments gives the same answers.
     """
     eqs = K.facets.equations
@@ -354,9 +434,9 @@ def candidate_segments(K, P):
 def align_per_member(curve, bodies, tol=0.0):
     """Per body, (arc length, point) of the last curve point inside it, or
     None: the last segment kept by candidate_segments that
-    _segment_interval clips, walking back from the end.  A one-point curve
+    segment_interval clips, walking back from the end.  A one-point curve
     meets a body within max(tol, _bd_tol) of it."""
-    from descent_geom.descent import _bd_tol, _segment_interval
+    from descent_geom.descent import _bd_tol
     from descent_geom.geom_core import contains
 
     P, cums = curve.points, curve.arclengths()
@@ -368,7 +448,7 @@ def align_per_member(curve, bodies, tol=0.0):
                 found = (0.0, P[0].copy())
         else:
             for i in candidate_segments(K, P)[::-1]:
-                iv = _segment_interval(K, P[i], P[i + 1])
+                iv = segment_interval(K, P[i], P[i + 1])
                 if iv is not None:
                     found = (cums[i] + iv[1] * (cums[i + 1] - cums[i]),
                              P[i] + iv[1] * (P[i + 1] - P[i]))

@@ -25,7 +25,7 @@ from descent_geom.cones import (
 from descent_geom.descent import disk_family
 from descent_geom.geom_core import hull, support, support_many, unit_directions
 
-from .conftest import disk_polygon, embedded_polytope, random_polytope
+from .conftest import disk_polygon, embedded_polytope, joggled_bodies, random_polytope
 from .oracles import (
     in_cone_lp,
     nnls_kkt_gap,
@@ -305,6 +305,27 @@ class TestWorkBudget:
             normal_cone_limit_report(top, q, q - top.centroid(), eps, grid_size=500)
             # at most one SVD per cone built (4 + len(eps)) and per cap hull
             assert len(calls) <= 4 + 2 * len(eps)
+
+
+class TestVertexCones:
+    def test_facet_neighbours_give_the_all_vertex_cones(self, rng, joggled):
+        bodies = [random_polytope(rng, n, 14) for n in (2, 3, 3, 4)]
+        bodies += [embedded_polytope(rng, n, k, 10) for n, k in ((3, 2), (4, 2), (4, 3))]
+        bodies += joggled_bodies(rng, joggled)
+        fewer = 0
+        for K in bodies:
+            dirs = unit_directions(K.dim, 10000, 5)
+            for q in K.vertices:
+                D = cones._unit(K.vertices - q)  # the directions to every other vertex
+                N, T = normal_cone(K, q), tangent_cone(K, q)
+                assert np.array_equal(N.member_mask(dirs), PolyCone(K.dim, N.generators, -D).member_mask(dirs))
+                assert np.array_equal(T.member_mask(dirs), PolyCone(K.dim, D, T.rows).member_mask(dirs))
+                assert np.array_equal(N.rows, -T.generators)
+                # the same extreme rays: each kept row is one of D's
+                mine, every = cones._reduce_generators(T.generators), cones._reduce_generators(D)
+                assert sorted(map(tuple, mine)) == sorted(map(tuple, every))
+                fewer += len(T.generators) < len(D)
+        assert fewer > 50
 
 
 class TestDualCone:

@@ -20,8 +20,8 @@ from descent_geom.descent import (
     _bd_tol,
     _ec_tail,
     _family_pass,
+    _intervals,
     _sdc_verdict,
-    _segment_interval,
     align_curve,
     annulus_length_check,
     cantor_disks,
@@ -45,7 +45,7 @@ from descent_geom.descent import (
     stability_check,
 )
 
-from . import oracles
+from . import conftest, oracles
 from .conftest import disk_polygon
 
 
@@ -306,7 +306,7 @@ def _align_reference(curve, K):
     None when the curve misses K."""
     P, cums = curve.points, curve.arclengths()
     for i in reversed(range(len(P) - 1)):
-        iv = _segment_interval(K, P[i], P[i + 1])
+        iv = oracles.segment_interval(K, P[i], P[i + 1])
         if iv is not None:
             return cums[i] + iv[1] * (cums[i + 1] - cums[i]), P[i] + iv[1] * (P[i + 1] - P[i])
     return None
@@ -337,6 +337,52 @@ def _grazing_curves():
     flat = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     flat_curves = [[(0.2, 0.2, -1), (0.2, 0.2, 1)], [(-1, 0.5, 0), (2, 0.5, 0), (2, 2, 2)]]
     return [(sq, sq_curves), (cube, cube_curves), (flat, flat_curves)]
+
+
+def _clip_corpus(rng):
+    """(body, A, B) of segments A[j] -> B[j] to clip: around planar and R^3
+    bodies of 4 to ~400 facets, flat bodies in R^3 to R^5 and bodies 1e7
+    from the origin; parallel to a facet (on its plane, 1e-13 and 1e-11
+    beyond it, inside) and within 1e-14 of parallel; crossing, inside and
+    parallel to Aff(K) for the flat ones; and the _grazing_curves
+    segments."""
+    sphere = rng.standard_normal((200, 3))
+    bodies = [hull([(0, 0), (1, 0), (1, 1), (0, 1)]), hull(rng.standard_normal((30, 2))),
+              disk_polygon(2.0, m=400), hull(rng.standard_normal((40, 3))),
+              hull(sphere / np.linalg.norm(sphere, axis=1)[:, None])]
+    bodies += [conftest.embedded_polytope(rng, n, k, 12) for n, k in ((3, 1), (3, 2), (4, 2),
+                                                                       (4, 3), (5, 3), (5, 4))]
+    bodies += [hull(K.vertices + 1e7) for K in (bodies[1], bodies[3], bodies[6], bodies[7])]
+    cases = []
+    for K in bodies:
+        c, B, eqs, _ = K.facets
+        n, size = K.dim, 1.0 + K.diameter()
+        A = [c + size * rng.standard_normal((40, n))]
+        D = [size * rng.standard_normal((40, n))]
+        for row in eqs[rng.choice(len(eqs), size=min(6, len(eqs)), replace=False)]:
+            e, foot = row[:-1], c - (row[:-1] @ c + row[-1]) * row[:-1]
+            along = rng.standard_normal((8, n)) @ B.T @ B
+            along -= np.outer(along @ e, e)
+            for depth in (0.0, 1e-13 * size, 1e-11 * size, -0.1 * size):
+                A.append(foot + depth * e + 0.3 * along)
+                D.append(along * size)
+                A.append(np.tile(foot + depth * e, (8, 1)))
+                D.append(along * size + 1e-14 * size * np.sign(depth or 1.0) * e)
+        if len(B) < n:
+            perp = rng.standard_normal(n) @ (np.eye(n) - B.T @ B)
+            perp /= np.linalg.norm(perp)
+            inside = c + (rng.standard_normal((8, n)) @ B.T @ B) * 0.1
+            for lift in (0.0, 1e-13 * size, 1e-6):
+                A.append(inside + lift * perp)
+                D.append(rng.standard_normal((8, n)) @ B.T @ B)
+            A.append(inside - perp)
+            D.append(np.tile(2.0 * perp, (8, 1)))
+        A, D = np.vstack(A), np.vstack(D)
+        cases.append((K, A, A + D))
+    for K, curves in _grazing_curves():
+        P = np.vstack([np.asarray(g, dtype=float) for g in curves])
+        cases.append((K, P[:-1], P[1:]))
+    return cases
 
 
 def _worst_iii_reference(P, bodies, tol):
@@ -382,6 +428,30 @@ class TestPrunedEquivalence:
             assert s[0] == ref[0] and np.array_equal(x[0], ref[1])
             met += 1
         assert met > 60
+
+    def test_batched_clip_bit_equal_to_one_segment_clip(self, rng):
+        cases = _clip_corpus(rng)
+        seen = set()
+        for K, A, B in cases:
+            lo, hi, hit = _intervals((K,) * len(A), A, B)
+            for j in range(len(A)):
+                ref = oracles.segment_interval(K, A[j], B[j])
+                assert hit[j] == (ref is not None)
+                if ref is not None:
+                    assert (lo[j], hi[j]) == ref
+                    seen.add("cut" if ref[1] - ref[0] < 1.0 else "whole")
+                else:
+                    seen.add("miss")
+        assert seen == {"cut", "whole", "miss"}
+        # one call over the segments of every body of a dimension, padded to
+        # the largest of their facet counts
+        for n in (2, 3, 4, 5):
+            group = [(K, A, B) for K, A, B in cases if K.dim == n]
+            bodies = [K for K, A, _ in group for _ in A]
+            lo, hi, hit = _intervals(bodies, *(np.vstack(x) for x in list(zip(*group))[1:]))
+            one = [_intervals((K,) * len(A), A, B) for K, A, B in group]
+            for got, want in zip((lo, hi, hit), zip(*one)):
+                assert np.array_equal(got, np.concatenate(want))
 
     def test_condition_iii_witness_matches_per_point_loop(self, tmp_path, capsys):
         couples = [(cantor_graph(6), cantor_family(6))]
@@ -570,19 +640,20 @@ class TestWorkBudget:
 
     def test_viable_sdc_clips_cantor(self, call_counter):
         g, fam = cantor_graph(6), cantor_family(6)
-        calls = call_counter("descent", "_segment_interval")
+        clips = call_counter("descent", "_intervals")
         assert is_viable_sdc(g, fam)["ok"]
-        assert len(calls) <= 2 * len(fam)
+        # segment rows clipped, at most two per member
+        assert sum(len(A) for _, A, _ in clips) <= 2 * len(fam)
 
     def test_viable_sdc_example61_clips_exactly(self, ex61, call_counter):
         # five of the members are flat disks: clipped in Aff(K), never projected
         fam, curve = ex61
         projects = call_counter("geom_core", "_nearest")
-        clips = call_counter("descent", "_segment_interval")
+        clips = call_counter("descent", "_intervals")
         res = is_viable_sdc(curve, fam)
         assert not res["ok"] and res["witness"]["knot"] == 2
         assert len(projects) == 0
-        assert len(clips) <= 2 * len(fam)
+        assert sum(len(A) for _, A, _ in clips) <= 2 * len(fam)
 
 
 class TestFixtures:

@@ -36,7 +36,7 @@ from descent_geom.geom_core import (
 )
 
 from . import oracles
-from .conftest import disk_polygon, embedded_polytope, nested_pair, random_polytope
+from .conftest import disk_polygon, embedded_polytope, joggled_bodies, nested_pair, random_polytope
 from .oracles import (
     dedup_bruteforce,
     extreme_points_bruteforce,
@@ -654,42 +654,6 @@ def _solid_pair_corpus(rng, capsys):
     return pairs
 
 
-def _joggled_bodies(rng, joggled):
-    """A 16-gon prism, a 4x4x4 grid box (its facet triangulation has
-    slivers) and a random body, each built under QJ (joggled)."""
-    ang = 2.0 * np.pi * np.arange(16) / 16
-    ring = np.column_stack([np.cos(ang), np.sin(ang)])
-    g = np.linspace(-1.0, 1.0, 4)
-    return [joggled(np.vstack([np.column_stack([ring, np.zeros(16)]),
-                               np.column_stack([ring, np.ones(16)])])),
-            joggled(np.array(list(itertools.product(g, g, g)))),
-            joggled(rng.standard_normal((25, 3)))]
-
-
-@pytest.fixture
-def joggled(monkeypatch):
-    """Builds bodies as when Qhull refuses the input: every run without
-    options raises QhullError, so geom_core._qhull falls back to QJ."""
-    import scipy.spatial
-
-    real = scipy.spatial.ConvexHull
-
-    class Refusing(real):
-        def __init__(self, points, qhull_options=None, **kwargs):
-            if qhull_options is None:
-                raise scipy.spatial.QhullError("refused")
-            super().__init__(points, qhull_options=qhull_options, **kwargs)
-
-    def build(points):
-        monkeypatch.setattr(scipy.spatial, "ConvexHull", Refusing)
-        K = hull(points)
-        K.facets  # built under the same refusal
-        monkeypatch.setattr(scipy.spatial, "ConvexHull", real)
-        return K
-
-    return build
-
-
 class TestSolidHausdorff:
     """hausdorff with a body of affine dimension 3 on the far side is read
     off its facet triangles in closed form, with no least-distance
@@ -728,7 +692,7 @@ class TestSolidHausdorff:
     def test_joggled_bodies_with_sliver_triangles(self, rng, joggled):
         # QJ's facet equations belong to the joggled points, not to the
         # stored vertices; the reference is face enumeration on the latter.
-        bodies = _joggled_bodies(rng, joggled)
+        bodies = joggled_bodies(rng, joggled)
         T = bodies[1].vertices[bodies[1].facets.simplices]
         E, F = T[:, 1] - T[:, 0], T[:, 2] - T[:, 0]
         gram = (E * E).sum(axis=1) * (F * F).sum(axis=1) - ((E * F).sum(axis=1)) ** 2
@@ -742,13 +706,13 @@ class TestSolidHausdorff:
                 assert abs(hausdorff(S, B) - ref) <= 1e-12 * (1.0 + ref)
                 assert abs(hausdorff(S, B) - hausdorff_per_vertex(S, B)) <= 1e-12 * (1.0 + ref)
 
-    def test_project_on_joggled_bodies(self, rng, joggled):
+    def test_project_onjoggled_bodies(self, rng, joggled):
         """project of the other body's vertices onto a body built under QJ
         is exact on its stored vertices, one vertex at a time (hausdorff is
         checked in the test above): a least-distance program on the joggled
         facet equations was off by up to 4.2e-11 on these bodies."""
         count = 0
-        for S in _joggled_bodies(rng, joggled):
+        for S in joggled_bodies(rng, joggled):
             c = S.centroid()
             for B in (hull(c + 0.7 * (S.vertices - c)), S.translate(0.1 * rng.standard_normal(3)),
                       random_polytope(rng, 3, 12)):

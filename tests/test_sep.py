@@ -20,7 +20,7 @@ from descent_geom.sep import (
 )
 from descent_geom.descent import cantor_graph, log_spiral
 
-from .oracles import sep_bruteforce, sep_segment_loop
+from .oracles import polyline_keep, sep_bruteforce, sep_segment_loop, step_ratios_loop
 
 
 def staircase():
@@ -46,6 +46,20 @@ class TestPolyline:
     def test_consecutive_dedup(self):
         g = Polyline.make([(0, 0), (0, 0), (1, 0), (1, 0), (2, 0)])
         assert g.npoints == 3
+
+    def test_kept_points_match_point_loop(self, rng):
+        tau = geom_core.TAU_PT
+        for _ in range(200):
+            m, n = int(rng.integers(1, 80)), int(rng.integers(2, 5))
+            P = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-2, 4)
+            for i in rng.choice(m, size=m // 2):  # runs of near-duplicates
+                P[i:i + int(rng.integers(1, 6))] = P[i] + rng.uniform(-0.6, 0.6) * tau
+            for i in rng.choice(m, size=m // 8):  # chains of short steps drifting away
+                k = min(m - i, int(rng.integers(2, 12)))
+                u = rng.standard_normal(n)
+                P[i:i + k] = P[i] + np.outer(np.arange(k), 0.4 * tau * u / np.linalg.norm(u))
+            keep = polyline_keep(P, tau)
+            assert np.array_equal(Polyline.make(P).points, P[keep])
 
     def test_length_and_point_at(self):
         g = staircase()
@@ -307,6 +321,18 @@ class TestLipschitzAndLength:
         assert res["max_ratio"] <= math.pi + 1e-2
         # regression: the near-critical spiral runs close to the sharp bound
         assert res["max_ratio"] == pytest.approx(3.1049, abs=2e-3)
+
+    def test_ratios_match_step_loop(self, rng, monkeypatch):
+        curves = [half_circle(), log_spiral(0.3, 2.0, 300), Polyline.make([(0, 0), (1, 0), (2, 0)])]
+        for g in curves:
+            res = lipschitz_ratio(g)
+            assert (res["max_ratio"], res["stalled"]) == step_ratios_loop(g.points, res["widths"])
+        # stalled steps, with widths that repeat
+        g = half_circle(40)
+        ws = np.round(np.cumsum(rng.random(40)), 1).tolist()
+        monkeypatch.setattr(sep, "meanwidth_param", lambda *args: ws)
+        res = lipschitz_ratio(g)
+        assert res["stalled"] and (res["max_ratio"], res["stalled"]) == step_ratios_loop(g.points, ws)
 
     def test_length_bounds(self):
         seg = Polyline.make([(0, 0), (3, 0)])

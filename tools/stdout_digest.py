@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Digest of the CLI's stdout over a fixed, seeded list of commands.
+"""Digest of the CLI's stdout and stderr over a fixed, seeded list of commands.
 
     python3 tools/stdout_digest.py [--src DIR] > digest.txt
 
 Runs every command in this process through `descent_geom.cli.main`, with
 JSON files passed between commands as in a shell pipeline: at seeds 1, 2
-and 3, the `family_validation` store and all of its queries, four cycles
-of `planar_pipeline` jobs (perfbench/workloads.py) and an R^3 pipeline
-(`gen random --n 3 --npoints 16 --levels 4`, `descend` from the top
-member's first vertex with one knot per member, `report`); then the Cantor
-fixtures at levels 2 to 7 and `example61` with their checks and a `descend`
-on its family.  Prints one line per
-command: its index, exit code, the sha256 of its stdout and the command,
-with the working directory written as $WD.  Two source trees (--src, by
-default this one's) agree in stdout and exit codes iff `diff` finds no
+and 3, the `family_validation` store and all of its queries, `report
+cone-limit` at up to CONE_VERTICES vertices of each stored R^3 top body
+(p0 the vertex, u from the body's vertex mean to it), four cycles of
+`planar_pipeline` jobs (perfbench/workloads.py) and an R^3 pipeline (`gen
+random --n 3 --npoints 16 --levels 4`, `descend` from the top member's
+first vertex with one knot per member, `report`); then the Cantor fixtures
+at levels 2 to 7 and `example61` with their checks, a `descend` on its
+family and one `descend` from an interior point of its top member
+(halfway from its vertex mean to its first vertex), which `descend` snaps
+to the boundary by a ray from the centroid.  Prints one line per
+command: its index, exit code, the sha256 of its stdout and of its stderr
+(first 32 hex digits each) and the command, with the working directory
+written as $WD in all three.  Two source trees (--src, by default this
+one's) agree in stdout, stderr and exit codes iff `diff` finds no
 difference between their digests.
 """
 
@@ -26,10 +31,13 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 PLANAR_CYCLES = 4
 CANTOR_LEVELS = range(2, 8)
+CONE_VERTICES = 4
 
 
 def fixture_commands(wd):
@@ -73,8 +81,8 @@ def main(argv=None):
     lines = []
     with tempfile.TemporaryDirectory() as wd:
         def call(argv, out=None):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            buf, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
                 rc = cli.main(argv)
             text = buf.getvalue()
             if out is not None:
@@ -84,17 +92,22 @@ def main(argv=None):
                     for part, value in json.loads(text).items():
                         with open(out[:-len(".json")] + f"_{part}.json", "w") as fh:
                             json.dump(value, fh)
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            lines.append(f"{len(lines):4d} {rc} {digest} {' '.join(argv).replace(wd, '$WD')}")
+            digest, err_digest = (hashlib.sha256(t.replace(wd, "$WD").encode()).hexdigest()[:32]
+                                  for t in (text, err.getvalue()))
+            lines.append(f"{len(lines):4d} {rc} {digest} {err_digest} "
+                         f"{' '.join(argv).replace(wd, '$WD')}")
             return rc, text
 
-        def descend(fam, curve):
+        def descend(fam, curve, inside=False):
             """descend on the family file fam from its top member's first
-            vertex, one knot per member, into the file curve; its exit code."""
+            vertex (inside: halfway to it from the vertex mean, which
+            descend snaps to the boundary), one knot per member, into the file curve; its
+            exit code."""
             with open(fam) as fh:
                 bodies = json.load(fh)["bodies"]
-            return call(["descend", "--family", fam,
-                         f"--endpoint={fmt_point(bodies[-1]['vertices'][0])}",
+            V = np.array(bodies[-1]["vertices"])
+            p = (V[0] + V.mean(axis=0)) / 2.0 if inside else V[0]
+            return call(["descend", "--family", fam, f"--endpoint={fmt_point(p)}",
                          "--knots", str(len(bodies))], curve)[0]
 
         for seed in SEEDS:
@@ -107,6 +120,12 @@ def main(argv=None):
                     if name == "planar_pipeline" else w.cycle()
                 for job in jobs:
                     w.run(job, call)
+                for top in sorted(t for t in os.listdir(sub) if t.endswith("_top.json")):
+                    with open(os.path.join(sub, top)) as fh:
+                        V = np.array(json.load(fh)["vertices"])
+                    for v in V[:CONE_VERTICES] if V.shape[1] == 3 else ():
+                        call(["report", "cone-limit", "--body", os.path.join(sub, top),
+                              f"--p0={fmt_point(v)}", f"--u={fmt_point(v - V.mean(axis=0))}"])
             fam, curve = (os.path.join(wd, f"random3_{seed}{part}.json") for part in ("", "_curve"))
             if call(["gen", "random", "--n", "3", "--npoints", "16", "--levels", "4",
                      "--seed", str(seed)], fam)[0] == 0 and descend(fam, curve) == 0:
@@ -114,6 +133,8 @@ def main(argv=None):
         for argv, out in fixture_commands(wd):
             call(argv, out)
         descend(os.path.join(wd, "example61_family.json"), os.path.join(wd, "example61_descent.json"))
+        descend(os.path.join(wd, "example61_family.json"), os.path.join(wd, "example61_snap.json"),
+                inside=True)
     print("\n".join(lines))
     return 0
 
