@@ -80,9 +80,9 @@ def _intervals(bodies, A, B):
     if not len(A):
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
     E, off = _stack([K.facets.equations for K in bodies])
-    D = B - A
-    f = np.arange(np.diff(off).max(initial=0))
-    valid = f < np.diff(off)[:, None]
+    D, F = B - A, np.diff(off)
+    f = np.arange(F.max(initial=0))
+    valid = f < F[:, None]
     G = E[np.where(valid, off[:-1, None] + f, 0)]
     N = G[:, :, :-1].transpose(0, 2, 1)
     alpha = (A[:, None, :] @ N)[:, 0, :] + G[:, :, -1]
@@ -94,7 +94,7 @@ def _intervals(bodies, A, B):
     lo = np.max(t, axis=1, initial=0.0, where=valid & ~par & (beta < 0))
     hit = ~(valid & par & (alpha > 1e-12 * scale)).any(axis=1) & ~(lo > hi + 1e-12)
     k = np.array([len(K.facets.basis) for K in bodies])
-    for dim in np.unique(k[hit & (k < A.shape[1])]).tolist():
+    for dim in set(k[hit & (k < A.shape[1])].tolist()):
         j = np.flatnonzero(hit & (k == dim))
         Bs = np.array([bodies[i].facets.basis for i in j.tolist()])
         y = A[j] - np.array([bodies[i].facets.center for i in j.tolist()])

@@ -45,8 +45,8 @@ from descent_geom.descent import (
     stability_check,
 )
 
-from . import conftest, oracles
-from .conftest import disk_polygon
+from . import oracles
+from .conftest import disk_polygon, embedded_polytope
 
 
 @pytest.fixture(scope="module")
@@ -350,8 +350,8 @@ def _clip_corpus(rng):
     bodies = [hull([(0, 0), (1, 0), (1, 1), (0, 1)]), hull(rng.standard_normal((30, 2))),
               disk_polygon(2.0, m=400), hull(rng.standard_normal((40, 3))),
               hull(sphere / np.linalg.norm(sphere, axis=1)[:, None])]
-    bodies += [conftest.embedded_polytope(rng, n, k, 12) for n, k in ((3, 1), (3, 2), (4, 2),
-                                                                       (4, 3), (5, 3), (5, 4))]
+    bodies += [embedded_polytope(rng, n, k, 12)
+               for n, k in ((3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4))]
     bodies += [hull(K.vertices + 1e7) for K in (bodies[1], bodies[3], bodies[6], bodies[7])]
     cases = []
     for K in bodies:

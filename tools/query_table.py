@@ -9,13 +9,14 @@ DIR/src, with one BLAS thread).  Each worker builds, per seed, the
 the same recipe for both sides) and the inputs of one `planar_pipeline`
 cycle (`gen random --n 2` -> `descend`).  Then, repetition after
 repetition, the workers take turns, the first side alternating: a worker
-runs every query label of every seed once, and every planar `report` (label
+runs every query label of every seed, and every planar `report` (label
 `report planar <npoints>x<levels>`), each through `descent_geom.cli.main`
-with its output discarded, and reports the wall time of each.  Prints, per
-label, the median ms of each side over all its seeds and repetitions, the
-ratio change / base and how many repetitions the change was faster in (its
-median over the seeds against the base's in the same repetition); --json
-writes the same table and the raw times.
+with its output discarded, BEST_OF times in a row, and reports the least
+wall time of each.  A label's time in one repetition is its mean over the
+seeds.  Prints, per label, the
+median of those over the repetitions on each side, in ms, the ratio change
+/ base and how many repetitions the change was faster in (against the base
+in the same repetition); --json writes the same table and the raw times.
 """
 
 import argparse
@@ -30,11 +31,12 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BEST_OF = 3  # runs of a query in a row; the least time is kept
 
 
 def worker(src, seeds):
     """Build the inputs of every seed, then answer each "run" line on stdin
-    with one JSON line {label: [ms per seed]}."""
+    with one JSON line {label: [least ms per seed]}."""
     sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "perfbench")]
     from descent_geom import cli
     from workloads import Workload, fmt_point
@@ -79,9 +81,12 @@ def worker(src, seeds):
             times = {}
             for label in sorted(queries):
                 for argv in queries[label]:
-                    t0 = time.perf_counter()
-                    call(argv)
-                    times.setdefault(label, []).append(1e3 * (time.perf_counter() - t0))
+                    best = float("inf")
+                    for _ in range(BEST_OF):
+                        t0 = time.perf_counter()
+                        call(argv)
+                        best = min(best, time.perf_counter() - t0)
+                    times.setdefault(label, []).append(1e3 * best)
             out.write(json.dumps(times) + "\n")
             out.flush()
 
@@ -123,9 +128,9 @@ def main(argv=None):
             proc.wait()
     table = {}
     for label in sorted(runs["base"][0]):
-        med = {side: statistics.median(t for run in runs[side] for t in run[label]) for side in sides}
-        faster = sum(statistics.median(c[label]) < statistics.median(b[label])
-                     for b, c in zip(runs["base"], runs["change"]))
+        per_rep = {side: [statistics.fmean(run[label]) for run in runs[side]] for side in sides}
+        med = {side: statistics.median(per_rep[side]) for side in sides}
+        faster = sum(c < b for b, c in zip(per_rep["base"], per_rep["change"]))
         table[label] = {"base_ms": round(med["base"], 3), "change_ms": round(med["change"], 3),
                         "ratio": round(med["change"] / med["base"], 3),
                         "change_faster_in": f"{faster}/{args.reps}"}
