@@ -34,8 +34,6 @@ from .family import (
     validate_stratification,
 )
 from .descent import (
-    _ec_tail,
-    _sdc_verdict,
     annulus_length_check,
     cantor_disks,
     cantor_family,
@@ -309,23 +307,6 @@ def _cmd_descend(args):
     return 0
 
 
-def _table_rows(ec):
-    jp = joint_parametrization(ec)
-    w = list(ec.family.params)
-    s = jp["s_values"]
-    tau = jp["tau_grid"]
-    rows = [("w", "s", "tau", "z_rate")]
-    z = jp["z_points"]
-    for i in range(len(w)):
-        if i == 0:
-            rate = 0.0
-        else:
-            dt = tau[i] - tau[i - 1]
-            rate = 0.0 if dt <= 0 else float(np.linalg.norm(z[i] - z[i - 1]) / dt)
-        rows.append((w[i], s[i], tau[i], rate))
-    return rows, jp
-
-
 def _cmd_bounds(args):
     if args.what == "length":
         curve = _load_curve(args.curve)
@@ -346,12 +327,15 @@ def _cmd_bounds(args):
         _emit(res)
         return 0 if (res["bound_i_ok"] and res["bound_ii_ok"]) else 1
     if args.what == "joint":
-        rows, jp = _table_rows(ec)
-        if args.csv:
+        jp = joint_parametrization(ec)
+        if args.csv:  # per member: w, s, tau and the rate |dz| / dtau from the last member
+            s, tau, z = jp["s_values"], jp["tau_grid"], jp["z_points"]
             with open(args.csv, "w") as f:
-                for r in rows:
-                    f.write(",".join(repr(x) if not isinstance(x, str) else x
-                                     for x in r) + "\n")
+                f.write("w,s,tau,z_rate\n")
+                for i, w in enumerate(fam.params):
+                    dt = tau[i] - tau[i - 1]
+                    rate = 0.0 if i == 0 or dt <= 0 else float(np.linalg.norm(z[i] - z[i - 1]) / dt)
+                    f.write(",".join(map(repr, (w, s[i], tau[i], rate))) + "\n")
         ok = jp["lipschitz_estimate"] <= 1.0 + 1e-9
         _emit({"check": "joint", "ok": ok,
                "lipschitz_estimate": jp["lipschitz_estimate"],
@@ -409,14 +393,13 @@ def _cmd_report(args):
     sep_ok = args.tol >= 1e-7 or is_sep(curve, args.tol)["ok"]
     out = {"config": _config(args), "checks": {
         "sep": sep_ok,
-        "ec": _ec_tail(ec.family_pass, max(args.tol, 1e-7))["ok"],
-        "sdc": _sdc_verdict(ec.family_pass, max(args.tol, 1e-6))["ok"],
+        "ec": ec.ec_conditions(max(args.tol, 1e-7))["ok"],
+        "sdc": ec.sdc_verdict(max(args.tol, 1e-6))["ok"],
     }}
     if sep_ok:
         lb = length_bound_check(curve, grid, args.tol, w_hull=mean_width(hull(curve.points), grid))
         out["checks"]["length_bound"] = lb["bound_ok"]
-        out["length"] = lb["length"]
-        out["w_hull"] = lb["w_hull"]
+        out.update(length=lb["length"], w_hull=lb["w_hull"])
     jp = joint_parametrization(ec)
     out["checks"]["joint_lipschitz"] = jp["lipschitz_estimate"] <= 1.0 + 1e-9
     an = annulus_length_check(ec, 0, grid=grid)

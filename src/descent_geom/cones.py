@@ -30,6 +30,7 @@ from .geom_core import (
     TAU_PT,
     ConvexBody,
     _nnls,
+    _row_norms,
     as_point,
     contains,
     dedup_points,
@@ -422,9 +423,9 @@ def normal_cone_limit_report(
         cap = cap_body(K, pe)
         Ne = normal_cone(cap, pe)
         upper_ok = bool(np.all(Ne.generators @ u >= -1e-9)) if not Ne.is_zero else True
-        lower_ok = limit.is_zero or all(
-            in_normal_cone(cap, pe, g, tol=1e-8) for g in limit.generators
-        )
+        G = limit.generators  # each at in_normal_cone's tolerance 1e-8 * (1 + |g|)
+        lower_ok = limit.is_zero or bool(
+            normal_cone_mask(cap, pe, G, 1e-8 * (1.0 + _row_norms(G))).all())
         metric = sector_angular_hausdorff(Ne, limit, dirs)
         base_angle = (
             0.0

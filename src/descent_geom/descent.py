@@ -9,22 +9,18 @@ Lipschitz certificate, stability and annulus-length bounds, and the
 counterexample fixtures (Cantor graph, revolved-pancake family,
 near-extremal spirals).
 
-The validators read a curve against a whole family in one family pass
-(_family_pass): the facet-by-point residual table of every member at
-once, in blocks of bounded size.  It gives each member's candidate
-segments (_candidates, the one filter of a curve against members, which
-clip_length_outside reads too) and each point's largest residual per
-member, which tells the points inside it.  One batched clip (_intervals)
-turns the last candidates into the alignment (the last curve point inside
-each member), one candidate of every member per round; clip_length_outside
-and segment_inside_interval call it too.  EC conditions (ii)-(iii)
-(_ec_tail) and the SDC knot tests (_sdc_verdict) read the pass, over the
-members' stacked vertices; a couple keeps its pass, so its holder reads
-both verdicts without aligning again.
+A curve is read against a whole family once, as a FamilyPass: the
+point-by-facet residual table of every member at once, in blocks of
+bounded size, gives each member's candidate segments (_candidates, the one
+filter of a curve against members) and each point's largest residual per
+member.  One batched clip (_intervals) turns the last candidates into the
+alignment, the last curve point inside each member.  The pass's verdicts
+(EC conditions (ii)-(iii), the SDC knot tests, the length outside a
+member) read its tables; an ExpandingCouple is a validated pass.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,26 +60,42 @@ def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
 # -- segment / body clipping ---------------------------------------------------
 
 
-def _intervals(bodies, A, B):
+def _off_plane(bodies, k, X):
+    """The parts of the rows X[j] orthogonal to the directions of
+    Aff(bodies[k[j]]): X[j] less its product with that body's basis rows,
+    for every row at once per affine dimension."""
+    dims = np.array([len(K.facets.basis) for K in bodies])
+    out = np.empty_like(X)
+    for dim in set(dims[k].tolist()):
+        own, j = np.flatnonzero(dims == dim), np.flatnonzero(dims[k] == dim)
+        Bs = np.array([bodies[i].facets.basis for i in own.tolist()])[np.searchsorted(own, k[j])]
+        out[j] = X[j] - ((X[j][:, None, :] @ Bs.transpose(0, 2, 1)) @ Bs)[:, 0, :]
+    return out
+
+
+def _intervals(bodies, A, B, rows=None):
     """Inside intervals [lo, hi] of the segments A[j] -> B[j] against
     bodies[j], and hit, False where a segment misses its body: exact
     clipping by the facet rows (Cyrus and Beck 1978), padded to one table.
+    Given rows = (E, offsets, k), the bodies' facet rows stacked (_stack),
+    segment j is clipped against bodies[k[j]] instead.
+
     With alpha = e.a + e0 and beta = e.(b - a), formed by stacked products
     as for one segment alone, each row with |beta| > 1e-14 * (1 + max
     |alpha|) bounds t by -alpha / beta; a parallel one misses when alpha >
     1e-12 * (1 + max |alpha|).  A lower-dimensional body bounds only the
     cylinder over it, so its segments are also cut to within eps = 1e-12 *
-    (1 + max|a - c|) of Aff(K), in closed form per affine dimension: with
-    o0, o1 the parts of a - c and b - a orthogonal to Aff(K), t lies within
+    (1 + max|a - c|) of Aff(K), in closed form: with o0, o1 the parts of a
+    - c and b - a orthogonal to Aff(K) (_off_plane), t lies within
     sqrt(eps^2 - r^2) / |o1| of the t* nearest to Aff(K), r = |o0 + t* o1|.
     """
     if not len(A):
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
-    E, off = _stack([K.facets.equations for K in bodies])
-    D, F = B - A, np.diff(off)
+    E, off, k = rows or (*_stack([K.facets.equations for K in bodies]), np.arange(len(A)))
+    D, F = B - A, np.diff(off)[k]
     f = np.arange(F.max(initial=0))
     valid = f < F[:, None]
-    G = E[np.where(valid, off[:-1, None] + f, 0)]
+    G = E[np.where(valid, off[k, None] + f, 0)]
     N = G[:, :, :-1].transpose(0, 2, 1)
     alpha = (A[:, None, :] @ N)[:, 0, :] + G[:, :, -1]
     beta = (D[:, None, :] @ N)[:, 0, :]
@@ -93,12 +105,10 @@ def _intervals(bodies, A, B):
     hi = np.min(t, axis=1, initial=1.0, where=valid & ~par & (beta > 0))
     lo = np.max(t, axis=1, initial=0.0, where=valid & ~par & (beta < 0))
     hit = ~(valid & par & (alpha > 1e-12 * scale)).any(axis=1) & ~(lo > hi + 1e-12)
-    k = np.array([len(K.facets.basis) for K in bodies])
-    for dim in set(k[hit & (k < A.shape[1])].tolist()):
-        j = np.flatnonzero(hit & (k == dim))
-        Bs = np.array([bodies[i].facets.basis for i in j.tolist()])
-        y = A[j] - np.array([bodies[i].facets.center for i in j.tolist()])
-        o0, o1 = (X - ((X[:, None, :] @ Bs.transpose(0, 2, 1)) @ Bs)[:, 0, :] for X in (y, D[j]))
+    j = np.flatnonzero(hit & (np.array([len(K.facets.basis) for K in bodies])[k] < A.shape[1]))
+    if len(j):
+        y = A[j] - np.array([bodies[i].facets.center for i in k[j].tolist()])
+        o0, o1 = _off_plane(bodies, k[j], y), _off_plane(bodies, k[j], D[j])
         sc = 1.0 + np.abs(y).max(axis=1)
         eps, n1 = 1e-12 * sc, _row_norms(o1)
         flat = n1 <= 1e-14 * sc
@@ -117,15 +127,22 @@ def segment_inside_interval(K: ConvexBody, a, b):
     return (float(lo[0]), float(hi[0])) if hit[0] else None
 
 
-def clip_length_outside(gamma: Polyline, K: ConvexBody) -> float:
-    """Length of the part of the curve outside K, by exact segment
-    clipping (lower-dimensional K within a relative 1e-12 of Aff(K)) of the
-    candidate segments (_candidates with K the one member)."""
-    P, E = gamma.points, K.facets.equations
-    i = np.flatnonzero(_candidates(P, E, np.array([0, len(E)]))[0][0])
-    lo, hi, hit = _intervals((K,) * len(i), P[i], P[i + 1])
+def _length_outside(gamma: Polyline, bodies, E, offsets, k, candidates):
+    """Length of the curve outside bodies[k] (facet rows stacked in E at
+    offsets) by exact clipping of its candidate segments, in one
+    _intervals call."""
+    P, i = gamma.points, np.flatnonzero(candidates)
+    lo, hi, hit = _intervals(bodies, P[i], P[i + 1], rows=(E, offsets, np.full(len(i), k)))
     inside = np.cumsum(np.append(0.0, ((hi - lo) * _row_norms(P[i + 1] - P[i]))[hit]))  # curve order
     return gamma.length() - float(inside[-1])
+
+
+def clip_length_outside(gamma: Polyline, K: ConvexBody) -> float:
+    """Length of the part of the curve outside K, by exact segment
+    clipping (lower-dimensional K within a relative 1e-12 of Aff(K)): the
+    one-member case of FamilyPass.length_outside."""
+    E, offsets = K.facets.equations, np.array([0, len(K.facets.equations)])
+    return _length_outside(gamma, (K,), E, offsets, 0, _candidates(gamma.points, E, offsets)[0][0])
 
 
 # -- the family pass -----------------------------------------------------------
@@ -151,56 +168,6 @@ def _member_max(offsets, step, block, out):
         starts = np.maximum(offsets[k], c0) - c0
         for acc, T in zip(out, block(c0, c1)):
             acc[:, k] = np.maximum(acc[:, k], np.maximum.reduceat(T, starts, axis=1))
-
-
-@dataclass(frozen=True)
-class _FamilyPass:
-    """A curve against every member of a family, read off one residual
-    table.
-
-    align_s and align_x hold each member's last curve point, as
-    align_curve returns them, for the members before missed: the first
-    member that misses the curve, or None.  equations stacks the members'
-    facet rows, member k's at eq_offsets[k]:eq_offsets[k + 1], and
-    max_residual[i, k] is the largest residual of point i at member k's
-    rows; params, when given, name the members in messages.
-    """
-
-    points: np.ndarray
-    cums: np.ndarray
-    bodies: tuple
-    params: tuple
-    equations: np.ndarray
-    eq_offsets: np.ndarray
-    max_residual: np.ndarray
-    align_s: np.ndarray
-    align_x: np.ndarray
-    missed: object
-
-    def alignment(self):
-        """(align_s, align_x); InvalidInput naming the missed member."""
-        k = self.missed
-        if k is not None:
-            param = "" if self.params is None else f" (param {self.params[k]:.6g})"
-            raise InvalidInput(f"alignment failure: member {k} of {len(self.bodies)}{param} "
-                               "misses the curve")
-        return self.align_s, self.align_x
-
-    @cached_property
-    def interior(self):
-        """(curve points x members) table: True where the point lies within
-        _bd_tol(Q) of Aff(Q) and deeper than that inside Q (rel_depth_many)."""
-        bd = np.array([_bd_tol(Q) for Q in self.bodies])
-        inner = (self.max_residual < -bd) & (np.diff(self.eq_offsets) > 0)  # a point: depth 0
-        for k, Q in enumerate(self.bodies):
-            if Q.dim_affine < Q.dim:
-                inner[:, k] &= rel_depth_many(Q, self.points)[1] <= bd[k]
-        return inner
-
-    @cached_property
-    def vertex_rows(self):
-        """The members' vertices stacked, with their offsets (_stack)."""
-        return _stack([Q.vertices for Q in self.bodies])
 
 
 def _candidates(P, E, offsets):
@@ -230,68 +197,217 @@ def _candidates(P, E, offsets):
     return (low <= 1e-9 * np.maximum(scale[:-1], scale[1:])[:, None]).T, top
 
 
-def _family_pass(curve: Polyline, bodies, params=None, tol=0.0) -> _FamilyPass:
-    """The family pass of curve against bodies.
+def _same_dim(curve: Polyline, bodies):
+    other = {K.dim for K in bodies} - {curve.dim}
+    if other:
+        raise DimensionMismatch(f"the curve lives in R^{curve.dim}, a family member in R^{other.pop()}")
 
-    Every member's candidate segments come from one table (_candidates),
-    and the last one that _intervals clips gives the alignment: round r
-    clips, in one call, the r-th last candidate of every member before the
-    first missed one that no earlier round aligned.  A one-point curve
-    meets a member within max(tol, _bd_tol) of it (contains).
+
+@dataclass(frozen=True, eq=False)
+class FamilyPass:
+    """A curve read against every member of a family (a Family or a
+    Stratification, whose params, when not None, name the members in
+    messages) off one residual table, which every verdict on the pair reads.
+
+    equations stacks the members' facet rows, member k's at
+    eq_offsets[k]:eq_offsets[k + 1]; candidates and max_residual are
+    _candidates' tables.  align_s and align_x hold each member's last curve
+    point, as align_curve returns them, for the members before missed: the
+    first member that misses the curve, or None.
     """
-    _same_dim(curve, bodies)
-    bodies = tuple(bodies)
-    P, cums = curve.points, curve.arclengths()
-    m, n = P.shape
-    E, eoff = _stack([Q.facets.equations for Q in bodies])
-    cand, top = _candidates(P, E, eoff)
-    s, x = np.zeros(len(bodies)), np.zeros((len(bodies), n))
-    missed = None
-    if m == 1:
-        x[:] = P[0]
-        missed = next((k for k, Q in enumerate(bodies)
-                       if not contains(Q, P[0], max(tol, _bd_tol(Q)))), None)
-    else:
-        segment, count = np.nonzero(cand)[1], cand.sum(axis=1)  # each member's candidates, rising
-        last = np.cumsum(count) - 1
-        seg, t = np.zeros(len(bodies), dtype=int), np.zeros(len(bodies))
-        todo, r = np.ones(len(bodies), dtype=bool), 0
-        while todo.any():
-            k = np.flatnonzero(todo)
-            if (count[k] <= r).any():  # the first member with no candidate left misses
-                missed = int(k[count[k] <= r][0])
-                todo[missed:] = False
-                k = k[k < missed]
-            i = segment[last[k] - r]
-            _, hi, hit = _intervals([bodies[j] for j in k.tolist()], P[i], P[i + 1])
-            seg[k[hit]], t[k[hit]] = i[hit], hi[hit]
-            todo[k[hit]] = False
-            r += 1
-        s = cums[seg] + t * (cums[seg + 1] - cums[seg])
-        x = P[seg] + t[:, None] * (P[seg + 1] - P[seg])
-    return _FamilyPass(P, cums, bodies, params, E, eoff, top, s, x, missed)
+
+    curve: Polyline
+    family: Stratification
+    equations: np.ndarray
+    eq_offsets: np.ndarray
+    candidates: np.ndarray
+    max_residual: np.ndarray
+    align_s: np.ndarray
+    align_x: np.ndarray
+    missed: object
+
+    @classmethod
+    def read(cls, curve: Polyline, family: Stratification, tol=0.0):
+        """The family pass of curve against the members of family.
+
+        Every member's candidate segments come from one table (_candidates),
+        and the last one that _intervals clips gives the alignment: round r
+        clips, in one call, the r-th last candidate of every member before
+        the first missed one that no earlier round aligned.  A one-point
+        curve meets a member within max(tol, _bd_tol) of it (contains).
+        """
+        bodies = family.bodies
+        _same_dim(curve, bodies)
+        P, cums = curve.points, curve.arclengths
+        m = len(P)
+        E, eoff = _stack([Q.facets.equations for Q in bodies])
+        cand, top = _candidates(P, E, eoff)
+        if m == 1:
+            s, x = np.zeros(len(bodies)), np.repeat(P, len(bodies), axis=0)
+            missed = next((k for k, Q in enumerate(bodies)
+                           if not contains(Q, P[0], max(tol, _bd_tol(Q)))), None)
+        else:
+            missed, segment, count = None, np.nonzero(cand)[1], cand.sum(axis=1)  # rising per member
+            last = np.cumsum(count) - 1
+            seg, t = np.zeros(len(bodies), dtype=int), np.zeros(len(bodies))
+            todo, r = np.ones(len(bodies), dtype=bool), 0
+            while todo.any():
+                k = np.flatnonzero(todo)
+                if (count[k] <= r).any():  # the first member with no candidate left misses
+                    missed = int(k[count[k] <= r][0])
+                    todo[missed:] = False
+                    k = k[k < missed]
+                i = segment[last[k] - r]
+                _, hi, hit = _intervals(bodies, P[i], P[i + 1], rows=(E, eoff, k))
+                seg[k[hit]], t[k[hit]] = i[hit], hi[hit]
+                todo[k[hit]] = False
+                r += 1
+            s = cums[seg] + t * (cums[seg + 1] - cums[seg])
+            x = P[seg] + t[:, None] * (P[seg + 1] - P[seg])
+        return cls(curve, family, E, eoff, cand, top, s, x, missed)
+
+    def alignment(self):
+        """(align_s, align_x); InvalidInput naming the missed member."""
+        k, fam = self.missed, self.family
+        if k is not None:
+            param = "" if fam.params is None else f" (param {fam.params[k]:.6g})"
+            raise InvalidInput(f"alignment failure: member {k} of {len(fam.bodies)}{param} "
+                               "misses the curve")
+        return self.align_s, self.align_x
+
+    def _off_aff(self, k, X):
+        """Distance of each row X[j] to Aff(member k[j]) (_off_plane)."""
+        bodies = self.family.bodies
+        return _row_norms(_off_plane(bodies, k, X - np.array([Q.facets.center for Q in bodies])[k]))
+
+    @cached_property
+    def interior(self):
+        """(curve points x members) table: True where the point lies within
+        _bd_tol(Q) of Aff(Q) and deeper than that inside Q."""
+        bodies, P = self.family.bodies, self.curve.points
+        bd = np.array([_bd_tol(Q) for Q in bodies])
+        inner = (self.max_residual < -bd) & (np.diff(self.eq_offsets) > 0)  # a point: depth 0
+        flat = np.flatnonzero([Q.dim_affine < Q.dim for Q in bodies])
+        off = self._off_aff(np.repeat(flat, len(P)), np.tile(P, (len(flat), 1)))
+        inner[:, flat] &= off.reshape(len(flat), len(P)).T <= bd[flat]
+        return inner
+
+    @cached_property
+    def vertex_rows(self):
+        """The members' vertices stacked, with their offsets (_stack)."""
+        return _stack([Q.vertices for Q in self.family.bodies])
+
+    def length_outside(self, k: int) -> float:
+        """Length of the curve outside member k (clip_length_outside): its
+        row of the candidate table, clipped in one _intervals call."""
+        return _length_outside(self.curve, self.family.bodies, self.equations, self.eq_offsets, k,
+                               self.candidates[k])
+
+    def ec_conditions(self, tol):
+        """Conditions (ii) and (iii) of is_expanding_couple, as its verdict;
+        the caller has proved the SEP property and condition (i).
+
+        (iii) reads every member's gaps D[i, j] - min over l > i of D[l, j],
+        D the distances from the curve points to its vertices, at the points
+        i not in its interior, over blocks of the stacked vertices.  Only the
+        worst member's gaps are formed again, for the witness: the first
+        member with the strictly largest gap, its first row of that gap, and
+        there its first vertex.
+        """
+        P, bodies = self.curve.points, self.family.bodies
+        top = bodies[-1]
+        btol = max(tol, _bd_tol(top))
+        depth, off = rel_depth_many(top, P)
+        if not np.any((off <= btol) & (np.abs(depth) <= btol)):
+            return {"ok": False, "condition": "ii", "witness": None}
+        outside = ~self.interior[:-1]
+        V, voff = self.vertex_rows
+        member = np.repeat(np.arange(len(bodies)), np.diff(voff))
+
+        def gaps(r0, r1):
+            D = distances(P, V[r0:r1])
+            suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
+            return np.max(D[:-1] - suffix[1:], axis=0, initial=-np.inf,
+                          where=outside[:, member[r0:r1]])[None],
+
+        best = np.full((1, len(bodies)), -np.inf)
+        _member_max(voff, _PAIR_BLOCK // len(P), gaps, (best,))
+        qi = int(np.argmax(best))
+        if not best[0, qi] > tol * (1.0 + top.diameter()):
+            return {"ok": True, "condition": None, "witness": None}
+        y_all = bodies[qi].vertices
+        D = distances(P, y_all)
+        suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
+        rows = np.nonzero(outside[:, qi])[0]
+        gap = D[rows] - suffix[rows + 1]
+        r = int(np.argmax(gap.max(axis=1)))
+        i, j = int(rows[r]), int(np.argmax(gap[r]))
+        later = int(i + 1 + np.argmin(D[i + 1:, j]))
+        y = y_all[j]
+        return {"ok": False, "condition": "iii", "witness": {
+            "body_index": qi, "x": P[i].copy(), "y": y.copy(), "x1": P[later].copy(),
+            "dist_x_y": float(np.linalg.norm(P[i] - y)),
+            "dist_x1_y": float(np.linalg.norm(P[later] - y)),
+            "violation": float(gap[r, j]),
+        }}
+
+    def sdc_verdict(self, tol):
+        """is_viable_sdc's verdict; InvalidInput as alignment() raises it.
+
+        Each knot x_k is tested on its own member's rows: on its facet rows
+        for the boundary test (on_rel_boundary), and on its vertex rows for
+        the support gap of each of its one-sided curve directions, at most
+        three (cones.in_normal_cone), all at once.
+        """
+        P, cums, bodies = self.curve.points, self.curve.arclengths, self.family.bodies
+        s, x = self.alignment()
+        E, eoff = self.equations, self.eq_offsets
+        nk, m = len(bodies), len(P)
+        has = np.diff(eoff) > 0
+        depth, off = np.zeros(nk), np.zeros(nk)
+        if has.any():
+            R = np.einsum("ij,ij->i", E[:, :-1], np.repeat(x, np.diff(eoff), axis=0)) + E[:, -1]
+            depth[has] = -np.maximum.reduceat(R, eoff[:-1][has])
+        flat = np.flatnonzero([Q.dim_affine < Q.dim for Q in bodies])
+        off[flat] = self._off_aff(flat, x[flat])
+        bd = np.array([_bd_tol(Q) for Q in bodies])
+        on_bd = (off <= bd) & (np.abs(depth) <= bd)
+        in_cone = np.ones(nk, dtype=bool)  # some direction passes, or there is none
+        if m >= 2:
+            # the segment at s, and the other one where s is a curve vertex
+            stol = 1e-9 * (1.0 + cums[-1])
+            i = np.clip(np.searchsorted(cums, s + stol) - 1, 0, m - 2)
+            segs = np.column_stack([i, np.maximum(i - 1, 0), np.minimum(i + 1, m - 2)])
+            use = np.column_stack([np.ones(nk, dtype=bool), (i > 0) & (np.abs(s - cums[i]) <= stol),
+                                   (np.abs(s - cums[i + 1]) <= stol) & (i + 2 < m)])
+            d = np.diff(P, axis=0)
+            nd = np.linalg.norm(d, axis=1)
+            use &= (nd > TAU_PT)[segs]
+            U = d / np.where(nd > TAU_PT, nd, 1.0)[:, None]
+            thr = tol * (1.0 + np.linalg.norm(U, axis=1))
+            V, voff = self.vertex_rows
+            reps = np.diff(voff)
+            W = V - np.repeat(x, reps, axis=0)
+            diam = 1.0 + np.array([Q.diameter() for Q in bodies])
+            passed = np.column_stack([
+                np.maximum.reduceat(np.einsum("ij,ij->i", W, np.repeat(U[j], reps, axis=0)),
+                                    voff[:-1]) <= thr[j] * diam
+                for j in segs.T])
+            in_cone = ~use.any(axis=1) | (use & passed).any(axis=1)
+        failures = [{"knot": k, "param": self.family.params[k], "x": x[k],
+                     "condition": "ii" if on_bd[k] else "i"} for k in np.flatnonzero(~on_bd | ~in_cone).tolist()]
+        return {"ok": not failures, "witness": failures[0] if failures else None,
+                "failures": failures}
 
 
 # -- expanding couples ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpandingCouple:
-    """A curve, a family, and the joint alignment x(t) = last curve point
-    inside each member (as (arclength, point) rows, one per member), with
-    the family pass it was read from."""
-
-    curve: Polyline
-    family: Family
-    align_s: np.ndarray
-    align_x: np.ndarray
-    family_pass: _FamilyPass = field(default=None, repr=False, compare=False)
-
-
-def _same_dim(curve: Polyline, bodies):
-    other = {K.dim for K in bodies} - {curve.dim}
-    if other:
-        raise DimensionMismatch(f"the curve lives in R^{curve.dim}, a family member in R^{other.pop()}")
+class ExpandingCouple(FamilyPass):
+    """A family pass that make_expanding_couple validated: a SEP curve
+    ending on the boundary of the largest member and met by every member
+    in monotone order, with the joint alignment x(t) = the last curve point
+    inside each member (align_s, align_x)."""
 
 
 def align_curve(curve: Polyline, bodies):
@@ -302,7 +418,7 @@ def align_curve(curve: Polyline, bodies):
     body that contains no point of the curve.  _bd_tol(K) is the
     membership tolerance of a one-point curve.
     """
-    return _family_pass(curve, bodies).alignment()
+    return FamilyPass.read(curve, Stratification(tuple(bodies), None)).alignment()
 
 
 def make_expanding_couple(curve: Polyline, fam: Family, tol=None) -> ExpandingCouple:
@@ -317,11 +433,11 @@ def make_expanding_couple(curve: Polyline, fam: Family, tol=None) -> ExpandingCo
     top = fam.bodies[-1]
     if not on_rel_boundary(top, curve.points[-1], max(tol or 0.0, _bd_tol(top))):
         raise PreconditionViolated("curve must end on the boundary of max(family)")
-    fp = _family_pass(curve, fam.bodies, fam.params)
-    s, x = fp.alignment()
+    ec = ExpandingCouple.read(curve, fam)
+    s, _ = ec.alignment()
     if np.any(np.diff(s) < -1e-9 * (1.0 + s[-1])):
         raise InvalidInput("alignment is not monotone along the curve")
-    return ExpandingCouple(curve, fam, s, x, fp)
+    return ec
 
 
 def construct_descent(fam: Family, endpoint, m: int) -> Polyline:
@@ -365,61 +481,11 @@ def is_expanding_couple(gamma: Polyline, strat: Stratification, tol: float = 1e-
     sep_chk = is_sep(gamma, tol)
     if not sep_chk["ok"]:
         return {"ok": False, "condition": "sep", "witness": sep_chk["witness"]}
-    fp = _family_pass(gamma, strat.bodies, strat.params, tol)
+    fp = FamilyPass.read(gamma, strat, tol)
     if fp.missed is not None:
         return {"ok": False, "condition": "i",
                 "witness": {"body_width": mean_width(strat.bodies[fp.missed], grid)}}
-    return _ec_tail(fp, tol)
-
-
-def _ec_tail(fp: _FamilyPass, tol):
-    """Conditions (ii) and (iii) of is_expanding_couple from the family
-    pass, as its verdict; the caller has proved the SEP property and
-    condition (i).
-
-    (iii) reads every member's gaps D[i, j] - min over l > i of D[l, j],
-    D the distances from the curve points to its vertices, at the points i
-    not in its interior, over blocks of the stacked vertices.  Only the
-    worst member's gaps are formed again, for the witness: the first
-    member with the strictly largest gap, its first row of that gap, and
-    there its first vertex.
-    """
-    P, bodies = fp.points, fp.bodies
-    top = bodies[-1]
-    btol = max(tol, _bd_tol(top))
-    depth, off = rel_depth_many(top, P)
-    if not np.any((off <= btol) & (np.abs(depth) <= btol)):
-        return {"ok": False, "condition": "ii", "witness": None}
-    outside = ~fp.interior[:-1]
-    V, voff = fp.vertex_rows
-    member = np.repeat(np.arange(len(bodies)), np.diff(voff))
-
-    def gaps(r0, r1):
-        D = distances(P, V[r0:r1])
-        suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
-        return np.max(D[:-1] - suffix[1:], axis=0, initial=-np.inf,
-                      where=outside[:, member[r0:r1]])[None],
-
-    best = np.full((1, len(bodies)), -np.inf)
-    _member_max(voff, _PAIR_BLOCK // len(P), gaps, (best,))
-    qi = int(np.argmax(best))
-    if not best[0, qi] > tol * (1.0 + top.diameter()):
-        return {"ok": True, "condition": None, "witness": None}
-    y_all = bodies[qi].vertices
-    D = distances(P, y_all)
-    suffix = np.minimum.accumulate(D[::-1], axis=0)[::-1]
-    rows = np.nonzero(outside[:, qi])[0]
-    gap = D[rows] - suffix[rows + 1]
-    r = int(np.argmax(gap.max(axis=1)))
-    i, j = int(rows[r]), int(np.argmax(gap[r]))
-    later = int(i + 1 + np.argmin(D[i + 1:, j]))
-    y = y_all[j]
-    return {"ok": False, "condition": "iii", "witness": {
-        "body_index": qi, "x": P[i].copy(), "y": y.copy(), "x1": P[later].copy(),
-        "dist_x_y": float(np.linalg.norm(P[i] - y)),
-        "dist_x1_y": float(np.linalg.norm(P[later] - y)),
-        "violation": float(gap[r, j]),
-    }}
+    return fp.ec_conditions(tol)
 
 
 def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6):
@@ -431,59 +497,7 @@ def is_viable_sdc(gamma: Polyline, fam: Family, tol: float = 1e-6):
     witness is the first failing knot.  Raises DimensionMismatch and
     InvalidInput as align_curve does.
     """
-    fp = _family_pass(gamma, fam.bodies, fam.params)
-    fp.alignment()
-    return _sdc_verdict(fp, tol)
-
-
-def _sdc_verdict(fp: _FamilyPass, tol):
-    """is_viable_sdc's verdict from the family pass of an aligned curve.
-
-    Each knot x_k is tested on its own member's rows: on its facet rows for
-    the boundary test (on_rel_boundary), and on its vertex rows for the
-    support gap of each of its one-sided curve directions, at most three
-    (cones.in_normal_cone), all at once.
-    """
-    P, cums, bodies = fp.points, fp.cums, fp.bodies
-    s, x = fp.align_s, fp.align_x
-    E, eoff = fp.equations, fp.eq_offsets
-    nk, m = len(bodies), len(P)
-    has = np.diff(eoff) > 0
-    depth, off = np.zeros(nk), np.zeros(nk)
-    if has.any():
-        R = np.einsum("ij,ij->i", E[:, :-1], np.repeat(x, np.diff(eoff), axis=0)) + E[:, -1]
-        depth[has] = -np.maximum.reduceat(R, eoff[:-1][has])
-    for k, Q in enumerate(bodies):
-        if Q.dim_affine < Q.dim:
-            off[k] = rel_depth_many(Q, x[k])[1][0]
-    bd = np.array([_bd_tol(Q) for Q in bodies])
-    on_bd = (off <= bd) & (np.abs(depth) <= bd)
-    in_cone = np.ones(nk, dtype=bool)  # some direction passes, or there is none
-    if m >= 2:
-        # the segment at s, and the other one where s is a curve vertex
-        stol = 1e-9 * (1.0 + cums[-1])
-        i = np.clip(np.searchsorted(cums, s + stol) - 1, 0, m - 2)
-        segs = np.column_stack([i, np.maximum(i - 1, 0), np.minimum(i + 1, m - 2)])
-        use = np.column_stack([np.ones(nk, dtype=bool), (i > 0) & (np.abs(s - cums[i]) <= stol),
-                               (np.abs(s - cums[i + 1]) <= stol) & (i + 2 < m)])
-        d = np.diff(P, axis=0)
-        nd = np.linalg.norm(d, axis=1)
-        use &= (nd > TAU_PT)[segs]
-        U = d / np.where(nd > TAU_PT, nd, 1.0)[:, None]
-        thr = tol * (1.0 + np.linalg.norm(U, axis=1))
-        V, voff = fp.vertex_rows
-        reps = np.diff(voff)
-        W = V - np.repeat(x, reps, axis=0)
-        diam = 1.0 + np.array([Q.diameter() for Q in bodies])
-        passed = np.column_stack([
-            np.maximum.reduceat(np.einsum("ij,ij->i", W, np.repeat(U[j], reps, axis=0)),
-                                voff[:-1]) <= thr[j] * diam
-            for j in segs.T])
-        in_cone = ~use.any(axis=1) | (use & passed).any(axis=1)
-    failures = [{"knot": k, "param": fp.params[k], "x": x[k], "condition": "ii" if on_bd[k] else "i"}
-                for k in np.flatnonzero(~on_bd | ~in_cone).tolist()]
-    return {"ok": not failures, "witness": failures[0] if failures else None,
-            "failures": failures}
+    return FamilyPass.read(gamma, fam).sdc_verdict(tol)
 
 
 def joint_parametrization(ec: ExpandingCouple):
@@ -535,11 +549,9 @@ def annulus_length_check(ec: ExpandingCouple, K1_index: int, grid: SphereGrid = 
     counts from the end when negative, as in a sequence."""
     if not -len(ec.family) <= K1_index < len(ec.family):
         raise InvalidInput(f"K1 index {K1_index} is out of range for {len(ec.family)} members")
-    K1 = ec.family.bodies[K1_index]
-    K2 = ec.family.bodies[-1]
-    n = K1.dim
-    c1 = lipschitz_constant(n)
-    len_outside = clip_length_outside(ec.curve, K1)
+    K1, K2 = ec.family.bodies[K1_index], ec.family.bodies[-1]
+    n, c1 = K1.dim, lipschitz_constant(K1.dim)
+    len_outside = ec.length_outside(K1_index % len(ec.family))
     dist12 = hausdorff(K1, K2)
     delta_w = mean_width(K2, grid) - mean_width(K1, grid)
     bound_i = 2.0 * c1 * dist12

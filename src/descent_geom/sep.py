@@ -12,6 +12,7 @@ previous counterclockwise ring, and hull() runs only where that is not clear.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,15 +61,17 @@ class Polyline:
             return 0.0
         return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
 
+    @cached_property
     def arclengths(self):
-        if self.npoints < 2:
-            return np.zeros(1)
+        """Arc length at each point, kept read-only after first use."""
         steps = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        return np.concatenate([[0.0], np.cumsum(steps)])
+        cums = np.concatenate([[0.0], np.cumsum(steps)])
+        cums.flags.writeable = False
+        return cums
 
     def point_at(self, s: float):
         """Point at arc length s (clamped to the curve)."""
-        cums = self.arclengths()
+        cums = self.arclengths
         s = min(max(s, 0.0), cums[-1])
         i = int(np.searchsorted(cums, s, side="right")) - 1
         i = min(i, self.npoints - 2) if self.npoints > 1 else 0

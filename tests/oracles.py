@@ -439,7 +439,7 @@ def align_per_member(curve, bodies, tol=0.0):
     from descent_geom.descent import _bd_tol
     from descent_geom.geom_core import contains
 
-    P, cums = curve.points, curve.arclengths()
+    P, cums = curve.points, curve.arclengths
     out = []
     for K in bodies:
         found = None
@@ -520,7 +520,7 @@ def sdc_per_knot(gamma, fam, s, x, tol):
     from descent_geom.descent import _bd_tol, on_rel_boundary
     from descent_geom.geom_core import TAU_PT
 
-    P, cums = gamma.points, gamma.arclengths()
+    P, cums = gamma.points, gamma.arclengths
     failures = []
     for k, (K, sk, xk) in enumerate(zip(fam.bodies, s, x)):
         if not on_rel_boundary(K, xk, _bd_tol(K)):
@@ -548,3 +548,25 @@ def sdc_per_knot(gamma, fam, s, x, tol):
     return {"ok": not failures, "witness": failures[0] if failures else None,
             "failures": failures}
 
+
+
+def point_at(curve, s):
+    """Point at arc length s of the curve (clamped), its arc lengths formed
+    afresh at every call."""
+    P = curve.points
+    if len(P) == 1:
+        return P[0].copy()
+    cums = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(P, axis=0), axis=1))])
+    s = min(max(s, 0.0), cums[-1])
+    i = min(int(np.searchsorted(cums, s, side="right")) - 1, len(P) - 2)
+    seg = cums[i + 1] - cums[i]
+    t = 0.0 if seg <= 0 else (s - cums[i]) / seg
+    return (1 - t) * P[i] + t * P[i + 1]
+
+
+def curve_uniform_distance(c1, c2):
+    """descent.curve_uniform_distance one point at a time (point_at)."""
+    t = np.linspace(0.0, 1.0, 200)
+    p1 = np.array([point_at(c1, ti * c1.length()) for ti in t])
+    p2 = np.array([point_at(c2, ti * c2.length()) for ti in t])
+    return float(np.linalg.norm(p1 - p2, axis=1).max())

@@ -754,7 +754,7 @@ class TestReportCouple:
         cpath = tmp_path / "curve.json"
         cpath.write_text(run_cli(["descend", "--family", str(fpath), f"--endpoint={v}"],
                                  capsys=capsys)[1])
-        passes = call_counter("descent", "_family_pass")
+        passes = call_counter("descent", "_candidates")
         seps = call_counter("sep", "is_sep")
         code, out, err = run_cli(["report", "--curve", str(cpath), "--family", str(fpath)],
                                  capsys=capsys)
@@ -767,6 +767,29 @@ class TestReportCouple:
                                   "--tol", "1e-3"], capsys=capsys)
         assert code == 0 and json.loads(out)["checks"]["sep"], err
         assert len(seps) == 1
+
+    def test_one_candidate_table_per_couple(self, tmp_path, capsys, call_counter):
+        fpath = tmp_path / "fam.json"
+        fpath.write_text(run_cli(["gen", "random", "--npoints", "13", "--levels", "4",
+                                  "--seed", "5"], capsys=capsys)[1])
+        fam = family_from_dict(json.loads(fpath.read_text()))
+        v = ",".join(map(repr, fam.bodies[-1].vertices[0].tolist()))
+        cpath = tmp_path / "curve.json"
+        cpath.write_text(run_cli(["descend", "--family", str(fpath), f"--endpoint={v}",
+                                  "--knots", str(len(fam))], capsys=capsys)[1])
+        tables = call_counter("descent", "_candidates")
+        stacks = call_counter("descent", "_stack")
+        pair = ["--curve", str(cpath), "--family", str(fpath)]
+        for argv in (["report"] + pair, *(["bounds", "annulus", "--k1-index", str(k)] + pair
+                                          for k in (0, len(fam) // 2, -2))):
+            tables.clear()
+            stacks.clear()
+            code, out, err = run_cli(argv, capsys=capsys)
+            assert code == 0, (argv, err)
+            # the annulus clip reads K1's row of the couple's table, and the
+            # alignment reads the couple's stacked facet rows by member
+            assert len(tables) == 1, argv
+            assert len(stacks) == (2 if argv[0] == "report" else 1), argv
 
     def test_missed_member_is_named(self, tmp_path, capsys):
         code, out, _ = run_cli(["fixtures", "cantor-disks", "--level", "3"], capsys=capsys)

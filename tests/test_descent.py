@@ -17,11 +17,9 @@ from descent_geom.family import Family, complete, family_from_dict, is_connected
 from descent_geom.sep import Polyline, is_sep, length_bound_check
 from descent_geom.cli import main as cli_main
 from descent_geom.descent import (
+    FamilyPass,
     _bd_tol,
-    _ec_tail,
-    _family_pass,
     _intervals,
-    _sdc_verdict,
     align_curve,
     annulus_length_check,
     cantor_disks,
@@ -96,6 +94,16 @@ class TestConstruct:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(d, d[1:]))
         assert d[-1] < 0.05
+
+    def test_uniform_distance_bit_equal_to_per_point_loop(self, squares_family):
+        ep = squares_family.bodies[-1].vertices[0]
+        curves = [construct_descent(squares_family, ep, m) for m in (4, 9, 16)]
+        curves += [cantor_graph(5), cantor_graph(6), log_spiral(m=300), Polyline.make([(0.2, 0.1)])]
+        for c1, c2 in itertools.combinations(curves, 2):
+            assert curve_uniform_distance(c1, c2) == oracles.curve_uniform_distance(c1, c2)
+        # the curve keeps its arc lengths, read-only
+        assert curves[0].arclengths is curves[0].arclengths
+        assert not curves[0].arclengths.flags.writeable
 
     def test_example61_shape(self, ex61):
         fam, _ = ex61
@@ -240,6 +248,16 @@ class TestStability:
         res = stability_check(ec1, ec2)
         assert float(res["distances"].max()) < 1e-9
 
+    def test_families_loaded_apart_are_one_family(self, disks):
+        doc = json.loads(json.dumps(disks.to_dict()))
+        fam1, fam2 = family_from_dict(doc), family_from_dict(doc)
+        assert fam1 is not fam2
+        top = fam1.bodies[-1]
+        ec1 = make_expanding_couple(construct_descent(fam1, top.vertices[0], 10), fam1)
+        ec2 = make_expanding_couple(construct_descent(fam2, top.vertices[7], 10), fam2)
+        res = stability_check(ec1, ec2, 1e-7)
+        assert res["ok"] and res["monotone"]
+
     def test_family_mismatch(self, disks, squares_family):
         c1 = construct_descent(disks, disks.bodies[-1].vertices[0], 6)
         c2 = construct_descent(squares_family, squares_family.bodies[-1].vertices[0], 6)
@@ -266,6 +284,25 @@ class TestAnnulus:
         for k in (0, len(squares_family) // 2):
             res = annulus_length_check(ec, k)
             assert res["bound_i_ok"] and res["bound_ii_ok"]
+
+    def test_couple_row_clip_bit_equal_to_one_member_clip(self, oracle_corpus):
+        # the pass's candidates are a superset of one member's own filter,
+        # and _intervals rejects the extra ones
+        pairs = 0
+        for name, curve, fam in oracle_corpus:
+            fp = FamilyPass.read(curve, fam)
+            for k, K in enumerate(fam.bodies):
+                assert fp.length_outside(k) == clip_length_outside(curve, K), (name, k)
+                pairs += 1
+            try:
+                ec = make_expanding_couple(curve, fam)
+            except (InvalidInput, PreconditionViolated):
+                continue
+            for k in (-2, -1):
+                res = annulus_length_check(ec, k)
+                assert res["len_outside"] == clip_length_outside(curve, fam.bodies[k]), name
+                assert res == annulus_length_check(ec, k + len(fam)), name
+        assert pairs > 500
 
     def test_counterexample_growth(self):
         # no diameter-free constant: dist / delta_w grows ~ pi nu^2 / 2
@@ -304,7 +341,7 @@ class TestQhullBudget:
 def _align_reference(curve, K):
     """Last curve point inside K by clipping every segment from the end;
     None when the curve misses K."""
-    P, cums = curve.points, curve.arclengths()
+    P, cums = curve.points, curve.arclengths
     for i in reversed(range(len(P) - 1)):
         iv = oracles.segment_interval(K, P[i], P[i + 1])
         if iv is not None:
@@ -594,7 +631,7 @@ class TestFamilyPassAgainstPerMemberLoops:
                 for Q in fam.bodies:
                     depth, off = rel_depth_many(Q, curve.points)
                     inner.append((off <= _bd_tol(Q)) & (depth > _bd_tol(Q)))
-                assert np.array_equal(_family_pass(curve, fam.bodies).interior,
+                assert np.array_equal(FamilyPass.read(curve, fam).interior,
                                       np.column_stack(inner)), name
                 s, x = align_curve(curve, fam.bodies)
                 assert np.array_equal(s, [r[0] for r in ref]), name
@@ -611,9 +648,9 @@ class TestFamilyPassAgainstPerMemberLoops:
             except (InvalidInput, PreconditionViolated):
                 continue
             seen.add("couple")
-            assert _same(_ec_tail(ec.family_pass, 1e-7),
+            assert _same(ec.ec_conditions(1e-7),
                          oracles.ec_tail_per_member(curve.points, fam.bodies, 1e-7)), name
-            assert _same(_sdc_verdict(ec.family_pass, 1e-6),
+            assert _same(ec.sdc_verdict(1e-6),
                          oracles.sdc_per_knot(curve, fam, ec.align_s, ec.align_x, 1e-6)), name
         assert {"miss", "sdc", "i", "ii", "couple", ("ec", None), ("ec", "i"), ("ec", "ii"),
                 ("ec", "iii")} <= seen

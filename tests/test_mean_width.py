@@ -200,6 +200,13 @@ class TestMeanWidthRatio:
     def test_plane_value(self):
         assert mean_width_ratio(2, 1) == pytest.approx(math.pi / 2)
 
+    def test_point_and_full_dimensional_bodies(self, rng):
+        assert mean_width_intrinsic(hull([(0.3, -0.2, 1.0)])) == 0.0
+        for n in (2, 3):
+            K = random_polytope(rng, n, 10)
+            assert K.dim_affine == n
+            assert mean_width_intrinsic(K) == mean_width(K)
+
     def test_segment_in_plane(self):
         L = 1.7
         seg = hull([(0, 0), (L, 0)])
@@ -278,6 +285,32 @@ class TestFirstVariation:
 
 
 class TestSectorIntegral:
+    # Worst relative error of the vertex values below over seeds 0-3 of the
+    # default 20 000-node grid: 6.3e-4 (1.1e-3 over seeds 0-7).
+    CUBE_RTOL = 2e-3
+
+    def test_unit_cube_closed_forms(self):
+        # At a vertex the normal cone is an octant: its vector integral is
+        # (pi/4)(1, 1, 1), and its flux through u = (1, 1, 1)/sqrt(3), which
+        # cuts none of it, sqrt(3) pi/4.  The cones at an edge midpoint and
+        # at a facet point have no area, so both vanish there.
+        K = hull(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
+        u = np.ones(3) / math.sqrt(3.0)
+        for seed in range(4):
+            grid = default_grid(3, seed=seed)
+            v = normal_sector_vector_flux(K, (1, 1, 1), grid)
+            assert np.allclose(v, math.pi / 4.0, rtol=self.CUBE_RTOL, atol=0.0)
+            flux = normal_sector_flux(K, (1, 1, 1), u, grid)
+            assert flux == pytest.approx(math.sqrt(3.0) * math.pi / 4.0, rel=self.CUBE_RTOL)
+            for q in ((1, 1, 0.5), (1, 0.5, 0.5)):
+                assert not normal_sector_vector_flux(K, q, grid).any()
+                assert normal_sector_flux(K, q, u, grid) == 0.0
+            # just beyond the vertex the cap body's cone is that octant
+            g = cap_gradient(K, np.ones(3) + 1e-6 * u, grid)
+            assert np.array_equal(g, 2.0 / (4.0 * math.pi) * v)
+            fv = first_variation(K, (1, 1, 1), u, 1e-3, grid)
+            assert 0.0 <= fv["remainder"] <= 1e-3 ** 2  # of second order in eps
+
     def test_planar_against_quadrature(self, rng):
         P = random_polytope(rng, 2, 12)
         V = P.vertices  # a counterclockwise ring

@@ -10,14 +10,19 @@ cone-limit` at up to CONE_VERTICES vertices of each stored R^3 top body
 (p0 the vertex, u from the body's vertex mean to it), four cycles of
 `planar_pipeline` jobs (perfbench/workloads.py) and an R^3 pipeline (`gen
 random --n 3 --npoints 16 --levels 4`, `descend` from the top member's
-first vertex with one knot per member, `report`); then the Cantor fixtures
-at levels 2 to 7 and `example61` with their checks, a `descend` on its
+first vertex with one knot per member, `report`), and on each stored chain
+`bounds joint --csv` and `bounds annulus` at the middle member and at
+`--k1-index -2`; then the Cantor fixtures at levels 2 to 7 (on the
+Cantor disks also `bounds joint --csv` and `bounds annulus` at those two
+members) and `example61` with their checks, a `descend` on its
 family and one `descend` from an interior point of its top member
 (halfway from its vertex mean to its first vertex), which `descend` snaps
 to the boundary by a ray from the centroid.  Prints one line per
 command: its index, exit code, the sha256 of its stdout and of its stderr
 (first 32 hex digits each) and the command, with the working directory
-written as $WD in all three.  Two source trees (--src, by default this
+written as $WD in all three; a command that writes a CSV file (`--csv`)
+ends its line with csv= and the sha256 of that file's text, or csv=none
+when it wrote none.  Two source trees (--src, by default this
 one's) agree in stdout, stderr and exit codes iff `diff` finds no
 difference between their digests.
 """
@@ -38,6 +43,15 @@ SEEDS = (1, 2, 3)
 PLANAR_CYCLES = 4
 CANTOR_LEVELS = range(2, 8)
 CONE_VERTICES = 4
+
+
+def couple_queries(curve, fam, n_members, csv):
+    """argv of the couple readers not in the stored catalog: `bounds joint`
+    writing its table to csv, and `bounds annulus` at the middle member and
+    at the second-to-last one."""
+    cd = ["--curve", curve, "--family", fam]
+    return [["bounds", "joint"] + cd + ["--csv", csv]] + [
+        ["bounds", "annulus"] + cd + ["--k1-index", str(k)] for k in (n_members // 2, -2)]
 
 
 def fixture_commands(wd):
@@ -62,6 +76,9 @@ def fixture_commands(wd):
         cd = ["--curve", f(f"cantor_disks{L}_curve"), "--family", f(f"cantor_disks{L}_family")]
         cmds += [(["check", "sdc"] + cd, None), (["check", "ec"] + cd, None),
                  (["report"] + cd, None), (["bounds", "annulus"] + cd, None)]
+        # a level-L Cantor family has 2^(L+1) - 1 members
+        cmds += [(argv, None) for argv in couple_queries(
+            cd[1], cd[3], 2 ** (level + 1) - 1, os.path.join(wd, f"cantor_disks{L}.csv"))]
     cmds.append((["fixtures", "example61"], f("example61")))
     ex = ["--curve", f("example61_curve"), "--family", f("example61_family")]
     cmds += [(["check", "sdc"] + ex, None), (["check", "ec"] + ex, None), (["report"] + ex, None),
@@ -81,6 +98,9 @@ def main(argv=None):
     lines = []
     with tempfile.TemporaryDirectory() as wd:
         def call(argv, out=None):
+            csv = argv[argv.index("--csv") + 1] if "--csv" in argv else None
+            if csv is not None and os.path.exists(csv):
+                os.remove(csv)
             buf, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
                 rc = cli.main(argv)
@@ -94,8 +114,14 @@ def main(argv=None):
                             json.dump(value, fh)
             digest, err_digest = (hashlib.sha256(t.replace(wd, "$WD").encode()).hexdigest()[:32]
                                   for t in (text, err.getvalue()))
-            lines.append(f"{len(lines):4d} {rc} {digest} {err_digest} "
-                         f"{' '.join(argv).replace(wd, '$WD')}")
+            line = f"{len(lines):4d} {rc} {digest} {err_digest} {' '.join(argv).replace(wd, '$WD')}"
+            if csv is not None:
+                if os.path.exists(csv):
+                    with open(csv) as fh:
+                        line += f" csv={hashlib.sha256(fh.read().encode()).hexdigest()[:32]}"
+                else:
+                    line += " csv=none"
+            lines.append(line)
             return rc, text
 
         def descend(fam, curve, inside=False):
@@ -120,6 +146,15 @@ def main(argv=None):
                     if name == "planar_pipeline" else w.cycle()
                 for job in jobs:
                     w.run(job, call)
+                chains = {label.split()[-1] for label in w.catalog or ()
+                          if label.startswith("bounds annulus")}
+                for chain in sorted(chains):
+                    fam = os.path.join(sub, chain + ".json")
+                    with open(fam) as fh:
+                        n_members = len(json.load(fh)["bodies"])
+                    for argv in couple_queries(os.path.join(sub, chain + "_a.json"), fam,
+                                               n_members, os.path.join(sub, chain + ".csv")):
+                        call(argv)
                 for top in sorted(t for t in os.listdir(sub) if t.endswith("_top.json")):
                     with open(os.path.join(sub, top)) as fh:
                         V = np.array(json.load(fh)["vertices"])
