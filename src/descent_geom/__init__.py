@@ -74,6 +74,7 @@ from .family import (
 )
 from .descent import (
     ExpandingCouple,
+    FamilyPass,
     annulus_length_check,
     construct_descent,
     curve_uniform_distance,

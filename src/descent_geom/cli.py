@@ -328,7 +328,7 @@ def _cmd_bounds(args):
         return 0 if (res["bound_i_ok"] and res["bound_ii_ok"]) else 1
     if args.what == "joint":
         jp = joint_parametrization(ec)
-        if args.csv:  # per member: w, s, tau and the rate |dz| / dtau from the last member
+        if args.csv:  # per member: w, s, tau and the rate |dz| / dtau since the previous one
             s, tau, z = jp["s_values"], jp["tau_grid"], jp["z_points"]
             with open(args.csv, "w") as f:
                 f.write("w,s,tau,z_rate\n")

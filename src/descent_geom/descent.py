@@ -62,8 +62,8 @@ def on_rel_boundary(K: ConvexBody, x, tol=None) -> bool:
 
 def _off_plane(bodies, k, X):
     """The parts of the rows X[j] orthogonal to the directions of
-    Aff(bodies[k[j]]): X[j] less its product with that body's basis rows,
-    for every row at once per affine dimension."""
+    Aff(bodies[k[j]]): X[j] less its projection onto the span of that
+    body's basis rows, for every row at once per affine dimension."""
     dims = np.array([len(K.facets.basis) for K in bodies])
     out = np.empty_like(X)
     for dim in set(dims[k].tolist()):
@@ -128,9 +128,8 @@ def segment_inside_interval(K: ConvexBody, a, b):
 
 
 def _length_outside(gamma: Polyline, bodies, E, offsets, k, candidates):
-    """Length of the curve outside bodies[k] (facet rows stacked in E at
-    offsets) by exact clipping of its candidate segments, in one
-    _intervals call."""
+    """Length of the curve outside bodies[k], facet rows stacked in E at
+    offsets, by clipping its candidate segments in one _intervals call."""
     P, i = gamma.points, np.flatnonzero(candidates)
     lo, hi, hit = _intervals(bodies, P[i], P[i + 1], rows=(E, offsets, np.full(len(i), k)))
     inside = np.cumsum(np.append(0.0, ((hi - lo) * _row_norms(P[i + 1] - P[i]))[hit]))  # curve order

@@ -6,7 +6,8 @@
 Starts one worker process per source tree (each imports descent_geom from
 DIR/src, with one BLAS thread).  Each worker builds, per seed, the
 `family_validation` store through perfbench/workloads.py (this tree's copy,
-the same recipe for both sides) and the inputs of one `planar_pipeline`
+the same recipe for both sides), with `bounds joint` on each pair that the
+store queries by `bounds annulus`, and the inputs of one `planar_pipeline`
 cycle (`gen random --n 2` -> `descend`).  Then, repetition after
 repetition, the workers take turns, the first side alternating: a worker
 runs every query label of every seed, and every planar `report` (label
@@ -61,6 +62,9 @@ def worker(src, seeds):
             w.setup(call)
             for label, (argv, _) in w.catalog.items():
                 queries.setdefault(label, []).append(argv)
+                if label.startswith("bounds annulus"):
+                    queries.setdefault(label.replace("annulus", "joint"), []).append(
+                        ["bounds", "joint"] + argv[2:])
             for job in Workload("planar_pipeline", seed, sub).cycle():
                 fam, curve = (os.path.join(sub, f"planar{job['npoints']}{part}.json")
                               for part in ("", "_curve"))
