@@ -130,7 +130,7 @@ def segment_inside_interval(K: ConvexBody, a, b):
 def _length_outside(gamma: Polyline, bodies, E, offsets, k, candidates):
     """Length of the curve outside bodies[k], facet rows stacked in E at
     offsets, by clipping its candidate segments in one _intervals call."""
-    P, i = gamma.points, np.flatnonzero(candidates)
+    P, i, k = gamma.points, np.flatnonzero(candidates), k % len(bodies)  # k < 0 counts from the end
     lo, hi, hit = _intervals(bodies, P[i], P[i + 1], rows=(E, offsets, np.full(len(i), k)))
     inside = np.cumsum(np.append(0.0, ((hi - lo) * _row_norms(P[i + 1] - P[i]))[hit]))  # curve order
     return gamma.length() - float(inside[-1])
@@ -238,10 +238,9 @@ class FamilyPass:
         bodies = family.bodies
         _same_dim(curve, bodies)
         P, cums = curve.points, curve.arclengths
-        m = len(P)
         E, eoff = _stack([Q.facets.equations for Q in bodies])
         cand, top = _candidates(P, E, eoff)
-        if m == 1:
+        if len(P) == 1:
             s, x = np.zeros(len(bodies)), np.repeat(P, len(bodies), axis=0)
             missed = next((k for k, Q in enumerate(bodies)
                            if not contains(Q, P[0], max(tol, _bd_tol(Q)))), None)
@@ -287,8 +286,9 @@ class FamilyPass:
         bd = np.array([_bd_tol(Q) for Q in bodies])
         inner = (self.max_residual < -bd) & (np.diff(self.eq_offsets) > 0)  # a point: depth 0
         flat = np.flatnonzero([Q.dim_affine < Q.dim for Q in bodies])
-        off = self._off_aff(np.repeat(flat, len(P)), np.tile(P, (len(flat), 1)))
-        inner[:, flat] &= off.reshape(len(flat), len(P)).T <= bd[flat]
+        if len(flat):
+            off = self._off_aff(np.repeat(flat, len(P)), np.tile(P, (len(flat), 1)))
+            inner[:, flat] &= off.reshape(len(flat), len(P)).T <= bd[flat]
         return inner
 
     @cached_property
@@ -297,8 +297,8 @@ class FamilyPass:
         return _stack([Q.vertices for Q in self.family.bodies])
 
     def length_outside(self, k: int) -> float:
-        """Length of the curve outside member k (clip_length_outside): its
-        row of the candidate table, clipped in one _intervals call."""
+        """Length of the curve outside member k (clip_length_outside; k < 0
+        counts from the end): its candidate row, clipped in one call."""
         return _length_outside(self.curve, self.family.bodies, self.equations, self.eq_offsets, k,
                                self.candidates[k])
 
@@ -368,7 +368,8 @@ class FamilyPass:
             R = np.einsum("ij,ij->i", E[:, :-1], np.repeat(x, np.diff(eoff), axis=0)) + E[:, -1]
             depth[has] = -np.maximum.reduceat(R, eoff[:-1][has])
         flat = np.flatnonzero([Q.dim_affine < Q.dim for Q in bodies])
-        off[flat] = self._off_aff(flat, x[flat])
+        if len(flat):
+            off[flat] = self._off_aff(flat, x[flat])
         bd = np.array([_bd_tol(Q) for Q in bodies])
         on_bd = (off <= bd) & (np.abs(depth) <= bd)
         in_cone = np.ones(nk, dtype=bool)  # some direction passes, or there is none
@@ -403,10 +404,9 @@ class FamilyPass:
 
 
 class ExpandingCouple(FamilyPass):
-    """A family pass that make_expanding_couple validated: a SEP curve
-    ending on the boundary of the largest member and met by every member
-    in monotone order, with the joint alignment x(t) = the last curve point
-    inside each member (align_s, align_x)."""
+    """A family pass that make_expanding_couple validated: a SEP curve ending
+    on the boundary of the largest member, met by every member in monotone
+    order, so that align_x is the joint alignment x(t)."""
 
 
 def align_curve(curve: Polyline, bodies):
@@ -550,7 +550,7 @@ def annulus_length_check(ec: ExpandingCouple, K1_index: int, grid: SphereGrid = 
         raise InvalidInput(f"K1 index {K1_index} is out of range for {len(ec.family)} members")
     K1, K2 = ec.family.bodies[K1_index], ec.family.bodies[-1]
     n, c1 = K1.dim, lipschitz_constant(K1.dim)
-    len_outside = ec.length_outside(K1_index % len(ec.family))
+    len_outside = ec.length_outside(K1_index)
     dist12 = hausdorff(K1, K2)
     delta_w = mean_width(K2, grid) - mean_width(K1, grid)
     bound_i = 2.0 * c1 * dist12
