@@ -575,10 +575,20 @@ def curve_uniform_distance(c1: Polyline, c2: Polyline) -> float:
     """Uniform distance between two curves at 200 common normalized arc
     lengths."""
     t = np.linspace(0.0, 1.0, 200)
-    l1, l2 = c1.length(), c2.length()
-    p1 = np.array([c1.point_at(ti * l1) for ti in t])
-    p2 = np.array([c2.point_at(ti * l2) for ti in t])
+    p1, p2 = (_points_at(c, t * c.length()) for c in (c1, c2))
     return float(np.linalg.norm(p1 - p2, axis=1).max())
+
+
+def _points_at(curve: Polyline, s):
+    """curve.point_at at each arc length of s, in one searchsorted."""
+    P, cums = curve.points, curve.arclengths
+    if len(P) == 1:
+        return np.repeat(P, len(s), axis=0)
+    s = np.minimum(np.maximum(s, 0.0), cums[-1])
+    i = np.minimum(np.searchsorted(cums, s, side="right") - 1, len(P) - 2)
+    seg = cums[i + 1] - cums[i]
+    t = np.divide(s - cums[i], seg, out=np.zeros(len(s)), where=seg > 0)[:, None]
+    return (1 - t) * P[i] + t * P[i + 1]
 
 
 # -- fixtures ------------------------------------------------------------------

@@ -30,7 +30,8 @@ from .errors import (
 from .geom_core import (
     TAU_PT,
     ConvexBody,
-    body_from_dict,
+    _hausdorff_upper,
+    bodies_from_dicts,
     hausdorff,
     hull,
     includes,
@@ -89,7 +90,7 @@ def _bodies_from_dict(d):
     bodies = d.get("bodies") if isinstance(d, dict) else None
     if not isinstance(bodies, list) or not bodies:
         raise InvalidInput("family JSON must be an object with a nonempty 'bodies' list")
-    return [body_from_dict(b) for b in bodies]
+    return bodies_from_dicts(bodies)
 
 
 def stratification_from_dict(d, grid: SphereGrid = None) -> Stratification:
@@ -116,9 +117,27 @@ def _inclusion_tol(K: ConvexBody):
     return 1e-9 * (1.0 + K.diameter())
 
 
+def _widths_apart(A: ConvexBody, B: ConvexBody, wa, wb) -> bool:
+    """True when the mean widths wa of A and wb of B show hausdorff(A, B)
+    > TAU_PT without a measurement.
+
+    |w(A) - w(B)| <= 2 d_H(A, B), since the support values differ by at
+    most d_H in every direction; that holds for quadrature widths too, an
+    average over nodes.  So a width gap above 2 TAU_PT shows it, once it
+    also clears the widths' rounding, a few eps per term of their sums at
+    the scale 1 + max |v|: the margin TAU_PT (1 + max |v|) of each body lies
+    far above that.
+    """
+    vmax = float(np.abs(A.vertices).max()) + float(np.abs(B.vertices).max())
+    return abs(wa - wb) > TAU_PT * (4.0 + vmax)
+
+
 def validate_stratification(bodies, grid: SphereGrid = None) -> Stratification:
     """Sort bodies into an inclusion chain and verify strict nesting.
 
+    A body within TAU_PT of the last one kept, in order of mean width, is
+    dropped as a duplicate.  The widths decide most pairs distinct
+    (_widths_apart); only the others measure hausdorff.
     Raises NotAChain(i, j) (original indices) on an incomparable pair and
     Degenerate when fewer than two distinct bodies remain.
     """
@@ -131,8 +150,10 @@ def validate_stratification(bodies, grid: SphereGrid = None) -> Stratification:
     order = sorted(range(len(bodies)), key=lambda i: ws[i])
     kept_idx = []
     for i in order:
-        if kept_idx and hausdorff(bodies[kept_idx[-1]], bodies[i]) <= TAU_PT:
-            continue  # duplicate body at tolerance
+        if kept_idx:
+            A, B = bodies[kept_idx[-1]], bodies[i]
+            if not _widths_apart(A, B, ws[kept_idx[-1]], ws[i]) and hausdorff(A, B) <= TAU_PT:
+                continue  # duplicate body at tolerance
         kept_idx.append(i)
     if len(kept_idx) < 2:
         raise Degenerate("minimum and maximum coincide")
@@ -500,6 +521,12 @@ def is_connected(fam: Family, grid: SphereGrid = None) -> bool:
     (large Hausdorff distance at a small parameter gap) fails.  Widths are
     exact for n <= 3 and held to 1e-6 relative; quadrature widths (n >= 4)
     to 1e-3.
+
+    Each jump is bounded first by the Hausdorff distance between the two
+    members' vertex sets, with a margin for hausdorff's rounding
+    (geom_core._hausdorff_upper).  A pair that passes at that bound passes;
+    only the others measure hausdorff and take the test at its value, so
+    every False comes from a measured distance.
     """
     n = fam.dim
     fid = 1e-6 if n <= 3 else 1e-3
@@ -509,15 +536,18 @@ def is_connected(fam: Family, grid: SphereGrid = None) -> bool:
         if abs(mean_width(K, grid) - p) > fid * scale:
             return False
     c0 = width_gap_constant(n) if n >= 2 else 1.0
+    coef = c0 / max(diam, TAU_PT) ** (n - 1)
     for i in range(len(fam) - 1):
         dp = fam.params[i + 1] - fam.params[i]
         if dp <= 0:
             return False
         if dp > fam.h * (1.0 + 1e-6) + fid * scale:
             return False
-        dist = hausdorff(fam.bodies[i], fam.bodies[i + 1])
-        lhs = c0 / max(diam, TAU_PT) ** (n - 1) * dist**n
-        if lhs > 1.5 * dp + fid * scale:
+        A, B = fam.bodies[i], fam.bodies[i + 1]
+        rhs = 1.5 * dp + fid * scale
+        if coef * _hausdorff_upper(A, B) ** n <= rhs:
+            continue
+        if coef * hausdorff(A, B) ** n > rhs:
             return False
     return True
 

@@ -33,6 +33,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -374,9 +375,14 @@ _body_memo = _Memo(1 << 16)
 
 
 def _stored_body(P):
-    K = hull(P)
-    K.vertices.flags.writeable = False
-    return K
+    """The body of the points P that _body_memo keeps, canonicalized with
+    read-only vertices on a miss (hull copies P)."""
+    def make():
+        K = hull(P)
+        K.vertices.flags.writeable = False
+        return K
+
+    return _body_memo.get((P.shape, P.tobytes()), P.size, make)
 
 
 def body_from_dict(d):
@@ -394,7 +400,28 @@ def body_from_dict(d):
     P = as_points(verts)
     if "dim" in d and int(d["dim"]) != P.shape[1]:
         raise DimensionMismatch("declared dim does not match vertex data")
-    return _body_memo.get((P.shape, P.tobytes()), P.size, lambda: _stored_body(P))
+    return _stored_body(P)
+
+
+def bodies_from_dicts(ds):
+    """body_from_dict of each object of ds, its vertex lists converted by
+    one as_points call: each body's memo entry is keyed on its slice of
+    that array, so a body is the one body_from_dict gives.  Objects that do
+    not convert at once, in one dimension with a nonempty vertex list and
+    a matching declared dim, are loaded one by one, which raises
+    body_from_dict's error."""
+    try:
+        verts = [d["vertices"] for d in ds]
+        counts = [len(v) for v in verts]
+        P = as_points(list(chain.from_iterable(verts)))
+        n = P.shape[1]
+        one = (len(P) == sum(counts) and min(counts) > 0
+               and all("dim" not in d or int(d["dim"]) == n for d in ds))
+    except (KeyError, TypeError, ValueError, InvalidInput, DimensionMismatch):
+        one = False
+    if not one:
+        return [body_from_dict(d) for d in ds]
+    return [_stored_body(S) for S in np.split(P, np.cumsum(counts[:-1]))]
 
 
 def _canonical_order(V, n):
@@ -892,6 +919,29 @@ def _directed_hausdorff(A: ConvexBody, B: ConvexBody) -> float:
         if len(rows) == size:
             d, rows, size = max(d, measure(rows)), [], min(2 * size, cap)
     return max(d, measure(rows)) if rows else d
+
+
+def _hausdorff_upper(A: ConvexBody, B: ConvexBody) -> float:
+    """An upper bound on hausdorff(A, B): the Hausdorff distance between
+    the vertex sets, which bounds the bodies' since every vertex is a point
+    of its body, raised by 1e-9 of itself and both bodies' rounding_floor,
+    far above the rounding by which hausdorff's kernels may exceed it.
+
+    One table of squared distances, in row blocks of at most _PAIR_BLOCK
+    entries: its row minima give A's vertices to B's, its column minima
+    B's to A's.
+    """
+    if A.dim != B.dim:
+        raise DimensionMismatch("bodies live in different dimensions")
+    VA, VB = A.vertices, B.vertices
+    step = max(1, _PAIR_BLOCK // len(VB))
+    sq, col = 0.0, np.full(len(VB), np.inf)
+    for i in range(0, len(VA), step):
+        D = _sq_dists(VA[i:i + step, None, :], VB[None, :, :])
+        sq = max(sq, float(D.min(axis=1).max()))
+        np.minimum(col, D.min(axis=0), out=col)
+    d = math.sqrt(max(sq, float(col.max())))
+    return d * (1.0 + 1e-9) + rounding_floor(A) + rounding_floor(B)
 
 
 def hausdorff(A: ConvexBody, B: ConvexBody) -> float:

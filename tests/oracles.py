@@ -570,3 +570,46 @@ def curve_uniform_distance(c1, c2):
     p1 = np.array([point_at(c1, ti * c1.length()) for ti in t])
     p2 = np.array([point_at(c2, ti * c2.length()) for ti in t])
     return float(np.linalg.norm(p1 - p2, axis=1).max())
+
+
+def is_connected_per_pair(fam, grid=None):
+    """family.is_connected with every consecutive Hausdorff distance
+    measured by geom_core.hausdorff, as it was before the vertex-set bound
+    decided most pairs."""
+    from descent_geom.geom_core import TAU_PT, hausdorff
+    from descent_geom.mean_width import mean_width, width_gap_constant
+
+    n = fam.dim
+    fid = 1e-6 if n <= 3 else 1e-3
+    diam = fam.bodies[-1].diameter()
+    scale = 1.0 + abs(fam.params[-1])
+    for K, p in zip(fam.bodies, fam.params):
+        if abs(mean_width(K, grid) - p) > fid * scale:
+            return False
+    c0 = width_gap_constant(n) if n >= 2 else 1.0
+    for i in range(len(fam) - 1):
+        dp = fam.params[i + 1] - fam.params[i]
+        if dp <= 0:
+            return False
+        if dp > fam.h * (1.0 + 1e-6) + fid * scale:
+            return False
+        dist = hausdorff(fam.bodies[i], fam.bodies[i + 1])
+        lhs = c0 / max(diam, TAU_PT) ** (n - 1) * dist**n
+        if lhs > 1.5 * dp + fid * scale:
+            return False
+    return True
+
+
+def kept_per_pair(bodies, grid=None):
+    """Indices of the bodies validate_stratification keeps, in order of
+    mean width, every duplicate test measured by geom_core.hausdorff."""
+    from descent_geom.geom_core import TAU_PT, hausdorff
+    from descent_geom.mean_width import mean_width
+
+    ws = [mean_width(K, grid) for K in bodies]
+    kept = []
+    for i in sorted(range(len(bodies)), key=lambda i: ws[i]):
+        if kept and hausdorff(bodies[kept[-1]], bodies[i]) <= TAU_PT:
+            continue
+        kept.append(i)
+    return kept

@@ -652,6 +652,19 @@ class TestFamilyCheckTol:
         assert verdicts == [(1, False), (1, False)]
 
 
+class TestFamilyCheckDimensions:
+    def test_mixed_dimensions_exit_2(self, tmp_path, capsys):
+        # a planar triangle and a wider R^3 tetrahedron: honest widths and
+        # step, so only the pair's distance meets the dimensions
+        doc = {"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]]},
+                          {"vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]}]}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["family", "check", "--family", str(path)], capsys=capsys)
+        assert code == 2 and not out
+        assert "bodies live in different dimensions" in err
+
+
 class TestExpandingCoupleTol:
     def test_tol_reaches_the_sep_check_of_bounds_and_report(self, tmp_path, capsys):
         # A curve from the centre out to a vertex of the top disk whose last

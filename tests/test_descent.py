@@ -11,7 +11,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from descent_geom.errors import InvalidInput, PreconditionViolated
-from descent_geom.geom_core import hull, includes
+from descent_geom.geom_core import hausdorff, hull, includes
 from descent_geom.mean_width import SphereGrid, lipschitz_constant, mean_width
 from descent_geom.family import Family, complete, family_from_dict, is_connected
 from descent_geom.sep import Polyline, is_sep, length_bound_check
@@ -662,6 +662,10 @@ class TestWorkBudget:
         solver = call_counter("geom_core", "_nnls")
         rows = call_counter("geom_core", "_nearest")
         assert is_connected(fam)
+        # every pair passes at its vertex sets' distance: nothing is projected
+        assert not rows
+        for A, B in zip(fam.bodies, fam.bodies[1:]):
+            hausdorff(A, B)
         # every member is a 3-polytope: closed forms, one row per consecutive pair
         assert not solver
         assert sum(len(X) for _, X in rows) <= len(fam) - 1
@@ -671,6 +675,10 @@ class TestWorkBudget:
         solver = call_counter("geom_core", "_nnls")
         rows = call_counter("geom_core", "_nearest")
         assert is_connected(fam)
+        # every pair passes at its vertex sets' distance: nothing is projected
+        assert not rows
+        for A, B in zip(fam.bodies, fam.bodies[1:]):
+            hausdorff(A, B)
         # flat disks and solids alike are measured in closed form
         assert rows and not solver
         assert sum(len(X) for _, X in rows) <= 60

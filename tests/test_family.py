@@ -1,4 +1,10 @@
+import contextlib
+import importlib.util
+import io
+import itertools
 import json
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -6,15 +12,17 @@ import pytest
 
 from descent_geom import family
 from descent_geom.cli import main
-from descent_geom.descent import disk_family
+from descent_geom.descent import cantor_disks, cantor_family, disk_family, example61_family
 from descent_geom.errors import (
     Degenerate,
+    DimensionMismatch,
     InvalidInput,
     NotAChain,
     NumericalFailure,
     PreconditionViolated,
 )
 from descent_geom.geom_core import (
+    _hausdorff_upper,
     hausdorff,
     hull,
     includes,
@@ -22,7 +30,12 @@ from descent_geom.geom_core import (
     rounding_floor,
     unit_directions,
 )
-from descent_geom.mean_width import SphereGrid, mean_width, width_distance_bounds
+from descent_geom.mean_width import (
+    SphereGrid,
+    mean_width,
+    width_distance_bounds,
+    width_gap_constant,
+)
 from descent_geom.family import (
     Family,
     complete,
@@ -36,7 +49,13 @@ from descent_geom.family import (
 )
 
 from .conftest import disk_polygon, nested_pair, random_polytope
-from .oracles import in_convex_hull_lp, polygon_membership, segment_distance
+from .oracles import (
+    in_convex_hull_lp,
+    is_connected_per_pair,
+    kept_per_pair,
+    polygon_membership,
+    segment_distance,
+)
 
 
 def clipped_chain(rng, levels=8, npts=14):
@@ -526,6 +545,168 @@ class TestIsConnected:
         assert is_connected(fam)
         off = 1e-4 * (1.0 + fam.params[-1])
         assert not is_connected(Family(fam.bodies, tuple(p + off for p in fam.params), fam.h))
+
+
+def _load_workloads():
+    """perfbench/workloads.py as a module, without touching sys.path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cli_call(argv, path=None):
+    """(exit code, stdout) of one CLI command, the stdout also written to
+    path when given."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(buf.getvalue())
+    return rc, buf.getvalue()
+
+
+def _translated(fam, frac):
+    """fam with its middle member translated by frac of the top member's
+    diameter: honest widths and steps, a jump at that member."""
+    i = len(fam) // 2
+    t = np.zeros(fam.dim)
+    t[0] = frac * fam.bodies[-1].diameter()
+    bodies = fam.bodies[:i] + (fam.bodies[i].translate(t),) + fam.bodies[i + 1:]
+    return Family(bodies, fam.params, fam.h)
+
+
+@pytest.fixture(scope="module")
+def connected_corpus():
+    """(name, family, stored): the planar and R^3 pipeline families (gen
+    random at the planar_pipeline sizes and at the R^3 pipeline's, seeds 1
+    to 3), the stored families of family_validation at seeds 1 to 3
+    (stored true), Cantor levels 2 to 7, cantor_disks at those levels,
+    example61 and disks in R^2 to R^4."""
+    wl = _load_workloads()
+    cases = []
+    for seed in (1, 2, 3):
+        for n, npoints, levels in [(2, *size) for size in wl.PLANAR_SIZES] + [(3, 16, 4)]:
+            rc, out = _cli_call(["gen", "random", "--n", str(n), "--npoints", str(npoints),
+                                 "--levels", str(levels), "--seed", str(seed)])
+            assert rc == 0
+            cases.append((f"gen-r{n}-{npoints}x{levels}-{seed}", family_from_dict(json.loads(out)),
+                          False))
+        with tempfile.TemporaryDirectory() as wd:
+            w = wl.Workload("family_validation", seed, wd)
+            w.setup(_cli_call)
+            for name in ("chain2", "chain3", "disks3", "disks4", "cantor_family",
+                         "example61_family"):
+                with open(os.path.join(wd, name + ".json")) as fh:
+                    cases.append((f"store-{name}-{seed}", family_from_dict(json.load(fh)), True))
+    for L in range(2, 8):
+        cases.append((f"cantor{L}", cantor_family(L), False))
+        cases.append((f"cantor-disks{L}", cantor_disks(L)[0], False))
+    cases.append(("example61", example61_family(), False))
+    for n in (2, 3, 4):
+        cases.append((f"disks-r{n}", disk_family(0.5, 1.0, 6, n=n), False))
+    return cases
+
+
+def _jump_excess(fam):
+    """lhs / rhs - 1 of is_connected's distance test on a two-member
+    family, at the measured distance."""
+    n = fam.dim
+    fid = 1e-6 if n <= 3 else 1e-3
+    lhs = width_gap_constant(n) / fam.bodies[-1].diameter() ** (n - 1) * hausdorff(*fam.bodies) ** n
+    rhs = 1.5 * (fam.params[1] - fam.params[0]) + fid * (1.0 + abs(fam.params[-1]))
+    return lhs / rhs - 1.0
+
+
+class TestConnectedBounds:
+    """is_connected decides a pair by the distance between the vertex sets
+    where that bound passes, and measures the others."""
+
+    def test_verdicts_match_the_per_pair_oracle(self, connected_corpus):
+        seen = set()
+        for name, fam, _ in connected_corpus:
+            for label, F in ((name, fam), (f"{name}-jump", _translated(fam, 0.3)),
+                             (f"{name}-nudge", _translated(fam, 1e-4))):
+                got = is_connected(F)
+                assert got == is_connected_per_pair(F), label
+                seen.add((label.split("-")[-1], got))
+        assert {("jump", False), ("nudge", True)} <= seen
+
+    def test_stored_families_measure_no_distance(self, connected_corpus, call_counter):
+        calls = call_counter("geom_core", "hausdorff")
+        for name, fam, stored in connected_corpus:
+            if stored:
+                assert is_connected(fam), name
+        assert not calls
+
+    def test_bound_is_above_the_measured_distance(self, connected_corpus):
+        for name, fam, _ in connected_corpus:
+            for A, B in zip(fam.bodies, fam.bodies[1:]):
+                assert hausdorff(A, B) <= _hausdorff_upper(A, B), name
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_threshold_band_is_measured(self, n, call_counter):
+        """A unit cube and its image under the homothety of ratio 1.01 about
+        (cx, 0, ...): cx is bisected until the distance test's lhs lies
+        within 1e-12 relative of its rhs, on each side."""
+        cube = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+
+        def fam_at(cx):
+            c = np.zeros(n)
+            c[0] = cx
+            return family_from_dict({"bodies": [{"vertices": cube.tolist()},
+                                                {"vertices": (c + 1.01 * (cube - c)).tolist()}]})
+
+        lo, hi = 0.0, -1000.0  # lhs below rhs at lo, above it at hi
+        assert _jump_excess(fam_at(lo)) < 0.0 < _jump_excess(fam_at(hi))
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if _jump_excess(fam_at(mid)) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        for cx, verdict in ((lo, True), (hi, False)):
+            fam = fam_at(cx)
+            assert abs(_jump_excess(fam)) <= 1e-12
+            assert is_connected_per_pair(fam) is verdict
+            calls = call_counter("geom_core", "hausdorff")
+            assert is_connected(fam) is verdict
+            assert len(calls) == 1
+
+    def test_mixed_dimensions_raise(self):
+        doc = {"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]]},
+                          {"vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]}]}
+        with pytest.raises(DimensionMismatch, match="bodies live in different dimensions"):
+            is_connected(family_from_dict(doc))
+
+    def test_duplicates_match_the_per_pair_oracle(self, rng, call_counter):
+        """validate_stratification keeps the bodies the measured duplicate
+        test keeps, on homothetic chains in R^2 to R^4 with copies of a
+        member moved by less and by more than TAU_PT; a chain with no
+        copies measures no distance."""
+        for n in (2, 2, 2, 3, 3, 4):
+            base = random_polytope(rng, n, 12)
+            c = base.centroid()
+            chain = [hull(c + f * (base.vertices - c)) for f in (0.4, 0.6, 0.8, 1.0)]
+            calls = call_counter("family", "hausdorff")
+            validate_stratification(chain)
+            assert not calls
+            K = chain[int(rng.integers(len(chain)))]
+            t = np.zeros(n)
+            t[0] = 5e-10
+            copies = [hull(K.vertices), K.translate(t),
+                      hull(c + (1.0 + 2e-10) * (K.vertices - c)),
+                      hull(c + (1.0 + 2e-9) * (K.vertices - c)),
+                      hull(c + (1.0 + 1e-7) * (K.vertices - c))]
+            bodies = [chain[i] for i in rng.permutation(len(chain))] + copies
+            kept = kept_per_pair(bodies)
+            s = validate_stratification(bodies)
+            assert len(chain) < len(s.bodies) == len(kept) < len(bodies)
+            assert all(a is bodies[i] for a, i in zip(s.bodies, kept))
+        with pytest.raises(Degenerate):
+            validate_stratification([K, K.translate(t)])
 
 
 class TestR4Chains:

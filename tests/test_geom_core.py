@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import pathlib
+import re
 import sys
 import time
 import tracemalloc
@@ -336,6 +337,44 @@ class TestBodyMemo:
         memo = geom_core._body_memo
         assert len(memo.items) == len(docs)
         assert memo.cost == sum(np.size(d["vertices"]) for d in docs)
+
+
+class TestBodiesFromDicts:
+    def test_same_bodies_as_one_at_a_time(self, rng):
+        docs = [json.loads(json.dumps(K.to_dict()))
+                for K in (random_polytope(rng, 3, 20), embedded_polytope(rng, 3, 2, 9))]
+        docs += [{"dim": 3, "vertices": [[0.5, 0.5, 0.5]]}, docs[0]]
+        bodies = geom_core.bodies_from_dicts(docs)
+        assert [K is body_from_dict(d) for K, d in zip(bodies, docs)] == [True] * len(docs)
+        memo = geom_core._body_memo
+        assert len(memo.items) == 3 and bodies[3] is bodies[0]
+        assert memo.cost == sum(np.size(d["vertices"]) for d in docs[:3])
+        with pytest.raises(ValueError):
+            bodies[0].vertices[0, 0] = 0.0
+        geom_core._body_memo.clear()
+        loaded = [body_from_dict(d) for d in docs]
+        assert [K is L for K, L in zip(geom_core.bodies_from_dicts(docs), loaded)] == [True] * 4
+
+    def test_malformed_lists_raise_the_one_at_a_time_error(self):
+        square = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
+        lists = [
+            [square, {"vertices": []}],
+            [square, {"vertices": [[0, 0], [1, float("nan")]]}],
+            [square, {"dim": 3, "vertices": [[0, 0], [2, 0], [0, 2]]}],
+            [square, {"points": [[0, 0]]}],
+            [square, [[0, 0], [1, 1]]],
+            [{"vertices": [[0] * 9]}, {"vertices": [[1] * 9]}],
+        ]
+        for docs in lists:
+            with pytest.raises((InvalidInput, DimensionMismatch)) as one:
+                [body_from_dict(d) for d in docs]
+            with pytest.raises(type(one.value), match=re.escape(str(one.value))):
+                geom_core.bodies_from_dicts(docs)
+
+    def test_mixed_dimensions_load_body_by_body(self):
+        docs = [{"vertices": [[0, 0], [1, 0], [0, 1]]}, {"vertices": [[0, 0, 0], [1, 0, 0]]},
+                {"vertices": [1.0, 2.0]}]
+        assert [K.dim for K in geom_core.bodies_from_dicts(docs)] == [2, 3, 2]
 
 
 class TestDiameter:

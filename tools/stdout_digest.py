@@ -14,10 +14,13 @@ first vertex with one knot per member, `report`), and on each stored chain
 `bounds joint --csv` and `bounds annulus` at the middle member and at
 `--k1-index -2`; then the Cantor fixtures at levels 2 to 7 (on the
 Cantor disks also `bounds joint --csv` and `bounds annulus` at those two
-members) and `example61` with their checks, a `descend` on its
+members, and `family check` on every Cantor family and every Cantor
+disks family) and `example61` with their checks, a `descend` on its
 family and one `descend` from an interior point of its top member
 (halfway from its vertex mean to its first vertex), which `descend` snaps
-to the boundary by a ray from the centroid.  Prints one line per
+to the boundary by a ray from the centroid; last, `family check` on two
+written two-member documents, one that fails at the distance test (JUMP)
+and one with members in two dimensions (MIXED).  Prints one line per
 command: its index, exit code, the sha256 of its stdout and of its stderr
 (first 32 hex digits each) and the command, with the working directory
 written as $WD in all three; a command that writes a CSV file (`--csv`)
@@ -43,6 +46,13 @@ SEEDS = (1, 2, 3)
 PLANAR_CYCLES = 4
 CANTOR_LEVELS = range(2, 8)
 CONE_VERTICES = 4
+# Widths 0.0127 apart and a Hausdorff jump of 0.46: connectedness fails at
+# the measured distance.
+JUMP = {"bodies": [{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+                   {"vertices": [[0.45, 0], [1.46, 0], [1.46, 1.01], [0.45, 1.01]]}]}
+# A planar triangle and a wider R^3 tetrahedron: exit 2.
+MIXED = {"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]]},
+                    {"vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]}]}
 
 
 def couple_queries(curve, fam, n_members, csv):
@@ -71,7 +81,9 @@ def fixture_commands(wd):
             (["check", "sdc", "--curve", f(f"cantor{L}"), "--family", f(f"cantor_family{L}")],
              None),
             (["report", "--curve", f(f"cantor{L}"), "--family", f(f"cantor_family{L}")], None),
+            (["family", "check", "--family", f(f"cantor_family{L}")], None),
             (["fixtures", "cantor-disks", "--level", L], f(f"cantor_disks{L}")),
+            (["family", "check", "--family", f(f"cantor_disks{L}_family")], None),
         ]
         cd = ["--curve", f(f"cantor_disks{L}_curve"), "--family", f(f"cantor_disks{L}_family")]
         cmds += [(["check", "sdc"] + cd, None), (["check", "ec"] + cd, None),
@@ -83,6 +95,18 @@ def fixture_commands(wd):
     ex = ["--curve", f("example61_curve"), "--family", f("example61_family")]
     cmds += [(["check", "sdc"] + ex, None), (["check", "ec"] + ex, None), (["report"] + ex, None),
              (["family", "check", "--family", f("example61_family")], None)]
+    return cmds
+
+
+def written_commands(wd):
+    """argv of `family check` on the JUMP and MIXED documents, written to
+    wd."""
+    cmds = []
+    for name, doc in (("jump", JUMP), ("mixed", MIXED)):
+        path = os.path.join(wd, name + ".json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        cmds.append(["family", "check", "--family", path])
     return cmds
 
 
@@ -170,6 +194,8 @@ def main(argv=None):
         descend(os.path.join(wd, "example61_family.json"), os.path.join(wd, "example61_descent.json"))
         descend(os.path.join(wd, "example61_family.json"), os.path.join(wd, "example61_snap.json"),
                 inside=True)
+        for argv in written_commands(wd):
+            call(argv)
     print("\n".join(lines))
     return 0
 
