@@ -33,7 +33,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -417,11 +417,12 @@ def bodies_from_dicts(ds):
         n = P.shape[1]
         one = (len(P) == sum(counts) and min(counts) > 0
                and all("dim" not in d or int(d["dim"]) == n for d in ds))
-    except (KeyError, TypeError, ValueError, InvalidInput, DimensionMismatch):
+    except (KeyError, TypeError, ValueError, InvalidInput):
         one = False
     if not one:
         return [body_from_dict(d) for d in ds]
-    return [_stored_body(S) for S in np.split(P, np.cumsum(counts[:-1]))]
+    ends = list(accumulate(counts))
+    return [_stored_body(P[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _canonical_order(V, n):

@@ -11,7 +11,10 @@ those two, not the kernel; nearest_point_faces is the kernel's independent
 check.  The exact segment clipping the library batches
 (descent._intervals) lives here as it was written for one segment at a
 time, a loop over the facets (segment_interval), and the per-member
-validators walk one member or knot at a time through it.
+validators walk one member or knot at a time through it.  The per-pair
+connectedness and duplicate tests (is_connected_per_pair, kept_per_pair)
+measure every pair by geom_core.hausdorff: they check the bounds that
+spare the library most of those measurements, not hausdorff.
 """
 
 import itertools

@@ -15,7 +15,6 @@ from descent_geom.cli import main
 from descent_geom.descent import cantor_disks, cantor_family, disk_family, example61_family
 from descent_geom.errors import (
     Degenerate,
-    DimensionMismatch,
     InvalidInput,
     NotAChain,
     NumericalFailure,
@@ -674,12 +673,6 @@ class TestConnectedBounds:
             calls = call_counter("geom_core", "hausdorff")
             assert is_connected(fam) is verdict
             assert len(calls) == 1
-
-    def test_mixed_dimensions_raise(self):
-        doc = {"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]]},
-                          {"vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]}]}
-        with pytest.raises(DimensionMismatch, match="bodies live in different dimensions"):
-            is_connected(family_from_dict(doc))
 
     def test_duplicates_match_the_per_pair_oracle(self, rng, call_counter):
         """validate_stratification keeps the bodies the measured duplicate
