@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DescentGeomError, InvalidInput
 from .cones import normal_cone_limit_report
-from .geom_core import body_from_dict, hull, project, rel_depth_many, rounding_floor
+from .geom_core import _Memo, body_from_dict, hull, project, rel_depth_many, rounding_floor
 from .mean_width import default_grid, mean_width
 from .sep import (
     is_sep,
@@ -66,29 +66,85 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, default=default) + "\n")
 
 
+class _Doc(dict):
+    """A decoded JSON object that _doc_memo keeps, with what the loaders
+    built from it in built: {key: object}."""
+
+    __slots__ = ("built",)
+
+
+def _decode(text):
+    doc = json.loads(text)
+    if isinstance(doc, dict):
+        doc = _Doc(doc)
+        doc.built = {}
+    return doc
+
+
+# Keeps 2^19 characters of document text: the family_validation store (about
+# 250 K) fits, and a planar pipeline job's new documents cycle through it.
+_doc_memo = _Memo(1 << 19)
+
+
 def _load_json(path):
+    """The JSON document at path (stdin for None or "-").  The text is read
+    on every call and decoded once per distinct text while _doc_memo keeps
+    it: later loads of that text return the same document, and what was
+    built from it (_built).  A text that fails to decode is not kept."""
     if path in (None, "-"):
-        return json.load(sys.stdin)
-    with open(path) as f:
-        return json.load(f)
+        text = sys.stdin.read()
+    else:
+        with open(path) as f:
+            text = f.read()
+    return _doc_memo.get(text, len(text), lambda: _decode(text))
+
+
+def _built(doc, key, make):
+    """make(doc), kept on doc under key when _load_json keeps doc: the key
+    names the builder and the options it reads.  A build that raises keeps
+    nothing, so it raises again on the next load."""
+    built = getattr(doc, "built", None)
+    if built is None:
+        return make(doc)
+    value = built.get(key)
+    if value is None:
+        value = built.setdefault(key, make(doc))
+    return value
 
 
 def _load_curve(path):
     if path is not None and path.endswith(".csv"):
         return polyline_from_csv(path)
-    return polyline_from_dict(_load_json(path))
+    return _built(_load_json(path), "curve", polyline_from_dict)
+
+
+def _load_chain(args, doc, kind):
+    """The family (kind "family") or stratification ("strat") of doc, on
+    the CLI grid of its bodies."""
+    load = family_from_dict if kind == "family" else stratification_from_dict
+    return _built(doc, (kind, args.grid_size, args.seed),
+                  lambda d: load(d, _doc_grid(args, d)))
 
 
 def _load_family(args, path):
-    doc = _load_json(path)
-    return family_from_dict(doc, _doc_grid(args, doc))
+    return _load_chain(args, _load_json(path), "family")
 
 
-def _parse_point(s):
+def _parse_numbers(s, option):
+    """The finite numbers of an option's comma-separated value."""
+    if s is None:
+        raise InvalidInput(f"{option} is required")
     try:
-        return np.array([float(x) for x in s.split(",")])
+        x = [float(v) for v in s.split(",")]
     except ValueError:
-        raise InvalidInput(f"cannot parse point {s!r}")
+        raise InvalidInput(f"cannot parse {option} {s!r}: expected comma-separated numbers")
+    if not all(map(math.isfinite, x)):
+        raise InvalidInput(f"{option} must list finite numbers, got {s!r}")
+    return x
+
+
+def _parse_point(s, option):
+    return np.array(_parse_numbers(s, option))
 
 
 def _check_options(args):
@@ -269,12 +325,10 @@ def _cmd_check(args):
         return 0 if res["ok"] else 1
     if args.what == "ec":
         curve = _load_curve(args.curve)
-        strat_doc = _load_json(args.strat or args.family)
-        grid = _doc_grid(args, strat_doc)
-        load = family_from_dict if isinstance(strat_doc, dict) and "h" in strat_doc \
-            else stratification_from_dict
-        strat = load(strat_doc, grid)
-        res = is_expanding_couple(curve, strat, args.tol, grid)
+        doc = _load_json(args.strat or args.family)
+        strat = _load_chain(args, doc, "family" if isinstance(doc, dict) and "h" in doc
+                            else "strat")
+        res = is_expanding_couple(curve, strat, args.tol, _doc_grid(args, doc))
         _emit({"check": "ec", "ok": res["ok"], "condition": res["condition"],
                "witness": res["witness"], "config": _config(args)})
         return 0 if res["ok"] else 1
@@ -290,7 +344,7 @@ def _cmd_check(args):
 
 def _cmd_descend(args):
     fam = _load_family(args, args.family)
-    endpoint = _parse_point(args.endpoint)
+    endpoint = _parse_point(args.endpoint, "--endpoint")
     if args.snap:
         endpoint = _snap_to_boundary(fam.bodies[-1], endpoint)
     curve = construct_descent(fam, endpoint, args.knots)
@@ -355,9 +409,7 @@ def _cmd_bounds(args):
 def _cmd_family(args):
     if args.what == "complete":
         doc = _load_json(args.strat)
-        grid = _doc_grid(args, doc)
-        strat = stratification_from_dict(doc, grid)
-        fam = complete(strat, args.step, grid)
+        fam = complete(_load_chain(args, doc, "strat"), args.step, _doc_grid(args, doc))
         _emit(fam.to_dict())
         return 0
     if args.what == "check":
@@ -371,13 +423,12 @@ def _cmd_family(args):
 
 def _cmd_report(args):
     if args.what == "cone-limit":
-        body = body_from_dict(_load_json(args.body))
-        eps = [float(x) for x in args.eps.split(",")]
+        body = _built(_load_json(args.body), "body", body_from_dict)
         rep = normal_cone_limit_report(
             body,
-            _parse_point(args.p0),
-            _parse_point(args.u),
-            eps,
+            _parse_point(args.p0, "--p0"),
+            _parse_point(args.u, "--u"),
+            _parse_numbers(args.eps, "--eps"),
             grid_size=min(args.grid_size, 10000),
             seed=args.seed,
         )

@@ -63,10 +63,11 @@ _PAIR_BLOCK = 1 << 16
 
 class _Memo:
     """Values keyed by content, least recently used evicted first once the
-    costs of those kept (their counts of stored coordinates) pass budget; a
-    value costing more than budget is not kept.  A lock guards every read
-    and write, and values are made outside it: when two threads make the
-    same key at once, both get the value stored first."""
+    costs of those kept (counts of stored coordinates for bodies, of
+    characters for CLI documents) pass budget; a value costing more than
+    budget is not kept.  A lock guards every read and write, and values are
+    made outside it: when two threads make the same key at once, both get
+    the value stored first."""
 
     def __init__(self, budget):
         self.budget, self.cost = budget, 0

@@ -27,7 +27,8 @@ _SEP_BLOCK = _PAIR_BLOCK // 8
 
 @dataclass(frozen=True)
 class Polyline:
-    """Ordered point sequence; consecutive duplicates are removed on build."""
+    """Ordered point sequence; consecutive duplicates are removed on build,
+    which marks points read-only."""
 
     points: np.ndarray
 
@@ -46,7 +47,9 @@ class Polyline:
                 keep[j] = np.linalg.norm(P[j] - P[last]) > TAU_PT
                 last = j if keep[j] else last
                 j += 1
-        return cls(np.ascontiguousarray(P[keep]))
+        P = np.ascontiguousarray(P[keep])
+        P.flags.writeable = False
+        return cls(P)
 
     @property
     def dim(self):

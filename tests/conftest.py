@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.spatial
 
+from descent_geom.cli import _doc_memo
 from descent_geom.geom_core import _body_memo, hull
 from descent_geom.mean_width import _grid_cache
 from descent_geom.sep import Polyline
@@ -15,8 +16,9 @@ MODULES = ("geom_core", "cones", "mean_width", "sep", "family", "descent", "cli"
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts as a fresh process does, with no body or sphere
-    grid kept from an earlier test."""
+    """Every test starts as a fresh process does, with no document, body or
+    sphere grid kept from an earlier test."""
+    _doc_memo.clear()
     _body_memo.clear()
     _grid_cache.clear()
 

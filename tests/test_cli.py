@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,9 +21,16 @@ from descent_geom.descent import (
     is_viable_sdc,
 )
 from descent_geom.family import family_from_dict
-from descent_geom.geom_core import _body_memo, hausdorff, hull
+from descent_geom.geom_core import _body_memo, _Memo, hausdorff, hull
 from descent_geom.mean_width import width_gap_constant
 from descent_geom.sep import is_sep, polyline_from_dict
+
+
+def _fresh_process():
+    """Drop the documents and bodies kept by earlier commands, as a fresh
+    process starts."""
+    cli._doc_memo.clear()
+    _body_memo.clear()
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -208,6 +216,25 @@ class TestNegativeCoordinates:
         assert spaced == joined
         doc = json.loads(spaced)
         assert doc["sandwich_ok"] and doc["metric_decreasing"]
+
+
+class TestConeLimitOptions:
+    @pytest.mark.parametrize("opts, option", [
+        ("--p0 -1,0.5 --u -1,0 --eps abc", "--eps"),
+        ("--p0 -1,0.5 --u -1,0 --eps 0.5,,0.1", "--eps"),
+        ("--p0 -1,0.5 --u -1,0 --eps 0.5,nan", "--eps"),
+        ("--p0 -1,0.5 --u -1,0 --eps inf,0.5", "--eps"),
+        ("--u -1,0", "--p0"),
+        ("--p0 -1,0.5", "--u"),
+        ("--p0 -1,x --u -1,0", "--p0"),
+        ("--p0 -1,0.5 --u nan,0", "--u"),
+    ])
+    def test_bad_value_exits_2_naming_the_option(self, opts, option, tmp_path, capsys):
+        body = tmp_path / "body.json"
+        body.write_text(json.dumps({"dim": 2, "vertices": [[-1, 0], [0, 0], [0, 1], [-1, 1]]}))
+        code, out, err = run_cli(["report", "cone-limit", "--body", str(body)] + opts.split(),
+                                 capsys=capsys)
+        assert code == 2 and out == "" and err.startswith("error: ") and option in err
 
 
 @pytest.fixture(scope="module")
@@ -473,18 +500,18 @@ class TestConfigReach:
         miss = [top[0], top[0] + 0.2 * (top[0] - top.mean(axis=0))]
         mpath.write_text(json.dumps({"dim": 4, "points": np.array(miss).tolist()}))
         sizes.clear()
-        # Each command starts as a fresh process does: no loaded body keeps a
-        # width from an earlier command.
-        _body_memo.clear()
+        # Each command starts as a fresh process does: no loaded document or
+        # body keeps a width from an earlier command.
+        _fresh_process()
         code, out, _ = run_cli(["bounds", "annulus", "--curve", str(cpath), "--family",
                                 str(fpath)] + grid, capsys=capsys)
         assert code == 0 and json.loads(out)["bound_ii_ok"]
         for strat in (["--family", str(fpath)], ["--strat", str(spath)]):
-            _body_memo.clear()
+            _fresh_process()
             code, _, _ = run_cli(["check", "ec", "--curve", str(cpath)] + strat + grid,
                                  capsys=capsys)
             assert code == 0
-        _body_memo.clear()
+        _fresh_process()
         code, out, _ = run_cli(["check", "ec", "--curve", str(mpath), "--strat", str(spath)]
                                + grid, capsys=capsys)
         assert code == 1 and json.loads(out)["condition"] == "i"
@@ -828,6 +855,144 @@ class TestWidthMemoCli:
         runs.clear()
         second = run_cli(["family", "check", "--family", str(fpath)], capsys=capsys)
         assert second == first and runs == []
+
+
+class TestDocumentMemo:
+    """_load_json decodes each distinct text once per process, and the
+    loaders build each family, chain, curve and body of it once."""
+
+    def _files(self, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(run_cli(["gen", "disks", "--levels", "4"], capsys=capsys)[1])
+        doc = json.loads(fam.read_text())
+        (tmp_path / "chain.json").write_text(json.dumps({"bodies": doc["bodies"]}))
+        (tmp_path / "top.json").write_text(json.dumps(doc["bodies"][-1]))
+        top = doc["bodies"][-1]["vertices"]
+        curve = tmp_path / "curve.json"
+        assert run_cli(["descend", "--family", str(fam), "--knots", "4", "--out", str(curve),
+                        "--endpoint=" + ",".join(map(repr, top[0]))], capsys=capsys)[0] == 0
+        return {name: str(tmp_path / f"{name}.json") for name in ("fam", "chain", "top", "curve")}
+
+    QUERIES = [
+        "family check --family {fam}",
+        "family complete --strat {chain} --step 0.05",
+        "check ec --curve {curve} --family {fam}",
+        "check ec --curve {curve} --strat {chain}",
+        "check sdc --curve {curve} --family {fam}",
+        "check sep --curve {curve}",
+        "bounds annulus --curve {curve} --family {fam}",
+        "bounds stability --curve {curve} --curve2 {curve} --family {fam}",
+        "report --curve {curve} --family {fam}",
+        "report cone-limit --body {top} --p0={p0} --u={p0}",
+    ]
+
+    def test_second_run_decodes_and_builds_nothing(self, tmp_path, capsys, monkeypatch,
+                                                   call_counter):
+        files = self._files(tmp_path, capsys)
+        p0 = ",".join(map(repr, json.loads((tmp_path / "top.json").read_text())["vertices"][0]))
+        argvs = [q.format(p0=p0, **files).split() for q in self.QUERIES]
+        first = [run_cli(argv, capsys=capsys) for argv in argvs]
+        assert all(code in (0, 1) and err == "" for code, _, err in first)
+        decodes = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: decodes.append(a) or loads(*a, **k))
+        builds = [call_counter(module, name) for module, name in (
+            ("geom_core", "bodies_from_dicts"), ("geom_core", "body_from_dict"),
+            ("sep", "polyline_from_dict"), ("family", "validate_stratification"))]
+        second = [run_cli(argv, capsys=capsys) for argv in argvs]
+        assert second == first
+        assert decodes == [] and builds == [[]] * len(builds)
+
+    def test_stdin_is_read_through_the_memo(self, capsys, monkeypatch, call_counter):
+        text = json.dumps({"dim": 2, "points": [[0, 0], [1, 0], [1, 1]]})
+        first = run_cli(["check", "sep"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
+        builds = call_counter("sep", "polyline_from_dict")
+        second = run_cli(["check", "sep"], stdin_text=text, capsys=capsys,
+                         monkeypatch=monkeypatch)
+        assert second == first and first[0] == 0 and builds == []
+
+    def test_concurrent_loads_share_one_document_and_its_builds(self, tmp_path, capsys):
+        files = self._files(tmp_path, capsys)
+        args = cli.build_parser().parse_args(["family", "check", "--family", files["fam"]])
+        args.seed = 0
+        _fresh_process()
+
+        def load():
+            return [(cli._load_family(args, files["fam"]), cli._load_curve(files["curve"]))
+                    for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                runs = [pool.submit(load) for _ in range(6)]
+                loaded = [pair for f in runs for pair in f.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(fam is loaded[0][0] and curve is loaded[0][1] for fam, curve in loaded)
+        memo = cli._doc_memo
+        assert len(memo.items) == 2 and memo.cost == sum(map(len, memo.items))
+
+    def test_rewritten_file_loads_its_new_content(self, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        outs = []
+        # a SEP, then a path that turns back toward its start
+        for points in ([[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 0], [0, 0.1]]):
+            path.write_text(json.dumps({"dim": 2, "points": points}))
+            outs.append(run_cli(["check", "sep", "--curve", str(path)], capsys=capsys))
+        assert [code for code, _, _ in outs] == [0, 1]
+        _fresh_process()
+        assert run_cli(["check", "sep", "--curve", str(path)], capsys=capsys) == outs[1]
+
+    def test_grid_size_builds_a_separate_family(self, tmp_path, capsys, monkeypatch):
+        sizes = _record_quadrature(monkeypatch)
+        fpath = tmp_path / "fam.json"
+        fpath.write_text(run_cli(["gen", "disks", "--n", "4", "--levels", "3",
+                                  "--grid-size", "600"], capsys=capsys)[1])
+        runs = {}
+        for size in ("600", "700", "600", "700"):
+            sizes.clear()
+            code, out, _ = run_cli(["family", "check", "--family", str(fpath),
+                                    "--grid-size", size], capsys=capsys)
+            runs.setdefault(size, []).append((code, out, list(sizes)))
+        # Each grid reaches the quadrature, on a miss and on a hit.
+        for size, (a, b) in runs.items():
+            assert a[:2] == b[:2] and a[2] and set(a[2] + b[2]) == {int(size)}
+        built = cli._load_json(str(fpath)).built
+        assert set(built) == {("family", 600, 0), ("family", 700, 0)}
+        assert built[("family", 600, 0)] is not built[("family", 700, 0)]
+
+    @pytest.mark.parametrize("text, built", [
+        ("{", None),  # not JSON: not kept
+        (json.dumps({"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]]}]}), set()),  # one member
+        ("[1, 2]", set()),  # not an object: kept, nothing built on it
+        # members in two dimensions: the family builds, is_connected raises
+        (json.dumps({"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]]},
+                                {"vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]}]}),
+         {("family", 20000, 0)}),
+    ])
+    def test_malformed_document_exits_2_on_every_read(self, text, built, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        runs = [run_cli(["family", "check", "--family", str(path)], capsys=capsys)
+                for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0][0] == 2 and runs[0][2].startswith("error:")
+        kept = cli._doc_memo.items.get(text)
+        assert (kept is None) if built is None else set(getattr(kept[0], "built", {})) == built
+
+    def test_cost_stays_within_the_budget(self, tmp_path, capsys, monkeypatch):
+        memo = _Memo(4000)
+        monkeypatch.setattr(cli, "_doc_memo", memo)
+        path = tmp_path / "curve.json"
+        texts = []
+        for k in range(12):  # about 600 characters each
+            texts.append(json.dumps({"dim": 2, "points": [[i, (k + 1) * i * i / 7]
+                                                          for i in range(40)]}))
+            path.write_text(texts[-1])
+            assert run_cli(["check", "sep", "--curve", str(path)], capsys=capsys)[0] == 0
+            assert memo.cost == sum(len(t) for t in memo.items) <= memo.budget
+        assert sum(map(len, texts)) > memo.budget
+        assert list(memo.items) == texts[-len(memo.items):]  # least recent evicted
 
 
 # One CLI command in a fresh interpreter; its last stderr line lists the

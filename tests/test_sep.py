@@ -61,6 +61,17 @@ class TestPolyline:
             keep = polyline_keep(P, tau)
             assert np.array_equal(Polyline.make(P).points, P[keep])
 
+    def test_points_are_read_only(self):
+        # The CLI shares a loaded curve between commands: a write would
+        # change every later query of it.
+        P = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+        g = Polyline.make(P)
+        assert not g.points.flags.writeable
+        with pytest.raises(ValueError):
+            g.points[0, 0] = 5.0
+        P[0, 0] = 5.0  # the input is copied, not frozen
+        assert g.points[0, 0] == 0.0
+
     def test_length_and_point_at(self):
         g = staircase()
         assert g.length() == pytest.approx(3.0)

@@ -5,7 +5,8 @@
 
 Runs every command in this process through `descent_geom.cli.main`, with
 JSON files passed between commands as in a shell pipeline: at seeds 1, 2
-and 3, the `family_validation` store and all of its queries, `report
+and 3, the `family_validation` store and all of its queries, twice (the
+second pass reads every document again in the same process), `report
 cone-limit` at up to CONE_VERTICES vertices of each stored R^3 top body
 (p0 the vertex, u from the body's vertex mean to it), four cycles of
 `planar_pipeline` jobs (perfbench/workloads.py) and an R^3 pipeline (`gen
@@ -167,7 +168,7 @@ def main(argv=None):
                 w = Workload(name, seed, sub)
                 w.setup(call)
                 jobs = [job for _ in range(PLANAR_CYCLES) for job in w.cycle()] \
-                    if name == "planar_pipeline" else w.cycle()
+                    if name == "planar_pipeline" else 2 * w.cycle()
                 for job in jobs:
                     w.run(job, call)
                 chains = {label.split()[-1] for label in w.catalog or ()
