@@ -81,8 +81,9 @@ def _decode(text):
     return doc
 
 
-# Keeps 2^19 characters of document text: the family_validation store (about
-# 250 K) fits, and a planar pipeline job's new documents cycle through it.
+# Keeps 2^19 characters of document text: the 20 documents of perfbench's
+# family_validation store (about 250 K characters) fit, while a stream of new
+# documents, as planar_pipeline writes, only cycles through it.
 _doc_memo = _Memo(1 << 19)
 
 
