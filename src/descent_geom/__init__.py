@@ -53,6 +53,7 @@ from .mean_width import (
 )
 from .sep import (
     Polyline,
+    hull_width,
     is_sep,
     length_bound_check,
     lipschitz_ratio,

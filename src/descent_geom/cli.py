@@ -18,8 +18,9 @@ import numpy as np
 from .errors import DescentGeomError, InvalidInput
 from .cones import normal_cone_limit_report
 from .geom_core import _Memo, body_from_dict, hull, project, rel_depth_many, rounding_floor
-from .mean_width import default_grid, mean_width
+from .mean_width import default_grid
 from .sep import (
+    hull_width,
     is_sep,
     length_bound_check,
     lipschitz_ratio,
@@ -367,7 +368,7 @@ def _cmd_bounds(args):
         curve = _load_curve(args.curve)
         grid = _grid_for(args, curve.dim)
         lip = lipschitz_ratio(curve, grid, args.tol) if curve.dim <= 2 else None
-        # The last prefix hull is the hull of the path.
+        # The last prefix width is the width of the path's hull.
         res = length_bound_check(curve, grid, args.tol, w_hull=lip["widths"][-1] if lip else None)
         res["lipschitz"] = lip["max_ratio"] if lip else None
         res["config"] = _config(args)
@@ -449,7 +450,7 @@ def _cmd_report(args):
         "sdc": ec.sdc_verdict(max(args.tol, 1e-6))["ok"],
     }}
     if sep_ok:
-        lb = length_bound_check(curve, grid, args.tol, w_hull=mean_width(hull(curve.points), grid))
+        lb = length_bound_check(curve, grid, args.tol, w_hull=hull_width(curve, grid))
         out["checks"]["length_bound"] = lb["bound_ok"]
         out.update(length=lb["length"], w_hull=lb["w_hull"])
     jp = joint_parametrization(ec)

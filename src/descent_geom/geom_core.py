@@ -124,9 +124,11 @@ def as_points(pts):
         P = np.asarray(pts, dtype=float)
     except ValueError:
         raise DimensionMismatch("points have mixed dimensions")
+    if P.ndim in (1, 2) and len(P) == 0:  # before [] would promote to shape (1, 0)
+        raise InvalidInput("expected a nonempty point list, got a list of 0 points")
     if P.ndim == 1:
         P = P[None, :]
-    if P.ndim != 2 or P.shape[0] == 0 or P.shape[1] == 0:
+    if P.ndim != 2 or P.shape[1] == 0:
         raise InvalidInput(f"expected a nonempty point list, got shape {P.shape}")
     if not np.all(np.isfinite(P)):
         raise InvalidInput("coordinates must be finite")
@@ -504,6 +506,36 @@ def _spans_plane(P) -> bool:
 def _cross(U, V):
     """Cross products of planar vectors, row by row."""
     return U[..., 0] * V[..., 1] - U[..., 1] * V[..., 0]
+
+
+# Shewchuk's bound on the rounding of the orientation determinant, relative
+# to the sum of the magnitudes of its two products (ccwerrboundA, with his
+# epsilon 2^-53); the least normal float added to it covers products that
+# underflow.
+_ORIENT_BOUND = float((3.0 + 8.0 * _EPS) * 0.5 * _EPS)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _orient(a, b, c):
+    """Exact sign of (a - c) x (b - c) for planar points given as pairs of
+    floats: 1 when a, b, c turn counterclockwise, -1 clockwise, 0 when they
+    are collinear.
+
+    A float filter decides when the determinant clears Shewchuk's error
+    bound (Discrete Comput. Geom. 18, 1997); otherwise (exactly collinear
+    points, near-degenerate ones, an overflow) it is evaluated in Python
+    integers, the six coordinates scaled to one power of two.
+    """
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    left, right = (ax - cx) * (by - cy), (ay - cy) * (bx - cx)
+    det = left - right
+    if abs(det) > _ORIENT_BOUND * (abs(left) + abs(right)) + _TINY:
+        return 1 if det > 0.0 else -1
+    r = [v.as_integer_ratio() for v in (ax, ay, bx, by, cx, cy)]
+    q = max(d for _, d in r)
+    ax, ay, bx, by, cx, cy = (n * (q // d) for n, d in r)
+    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (det > 0) - (det < 0)
 
 
 def _ring_margin(P) -> float:

@@ -5,19 +5,34 @@ A polyline is self-expanding iff along every segment, the distance to every
 earlier vertex is non-decreasing; because that distance is a convex
 function of the segment parameter and linear in the earlier point, checking
 the inequality <d, a - y> >= 0 at segment starts against all earlier
-vertices decides the continuous property exactly.  Prefix hulls are grown
-in one pass by geom_core.extend_hull: in the plane each point goes into the
-previous counterclockwise ring, and hull() runs only where that is not clear.
+vertices decides the continuous property exactly.  In R^1 and R^2 the mean
+widths of the prefix hulls come from one pass over the points that builds
+no body (_path_widths): running extremes on the line, and in the plane
+Melkman's online hull with an exactly signed orientation test and the
+perimeter updated as edges leave and enter.  Prefix hulls as bodies
+(prefix_hulls, which gives the widths above the plane) are grown by
+geom_core.extend_hull: in the plane each point goes into the previous
+counterclockwise ring, and hull() runs only where that is not clear.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, PreconditionViolated
-from .geom_core import _EPS, _PAIR_BLOCK, TAU_PT, _row_norms, as_points, extend_hull, hull
+from .geom_core import (
+    _EPS,
+    _PAIR_BLOCK,
+    TAU_PT,
+    _orient,
+    _row_norms,
+    as_points,
+    extend_hull,
+    hull,
+)
 from .mean_width import SphereGrid, lipschitz_constant, mean_width
 
 # is_sep measures this many pairs at once: its four buffers hold half of
@@ -173,14 +188,120 @@ def prefix_hulls(gamma: Polyline):
     return [K] + extend_hull(K, gamma.points[1:])
 
 
+def _sees(a, b, p):
+    """True when p sees the edge a -> b of a counterclockwise ring: strictly
+    right of the line ab by the exact sign, or on that line outside the
+    closed segment [a, b] (read on a coordinate along which a and b differ).
+    """
+    turn = _orient(a, b, p)
+    if turn:
+        return turn < 0
+    k = 0 if a[0] != b[0] else 1
+    return p[k] < min(a[k], b[k]) or p[k] > max(a[k], b[k])
+
+
+def _insert_anywhere(D, p, per):
+    """(ring, perimeter) once p, which sees neither edge at the ends of the
+    deque D, is tested against every edge: unchanged when p sees none (it
+    lies in the hull); else the run of edges it sees, which cannot wrap past
+    those two, is replaced by the two edges to p, and p goes to both ends."""
+    R = list(D)
+    seen = [_sees(R[j], R[j + 1], p) for j in range(len(R) - 1)]
+    if not any(seen):
+        return D, per
+    s, t = seen.index(True), len(seen) - 1 - seen[::-1].index(True)
+    for j in range(s, t + 1):
+        per -= math.dist(R[j], R[j + 1])
+    per += math.dist(R[s], p) + math.dist(p, R[t + 1])
+    return deque([p] + R[t + 1:] + R[1:s + 1] + [p]), per
+
+
+def _planar_widths(pts):
+    """Mean widths (perimeter / pi) of the hulls of the prefixes of the
+    planar points pts, pairs of floats, in one pass.
+
+    Until a point leaves their line, the extreme pair of the points seen is
+    kept (a segment's perimeter counts both sides).  Then the hull is
+    Melkman's deque (Inf. Process. Lett. 25, 1987), seeded with the first
+    triangle: a counterclockwise ring with the last vertex added at both
+    ends.  A new point pops the end edges it sees (_sees) from either end
+    and is pushed on both; the perimeter loses the popped edges and gains
+    the two new ones.  A point that sees neither end edge is inside the hull
+    when the path is simple; for any other path _insert_anywhere decides,
+    so every width is that of the exact hull of the prefix.
+    """
+    m = len(pts)
+    w = [0.0] * m
+    lo = hi = pts[0]
+    for i in range(1, m):
+        p = pts[i]
+        turn = _orient(lo, hi, p)
+        if turn:
+            break
+        if lo == hi:
+            hi = p
+        elif _sees(lo, hi, p):  # on the line, outside [lo, hi]
+            k = 0 if lo[0] != hi[0] else 1
+            if (p[k] > hi[k]) == (hi[k] > lo[k]):
+                hi = p
+            else:
+                lo = p
+        w[i] = 2.0 * math.dist(lo, hi) / math.pi
+    else:
+        return w
+    D = deque((p, lo, hi, p) if turn > 0 else (p, hi, lo, p))
+    per = math.dist(lo, hi) + math.dist(hi, p) + math.dist(p, lo)
+    w[i] = per / math.pi
+    for i in range(i + 1, m):
+        p = pts[i]
+        top, bottom = _sees(D[-2], D[-1], p), _sees(D[0], D[1], p)
+        if top or bottom:
+            while top:
+                per -= math.dist(D[-2], D.pop())
+                top = _sees(D[-2], D[-1], p)
+            while bottom:
+                per -= math.dist(D.popleft(), D[0])
+                bottom = _sees(D[0], D[1], p)
+            per += math.dist(D[-1], p) + math.dist(p, D[0])
+            D.append(p)
+            D.appendleft(p)
+        else:
+            D, per = _insert_anywhere(D, p, per)
+        w[i] = per / math.pi
+    return w
+
+
+def _path_widths(P):
+    """Mean widths of the hulls of the prefixes of the points P in R^1
+    (running extremes) or R^2 (_planar_widths), as a list."""
+    if P.shape[1] == 1:
+        x = P[:, 0]
+        return (np.maximum.accumulate(x) - np.minimum.accumulate(x)).tolist()
+    return _planar_widths(P.tolist())
+
+
+def hull_width(gamma: Polyline, grid: SphereGrid = None) -> float:
+    """Mean width of the hull of the path's points: the last width of
+    _path_widths in R^1 and R^2, where no body is built and grid is not
+    read, else mean_width(hull(points), grid)."""
+    if gamma.dim <= 2:
+        return _path_widths(gamma.points)[-1]
+    return mean_width(hull(gamma.points), grid)
+
+
 def meanwidth_param(gamma: Polyline, grid: SphereGrid = None, tol: float = 1e-9):
     """Mean widths of the prefix hulls: the intrinsic SEP parametrization.
 
     Strictly increasing whenever a vertex extends the hull; requires a SEP.
+    In R^1 and R^2 they come from one pass over the points (_path_widths),
+    exact up to the rounding of the running perimeter; above, from
+    prefix_hulls and mean_width on the grid.
     """
     chk = is_sep(gamma, tol)
     if not chk["ok"]:
         raise PreconditionViolated(f"not a self-expanding path: {chk['witness']}")
+    if gamma.dim <= 2:
+        return _path_widths(gamma.points)
     return [mean_width(K, grid) for K in prefix_hulls(gamma)]
 
 
@@ -207,12 +328,12 @@ def length_bound_check(gamma: Polyline, grid: SphereGrid = None, tol: float = 1e
     """Check length(gamma) <= c1_n * mean width of the hull of the path.
 
     A caller that has checked the SEP property may pass w_hull, the width of
-    the hull (as the last of lipschitz_ratio's widths)."""
+    the hull (as the last of lipschitz_ratio's widths, or hull_width)."""
     if w_hull is None:
         chk = is_sep(gamma, tol)
         if not chk["ok"]:
             raise PreconditionViolated(f"not a self-expanding path: {chk['witness']}")
-        w_hull = mean_width(hull(gamma.points), grid)
+        w_hull = hull_width(gamma, grid)
     length = gamma.length()
     c = lipschitz_constant(gamma.dim)
     return {

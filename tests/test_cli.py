@@ -321,11 +321,15 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "error" in err
 
-    def test_bad_json_exit_2(self, capsys, monkeypatch):
-        code, _, err = run_cli(
-            ["check", "sep"], stdin_text="not json", capsys=capsys, monkeypatch=monkeypatch
-        )
-        assert code == 2
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "error: "),
+        ('{"points": []}', "error: expected a nonempty point list, got a list of 0 points"),
+    ])
+    def test_bad_json_exit_2(self, text, message, capsys, monkeypatch):
+        for what in ("check sep", "bounds length"):
+            code, out, err = run_cli(what.split(), stdin_text=text, capsys=capsys,
+                                     monkeypatch=monkeypatch)
+            assert code == 2 and out == "" and err.startswith(message), what
 
     def test_round_trip_bodies(self, capsys, monkeypatch):
         code, fam_json, _ = run_cli(["gen", "disks", "--levels", "5"], capsys=capsys)
@@ -1043,17 +1047,20 @@ class TestColdStart:
 
 
     def test_planar_queries_never_load_scipy_spatial(self, tmp_path):
-        # Planar facets are read off the ring and planar projection is closed
-        # form, so only the generators (hull() of points) run Qhull.
+        # Planar facets are read off the ring, planar projection is closed
+        # form and a planar path's widths come from one pass over its points,
+        # so only the generators (hull() of points) run Qhull.
         fam, curve = tmp_path / "fam.json", tmp_path / "curve.json"
         cantor, cantor_fam = tmp_path / "cantor.json", tmp_path / "cantor_fam.json"
         code, out, _ = _fresh(["gen", "random", "--n", "2", "--npoints", "10",
                                "--levels", "3", "--seed", "3"])
         assert code == 0
         fam.write_text(out)
-        top = json.loads(out)["bodies"][-1]["vertices"]
-        for path, argv in ((curve, ["descend", "--family", str(fam), "--knots", "3",
-                                    "--endpoint=" + ",".join(map(repr, top[0]))]),
+        bodies = json.loads(out)["bodies"]
+        # One knot per member: the curve has collinear runs, so hull() of its
+        # points is no clear ring and would run Qhull.
+        for path, argv in ((curve, ["descend", "--family", str(fam), "--knots", str(len(bodies)),
+                                    "--endpoint=" + ",".join(map(repr, bodies[-1]["vertices"][0]))]),
                            (cantor, ["fixtures", "cantor", "--level", "2"]),
                            (cantor_fam, ["fixtures", "cantor-family", "--level", "2"])):
             code, out, mods = _fresh(argv)
@@ -1061,7 +1068,9 @@ class TestColdStart:
             path.write_text(out)
         for argv in (["check", "sdc", "--curve", str(cantor), "--family", str(cantor_fam)],
                      ["check", "ec", "--curve", str(cantor), "--strat", str(cantor_fam)],
-                     ["family", "check", "--family", str(fam)]):
+                     ["family", "check", "--family", str(fam)],
+                     ["report", "--curve", str(curve), "--family", str(fam)],
+                     ["bounds", "length", "--curve", str(curve)]):
             code, out, mods = _fresh(argv)
             assert code in (0, 1) and "scipy.spatial" not in mods, argv
 

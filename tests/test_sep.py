@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from descent_geom import cli, geom_core, sep
 from descent_geom.errors import PreconditionViolated
 from descent_geom.cones import normal_cone, sphere_measure
 from descent_geom.geom_core import extend_hull, hull
-from descent_geom.mean_width import normal_sector_vector_flux
+from descent_geom.mean_width import mean_width, normal_sector_vector_flux
 from descent_geom.sep import (
     Polyline,
+    hull_width,
     is_sep,
     length_bound_check,
     lipschitz_ratio,
@@ -279,6 +281,92 @@ class TestPrefixHulls:
         path.write_text(json.dumps(Polyline.make([c, c + [1e-3, 2e-3]]).to_dict()))
         assert cli.main(["bounds", "length", "--curve", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["bound_ok"]
+
+
+def fraction_orient(a, b, c):
+    """Sign of (a - c) x (b - c) in exact rational arithmetic."""
+    (ax, ay), (bx, by), (cx, cy) = ([Fraction(v) for v in q] for q in (a, b, c))
+    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (det > 0) - (det < 0)
+
+
+class TestOrientation:
+    def test_sign_is_exact_on_the_near_degenerate_grid(self):
+        # Shewchuk's grid (Discrete Comput. Geom. 18, 1997, fig. 1): points
+        # one ulp apart against the diagonal, where the plain float
+        # determinant gets signs wrong.
+        u = 2.0 ** -53
+        q, r = (12.0, 12.0), (24.0, 24.0)
+        naive_wrong = 0
+        for i in range(64):
+            for j in range(64):
+                p = (0.5 + i * u, 0.5 + j * u)
+                exact = fraction_orient(p, q, r)
+                assert geom_core._orient(p, q, r) == exact
+                assert geom_core._orient(q, r, p) == geom_core._orient(r, p, q) == exact
+                det = (p[0] - r[0]) * (q[1] - r[1]) - (p[1] - r[1]) * (q[0] - r[0])
+                naive_wrong += ((det > 0) - (det < 0)) != exact
+        assert naive_wrong > 0
+
+    def test_collinear_triples_far_out_are_zero(self, rng):
+        for _ in range(200):
+            o = 1e6 * rng.uniform(-1, 1, 2)
+            d = rng.integers(-9, 10, 2) * 2.0 ** -int(rng.integers(0, 30))
+            s, t = rng.integers(-50, 50, 2)
+            a, b, c = (tuple((o + k * d).tolist()) for k in (0, s, t))
+            assert geom_core._orient(a, b, c) == fraction_orient(a, b, c) == 0
+            # a one-ulp step off the line is signed exactly
+            c = (c[0], float(np.nextafter(c[1], np.inf)))
+            assert geom_core._orient(a, b, c) == fraction_orient(a, b, c)
+
+
+class TestPathWidths:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_widths_match_prefix_hulls(self, seed, monkeypatch):
+        spliced = []  # per call of the general insertion: whether the ring changed
+        real = sep._insert_anywhere
+
+        def spy(D, p, per):
+            out = real(D, p, per)
+            spliced.append(out[0] is not D)
+            return out
+
+        monkeypatch.setattr(sep, "_insert_anywhere", spy)
+        walk_splices = 0
+        for k, g in enumerate(prefix_corpus(seed)):
+            spliced.clear()
+            ref = np.array([mean_width(K) for K in prefix_hulls(g)])
+            ws = sep._path_widths(g.points)
+            assert np.all(np.abs(np.array(ws) - ref) <= 1e-12 * (1.0 + ref)), k
+            assert hull_width(g) == ws[-1]
+            if 4 <= k <= 10:  # walks and lattice points, not SEPs: points the end edges leave open
+                assert spliced, k
+                walk_splices += spliced.count(True)
+        assert walk_splices > 0
+
+    def test_collinear_start(self):
+        # The extreme pair grows at either end and ignores points between
+        # them, on a horizontal, a vertical and a slanted line, far out too.
+        ts = [0.0, 1.0, 3.0, 2.0, -1.0, 0.5, -2.0]
+        for d in ((1.0, 0.0), (0.0, 1.0), (1.0, 3.0)):
+            for offset in (0.0, 1e6):
+                P = [(offset + t * d[0], offset + t * d[1]) for t in ts] + [(offset + 5.0, offset - 7.0)]
+                g = Polyline.make(P)
+                ref = [mean_width(K) for K in prefix_hulls(g)]
+                assert np.allclose(sep._path_widths(g.points), ref, rtol=1e-12, atol=0.0)
+
+    def test_line_widths_are_the_prefix_hulls_widths(self, rng):
+        for x in (np.cumsum(rng.random(300)), rng.standard_normal(200).cumsum(),
+                  1e6 + rng.integers(-3, 4, 100).cumsum().astype(float)):
+            g = Polyline.make(x[:, None])
+            assert sep._path_widths(g.points) == [mean_width(K) for K in prefix_hulls(g)]
+
+    def test_planar_bounds_length_builds_no_body(self, tmp_path, capsys, call_counter):
+        path = tmp_path / "spiral.json"
+        path.write_text(json.dumps(log_spiral(0.4, 2.5, 400).to_dict()))
+        hulls = call_counter("geom_core", "hull")
+        assert cli.main(["bounds", "length", "--curve", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["bound_ok"] and not hulls
 
 
 class TestTolReachesLengthChecks:

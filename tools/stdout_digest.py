@@ -9,19 +9,22 @@ and 3, the `family_validation` store and all of its queries, twice (the
 second pass reads every document again in the same process), `report
 cone-limit` at up to CONE_VERTICES vertices of each stored R^3 top body
 (p0 the vertex, u from the body's vertex mean to it), four cycles of
-`planar_pipeline` jobs (perfbench/workloads.py) and an R^3 pipeline (`gen
+`planar_pipeline` jobs (perfbench/workloads.py), each job whose `descend`
+passed followed by `bounds length` on its curve, and an R^3 pipeline (`gen
 random --n 3 --npoints 16 --levels 4`, `descend` from the top member's
 first vertex with one knot per member, `report`), and on each stored chain
 `bounds joint --csv` and `bounds annulus` at the middle member and at
-`--k1-index -2`; then the Cantor fixtures at levels 2 to 7 (on the
-Cantor disks also `bounds joint --csv` and `bounds annulus` at those two
-members, and `family check` on every Cantor family and every Cantor
-disks family) and `example61` with their checks, a `descend` on its
-family and one `descend` from an interior point of its top member
-(halfway from its vertex mean to its first vertex), which `descend` snaps
-to the boundary by a ray from the centroid; last, `family check` on two
-written two-member documents, one that fails at the distance test (JUMP)
-and one with members in two dimensions (MIXED).  Prints one line per
+`--k1-index -2`; then the Cantor fixtures at levels 2 to 7 (`bounds
+length` on every Cantor graph; on the Cantor disks also `bounds joint
+--csv` and `bounds annulus` at those two members, and `family check` on
+every Cantor family and every Cantor disks family), the default `fixtures
+spiral` with `bounds length` on it, and `example61` with its checks, a
+`descend` on its family and one `descend` from an interior point of its
+top member (halfway from its vertex mean to its first vertex), which
+`descend` snaps to the boundary by a ray from the centroid; last, `family
+check` on two written two-member documents, one that fails at the
+distance test (JUMP) and one with members in two dimensions (MIXED).
+Prints one line per
 command: its index, exit code, the sha256 of its stdout and of its stderr
 (first 32 hex digits each) and the command, with the working directory
 written as $WD in all three; a command that writes a CSV file (`--csv`)
@@ -82,6 +85,7 @@ def fixture_commands(wd):
             (["check", "sdc", "--curve", f(f"cantor{L}"), "--family", f(f"cantor_family{L}")],
              None),
             (["report", "--curve", f(f"cantor{L}"), "--family", f(f"cantor_family{L}")], None),
+            (["bounds", "length", "--curve", f(f"cantor{L}")], None),
             (["family", "check", "--family", f(f"cantor_family{L}")], None),
             (["fixtures", "cantor-disks", "--level", L], f(f"cantor_disks{L}")),
             (["family", "check", "--family", f(f"cantor_disks{L}_family")], None),
@@ -92,7 +96,9 @@ def fixture_commands(wd):
         # a level-L Cantor family has 2^(L+1) - 1 members
         cmds += [(argv, None) for argv in couple_queries(
             cd[1], cd[3], 2 ** (level + 1) - 1, os.path.join(wd, f"cantor_disks{L}.csv"))]
-    cmds.append((["fixtures", "example61"], f("example61")))
+    cmds += [(["fixtures", "spiral"], f("spiral")),
+             (["bounds", "length", "--curve", f("spiral")], None),
+             (["fixtures", "example61"], f("example61"))]
     ex = ["--curve", f("example61_curve"), "--family", f("example61_family")]
     cmds += [(["check", "sdc"] + ex, None), (["check", "ec"] + ex, None), (["report"] + ex, None),
              (["family", "check", "--family", f("example61_family")], None)]
@@ -170,7 +176,8 @@ def main(argv=None):
                 jobs = [job for _ in range(PLANAR_CYCLES) for job in w.cycle()] \
                     if name == "planar_pipeline" else 2 * w.cycle()
                 for job in jobs:
-                    w.run(job, call)
+                    if len(w.run(job, call)[1]) == 3:  # descend passed: its curve is this job's
+                        call(["bounds", "length", "--curve", os.path.join(sub, "curve.json")])
                 chains = {label.split()[-1] for label in w.catalog or ()
                           if label.startswith("bounds annulus")}
                 for chain in sorted(chains):
