@@ -306,7 +306,8 @@ class FamilyPass:
         """Conditions (ii) and (iii) of is_expanding_couple, as its verdict;
         the caller has proved the SEP property and condition (i).
 
-        (iii) reads every member's gaps D[i, j] - min over l > i of D[l, j],
+        (ii) reads the top member's depths off max_residual, and for a flat
+        top member its distances to Aff(top) (_off_aff).  (iii) reads every member's gaps D[i, j] - min over l > i of D[l, j],
         D the distances from the curve points to its vertices, at the points
         i not in its interior, over blocks of the stacked vertices.  Only the
         worst member's gaps are formed again, for the witness: the first
@@ -316,7 +317,9 @@ class FamilyPass:
         P, bodies = self.curve.points, self.family.bodies
         top = bodies[-1]
         btol = max(tol, _bd_tol(top))
-        depth, off = rel_depth_many(top, P)
+        depth = -self.max_residual[:, -1] if top.nvertices > 1 else 0.0  # a point: depth 0
+        off = (self._off_aff(np.full(len(P), len(bodies) - 1), P) if top.dim_affine < top.dim
+               else 0.0)
         if not np.any((off <= btol) & (np.abs(depth) <= btol)):
             return {"ok": False, "condition": "ii", "witness": None}
         outside = ~self.interior[:-1]
@@ -575,20 +578,8 @@ def curve_uniform_distance(c1: Polyline, c2: Polyline) -> float:
     """Uniform distance between two curves at 200 common normalized arc
     lengths."""
     t = np.linspace(0.0, 1.0, 200)
-    p1, p2 = (_points_at(c, t * c.length()) for c in (c1, c2))
+    p1, p2 = (c.points_at(t * c.length()) for c in (c1, c2))
     return float(np.linalg.norm(p1 - p2, axis=1).max())
-
-
-def _points_at(curve: Polyline, s):
-    """curve.point_at at each arc length of s, in one searchsorted."""
-    P, cums = curve.points, curve.arclengths
-    if len(P) == 1:
-        return np.repeat(P, len(s), axis=0)
-    s = np.minimum(np.maximum(s, 0.0), cums[-1])
-    i = np.minimum(np.searchsorted(cums, s, side="right") - 1, len(P) - 2)
-    seg = cums[i + 1] - cums[i]
-    t = np.divide(s - cums[i], seg, out=np.zeros(len(s)), where=seg > 0)[:, None]
-    return (1 - t) * P[i] + t * P[i + 1]
 
 
 # -- fixtures ------------------------------------------------------------------

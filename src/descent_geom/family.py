@@ -31,7 +31,7 @@ from .geom_core import (
     TAU_PT,
     ConvexBody,
     _hausdorff_upper,
-    bodies_from_dicts,
+    body_from_dict,
     hausdorff,
     hull,
     includes,
@@ -90,7 +90,7 @@ def _bodies_from_dict(d):
     bodies = d.get("bodies") if isinstance(d, dict) else None
     if not isinstance(bodies, list) or not bodies:
         raise InvalidInput("family JSON must be an object with a nonempty 'bodies' list")
-    return bodies_from_dicts(bodies)
+    return [body_from_dict(b) for b in bodies]
 
 
 def stratification_from_dict(d, grid: SphereGrid = None) -> Stratification:

@@ -17,10 +17,9 @@ itself, else the facet triangles), and for k >= 4 the least-distance
 program on the facets, solved by _nnls, the package's one active-set
 solver (cones decides membership with it).  project, contains, includes
 and hausdorff all read that kernel.
-Everything here is a pure function over immutable arrays.  The one global
-state is the memo of body_from_dict: keyed by the exact input, bounded in
-stored coordinates and guarded by a lock, it hands out read-only bodies, so
-concurrent use on shared bodies is safe.
+Everything here is a pure function over immutable arrays, and this module
+keeps no global state: what a body computes it keeps on itself, its kept
+arrays read-only, so concurrent use on shared bodies is safe.
 
 Qhull (scipy.spatial) is imported by _qhull on its first run; the rest is
 numpy, so planar bodies from rings, their facets and projections,
@@ -33,7 +32,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -63,8 +61,8 @@ _PAIR_BLOCK = 1 << 16
 
 class _Memo:
     """Values keyed by content, least recently used evicted first once the
-    costs of those kept (counts of stored coordinates for bodies, of
-    characters for CLI documents) pass budget; a value costing more than
+    costs of those kept (characters for CLI documents, direction
+    coordinates for sphere grids) pass budget; a value costing more than
     budget is not kept.  A lock guards every read and write, and values are
     made outside it: when two threads make the same key at once, both get
     the value stored first."""
@@ -373,28 +371,11 @@ def _read_only(F):
     return F
 
 
-# Keeps 2^16 coordinates of stored input, 512 KB of keys.
-_body_memo = _Memo(1 << 16)
-
-
-def _stored_body(P):
-    """The body of the points P that _body_memo keeps, canonicalized with
-    read-only vertices on a miss (hull copies P)."""
-    def make():
-        K = hull(P)
-        K.vertices.flags.writeable = False
-        return K
-
-    return _body_memo.get((P.shape, P.tobytes()), P.size, make)
-
-
 def body_from_dict(d):
-    """Load a body from its JSON object form, re-canonicalizing.
-
-    A stored planar body is a clear ring, so hull() reads it without Qhull.
-    The body is canonicalized once per distinct input (shape and exact
-    coordinates) while _body_memo keeps it: later loads return the same
-    read-only body, its facets, diameter and mean width (kept_width) kept.
+    """Load a body from its JSON object form, re-canonicalizing on every
+    load (a stored planar body is a clear ring, so hull() reads it without
+    Qhull).  Its vertices are marked read-only, as its facets are, since a
+    loaded body may be shared (the CLI keeps what it built from a document).
     """
     try:
         verts = d["vertices"]
@@ -403,29 +384,9 @@ def body_from_dict(d):
     P = as_points(verts)
     if "dim" in d and int(d["dim"]) != P.shape[1]:
         raise DimensionMismatch("declared dim does not match vertex data")
-    return _stored_body(P)
-
-
-def bodies_from_dicts(ds):
-    """body_from_dict of each object of ds, its vertex lists converted by
-    one as_points call: each body's memo entry is keyed on its slice of
-    that array, so a body is the one body_from_dict gives.  Objects that do
-    not convert at once, in one dimension with a nonempty vertex list and
-    a matching declared dim, are loaded one by one, which raises
-    body_from_dict's error."""
-    try:
-        verts = [d["vertices"] for d in ds]
-        counts = [len(v) for v in verts]
-        P = as_points(list(chain.from_iterable(verts)))
-        n = P.shape[1]
-        one = (len(P) == sum(counts) and min(counts) > 0
-               and all("dim" not in d or int(d["dim"]) == n for d in ds))
-    except (KeyError, TypeError, ValueError, InvalidInput):
-        one = False
-    if not one:
-        return [body_from_dict(d) for d in ds]
-    ends = list(accumulate(counts))
-    return [_stored_body(P[a:b]) for a, b in zip([0] + ends, ends)]
+    K = hull(P)
+    K.vertices.flags.writeable = False
+    return K
 
 
 def _canonical_order(V, n):

@@ -87,17 +87,22 @@ class Polyline:
         cums.flags.writeable = False
         return cums
 
+    def points_at(self, s):
+        """Points at the arc lengths s (each clamped to the curve), in one
+        searchsorted."""
+        P, cums = self.points, self.arclengths
+        s = np.asarray(s, dtype=float)
+        if len(P) == 1:
+            return np.repeat(P, len(s), axis=0)
+        s = np.minimum(np.maximum(s, 0.0), cums[-1])
+        i = np.minimum(np.searchsorted(cums, s, side="right") - 1, len(P) - 2)
+        seg = cums[i + 1] - cums[i]
+        t = np.divide(s - cums[i], seg, out=np.zeros(len(s)), where=seg > 0)[:, None]
+        return (1 - t) * P[i] + t * P[i + 1]
+
     def point_at(self, s: float):
         """Point at arc length s (clamped to the curve)."""
-        cums = self.arclengths
-        s = min(max(s, 0.0), cums[-1])
-        i = int(np.searchsorted(cums, s, side="right")) - 1
-        i = min(i, self.npoints - 2) if self.npoints > 1 else 0
-        if self.npoints == 1:
-            return self.points[0].copy()
-        seg = cums[i + 1] - cums[i]
-        t = 0.0 if seg <= 0 else (s - cums[i]) / seg
-        return (1 - t) * self.points[i] + t * self.points[i + 1]
+        return self.points_at([s])[0]
 
     def to_dict(self):
         return {"dim": int(self.dim), "points": self.points.tolist()}

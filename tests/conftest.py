@@ -7,7 +7,7 @@ import pytest
 import scipy.spatial
 
 from descent_geom.cli import _doc_memo
-from descent_geom.geom_core import _body_memo, hull
+from descent_geom.geom_core import hull
 from descent_geom.mean_width import _grid_cache
 from descent_geom.sep import Polyline
 
@@ -16,10 +16,10 @@ MODULES = ("geom_core", "cones", "mean_width", "sep", "family", "descent", "cli"
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts as a fresh process does, with no document, body or
-    sphere grid kept from an earlier test."""
+    """Every test starts as a fresh process does, with no document (nor the
+    bodies built from it) or sphere grid kept from an earlier test: the
+    package's two memos are cleared."""
     _doc_memo.clear()
-    _body_memo.clear()
     _grid_cache.clear()
 
 

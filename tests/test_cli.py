@@ -21,16 +21,15 @@ from descent_geom.descent import (
     is_viable_sdc,
 )
 from descent_geom.family import family_from_dict
-from descent_geom.geom_core import _body_memo, _Memo, hausdorff, hull
+from descent_geom.geom_core import _Memo, hausdorff, hull
 from descent_geom.mean_width import width_gap_constant
 from descent_geom.sep import is_sep, polyline_from_dict
 
 
 def _fresh_process():
-    """Drop the documents and bodies kept by earlier commands, as a fresh
-    process starts."""
+    """Drop the documents kept by earlier commands, and with them the
+    bodies built from them, as a fresh process starts."""
     cli._doc_memo.clear()
-    _body_memo.clear()
 
 
 def run_cli(argv, stdin_text=None, capsys=None, monkeypatch=None):
@@ -901,8 +900,8 @@ class TestDocumentMemo:
         loads = json.loads
         monkeypatch.setattr(json, "loads", lambda *a, **k: decodes.append(a) or loads(*a, **k))
         builds = [call_counter(module, name) for module, name in (
-            ("geom_core", "bodies_from_dicts"), ("geom_core", "body_from_dict"),
-            ("sep", "polyline_from_dict"), ("family", "validate_stratification"))]
+            ("geom_core", "body_from_dict"), ("sep", "polyline_from_dict"),
+            ("family", "validate_stratification"))]
         second = [run_cli(argv, capsys=capsys) for argv in argvs]
         assert second == first
         assert decodes == [] and builds == [[]] * len(builds)

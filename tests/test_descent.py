@@ -542,11 +542,11 @@ def _turned(P, angle):
 @pytest.fixture(scope="module")
 def oracle_corpus():
     """(name, curve, family) pairs: fixtures, constructed couples in R^2 to
-    R^4, flat and point members, one-point curves, and negatives (an
-    interior point pushed 1e-3 diam off its member's boundary, inward and
-    outward, the last point pushed into the top member by 1.5 and 0.5
-    times its boundary tolerance _bd_tol, and the final chord turned 2e-3
-    rad)."""
+    R^4, flat and point members, a point top member, one-point curves, and
+    negatives (an interior point pushed 1e-3 diam off its member's boundary,
+    inward and outward, the last point pushed into the top member by 1.5 and
+    0.5 times its boundary tolerance _bd_tol, and the final chord turned
+    2e-3 rad)."""
     cases = [(f"cantor{L}", cantor_graph(L), cantor_family(L)) for L in range(2, 8)]
     # every member twice: (iii) ties between members, and the first one wins
     fam = cantor_family(4)
@@ -600,6 +600,10 @@ def oracle_corpus():
             cases.append((f"{name}-turned", Polyline.make(_turned(P, 2e-3)), fam))
         cases.append((f"{name}-top-point", Polyline.make(P[-1:]), fam))
         cases.append((f"{name}-inner-point", Polyline.make(P[:1]), fam))
+    # a point top member: the curve at it is on its boundary, at depth 0
+    point = hull([[0.3, 0.7]])
+    cases.append(("point-top", Polyline.make(point.vertices),
+                  Family((point, point), (0.0, 0.0), 1.0)))
     return cases
 
 

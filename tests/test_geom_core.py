@@ -3,10 +3,8 @@ import itertools
 import json
 import pathlib
 import re
-import sys
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -271,91 +269,18 @@ class TestSerialization:
         K = body_from_dict({"dim": 2, "vertices": [[0, 0], [1, 0], [0.5, 0.2], [0, 1]]})
         assert K.nvertices == 3
 
-
-class TestBodyMemo:
-    def test_reload_is_the_same_body_and_runs_no_qhull(self, rng, qhull_calls):
-        for K in (random_polytope(rng, 3, 25), embedded_polytope(rng, 4, 3, 16), disk_polygon()):
-            doc = json.loads(json.dumps(K.to_dict()))
-            L = body_from_dict(doc)
-            L.facets, L.diameter()
-            qhull_calls.clear()
-            assert body_from_dict(json.loads(json.dumps(doc))) is L
-            assert not qhull_calls
-
-    def test_one_ulp_apart_is_another_body(self, rng):
-        V = random_polytope(rng, 3, 25).vertices.copy()
-        L = body_from_dict({"dim": 3, "vertices": V.tolist()})
-        V[0, 0] = np.nextafter(V[0, 0], np.inf)
-        M = body_from_dict({"dim": 3, "vertices": V.tolist()})
-        assert M is not L and np.array_equal(M.vertices, hull(V).vertices)
-        assert not np.array_equal(M.vertices, L.vertices)
-        V[0, 0] = np.nextafter(V[0, 0], -np.inf)
-        assert body_from_dict({"dim": 3, "vertices": V.tolist()}) is L
-
     def test_loaded_bodies_are_read_only(self, rng):
-        for K in (random_polytope(rng, 2, 20), random_polytope(rng, 3, 20),
-                  embedded_polytope(rng, 3, 2, 12)):
-            L = body_from_dict(K.to_dict())
+        bodies = [body_from_dict(K.to_dict()) for K in (
+            random_polytope(rng, 2, 20), random_polytope(rng, 3, 20),
+            embedded_polytope(rng, 3, 2, 12))]
+        fam = family_from_dict({"bodies": [disk_polygon(r).to_dict() for r in (0.5, 1.0)]})
+        for L in bodies + list(fam.bodies):
             with pytest.raises(ValueError):
                 L.vertices[0, 0] = 0.0
             with pytest.raises(ValueError):
                 L.facets.equations[0, 0] = 0.0
 
-    def test_memo_stays_within_its_budget(self):
-        memo = geom_core._body_memo
-        # clear rings of 4 096 vertices, read without Qhull
-        docs = [disk_polygon(1.0, (3.0 * i, 0.0), 4096).to_dict()
-                for i in range(memo.budget // 8192 + 8)]
-        first = body_from_dict(docs[0])
-        for doc in docs[1:]:
-            body_from_dict(doc)
-            assert memo.cost <= memo.budget
-        assert len(memo.items) == memo.budget // 8192
-        assert body_from_dict(docs[0]) is not first  # evicted, loaded again
-        # an input larger than the whole budget is loaded but not kept
-        m = memo.budget // 2 + 1
-        seg = body_from_dict({"vertices": np.column_stack([np.arange(m), np.zeros(m)]).tolist()})
-        assert seg.nvertices == 2 and memo.cost <= memo.budget
-        assert all(v is not seg for v, _ in memo.items.values())
-
-    def test_concurrent_loads_match_a_serial_load(self):
-        docs = [K.to_dict() for K in example61_family().bodies]  # R^3, five members flat
-        serial = [hull(np.array(d["vertices"])) for d in docs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                runs = [pool.submit(lambda: [body_from_dict(d) for d in docs]) for _ in range(4)]
-                loaded = [f.result(timeout=60) for f in runs]
-        finally:
-            sys.setswitchinterval(interval)
-        for bodies in loaded:
-            assert [K is L for K, L in zip(bodies, loaded[0])] == [True] * len(docs)
-            for K, S in zip(bodies, serial):
-                assert np.array_equal(K.vertices, S.vertices) and K.dim_affine == S.dim_affine
-                assert np.array_equal(K.facets.equations, S.facets.equations)
-        memo = geom_core._body_memo
-        assert len(memo.items) == len(docs)
-        assert memo.cost == sum(np.size(d["vertices"]) for d in docs)
-
-
-class TestBodiesFromDicts:
-    def test_same_bodies_as_one_at_a_time(self, rng):
-        docs = [json.loads(json.dumps(K.to_dict()))
-                for K in (random_polytope(rng, 3, 20), embedded_polytope(rng, 3, 2, 9))]
-        docs += [{"dim": 3, "vertices": [[0.5, 0.5, 0.5]]}, docs[0]]
-        bodies = geom_core.bodies_from_dicts(docs)
-        assert [K is body_from_dict(d) for K, d in zip(bodies, docs)] == [True] * len(docs)
-        memo = geom_core._body_memo
-        assert len(memo.items) == 3 and bodies[3] is bodies[0]
-        assert memo.cost == sum(np.size(d["vertices"]) for d in docs[:3])
-        with pytest.raises(ValueError):
-            bodies[0].vertices[0, 0] = 0.0
-        geom_core._body_memo.clear()
-        loaded = [body_from_dict(d) for d in docs]
-        assert [K is L for K, L in zip(geom_core.bodies_from_dicts(docs), loaded)] == [True] * 4
-
-    def test_malformed_lists_raise_the_one_at_a_time_error(self):
+    def test_family_load_raises_the_member_error(self):
         square = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
         lists = [
             [square, {"vertices": []}],
@@ -369,12 +294,7 @@ class TestBodiesFromDicts:
             with pytest.raises((InvalidInput, DimensionMismatch)) as one:
                 [body_from_dict(d) for d in docs]
             with pytest.raises(type(one.value), match=re.escape(str(one.value))):
-                geom_core.bodies_from_dicts(docs)
-
-    def test_mixed_dimensions_load_body_by_body(self):
-        docs = [{"vertices": [[0, 0], [1, 0], [0, 1]]}, {"vertices": [[0, 0, 0], [1, 0, 0]]},
-                {"vertices": [1.0, 2.0]}]
-        assert [K.dim for K in geom_core.bodies_from_dicts(docs)] == [2, 3, 2]
+                family_from_dict({"bodies": docs})
 
 
 class TestDiameter:

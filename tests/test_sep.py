@@ -22,6 +22,7 @@ from descent_geom.sep import (
 )
 from descent_geom.descent import cantor_graph, log_spiral
 
+from . import oracles
 from .oracles import polyline_keep, sep_bruteforce, sep_segment_loop, step_ratios_loop
 
 
@@ -74,10 +75,19 @@ class TestPolyline:
         P[0, 0] = 5.0  # the input is copied, not frozen
         assert g.points[0, 0] == 0.0
 
-    def test_length_and_point_at(self):
+    def test_length_and_point_at(self, rng):
         g = staircase()
         assert g.length() == pytest.approx(3.0)
         assert np.allclose(g.point_at(1.5), (1, 0.5))
+        # the oracle bit for bit: below and past the ends, at the knots,
+        # inside, and on a one-point curve
+        for g in (staircase(), half_circle(17), Polyline.make(rng.standard_normal((9, 3))),
+                  Polyline.make([(1.0, 2.0)])):
+            s = np.concatenate(([-1.0], g.arclengths, rng.uniform(0, g.length(), 20),
+                                [g.length() + 1.0]))
+            P = g.points_at(s)
+            assert np.array_equal(P, [oracles.point_at(g, x) for x in s])
+            assert all(np.array_equal(g.point_at(x), p) for x, p in zip(s, P))
 
     def test_round_trip(self):
         g = half_circle(17)
