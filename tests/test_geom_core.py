@@ -3,8 +3,10 @@ import itertools
 import json
 import pathlib
 import re
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -295,6 +297,83 @@ class TestSerialization:
                 [body_from_dict(d) for d in docs]
             with pytest.raises(type(one.value), match=re.escape(str(one.value))):
                 family_from_dict({"bodies": docs})
+
+
+
+class TestBodyLoad:
+    """body_from_dict canonicalizes on every load and keeps nothing between
+    loads: the CLI's document memo is what shares a loaded body."""
+
+    def test_reload_canonicalizes_again(self, rng, qhull_calls):
+        for K, runs in ((random_polytope(rng, 3, 25), 1), (embedded_polytope(rng, 4, 3, 16), 1),
+                        (disk_polygon(), 0)):
+            doc = json.loads(json.dumps(K.to_dict()))
+            L = body_from_dict(doc)
+            qhull_calls.clear()
+            M = body_from_dict(json.loads(json.dumps(doc)))
+            assert M is not L and len(qhull_calls) == runs  # a clear ring runs no Qhull
+            assert np.array_equal(M.vertices, L.vertices) and M.dim_affine == L.dim_affine
+            assert np.array_equal(M.facets.equations, L.facets.equations)
+
+    def test_one_ulp_apart_is_another_body(self, rng):
+        V = random_polytope(rng, 3, 25).vertices.copy()
+        L = body_from_dict({"dim": 3, "vertices": V.tolist()})
+        V[0, 0] = np.nextafter(V[0, 0], np.inf)
+        M = body_from_dict({"dim": 3, "vertices": V.tolist()})
+        assert np.array_equal(M.vertices, hull(V).vertices)
+        assert not np.array_equal(M.vertices, L.vertices)
+        V[0, 0] = np.nextafter(V[0, 0], -np.inf)
+        assert np.array_equal(body_from_dict({"dim": 3, "vertices": V.tolist()}).vertices,
+                              L.vertices)
+
+    def test_load_leaves_the_input_array_alone(self, rng):
+        # the loaded vertices are made read-only: never the caller's array
+        for V in (random_polytope(rng, 2, 12).vertices.copy(),
+                  random_polytope(rng, 3, 12).vertices.copy(), np.array([[0.5, 0.5]]),
+                  np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])):
+            W = V.copy()
+            K = body_from_dict({"vertices": V})
+            assert V.flags.writeable and not np.shares_memory(K.vertices, V)
+            V += 1.0
+            assert np.array_equal(K.vertices, hull(W).vertices)
+
+    def test_concurrent_loads_match_a_serial_load(self):
+        docs = [K.to_dict() for K in example61_family().bodies]  # R^3, five members flat
+        serial = [hull(np.array(d["vertices"])) for d in docs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(lambda: [body_from_dict(d) for d in docs]) for _ in range(4)]
+                loaded = [f.result(timeout=60) for f in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for bodies in loaded:
+            for K, S in zip(bodies, serial, strict=True):
+                assert np.array_equal(K.vertices, S.vertices) and K.dim_affine == S.dim_affine
+                assert np.array_equal(K.facets.equations, S.facets.equations)
+                assert not K.vertices.flags.writeable
+
+    def test_same_bodies_as_one_at_a_time(self, rng):
+        docs = [json.loads(json.dumps(K.to_dict()))
+                for K in (random_polytope(rng, 3, 20), embedded_polytope(rng, 3, 2, 9))]
+        docs += [{"dim": 3, "vertices": [[0.5, 0.5, 0.5]]}, docs[0]]
+        fam = family_from_dict({"bodies": docs, "params": [0.0, 1.0, 2.0, 3.0]})
+        for K, d in zip(fam.bodies, docs, strict=True):
+            L = body_from_dict(d)
+            assert np.array_equal(K.vertices, L.vertices) and K.dim_affine == L.dim_affine
+            assert not K.vertices.flags.writeable
+        # a member listed twice is loaded twice
+        assert fam.bodies[3] is not fam.bodies[0]
+        assert np.array_equal(fam.bodies[3].vertices, fam.bodies[0].vertices)
+
+    def test_mixed_dimensions_load_body_by_body(self):
+        # loading does not compare members; family checks report the mismatch
+        docs = [{"vertices": [[0, 0], [1, 0], [0, 1]]}, {"vertices": [[0, 0, 0], [1, 0, 0]]},
+                {"vertices": [1.0, 2.0]}]
+        fam = family_from_dict({"bodies": docs, "params": [0.0, 1.0, 2.0]})
+        assert [K.dim for K in fam.bodies] == [2, 3, 2]
+        assert [K.dim_affine for K in fam.bodies] == [2, 1, 0]
 
 
 class TestDiameter:
