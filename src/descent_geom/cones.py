@@ -18,6 +18,13 @@ problems on its generators, solved in numpy (geom_core._nnls).  The
 angular Hausdorff distance of the cone-limit study is exact in the plane,
 where a cone's directions are arcs read off its generators, and measured
 on a direction grid for n >= 3.
+The study builds no cap body K^p for a full-dimensional K: the normal
+cone of K^p at p is read off K's cached facets, from the horizon ridges
+that the facets p sees share with those it does not (the beneath-beyond
+step), and the lower sandwich test is the support gap on K's vertices.
+Its two searches, the largest angle to N_K(p0) and the farthest sample
+direction, bound every candidate from both sides and measure only those
+the bounds leave open.
 """
 
 import math
@@ -27,8 +34,10 @@ import numpy as np
 
 from .errors import InvalidInput, PreconditionViolated
 from .geom_core import (
+    _EPS,
     TAU_PT,
     ConvexBody,
+    _Memo,
     _nnls,
     _row_norms,
     as_point,
@@ -41,6 +50,18 @@ from .geom_core import (
 )
 
 _MEMBER_TOL = 1e-8
+# A row left open by the bounds of max_angle_to_base_cone and of
+# sector_angular_hausdorff is measured unless its bound clears the others'
+# by this margin (radians there, support values here): it covers the
+# rounding of arccos near 0, about sqrt(eps) ~ 1.5e-8, and of the bounds.
+_ANGLE_MARGIN = 1e-6
+_SUPPORT_MARGIN = 1e-9
+# sector_angular_hausdorff bounds a row's support on a sample from below by
+# its support on every _SAMPLE_STRIDE-th grid direction of the sample.
+_SAMPLE_STRIDE = 16
+# Direction grids of the cone-limit study, read-only, bounded in direction
+# coordinates as mean_width's quadrature grids are.
+_dirs_cache = _Memo(1 << 20)
 
 
 def sphere_measure(k: int) -> float:
@@ -206,6 +227,62 @@ def cap_body(K: ConvexBody, p) -> ConvexBody:
     return extend_hull(K, [as_point(p, K.dim)])[0]
 
 
+def _ridges(K: ConvexBody):
+    """The ridges of K's facet triangulation, each a facet simplex less one
+    vertex (vertex indices, one row a ridge), with the two facets through
+    it: (ridges, first facets, second facets).  None when K is not
+    full-dimensional, or its facets are not exact on its vertices (Qhull's
+    QJ), or some ridge is not shared by exactly two facets: the cap cones
+    are then not read off them."""
+    n = K.dim
+    if K.dim_affine != n or n < 2:
+        return None
+    _, _, eqs, S = K.facets
+    if (K.vertices @ eqs[:, :-1].T + eqs[:, -1]).max() > rounding_floor(K):
+        return None
+    R = np.sort(np.stack([np.delete(S, j, axis=1) for j in range(n)], axis=1), axis=2)
+    R = R.reshape(-1, n - 1)  # row i: facet i // n less its vertex i % n
+    order = np.lexsort(R.T[::-1])
+    Q = R[order]
+    # in lexicographic order, each ridge is two equal rows, then another
+    if not ((Q[0::2] == Q[1::2]).all() and (Q[1:-1:2] != Q[2::2]).any(axis=1).all()):
+        return None
+    pairs = order.reshape(-1, 2) // n
+    return Q[0::2], pairs[:, 0], pairs[:, 1]
+
+
+def _cap_cone(K: ConvexBody, ridges, p):
+    """N_{K^p}(p) for p outside K, read off K's facets with no cap body
+    built (the beneath-beyond step): the facets of K^p through p are the
+    hulls of p and the horizon ridges, shared by a facet p sees (residual
+    > 0) and one it does not.  The generators are their unit outer normals,
+    deduplicated as _body_at does; the rows are the negated unit directions
+    from p to the horizon vertices, the vertices of K^p that share a facet
+    simplex with p.  None where _ridges declined, or when a residual of p
+    lies within the clearance of K^p's rounding_floor (TAU_PT at least), or
+    p sees no facet: normal_cone(cap_body(K, p), p) then decides."""
+    if ridges is None:
+        return None
+    R, fa, fb = ridges
+    c, _, eqs, _ = K.facets
+    r = eqs[:, :-1] @ p + eqs[:, -1]
+    clear = max(TAU_PT, rounding_floor(K), 8.0 * _EPS * (1.0 + float(np.abs(p).max())))
+    seen = r > 0.0
+    if np.abs(r).min() <= clear or not seen.any():
+        return None
+    H = R[seen[fa] != seen[fb]]
+    E = K.vertices[H] - p  # per horizon ridge, its vertices less p
+    n = K.dim
+    if n == 3:  # cross products
+        a, b = E[:, 0], E[:, 1]
+        N = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+    else:  # the cofactors of the rows of E, a normal to each
+        minors = E[:, :, [np.delete(np.arange(n), j) for j in range(n)]].transpose(0, 2, 1, 3)
+        N = np.linalg.det(minors) * (-1.0) ** np.arange(n)
+    N *= np.where(N @ (c - p) > 0.0, -1.0, 1.0)[:, None]  # K's centre lies below
+    return PolyCone(n, dedup_points(N / _row_norms(N)[:, None]), -_unit(K.vertices[np.unique(H)] - p))
+
+
 def cap_support(K: ConvexBody, p, x) -> float:
     """Two-branch support formula of the cap body K^p.
 
@@ -348,15 +425,22 @@ def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs):
     cone's generators (_arcs), and dirs is not read (it may be None).  For
     n >= 3 it is estimated on the direction grid dirs augmented by the
     cones' own generators, a direction counting as a member at tolerance
-    1e-9; a grid direction in both samples is measured only when the
-    others leave it a candidate for the farthest."""
+    1e-9.  Of one sample, only the rows that bounds leave a candidate for
+    the farthest from the other are measured against all of it."""
     if A.dim == 2:
         PA, PB = _arcs(A), _arcs(B)
         if not PA or not PB:
             return 0.0 if PA == PB else math.pi
         return max(_directed_arcs(PA, PB), _directed_arcs(PB, PA))
     dirs = np.asarray(dirs, dtype=float)
-    mA, mB = A.member_mask(dirs, tol=1e-9), B.member_mask(dirs, tol=1e-9)
+    return _sampled_hausdorff(A, B, dirs, support_many(dirs, -B.rows))
+
+
+def _sampled_hausdorff(A: PolyCone, B: PolyCone, dirs, gB):
+    """sector_angular_hausdorff for n >= 3, given gB, each grid direction's
+    largest violation of B's rows (member_mask at 1e-9 is gB <= 1e-9)."""
+    gA = support_many(dirs, -A.rows)
+    mA, mB = gA <= 1e-9, gB <= 1e-9
 
     def sample(C, m):
         return np.vstack([dirs[m], C.generators])
@@ -367,18 +451,61 @@ def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs):
     if len(SA) == 0 or len(SB) == 0:
         return math.pi
 
-    def directed(C, m, S, mS):
+    def directed(C, m, g, D, S, mS):
+        # The support h(x) of a unit row x on S is at least its support on
+        # every _SAMPLE_STRIDE-th grid row of S and D's generators, and at
+        # most sqrt(1 - t^2) + delta, where t = -<x, w> for a row w of D and
+        # every row of S meets w to within delta (the mask's 1e-9, or D's
+        # own generators' worst gap); a row whose lower bound exceeds the
+        # least upper bound is not the farthest, and is not measured.
+        only = m & ~mS
+        X = sample(C, only)
+        t = np.concatenate([g[only], support_many(C.generators, -D.rows)])
+        delta = max(1e-9, support_many(D.generators, -D.rows).max(initial=-np.inf))
+        upper = np.sqrt(1.0 - np.clip(t, 0.0, 1.0) ** 2) + delta
+        lower = support_many(X, np.vstack([dirs[np.flatnonzero(mS)[::_SAMPLE_STRIDE]],
+                                           D.generators]))
+        h = support_many(X[lower <= upper.min(initial=np.inf) + _SUPPORT_MARGIN], S)
         # a direction x in both samples has support at least <x, x> on S
         # (less its rounding, which the factor 1 - 1e-12 covers), so it
         # cannot be the farthest while another row's support is below that;
         # it is measured only when none is
-        h = support_many(sample(C, m & ~mS), S)
         both = dirs[m & mS]
         if len(both) and (1.0 - 1e-12) * np.einsum("ij,ij->i", both, both).min() < h.min(initial=np.inf):
             h = np.concatenate([h, support_many(both, S)])
         return float(np.arccos(np.clip(h, -1.0, 1.0)).max())
 
-    return max(directed(A, mA, SB, mB), directed(B, mB, SA, mA))
+    return max(directed(A, mA, gB, B, SB, mB), directed(B, mB, gA, A, SA, mA))
+
+
+def _max_angle(C: PolyCone, X) -> float:
+    """max over the rows x of X of C.angle_to(x), measuring only the rows
+    whose bounds leave them a candidate.  The angle from x to C is at most
+    its angle to C's nearest generator, and at least asin(-<x, w>) for a
+    row w that every generator of C meets (to within 1e-9); in decreasing
+    order of the upper bound, the rows are measured until that bound falls
+    below the largest lower bound or the largest angle measured, less
+    _ANGLE_MARGIN.  0 when X is empty."""
+    upper = np.arccos(np.clip(support_many(X, C.generators), -1.0, 1.0))
+    W = C.rows[support_many(-C.rows, C.generators) <= 1e-9]
+    best = float(np.arcsin(np.clip(support_many(X, -W), 0.0, 1.0)).max(initial=0.0))
+    top = 0.0
+    for i in np.argsort(-upper, kind="stable").tolist():
+        if upper[i] < max(best, top) - _ANGLE_MARGIN:
+            break
+        top = max(top, C.angle_to(X[i]))
+    return top
+
+
+def _directions(n, size, seed):
+    """unit_directions(n, size, seed), read-only, made once while
+    _dirs_cache keeps it."""
+    def make():
+        D = unit_directions(n, size, seed)
+        D.flags.writeable = False
+        return D
+
+    return _dirs_cache.get((n, size, seed), n * size, make)
 
 
 def normal_cone_limit_report(
@@ -394,9 +521,11 @@ def normal_cone_limit_report(
     For p_eps = p0 + eps*u the cones are sandwiched between N_K(p0) n {u}*
     and {u}*, and converge (in angular Hausdorff distance of sectors) to
     the lower envelope as eps -> 0.  Requires p0 on the boundary of K and
-    u outside the tangent cone there.  The distance is exact in the plane
-    (sector_angular_hausdorff), where no direction grid is built; for
-    n >= 3 it is measured on grid_size directions of unit_directions(seed).
+    u outside the tangent cone there.  Each cap cone is read off K's facets
+    (_cap_cone), with no cap body built, where that does not decline.  The
+    distance is exact in the plane (sector_angular_hausdorff), where no
+    direction grid is built; for n >= 3 it is measured on grid_size
+    directions of unit_directions(seed), made once while a memo keeps them.
     """
     p0 = as_point(p0, K.dim)
     u = as_point(u, K.dim)
@@ -406,38 +535,44 @@ def normal_cone_limit_report(
     u = u / nu
     if not contains(K, p0, 1e-7):
         raise PreconditionViolated("p0 must lie in K")
-    T0 = tangent_cone(K, p0)
-    if T0.contains(u, tol=1e-8):
+    p0, A, W, D = _body_at(K, p0, TAU_PT)
+    N0 = PolyCone(K.dim, np.vstack([A, W, -W]), -D)  # normal_cone(K, p0)
+    if N0.is_zero:
+        raise PreconditionViolated("p0 must lie on the boundary of K")
+    if PolyCone(K.dim, D, np.vstack([-A, W, -W])).contains(u, tol=1e-8):  # tangent_cone
         raise PreconditionViolated("u lies in the tangent cone at p0")
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise InvalidInput("eps_list must be nonempty and positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidInput("eps_list must be strictly decreasing")
-    N0 = normal_cone(K, p0)
     limit = cone_intersect_halfspace(N0, u)
-    dirs = None if K.dim == 2 else unit_directions(K.dim, grid_size, seed)
+    dirs = None if K.dim == 2 else _directions(K.dim, grid_size, seed)
+    gL = None if dirs is None else support_many(dirs, -limit.rows)
+    ridges = _ridges(K)
+    G = limit.generators
     rows = []
     for eps in eps_list:
         pe = p0 + eps * u
-        cap = cap_body(K, pe)
-        Ne = normal_cone(cap, pe)
+        Ne = _cap_cone(K, ridges, pe)
+        if Ne is None:
+            Ne = normal_cone(cap_body(K, pe), pe)
         upper_ok = bool(np.all(Ne.generators @ u >= -1e-9)) if not Ne.is_zero else True
-        G = limit.generators  # each at in_normal_cone's tolerance 1e-8 * (1 + |g|)
+        # G in N_{K^pe}(pe) by the support gap on K's vertices less pe, at
+        # in_normal_cone's tolerance 1e-8 * (1 + |g|) * (1 + diam K^pe): a
+        # vertex of K that is not one of K^pe lies in the hull of the others
+        # with pe, so its gap is at most the largest of theirs or 0.
+        rel = K.vertices - pe
+        diam = max(K.diameter(), float(_row_norms(rel).max()))
         lower_ok = limit.is_zero or bool(
-            normal_cone_mask(cap, pe, G, 1e-8 * (1.0 + _row_norms(G))).all())
-        metric = sector_angular_hausdorff(Ne, limit, dirs)
-        base_angle = (
-            0.0
-            if Ne.is_zero
-            else max(N0.angle_to(g) for g in Ne.generators)
-        )
+            (support_many(G, rel) <= 1e-8 * (1.0 + _row_norms(G)) * (1.0 + diam)).all())
         rows.append(
             {
                 "eps": eps,
                 "sandwich_ok": upper_ok and lower_ok,
-                "metric": metric,
-                "max_angle_to_base_cone": base_angle,
+                "metric": (sector_angular_hausdorff(Ne, limit, dirs) if dirs is None
+                           else _sampled_hausdorff(Ne, limit, dirs, gL)),
+                "max_angle_to_base_cone": _max_angle(N0, Ne.generators),
             }
         )
     metrics = [r["metric"] for r in rows]

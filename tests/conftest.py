@@ -7,6 +7,7 @@ import pytest
 import scipy.spatial
 
 from descent_geom.cli import _doc_memo
+from descent_geom.cones import _dirs_cache
 from descent_geom.geom_core import hull
 from descent_geom.mean_width import _grid_cache
 from descent_geom.sep import Polyline
@@ -17,10 +18,11 @@ MODULES = ("geom_core", "cones", "mean_width", "sep", "family", "descent", "cli"
 @pytest.fixture(autouse=True)
 def cold_caches():
     """Every test starts as a fresh process does, with no document (nor the
-    bodies built from it) or sphere grid kept from an earlier test: the
-    package's two memos are cleared."""
+    bodies built from it) or direction grid kept from an earlier test: the
+    package's three memos are cleared."""
     _doc_memo.clear()
     _grid_cache.clear()
+    _dirs_cache.clear()
 
 
 @pytest.fixture

@@ -235,6 +235,13 @@ class TestConeLimitOptions:
                                  capsys=capsys)
         assert code == 2 and out == "" and err.startswith("error: ") and option in err
 
+    def test_interior_p0_exits_2(self, tmp_path, capsys):
+        body = tmp_path / "cube.json"
+        body.write_text(json.dumps({"vertices": list(itertools.product((0, 1), repeat=3))}))
+        code, out, err = run_cli(["report", "cone-limit", "--body", str(body), "--p0=0.5,0.5,0.5",
+                                  "--u=1,0,0"], capsys=capsys)
+        assert code == 2 and out == "" and "p0 must lie on the boundary of K" in err
+
 
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
@@ -657,6 +664,34 @@ class TestQhullBudget:
                                   "--npoints", str(npoints), "--levels", str(levels)],
                                  capsys=capsys)
             assert code == 0 and len(qhull_calls) == 1
+
+
+class TestConeLimitBudget:
+    def test_r3_cone_limit_runs_no_qhull_after_the_load(self, tmp_path, capsys, qhull_calls,
+                                                        monkeypatch):
+        # the cap cones are read off the loaded top's facets: no cap body is
+        # built, so after the load no query runs Qhull
+        cones = importlib.import_module("descent_geom.cones")
+        caps, real = [], cones.cap_body
+        monkeypatch.setattr(cones, "cap_body", lambda K, p: caps.append(1) or real(K, p))
+        gens = [["gen", "random", "--n", "3", "--npoints", "16", "--levels", "4", "--seed", s]
+                for s in ("1", "2", "3")] + [["gen", "disks", "--n", "3", "--levels", "6"]]
+        for i, argv in enumerate(gens):
+            code, out, _ = run_cli(argv, capsys=capsys)
+            assert code == 0
+            top = json.loads(out)["bodies"][-1]
+            path = tmp_path / f"top{i}.json"
+            path.write_text(json.dumps(top))
+            V = np.array(top["vertices"])
+            argvs = [["report", "cone-limit", "--body", str(path), "--p0=" + ",".join(map(repr, v.tolist())),
+                      "--u=" + ",".join(map(repr, (v - V.mean(axis=0)).tolist()))] for v in V[:4]]
+            run_cli(argvs[0], capsys=capsys)  # loads the body
+            qhull_calls.clear()
+            for argv in argvs:
+                code, _, err = run_cli(argv, capsys=capsys)
+                assert code == 0, err
+            assert qhull_calls == []
+        assert caps == []
 
 
 class TestFamilyCheckTol:

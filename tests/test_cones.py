@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from descent_geom.cones import (
     tangent_cone,
 )
 from descent_geom.descent import disk_family
-from descent_geom.geom_core import hull, support, support_many, unit_directions
+from descent_geom.geom_core import contains, hull, support, support_many, unit_directions
 
 from .conftest import disk_polygon, embedded_polytope, joggled_bodies, random_polytope
 from .oracles import (
@@ -383,6 +384,122 @@ class TestCapBody:
             assert np.abs(got - want).max() < 1e-10
 
 
+def _cap_cone_corpus(rng):
+    """(K, p) pairs with p outside K: random bodies and cubes (coplanar
+    facet triangles) in R^2 to R^4, p at 1e-6 to 5 from a vertex, and in
+    R^3 the tops of the stored recipes (gen random --n 3 --npoints 16 at
+    seeds 1 to 3, gen disks --n 3 --levels 6)."""
+    bodies = [hull(np.array(list(itertools.product((-1.0, 1.0), repeat=n)))) for n in (2, 3, 4)]
+    bodies += [random_polytope(rng, n, m) for n in (2, 3, 4) for m in (n + 3, 20)]
+    for seed in (1, 2, 3):  # cli._cmd_gen's outer body, the chain's top
+        r = np.random.default_rng(seed)
+        pts = r.standard_normal((16, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        bodies.append(hull(pts * (1.0 + 0.2 * r.random(16))[:, None]))
+    bodies.append(disk_family(n=3, levels=6).bodies[-1])
+    cases = []
+    for K in bodies:
+        for v in K.vertices[rng.permutation(K.nvertices)[:4]]:
+            for dist in (1e-6, 1e-3, 0.1, 5.0):
+                u = v - K.centroid() + 0.3 * rng.standard_normal(K.dim)
+                p = v + dist * u / np.linalg.norm(u)
+                if not contains(K, p):
+                    cases.append((K, p))
+    return cases
+
+
+def _same_rows(A, B, tol):
+    """A and B hold the same rows, each within tol of one of the other's."""
+    if A.shape != B.shape:
+        return False
+    d = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
+    return bool(d.min(axis=1).max() <= tol and d.min(axis=0).max() <= tol)
+
+
+def _report_by_cap_bodies(K, p0, u, eps_list, dirs):
+    """The rows of normal_cone_limit_report with every cap body built: its
+    normal cone at the apex, the lower sandwich test on its vertices, the
+    angle to N_K(p0) measured for every generator, and for n >= 3 every
+    sample row measured against the other sample."""
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    N0 = normal_cone(K, p0)
+    limit = cone_intersect_halfspace(N0, u)
+    G = limit.generators
+    rows = []
+    for eps in eps_list:
+        pe = p0 + eps * u
+        cap = cap_body(K, pe)
+        Ne = normal_cone(cap, pe)
+        upper_ok = Ne.is_zero or bool(np.all(Ne.generators @ u >= -1e-9))
+        lower_ok = limit.is_zero or bool(
+            normal_cone_mask(cap, pe, G, 1e-8 * (1.0 + np.linalg.norm(G, axis=1))).all())
+        if K.dim == 2:
+            metric = sector_angular_hausdorff(Ne, limit, None)
+        else:
+            S = [np.vstack([dirs[C.member_mask(dirs, tol=1e-9)], C.generators]) for C in (Ne, limit)]
+            metric = max(float(np.arccos(np.clip(support_many(P, Q), -1.0, 1.0)).max())
+                         for P, Q in (S, S[::-1]))
+        rows.append({"eps": eps, "sandwich_ok": upper_ok and lower_ok, "metric": metric,
+                     "max_angle_to_base_cone": 0.0 if Ne.is_zero else
+                     max(N0.angle_to(g) for g in Ne.generators)})
+    return rows
+
+
+class TestCapConeFromFacets:
+    def test_matches_the_cap_body_cone(self, rng):
+        # bound 1e-9 on every generator and row; 7.6e-12 measured
+        cases = _cap_cone_corpus(rng)
+        assert len(cases) > 200
+        for K, p in cases:
+            C = cones._cap_cone(K, cones._ridges(K), p)
+            assert C is not None
+            want = normal_cone(cap_body(K, p), p)
+            assert _same_rows(C.generators, want.generators, 1e-9), (K, p)
+            assert _same_rows(C.rows, want.rows, 1e-9), (K, p)
+
+    def test_declines_and_the_report_is_unchanged(self, rng, joggled):
+        cube = hull(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
+        flat = embedded_polytope(rng, 3, 2, 9)
+        q = flat.vertices[0]
+        cases = [
+            # a flat K
+            (flat, q, q - flat.centroid() + np.cross(*flat.facets.basis), [0.5, 0.1]),
+            # p on the plane of the facet y = 1, from a point of the edge x = y = 1
+            (cube, np.array([1.0, 1.0, 0.5]), np.array([1.0, 0.0, 0.0]), [0.5, 0.1]),
+            # p equal to p0
+            (cube, np.ones(3), np.ones(3), [0.5, 1e-300]),
+        ]
+        for K in joggled_bodies(rng, joggled):
+            assert cones._ridges(K) is None
+            cases.append((K, K.vertices[0], K.vertices[0] - K.centroid(), [0.5, 0.1]))
+        assert cones._ridges(flat) is None
+        dirs = unit_directions(3, 2000, 0)
+        for K, p0, u, eps in cases:
+            pe = p0 + eps[-1] * u / np.linalg.norm(u)
+            assert cones._cap_cone(K, cones._ridges(K), pe) is None
+            rep = normal_cone_limit_report(K, p0, u, eps, grid_size=2000)
+            assert rep["rows"] == _report_by_cap_bodies(K, p0, u, eps, dirs)
+
+
+class TestMaxAngleToBaseCone:
+    def test_pruned_max_is_the_full_max(self, rng):
+        bodies = [random_polytope(rng, n, 14) for n in (2, 3, 3, 4)]
+        bodies += [embedded_polytope(rng, n, k, 10) for n, k in ((3, 2), (4, 3))]
+        measured = 0
+        for K in bodies:
+            for q in K.vertices[:5]:
+                N0 = normal_cone(K, q)
+                u = q - K.centroid()
+                X = [N0.generators, unit_directions(K.dim, 200, 3)]
+                if K.dim_affine == K.dim:
+                    for eps in (0.5, 0.01):
+                        X.append(cones._cap_cone(K, cones._ridges(K), q + eps * u).generators)
+                X = np.vstack(X)
+                assert cones._max_angle(N0, X) == max(N0.angle_to(x) for x in X)
+                measured += 1
+        assert measured >= 25
+
+
 class TestSectorIntegrals:
     def test_exact_formula_values(self):
         assert sector_integral_exact(2, np.pi / 4) == pytest.approx(np.sqrt(2))
@@ -484,7 +601,7 @@ def _planar_cone_pairs(rng):
 
 
 class TestSampledSectorHausdorff:
-    def test_matches_the_full_sample(self, rng):
+    def test_matches_the_full_sample(self, rng, monkeypatch):
         # cap-body normal cones against their limits in R^3 and R^4, and
         # each cone against itself, where every grid node is in both samples
         def full(A, B, dirs):
@@ -492,17 +609,36 @@ class TestSampledSectorHausdorff:
             return max(np.arccos(np.clip(support_many(P, Q), -1.0, 1.0)).max()
                        for P, Q in (S, S[::-1]))
 
-        for n in (3, 3, 4, 4):
+        measured = []  # rows of each support_many call against a whole sample
+
+        def spy(X, Y):
+            measured.append((len(X), len(Y)))
+            return support_many(X, Y)
+
+        monkeypatch.setattr(cones, "support_many", spy)
+        pruned = []  # (rows open, rows measured) of the 10 000-node case
+        for n, size in ((3, 4000), (3, 4000), (4, 4000), (4, 4000), (3, 10000)):
             K = random_polytope(rng, n=n, npts=25)
             p0 = K.vertices[0]
             u = (p0 - K.centroid()) / np.linalg.norm(p0 - K.centroid())
             limit = cone_intersect_halfspace(normal_cone(K, p0), u)
-            dirs = unit_directions(n, 4000, seed=n)
+            dirs = unit_directions(n, size, seed=n)
             for eps in (0.5, 0.05):
                 Ne = normal_cone(cap_body(K, p0 + eps * u), p0 + eps * u)
                 for A, B in ((Ne, limit), (limit, Ne), (Ne, Ne)):
+                    measured.clear()
                     got = sector_angular_hausdorff(A, B, dirs)
                     assert got == pytest.approx(full(A, B, dirs), abs=1e-15)
+                    if size == 10000 and B is limit:
+                        # the rows of A's sample outside B's, and those of them
+                        # measured against B's whole sample
+                        mA, mB = A.member_mask(dirs, tol=1e-9), limit.member_mask(dirs, tol=1e-9)
+                        rows = int((mA & ~mB).sum()) + len(A.generators)
+                        whole = int(mB.sum()) + len(limit.generators)
+                        pruned.append((rows, sum(x for x, y in measured if y == whole)))
+        # 866 rows left open by the masks, 79 measured when this was written
+        assert len(pruned) == 2 and all(0 < m < r for r, m in pruned)
+        assert sum(m for _, m in pruned) < sum(r for r, _ in pruned) / 5
 
 
 class TestPlanarSectorHausdorff:
@@ -539,6 +675,18 @@ class TestPlanarSectorHausdorff:
         assert sector_angular_hausdorff(C, C, None) == 0.0
         N = normal_cone(unit_square, (1, 0.5))
         assert sector_angular_hausdorff(C, N, None) == pytest.approx(math.pi / 2, abs=1e-15)
+
+    def test_cone_limit_makes_each_grid_once(self, monkeypatch):
+        made = []
+        real = cones.unit_directions
+        monkeypatch.setattr(cones, "unit_directions", lambda *a: made.append(a) or real(*a))
+        cube = hull(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
+        reps = [normal_cone_limit_report(cube, (1, 1, 1), (1, 2, 3), [0.5, 0.1], grid_size=size)
+                for size in (3000, 3000, 2000)]
+        assert made == [(3, 3000, 0), (3, 2000, 0)]
+        assert reps[0] == reps[1]
+        with pytest.raises(ValueError):
+            cones._directions(3, 3000, 0)[0, 0] = 1.0  # kept read-only
 
     def test_cone_limit_builds_no_grid_in_the_plane(self, unit_square, monkeypatch):
         def refuse(*args, **kwargs):

@@ -13,15 +13,19 @@ repetition, the workers take turns, the first side alternating: a worker
 runs every query label of every seed, and every planar `report` (label
 `report planar <npoints>x<levels>`), each through `descent_geom.cli.main`
 with its output discarded, BEST_OF times in a row, and reports the least
-wall time of each.  A label's time in one repetition is its mean over the
-seeds.  Prints, per label, the
-median of those over the repetitions on each side, in ms, the ratio change
-/ base and how many repetitions the change was faster in (against the base
-in the same repetition); --json writes the same table and the raw times.
+wall time of each and the time of the first run, which runs with the
+document memo (cli._doc_memo) and the direction-grid memos cleared, as in
+a fresh process that has imported the package.  A label's time in one
+repetition is its mean over the seeds.  Prints, per label, the median of
+those over the repetitions on each side, in ms, the ratio change / base
+and how many repetitions the change was faster in (against the base in the
+same repetition), for the least times, then the medians of the first
+runs; --json writes the same table and the raw times.
 """
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -37,10 +41,16 @@ BEST_OF = 3  # runs of a query in a row; the least time is kept
 
 def worker(src, seeds):
     """Build the inputs of every seed, then answer each "run" line on stdin
-    with one JSON line {label: [least ms per seed]}."""
+    with one JSON line {label: [[least ms, first ms] per seed]}."""
     sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "perfbench")]
     from descent_geom import cli
     from workloads import Workload, fmt_point
+
+    # the memos a first run finds empty; an older tree lacks the cones one
+    memos = [cli._doc_memo] + [
+        getattr(importlib.import_module("descent_geom." + mod), name, None)
+        for mod, name in (("mean_width", "_grid_cache"), ("cones", "_dirs_cache"))]
+    memos = [memo for memo in memos if memo is not None]
 
     out = sys.stdout
 
@@ -85,12 +95,14 @@ def worker(src, seeds):
             times = {}
             for label in sorted(queries):
                 for argv in queries[label]:
-                    best = float("inf")
+                    for memo in memos:
+                        memo.clear()
+                    runs = []
                     for _ in range(BEST_OF):
                         t0 = time.perf_counter()
                         call(argv)
-                        best = min(best, time.perf_counter() - t0)
-                    times.setdefault(label, []).append(1e3 * best)
+                        runs.append(time.perf_counter() - t0)
+                    times.setdefault(label, []).append([1e3 * min(runs), 1e3 * runs[0]])
             out.write(json.dumps(times) + "\n")
             out.flush()
 
@@ -132,17 +144,22 @@ def main(argv=None):
             proc.wait()
     table = {}
     for label in sorted(runs["base"][0]):
-        per_rep = {side: [statistics.fmean(run[label]) for run in runs[side]] for side in sides}
+        per_rep, first = ({side: [statistics.fmean(t[k] for t in run[label]) for run in runs[side]]
+                           for side in sides} for k in (0, 1))
         med = {side: statistics.median(per_rep[side]) for side in sides}
         faster = sum(c < b for b, c in zip(per_rep["base"], per_rep["change"]))
         table[label] = {"base_ms": round(med["base"], 3), "change_ms": round(med["change"], 3),
                         "ratio": round(med["change"] / med["base"], 3),
-                        "change_faster_in": f"{faster}/{args.reps}"}
+                        "change_faster_in": f"{faster}/{args.reps}",
+                        "base_first_ms": round(statistics.median(first["base"]), 3),
+                        "change_first_ms": round(statistics.median(first["change"]), 3)}
     width = max(map(len, table))
-    print(f"{'label':<{width}}  {'base ms':>9}  {'change ms':>9}  {'ratio':>6}  faster")
+    print(f"{'label':<{width}}  {'base ms':>9}  {'change ms':>9}  {'ratio':>6}  faster  "
+          f"{'base 1st':>9}  {'change 1st':>10}")
     for label, row in table.items():
         print(f"{label:<{width}}  {row['base_ms']:9.3f}  {row['change_ms']:9.3f}  "
-              f"{row['ratio']:6.3f}  {row['change_faster_in']}")
+              f"{row['ratio']:6.3f}  {row['change_faster_in']:>6}  "
+              f"{row['base_first_ms']:9.3f}  {row['change_first_ms']:10.3f}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"seeds": args.seeds, "reps": args.reps, "table": table, "runs": runs}, fh,
