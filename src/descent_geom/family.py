@@ -197,6 +197,10 @@ def _parallel_mesh(n):
     return unit_directions(n, max(32, 2 * n), seed=1)
 
 
+# w(P) of that polytope in R^1 and the plane, where _first_slope reads it.
+_MESH_WIDTH = {n: mean_width(hull(_parallel_mesh(n))) for n in (1, 2)}
+
+
 def _minkowski_ring(V, arc_points):
     """Indices into the sums V[i] + u_j (row i * arc_points + j) of the
     vertices of conv(V) + conv(u), counterclockwise, for a canonical planar
@@ -228,30 +232,41 @@ def _minkowski_ring(V, arc_points):
 def _clip_polygon(subject, eqs, floor):
     """Sutherland-Hodgman: clip a ring by the halfspaces a.x + b <= 0 of the
     rows (a, b) of eqs, a point counting as inside while its residual
-    a.x + b is at most floor.
+    a.x + b is at most floor.  The subject array itself comes back when no
+    halfspace cuts it.
 
     The ring is tested against every remaining halfspace at once; a
     halfspace with every vertex inside leaves it as it is, and the first
     one with a vertex outside cuts it.  Residuals sum the products over the
-    coordinates in order, so each is the same whatever halfspaces remain.
+    coordinates in order, so each is the same whatever halfspaces remain:
+    each point's row is formed once, a vertex keeps its row past a cut and
+    only the crossing points of a cut form new ones, against the halfspaces
+    that remain.
     """
     out = np.asarray(subject, dtype=float)
-    while len(eqs) and len(out):
-        r = eqs[:, -1] + sum(out[:, k:k + 1] * eqs[:, k] for k in range(out.shape[1]))
+    r = _residuals(out, eqs)
+    while len(out):
         inside = r <= floor
         cut = np.flatnonzero(~inside.all(axis=0))
         if len(cut) == 0:
             break
         i = cut[0]
-        out = _clip_ring(out, r[:, i], inside[:, i])
         eqs = eqs[i + 1:]
+        out, r = _clip_ring(out, r[:, i], inside[:, i], r[:, i + 1:], eqs)
     return out
 
 
-def _clip_ring(out, r, inside):
-    """The ring out cut to the vertices with inside set, at residuals r to
-    the clip line: each edge (k, j) that crosses the line contributes
-    out[k] + t * (out[j] - out[k]), t = r[k] / (r[k] - r[j])."""
+def _residuals(X, eqs):
+    """a.x + b of each point x of X (rows) at each row (a, b) of eqs
+    (columns), the products summed over the coordinates in order."""
+    return eqs[:, -1] + sum(X[:, k:k + 1] * eqs[:, k] for k in range(X.shape[1]))
+
+
+def _clip_ring(out, r, inside, rest, eqs):
+    """(ring, residuals): the ring out cut to the vertices with inside set,
+    at residuals r to the clip line, and the rows of residuals at eqs of its
+    points, rest for out's own.  Each edge (k, j) that crosses the line
+    contributes out[k] + t * (out[j] - out[k]), t = r[k] / (r[k] - r[j])."""
     prev = np.arange(-1, len(out) - 1)
     j = np.flatnonzero(inside != inside[prev])
     k = prev[j]
@@ -261,10 +276,13 @@ def _clip_ring(out, r, inside):
     rows = np.empty((2 * len(out), out.shape[1]))
     rows[2 * j] = out[k] + t[:, None] * (out[j] - out[k])
     rows[1::2] = out
+    res = np.empty((2 * len(out), len(eqs)))
+    res[2 * j] = _residuals(rows[2 * j], eqs)
+    res[1::2] = rest
     keep = np.zeros(2 * len(out), dtype=bool)
     keep[2 * j] = True
     keep[1::2] = inside
-    return rows[keep]
+    return rows[keep], res[keep]
 
 
 def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
@@ -273,8 +291,10 @@ def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
     For n <= 2, the ring of the body of lower affine dimension (A on a tie)
     is clipped by the facet halfspaces of the other, which must be
     full-dimensional; a point is inside a halfspace when its residual is at
-    most that body's rounding_floor.  For n >= 3, the halfspace intersection
-    of two full-dimensional bodies.
+    most that body's rounding_floor.  When no halfspace cuts the ring, that
+    body itself is the intersection: hull() of its vertices would be equal
+    to it.  For n >= 3, the halfspace intersection of two full-dimensional
+    bodies.
     """
     n = A.dim
     if n <= 2:
@@ -282,6 +302,8 @@ def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:
         if C.dim_affine < n:
             raise NumericalFailure("intersection requires a full-dimensional body for n <= 2")
         pts = _clip_polygon(S.vertices, C.facets.equations, rounding_floor(C))
+        if pts is S.vertices:
+            return S
         if len(pts) == 0:
             raise NumericalFailure("empty intersection")
         return hull(pts)
@@ -394,7 +416,7 @@ def _first_slope(K1, K2, lines):
     else None."""
     if lines is None or rel_depth_many(K2, K1.vertices)[0].min() <= 0.0:
         return None
-    return mean_width(hull(_parallel_mesh(K1.dim)))
+    return _MESH_WIDTH[K1.dim]
 
 
 def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
@@ -412,6 +434,14 @@ def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
     in f (B(f) contains the Minkowski mean of the bodies at any two
     fractions around f), so a Newton step from either side lands at or
     below the target.
+
+    So the f = 1 body is built only when a step first reads the residual
+    at the bracket's upper end, f = 1: when there is no slope (at the first
+    step for n >= 3) or a Newton step lands at or beyond f = 1.  Illinois
+    halvings of that residual before then are applied when it is read;
+    halving is exact, so the steps are those of a solver that built the
+    f = 1 body first.  From then on, a target at or above its width less
+    the tolerance takes it as its member, as every later target does.
     """
     d = hausdorff(K1, K2)
     lines = _parallel_lines(K1)
@@ -421,16 +451,18 @@ def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
         return f, B, mean_width(B, grid)
 
     tol = 1e-6 * (w2 - w1)
-    top = body_at(1.0)
-    w_top = top[2]
+    top = None  # body_at(1.0), once a step has read its residual
     last = (0.0, K1, w1)
-    f_lo, w_lo = 0.0, w1
-    members = []
-    for target in targets:
-        if target >= w_top - tol:
-            members.append(top[1:])
-            continue
-        fa, ra, fb, rb, side = f_lo, w_lo - target, 1.0, w_top - target, 0
+
+    def solve(target, fa, ra):
+        """The member (f, B, w) at target in the bracket [fa, 1], ra the
+        residual at fa."""
+        nonlocal top, last
+        if top is not None and target >= top[2] - tol:
+            return top
+        # rb is None while the residual at fb = 1 is unread, and owed holds
+        # the Illinois halvings it is owed by then.
+        fb, rb, owed, side = 1.0, None, 1.0, 0
         for step in range(1, _SOLVE_MAX_STEPS + 1):
             # The Newton step from the last iterate (fa when it has no
             # slope), else Illinois, else the midpoint.
@@ -438,31 +470,43 @@ def _solve_gap(K1, K2, idx, w1, w2, targets, grid):
             s = _width_slope(Bl, fl * d, lines) if fl > 0.0 else _first_slope(K1, K2, lines)
             f = fl + (target - wl) / (d * s) if s else fa
             if not fa < f < fb:
+                if rb is None:
+                    if top is None:
+                        top = body_at(1.0)
+                        if target >= top[2] - tol:
+                            return top
+                    rb = (top[2] - target) * owed
                 f = (fa * rb - fb * ra) / (rb - ra) if rb > ra else fa
             if not fa < f < fb:
                 f = 0.5 * (fa + fb)
             last = body_at(f)
             r = last[2] - target
             if abs(r) <= tol:
-                break
+                return last
             # Illinois: when f replaces the same end twice in a row, halve
             # the residual of the end that was kept.
             if r < 0:
-                if side < 0:
+                if side < 0 and rb is None:
+                    owed *= 0.5
+                elif side < 0:
                     rb *= 0.5
                 fa, ra, side = f, r, -1
             else:
                 if side > 0:
                     ra *= 0.5
                 fb, rb, side = f, r, 1
-        else:
-            raise NumericalFailure(
-                f"width solve between chain bodies {idx} and {idx + 1} missed "
-                f"target {target:.12g} after {step} steps: last residual {r:.3g}, "
-                f"tolerance {tol:.3g}"
-            )
-        members.append(last[1:])
-        f_lo, w_lo = f, last[2]
+        raise NumericalFailure(
+            f"width solve between chain bodies {idx} and {idx + 1} missed "
+            f"target {target:.12g} after {step} steps: last residual {r:.3g}, "
+            f"tolerance {tol:.3g}"
+        )
+
+    members = []
+    f_lo, w_lo = 0.0, w1
+    for target in targets:
+        # Once a target takes the f = 1 body, every later one does.
+        f_lo, B, w_lo = solve(target, f_lo, w_lo - target)
+        members.append((B, w_lo))
     return members
 
 

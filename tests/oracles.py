@@ -14,7 +14,12 @@ time, a loop over the facets (segment_interval), and the per-member
 validators walk one member or knot at a time through it.  The per-pair
 connectedness and duplicate tests (is_connected_per_pair, kept_per_pair)
 measure every pair by geom_core.hausdorff: they check the bounds that
-spare the library most of those measurements, not hausdorff.
+spare the library most of those measurements, not hausdorff.  Completion
+keeps two of its earlier forms: the clip that formed every residual again
+at each cut (clip_polygon) and the width solver that built the f = 1 body
+of each gap before its first target (solve_gap_eager).  The solver shares
+the library's interpolants and slopes: it checks when the library builds
+which interpolant, not the interpolants.
 """
 
 import itertools
@@ -616,3 +621,90 @@ def kept_per_pair(bodies, grid=None):
             continue
         kept.append(i)
     return kept
+
+
+def clip_polygon(subject, eqs, floor):
+    """family._clip_polygon as it formed the residual of every point of the
+    ring at every remaining halfspace again at each cut."""
+    out = np.asarray(subject, dtype=float)
+    while len(eqs) and len(out):
+        r = eqs[:, -1] + sum(out[:, k:k + 1] * eqs[:, k] for k in range(out.shape[1]))
+        inside = r <= floor
+        cut = np.flatnonzero(~inside.all(axis=0))
+        if len(cut) == 0:
+            break
+        i = cut[0]
+        r, inside = r[:, i], inside[:, i]
+        prev = np.arange(-1, len(out) - 1)
+        j = np.flatnonzero(inside != inside[prev])
+        k = prev[j]
+        t = r[k] / (r[k] - r[j])
+        # Row 2j is the crossing point on the edge into vertex j, row 2j + 1
+        # the vertex itself.
+        rows = np.empty((2 * len(out), out.shape[1]))
+        rows[2 * j] = out[k] + t[:, None] * (out[j] - out[k])
+        rows[1::2] = out
+        keep = np.zeros(2 * len(out), dtype=bool)
+        keep[2 * j] = True
+        keep[1::2] = inside
+        out = rows[keep]
+        eqs = eqs[i + 1:]
+    return out
+
+
+def solve_gap_eager(K1, K2, idx, w1, w2, targets, grid=None):
+    """family._solve_gap as it built the f = 1 body before the gap's first
+    target and took it as the member of every target at or above its width
+    less the tolerance."""
+    from descent_geom import family
+    from descent_geom.errors import NumericalFailure
+    from descent_geom.geom_core import hausdorff
+    from descent_geom.mean_width import mean_width
+
+    d = hausdorff(K1, K2)
+    lines = family._parallel_lines(K1)
+
+    def body_at(f):
+        B = family._intersect_bodies(family.outer_parallel(K1, f * d), K2)
+        return f, B, mean_width(B, grid)
+
+    tol = 1e-6 * (w2 - w1)
+    top = body_at(1.0)
+    w_top = top[2]
+    last = (0.0, K1, w1)
+    f_lo, w_lo = 0.0, w1
+    members = []
+    for target in targets:
+        if target >= w_top - tol:
+            members.append(top[1:])
+            continue
+        fa, ra, fb, rb, side = f_lo, w_lo - target, 1.0, w_top - target, 0
+        for step in range(1, family._SOLVE_MAX_STEPS + 1):
+            fl, Bl, wl = last
+            if fl > 0.0:
+                s = family._width_slope(Bl, fl * d, lines)
+            else:
+                s = family._first_slope(K1, K2, lines)
+            f = fl + (target - wl) / (d * s) if s else fa
+            if not fa < f < fb:
+                f = (fa * rb - fb * ra) / (rb - ra) if rb > ra else fa
+            if not fa < f < fb:
+                f = 0.5 * (fa + fb)
+            last = body_at(f)
+            r = last[2] - target
+            if abs(r) <= tol:
+                break
+            if r < 0:
+                if side < 0:
+                    rb *= 0.5
+                fa, ra, side = f, r, -1
+            else:
+                if side > 0:
+                    ra *= 0.5
+                fb, rb, side = f, r, 1
+        else:
+            raise NumericalFailure(f"width solve between chain bodies {idx} and {idx + 1} "
+                                   f"missed target {target:.12g} after {step} steps")
+        members.append(last[1:])
+        f_lo, w_lo = f, last[2]
+    return members

@@ -12,7 +12,13 @@ import pytest
 
 from descent_geom import family
 from descent_geom.cli import main
-from descent_geom.descent import cantor_disks, cantor_family, disk_family, example61_family
+from descent_geom.descent import (
+    cantor_disks,
+    cantor_family,
+    disk_family,
+    example61_family,
+    rotated_squares,
+)
 from descent_geom.errors import (
     Degenerate,
     InvalidInput,
@@ -49,11 +55,13 @@ from descent_geom.family import (
 
 from .conftest import disk_polygon, nested_pair, random_polytope
 from .oracles import (
+    clip_polygon,
     in_convex_hull_lp,
     is_connected_per_pair,
     kept_per_pair,
     polygon_membership,
     segment_distance,
+    solve_gap_eager,
 )
 
 
@@ -199,6 +207,46 @@ def _clip_polygon_loop(subject, eqs, floor):
     return out
 
 
+def _ring(rng, m):
+    """A strictly convex m-gon: points of a random ellipse at sorted random
+    angles."""
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    axes = rng.uniform(0.5, 1.5, 2)
+    return rng.standard_normal(2) * 0.1 + np.column_stack([axes[0] * np.cos(ang),
+                                                           axes[1] * np.sin(ang)])
+
+
+def _clip_cases(rng):
+    """(subject, eqs, floor) cases for the clip: rings of 3 to 64 vertices
+    against 1 to 40 random halfspaces and against the facets of a rotated
+    ring (many cuts), a vertex exactly at the floor, an empty result, and
+    segment, point and R^1 subjects."""
+    cases = []
+    for _ in range(60):
+        subject = _ring(rng, int(rng.integers(3, 65)))
+        k = int(rng.integers(1, 41))
+        a = unit_directions(2, k) @ np.array([[np.cos(1.0), np.sin(1.0)],
+                                               [-np.sin(1.0), np.cos(1.0)]])
+        eqs = np.column_stack([a, -rng.uniform(0.3, 1.2, k)])
+        cases.append((subject, eqs, 1e-12))
+        C = hull(_ring(rng, int(rng.integers(3, 41))))
+        cases.append((subject, C.facets.equations, rounding_floor(C)))
+        # the floor is exactly the residual of one vertex at the first halfspace
+        res = eqs[0, -1] + sum(subject[:, j] * eqs[0, j] for j in range(2))
+        cases.append((subject, eqs, float(res[int(rng.integers(len(subject)))])))
+        cases.append((subject[:2], C.facets.equations, rounding_floor(C)))  # a segment
+        cases.append((subject[:1], C.facets.equations, rounding_floor(C)))  # a point
+        lo, hi = np.sort(rng.standard_normal(2))
+        I = hull(rng.standard_normal((2, 1)))
+        cases.append((np.array([[lo], [hi]]), I.facets.equations, rounding_floor(I)))  # R^1
+    # 64 vertices against 40 halfspaces of a ring of about the same size
+    subject = unit_directions(2, 64)
+    C = hull(unit_directions(2, 40) @ np.array([[0.99, 0.0], [0.0, 1.01]]))
+    cases.append((subject, C.facets.equations, rounding_floor(C)))
+    cases.append((subject + 10.0, C.facets.equations, rounding_floor(C)))  # empty
+    return cases
+
+
 class TestPlanarRings:
     def test_minkowski_ring_equals_hull_of_all_sums(self, rng, qhull_calls):
         fast = []
@@ -247,6 +295,30 @@ class TestPlanarRings:
             pts = family._clip_polygon(S.vertices, C.facets.equations, floor)
             assert np.array_equal(pts, S.vertices) == kept
             assert np.all(rel_depth_many(C, pts)[0] >= -floor)
+
+    def test_clip_equals_the_per_cut_table(self, rng, call_counter):
+        cuts = call_counter("family", "_clip_ring")
+        most = 0
+        for subject, eqs, floor in _clip_cases(rng):
+            before = len(cuts)
+            got = family._clip_polygon(subject, eqs, floor)
+            want = clip_polygon(subject, eqs, floor)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            most = max(most, len(cuts) - before)
+        assert most >= 20
+
+    def test_uncut_intersection_is_the_subject(self, rng):
+        square = hull([(-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)])
+        A, B = nested_pair(rng)
+        subjects = [(A, B), (outer_parallel(A, 0.01), B), (hull([(0.0, 0.0), (1.0, 0.5)]), square),
+                    (hull([(0.5, -1.0)]), square), (hull([[0.0], [0.5]]), hull([[-1.0], [2.0]]))]
+        for S, C in subjects:
+            # the subject is the body of lower affine dimension, the first on a tie
+            for args in ((S, C), (C, S))[:1 + (S.dim_affine < C.dim_affine)]:
+                K = family._intersect_bodies(*args)
+                assert K is S
+                H = hull(K.vertices)
+                assert np.array_equal(H.vertices, K.vertices) and H.dim_affine == K.dim_affine
 
     def test_completion_runs_no_qhull_per_interpolant(self, rng, monkeypatch, qhull_calls):
         ops = []
@@ -377,6 +449,24 @@ def random_chain_3d(rng, npts=8, levels=3):
     return bodies
 
 
+def _solver_chains(rng, g3):
+    """(label, bodies, grid) chains for the width solver: corner-clipped
+    polygons, polygons each in the interior of the next, intervals each in
+    the interior of the next, the rotated squares and one chain in R^3."""
+    chains = [("clipped", clipped_chain(rng, levels=4), None) for _ in range(3)]
+    for _ in range(3):
+        A, B = nested_pair(rng)
+        c = B.centroid()
+        chains.append(("inner polygons", [hull(c + 0.5 * (A.vertices - c)), A, B], None))
+    for _ in range(3):
+        ends = np.sort(rng.standard_normal(2))
+        r = np.cumsum(rng.uniform(0.2, 1.0, 3))
+        chains.append(("R1", [hull([[ends[0] - x], [ends[1] + x]]) for x in r], None))
+    chains.append(("squares", list(rotated_squares(4).bodies), None))
+    chains.append(("R3", random_chain_3d(rng), g3))
+    return chains
+
+
 class TestCompleteSolver:
     def test_members_hit_width_grid(self, rng):
         g3 = SphereGrid.make(3, 2000, 0)
@@ -399,6 +489,37 @@ class TestCompleteSolver:
             assert k == len(fam) - 1 and fam.bodies[k] is s.bodies[-1]
             for A, B in zip(fam.bodies, fam.bodies[1:]):
                 assert includes(B, A, 1e-7)
+
+    @pytest.mark.parametrize("overstated", [False, True])
+    def test_members_equal_the_eager_solver(self, rng, monkeypatch, overstated):
+        # f = 1 bodies: outer_parallel calls at a gap's K1 and r = dist(K1, K2)
+        tops, real = [], family.outer_parallel
+        monkeypatch.setattr(family, "outer_parallel",
+                            lambda K, r: tops.append((id(K), r)) or real(K, r))
+        if overstated:
+            # Newton steps on 1.7 times each slope land below their targets
+            # time after time, owing Illinois halvings to the unread residual
+            # at f = 1; a body with 3k vertices has no slope, so a step reads it.
+            slope = family._width_slope
+            monkeypatch.setattr(family, "_width_slope", lambda B, r, lines: (
+                None if B.nvertices % 3 == 0 else 1.7 * (slope(B, r, lines) or 0.0) or None))
+        g3 = SphereGrid.make(3, 2000, 0)
+        for label, bodies, grid in _solver_chains(rng, g3):
+            s = validate_stratification(bodies, grid=grid)
+            h = (s.params[-1] - s.params[0]) / 9
+            with monkeypatch.context() as m:
+                m.setattr(family, "_solve_gap", solve_gap_eager)
+                want = complete(s, h, grid)
+            tops.clear()
+            got = complete(s, h, grid)
+            assert got.params == want.params, label
+            for A, B in zip(got.bodies, want.bodies):
+                assert np.array_equal(A.vertices, B.vertices) and A.dim_affine == B.dim_affine
+            gaps = {(id(K1), hausdorff(K1, K2)) for K1, K2 in zip(s.bodies, s.bodies[1:])}
+            built = sum(call in gaps for call in tops)
+            if label in ("inner polygons", "R1") and not overstated:  # every step has a slope
+                assert built == 0, label
+            assert len(got) > len(s), label
 
     def test_evaluation_budget(self, rng, monkeypatch):
         calls = []
@@ -446,11 +567,14 @@ class TestCompleteSolver:
             complete(s, h=0.2)
         # The f = 1 body is real but no iterate moves off K1's width: the
         # solver stops at its cap and names the gap, target and residual.
+        # The f = 1 body is the first call on its parallel body (iterates
+        # that close in on f = 1 come to share it).
+        top = outer_parallel(K1, hausdorff(K1, s.bodies[1]))
         calls = []
 
         def stalled(A, B):
-            calls.append(1)
-            return real(A, B) if len(calls) == 1 else K1
+            calls.append(np.array_equal(A.vertices, top.vertices) and True not in calls)
+            return real(A, B) if calls[-1] else K1
 
         monkeypatch.setattr(family, "_intersect_bodies", stalled)
         with pytest.raises(NumericalFailure) as ei:
@@ -458,7 +582,9 @@ class TestCompleteSolver:
         msg = str(ei.value)
         assert "chain bodies 0 and 1" in msg and "after 200 steps" in msg
         assert "target 2.1657" in msg and "last residual -0.167" in msg
-        assert len(calls) == 1 + 200
+        # The first Newton step from K1 stays in the bracket; the second has
+        # no slope and reads its upper end, the f = 1 body.
+        assert len(calls) == 1 + 200 and calls.index(True) == 1
 
 
 def _slope_pairs(rng):

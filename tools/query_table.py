@@ -10,12 +10,13 @@ the same recipe for both sides), with `bounds joint` on each pair that the
 store queries by `bounds annulus`, and the inputs of one `planar_pipeline`
 cycle (`gen random --n 2` -> `descend`).  Then, repetition after
 repetition, the workers take turns, the first side alternating: a worker
-runs every query label of every seed, and every planar `report` (label
-`report planar <npoints>x<levels>`), each through `descent_geom.cli.main`
-with its output discarded, BEST_OF times in a row, and reports the least
-wall time of each and the time of the first run, which runs with the
-document memo (cli._doc_memo) and the direction-grid memos cleared, as in
-a fresh process that has imported the package.  A label's time in one
+runs every query label of every seed, and every planar `gen random --n 2`
+and `report` (labels `gen planar <npoints>x<levels>`, which is mostly
+completion, and `report planar <npoints>x<levels>`), each through
+`descent_geom.cli.main` with its output discarded, BEST_OF times in a row,
+and reports the least wall time of each and the time of the first run,
+which runs with the document memo (cli._doc_memo) and the direction-grid
+memos cleared, as in a fresh process that has imported the package.  A label's time in one
 repetition is its mean over the seeds.  Prints, per label, the median of
 those over the repetitions on each side, in ms, the ratio change / base
 and how many repetitions the change was faster in (against the base in the
@@ -78,15 +79,17 @@ def worker(src, seeds):
             for job in Workload("planar_pipeline", seed, sub).cycle():
                 fam, curve = (os.path.join(sub, f"planar{job['npoints']}{part}.json")
                               for part in ("", "_curve"))
-                doc = json.loads(call(["gen", "random", "--n", "2", "--npoints", str(job["npoints"]),
-                                       "--levels", str(job["levels"]), "--seed", str(job["seed"])],
-                                      fam)[1])
+                gen = ["gen", "random", "--n", "2", "--npoints", str(job["npoints"]),
+                       "--levels", str(job["levels"]), "--seed", str(job["seed"])]
+                doc = json.loads(call(gen, fam)[1])
                 top = doc["bodies"][-1]["vertices"]
                 call(["descend", "--family", fam,
                       f"--endpoint={fmt_point(top[job['vertex'] % len(top)])}",
                       "--knots", str(len(doc["bodies"]))], curve)
-                label = f"report planar {job['npoints']}x{job['levels']}"
-                queries.setdefault(label, []).append(["report", "--curve", curve, "--family", fam])
+                size = f"{job['npoints']}x{job['levels']}"
+                queries.setdefault(f"gen planar {size}", []).append(gen)
+                queries.setdefault(f"report planar {size}", []).append(
+                    ["report", "--curve", curve, "--family", fam])
         out.write("ready\n")
         out.flush()
         for line in sys.stdin:

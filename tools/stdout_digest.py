@@ -7,29 +7,31 @@ Runs every command in this process through `descent_geom.cli.main`, with
 JSON files passed between commands as in a shell pipeline: at seeds 1, 2
 and 3, the `family_validation` store and all of its queries, twice (the
 second pass reads every document again in the same process), `report
-cone-limit` at up to CONE_VERTICES vertices of each stored R^3 top body
-(p0 the vertex, u from the body's vertex mean to it), four cycles of
+cone-limit` at up to CONE_VERTICES vertices of each stored R^3 top body (p0
+the vertex, u from the body's vertex mean to it), four cycles of
 `planar_pipeline` jobs (perfbench/workloads.py), each job whose `descend`
 passed followed by `bounds length` on its curve, and an R^3 pipeline (`gen
 random --n 3 --npoints 16 --levels 4`, `descend` from the top member's
-first vertex with one knot per member, `report`), and on each stored chain
-`bounds joint --csv` and `bounds annulus` at the middle member and at
-`--k1-index -2`; then the Cantor fixtures at levels 2 to 7 (`bounds
-length` on every Cantor graph; on the Cantor disks also `bounds joint
---csv` and `bounds annulus` at those two members, and `family check` on
-every Cantor family and every Cantor disks family), the default `fixtures
-spiral` with `bounds length` on it, and `example61` with its checks, a
-`descend` on its family and one `descend` from an interior point of its
-top member (halfway from its vertex mean to its first vertex), which
+first vertex with one knot per member, `report`), an R^1 completion (`gen
+random --n 1 --npoints 7 --levels 6`), `family complete` at `--step`
+FINE_STEP on the stored planar chain (many targets a gap), and on each
+stored chain `bounds joint --csv` and `bounds annulus` at the middle member
+and at `--k1-index -2`; then `gen squares --levels 5` (squares with edges
+parallel to the parallel body's polygon), the Cantor fixtures at levels 2
+to 7 (`bounds length` on every Cantor graph; on the Cantor disks also
+`bounds joint --csv` and `bounds annulus` at those two members, and `family
+check` on every Cantor family and every Cantor disks family), the default
+`fixtures spiral` with `bounds length` on it, and `example61` with its
+checks, a `descend` on its family and one `descend` from an interior point
+of its top member (halfway from its vertex mean to its first vertex), which
 `descend` snaps to the boundary by a ray from the centroid; last, `family
-check` on two written two-member documents, one that fails at the
-distance test (JUMP) and one with members in two dimensions (MIXED).
-Prints one line per
-command: its index, exit code, the sha256 of its stdout and of its stderr
-(first 32 hex digits each) and the command, with the working directory
-written as $WD in all three; a command that writes a CSV file (`--csv`)
-ends its line with csv= and the sha256 of that file's text, or csv=none
-when it wrote none.  Two source trees (--src, by default this
+check` on two written two-member documents, one that fails at the distance
+test (JUMP) and one with members in two dimensions (MIXED).  Prints one
+line per command: its index, exit code, the sha256 of its stdout and of its
+stderr (first 32 hex digits each) and the command, with the working
+directory written as $WD in all three; a command that writes a CSV file
+(`--csv`) ends its line with csv= and the sha256 of that file's text, or
+csv=none when it wrote none.  Two source trees (--src, by default this
 one's) agree in stdout, stderr and exit codes iff `diff` finds no
 difference between their digests.
 """
@@ -50,6 +52,8 @@ SEEDS = (1, 2, 3)
 PLANAR_CYCLES = 4
 CANTOR_LEVELS = range(2, 8)
 CONE_VERTICES = 4
+# `family complete --step` on the stored planar chain: many targets a gap.
+FINE_STEP = "0.01"
 # Widths 0.0127 apart and a Hausdorff jump of 0.46: connectedness fails at
 # the measured distance.
 JUMP = {"bodies": [{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
@@ -197,6 +201,10 @@ def main(argv=None):
             if call(["gen", "random", "--n", "3", "--npoints", "16", "--levels", "4",
                      "--seed", str(seed)], fam)[0] == 0 and descend(fam, curve) == 0:
                 call(["report", "--curve", curve, "--family", fam])
+            call(["gen", "random", "--n", "1", "--npoints", "7", "--levels", "6", "--seed", str(seed)])
+            call(["family", "complete", "--strat",
+                  os.path.join(wd, f"family_validation{seed}", "chain2.json"), "--step", FINE_STEP])
+        call(["gen", "squares", "--levels", "5"])
         for argv, out in fixture_commands(wd):
             call(argv, out)
         descend(os.path.join(wd, "example61_family.json"), os.path.join(wd, "example61_descent.json"))
