@@ -22,9 +22,8 @@ The study builds no cap body K^p for a full-dimensional K: the normal
 cone of K^p at p is read off K's cached facets, from the horizon ridges
 that the facets p sees share with those it does not (the beneath-beyond
 step), and the lower sandwich test is the support gap on K's vertices.
-Its two searches, the largest angle to N_K(p0) and the farthest sample
-direction, bound every candidate from both sides and measure only those
-the bounds leave open.
+The largest angle to N_K(p0) bounds every generator from both sides and
+measures only those the bounds leave open.
 """
 
 import math
@@ -37,31 +36,22 @@ from .geom_core import (
     _EPS,
     TAU_PT,
     ConvexBody,
-    _Memo,
     _nnls,
     _row_norms,
     as_point,
     contains,
     dedup_points,
+    default_grid,
     extend_hull,
     rounding_floor,
     support_many,
-    unit_directions,
 )
 
 _MEMBER_TOL = 1e-8
-# A row left open by the bounds of max_angle_to_base_cone and of
-# sector_angular_hausdorff is measured unless its bound clears the others'
-# by this margin (radians there, support values here): it covers the
-# rounding of arccos near 0, about sqrt(eps) ~ 1.5e-8, and of the bounds.
+# _max_angle measures a row unless its upper bound clears the others' by
+# this margin (radians): it covers the rounding of arccos near 0, about
+# sqrt(eps) ~ 1.5e-8, and of the bounds.
 _ANGLE_MARGIN = 1e-6
-_SUPPORT_MARGIN = 1e-9
-# sector_angular_hausdorff bounds a row's support on a sample from below by
-# its support on every _SAMPLE_STRIDE-th grid direction of the sample.
-_SAMPLE_STRIDE = 16
-# Direction grids of the cone-limit study, read-only, bounded in direction
-# coordinates as mean_width's quadrature grids are.
-_dirs_cache = _Memo(1 << 20)
 
 
 def sphere_measure(k: int) -> float:
@@ -425,8 +415,7 @@ def sector_angular_hausdorff(A: PolyCone, B: PolyCone, dirs):
     cone's generators (_arcs), and dirs is not read (it may be None).  For
     n >= 3 it is estimated on the direction grid dirs augmented by the
     cones' own generators, a direction counting as a member at tolerance
-    1e-9.  Of one sample, only the rows that bounds leave a candidate for
-    the farthest from the other are measured against all of it."""
+    1e-9."""
     if A.dim == 2:
         PA, PB = _arcs(A), _arcs(B)
         if not PA or not PB:
@@ -451,21 +440,8 @@ def _sampled_hausdorff(A: PolyCone, B: PolyCone, dirs, gB):
     if len(SA) == 0 or len(SB) == 0:
         return math.pi
 
-    def directed(C, m, g, D, S, mS):
-        # The support h(x) of a unit row x on S is at least its support on
-        # every _SAMPLE_STRIDE-th grid row of S and D's generators, and at
-        # most sqrt(1 - t^2) + delta, where t = -<x, w> for a row w of D and
-        # every row of S meets w to within delta (the mask's 1e-9, or D's
-        # own generators' worst gap); a row whose lower bound exceeds the
-        # least upper bound is not the farthest, and is not measured.
-        only = m & ~mS
-        X = sample(C, only)
-        t = np.concatenate([g[only], support_many(C.generators, -D.rows)])
-        delta = max(1e-9, support_many(D.generators, -D.rows).max(initial=-np.inf))
-        upper = np.sqrt(1.0 - np.clip(t, 0.0, 1.0) ** 2) + delta
-        lower = support_many(X, np.vstack([dirs[np.flatnonzero(mS)[::_SAMPLE_STRIDE]],
-                                           D.generators]))
-        h = support_many(X[lower <= upper.min(initial=np.inf) + _SUPPORT_MARGIN], S)
+    def directed(C, m, S, mS):
+        h = support_many(sample(C, m & ~mS), S)
         # a direction x in both samples has support at least <x, x> on S
         # (less its rounding, which the factor 1 - 1e-12 covers), so it
         # cannot be the farthest while another row's support is below that;
@@ -475,7 +451,7 @@ def _sampled_hausdorff(A: PolyCone, B: PolyCone, dirs, gB):
             h = np.concatenate([h, support_many(both, S)])
         return float(np.arccos(np.clip(h, -1.0, 1.0)).max())
 
-    return max(directed(A, mA, gB, B, SB, mB), directed(B, mB, gA, A, SA, mA))
+    return max(directed(A, mA, SB, mB), directed(B, mB, SA, mA))
 
 
 def _max_angle(C: PolyCone, X) -> float:
@@ -497,17 +473,6 @@ def _max_angle(C: PolyCone, X) -> float:
     return top
 
 
-def _directions(n, size, seed):
-    """unit_directions(n, size, seed), read-only, made once while
-    _dirs_cache keeps it."""
-    def make():
-        D = unit_directions(n, size, seed)
-        D.flags.writeable = False
-        return D
-
-    return _dirs_cache.get((n, size, seed), n * size, make)
-
-
 def normal_cone_limit_report(
     K: ConvexBody,
     p0,
@@ -525,7 +490,7 @@ def normal_cone_limit_report(
     (_cap_cone), with no cap body built, where that does not decline.  The
     distance is exact in the plane (sector_angular_hausdorff), where no
     direction grid is built; for n >= 3 it is measured on grid_size
-    directions of unit_directions(seed), made once while a memo keeps them.
+    directions of the sphere grid default_grid(n, grid_size, seed).
     """
     p0 = as_point(p0, K.dim)
     u = as_point(u, K.dim)
@@ -547,7 +512,7 @@ def normal_cone_limit_report(
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise InvalidInput("eps_list must be strictly decreasing")
     limit = cone_intersect_halfspace(N0, u)
-    dirs = None if K.dim == 2 else _directions(K.dim, grid_size, seed)
+    dirs = None if K.dim == 2 else default_grid(K.dim, grid_size, seed).directions
     gL = None if dirs is None else support_many(dirs, -limit.rows)
     ridges = _ridges(K)
     G = limit.generators

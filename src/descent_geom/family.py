@@ -238,51 +238,34 @@ def _clip_polygon(subject, eqs, floor):
     The ring is tested against every remaining halfspace at once; a
     halfspace with every vertex inside leaves it as it is, and the first
     one with a vertex outside cuts it.  Residuals sum the products over the
-    coordinates in order, so each is the same whatever halfspaces remain:
-    each point's row is formed once, a vertex keeps its row past a cut and
-    only the crossing points of a cut form new ones, against the halfspaces
-    that remain.
+    coordinates in order, so each is the same whatever halfspaces remain.
+    Each edge (k, j) that crosses the cut line contributes
+    out[k] + t * (out[j] - out[k]), t = r[k] / (r[k] - r[j]).
     """
     out = np.asarray(subject, dtype=float)
-    r = _residuals(out, eqs)
-    while len(out):
+    while len(eqs) and len(out):
+        r = eqs[:, -1] + sum(out[:, k:k + 1] * eqs[:, k] for k in range(out.shape[1]))
         inside = r <= floor
         cut = np.flatnonzero(~inside.all(axis=0))
         if len(cut) == 0:
             break
         i = cut[0]
+        r, inside = r[:, i], inside[:, i]
+        prev = np.arange(-1, len(out) - 1)
+        j = np.flatnonzero(inside != inside[prev])
+        k = prev[j]
+        t = r[k] / (r[k] - r[j])
+        # Row 2j is the crossing point on the edge into vertex j, row 2j + 1
+        # the vertex itself.
+        rows = np.empty((2 * len(out), out.shape[1]))
+        rows[2 * j] = out[k] + t[:, None] * (out[j] - out[k])
+        rows[1::2] = out
+        keep = np.zeros(2 * len(out), dtype=bool)
+        keep[2 * j] = True
+        keep[1::2] = inside
+        out = rows[keep]
         eqs = eqs[i + 1:]
-        out, r = _clip_ring(out, r[:, i], inside[:, i], r[:, i + 1:], eqs)
     return out
-
-
-def _residuals(X, eqs):
-    """a.x + b of each point x of X (rows) at each row (a, b) of eqs
-    (columns), the products summed over the coordinates in order."""
-    return eqs[:, -1] + sum(X[:, k:k + 1] * eqs[:, k] for k in range(X.shape[1]))
-
-
-def _clip_ring(out, r, inside, rest, eqs):
-    """(ring, residuals): the ring out cut to the vertices with inside set,
-    at residuals r to the clip line, and the rows of residuals at eqs of its
-    points, rest for out's own.  Each edge (k, j) that crosses the line
-    contributes out[k] + t * (out[j] - out[k]), t = r[k] / (r[k] - r[j])."""
-    prev = np.arange(-1, len(out) - 1)
-    j = np.flatnonzero(inside != inside[prev])
-    k = prev[j]
-    t = r[k] / (r[k] - r[j])
-    # Row 2j is the crossing point on the edge into vertex j, row 2j + 1 the
-    # vertex itself.
-    rows = np.empty((2 * len(out), out.shape[1]))
-    rows[2 * j] = out[k] + t[:, None] * (out[j] - out[k])
-    rows[1::2] = out
-    res = np.empty((2 * len(out), len(eqs)))
-    res[2 * j] = _residuals(rows[2 * j], eqs)
-    res[1::2] = rest
-    keep = np.zeros(2 * len(out), dtype=bool)
-    keep[2 * j] = True
-    keep[1::2] = inside
-    return rows[keep], res[keep]
 
 
 def _intersect_bodies(A: ConvexBody, B: ConvexBody) -> ConvexBody:

@@ -17,9 +17,9 @@ itself, else the facet triangles), and for k >= 4 the least-distance
 program on the facets, solved by _nnls, the package's one active-set
 solver (cones decides membership with it).  project, contains, includes
 and hausdorff all read that kernel.
-Everything here is a pure function over immutable arrays, and this module
-keeps no global state: what a body computes it keeps on itself, its kept
-arrays read-only, so concurrent use on shared bodies is safe.
+Functions here are pure over immutable arrays.  A body keeps what it
+computes on itself, read-only, so concurrent use on shared bodies is safe;
+the one global state is default_grid's memo of read-only sphere grids.
 
 Qhull (scipy.spatial) is imported by _qhull on its first run; the rest is
 numpy, so planar bodies from rings, their facets and projections,
@@ -382,11 +382,19 @@ def body_from_dict(d):
     except (KeyError, TypeError):
         raise InvalidInput("body JSON must have a 'vertices' field")
     P = as_points(verts)
-    if "dim" in d and int(d["dim"]) != P.shape[1]:
+    if "dim" in d and _declared_dim(d, "body") != P.shape[1]:
         raise DimensionMismatch("declared dim does not match vertex data")
     K = hull(P)
     K.vertices.flags.writeable = False
     return K
+
+
+def _declared_dim(d, what):
+    """The integer "dim" field of a JSON object d of the kind what."""
+    try:
+        return int(d["dim"])
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{what} JSON 'dim' must be an integer, got {d['dim']!r}")
 
 
 def _canonical_order(V, n):
@@ -979,3 +987,38 @@ def unit_directions(n, size, seed=0):
     X = rng.standard_normal((size, n))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     return X
+
+
+_DEFAULT_GRID_SIZE = 20000
+# Bounded in direction coordinates: 2^20 hold 13 default R^4 grids.
+_grid_cache = _Memo(1 << 20)
+
+
+@dataclass(frozen=True)
+class SphereGrid:
+    """Quadrature nodes on S^{n-1}, each standing for omega_n / size of the
+    sphere; seed fixes the nodes (unit_directions), which are read-only."""
+
+    dim: int
+    directions: np.ndarray
+    seed: int
+
+    @classmethod
+    def make(cls, n, size=_DEFAULT_GRID_SIZE, seed=0):
+        if n < 1:
+            raise InvalidInput("dimension must be >= 1")
+        if n == 1:
+            size = 2
+        D = unit_directions(n, size, seed)
+        D.flags.writeable = False
+        return cls(n, D, seed)
+
+    @property
+    def size(self):
+        return len(self.directions)
+
+
+def default_grid(n, size=_DEFAULT_GRID_SIZE, seed=0) -> SphereGrid:
+    """SphereGrid.make(n, size, seed), made once while _grid_cache keeps it:
+    mean_width's quadrature and the cone-limit study share its grids."""
+    return _grid_cache.get((n, size, seed), n * size, lambda: SphereGrid.make(n, size, seed))

@@ -4,17 +4,17 @@ deformations.
 Mean width is exact up to R^3: perimeter / pi in the plane (Cauchy's
 formula, a segment's perimeter counting both sides), and in R^3 a sum over
 the edges of the facet triangulation; n >= 4 averages support values over a
-deterministic seeded sphere grid of equal-weight nodes.  A body keeps its
+deterministic seeded sphere grid of equal-weight nodes (geom_core's
+SphereGrid from default_grid, both re-exported here).  A body keeps its
 width (ConvexBody.kept_width): an exact one from first use, a quadrature
-one together with the grid object it came from.  The first
-variation reads one normal-cone sector integral, _sector_integral: the
-vector integral of theta over the sector of N_K(q), cut to a halfspace when
-asked, exact over arcs in the plane and a grid sum otherwise.  Summation
-runs in fixed index order, so identical inputs give bit-identical results.
+one together with the grid object it came from.  The first variation reads
+one normal-cone sector integral, _sector_integral: the vector integral of
+theta over the sector of N_K(q), cut to a halfspace when asked, exact over
+arcs in the plane and a grid sum otherwise.  Summation runs in fixed index
+order, so identical inputs give bit-identical results.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +22,14 @@ from .errors import DimensionMismatch, InvalidInput, NumericalFailure, Precondit
 from .geom_core import (
     TAU_PT,
     ConvexBody,
-    _Memo,
+    SphereGrid,
     as_point,
     contains,
+    default_grid,
     hausdorff,
     hull,
     includes,
     support_many,
-    unit_directions,
 )
 from .cones import (
     _arcs,
@@ -39,37 +39,6 @@ from .cones import (
     sphere_measure,
     tangent_cone,
 )
-
-_DEFAULT_GRID_SIZE = 20000
-# Bounded in direction coordinates: 2^20 hold 13 default R^4 grids.
-_grid_cache = _Memo(1 << 20)
-
-
-@dataclass(frozen=True)
-class SphereGrid:
-    """Quadrature nodes on S^{n-1}, each standing for omega_n / size of the
-    sphere; seed fixes the nodes (geom_core.unit_directions)."""
-
-    dim: int
-    directions: np.ndarray
-    seed: int
-
-    @classmethod
-    def make(cls, n, size=_DEFAULT_GRID_SIZE, seed=0):
-        if n < 1:
-            raise InvalidInput("dimension must be >= 1")
-        if n == 1:
-            size = 2
-        return cls(n, unit_directions(n, size, seed), seed)
-
-    @property
-    def size(self):
-        return len(self.directions)
-
-
-def default_grid(n, size=_DEFAULT_GRID_SIZE, seed=0) -> SphereGrid:
-    """SphereGrid.make(n, size, seed), made once while _grid_cache keeps it."""
-    return _grid_cache.get((n, size, seed), n * size, lambda: SphereGrid.make(n, size, seed))
 
 
 def perimeter(K: ConvexBody) -> float:

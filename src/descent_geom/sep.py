@@ -27,6 +27,7 @@ from .geom_core import (
     _EPS,
     _PAIR_BLOCK,
     TAU_PT,
+    _declared_dim,
     _orient,
     _row_norms,
     as_points,
@@ -114,13 +115,16 @@ def polyline_from_dict(d) -> Polyline:
     except (KeyError, TypeError):
         raise InvalidInput("polyline JSON must have a 'points' field")
     g = Polyline.make(pts)
-    if "dim" in d and int(d["dim"]) != g.dim:
+    if "dim" in d and _declared_dim(d, "polyline") != g.dim:
         raise InvalidInput("declared dim does not match point data")
     return g
 
 
 def polyline_from_csv(path) -> Polyline:
-    P = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        P = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise InvalidInput(f"cannot read curve CSV {path}: {e}")
     return Polyline.make(P)
 
 

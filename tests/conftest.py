@@ -1,15 +1,17 @@
+import contextlib
 import functools
 import importlib
+import importlib.util
+import io
 import itertools
+import os
 
 import numpy as np
 import pytest
 import scipy.spatial
 
-from descent_geom.cli import _doc_memo
-from descent_geom.cones import _dirs_cache
-from descent_geom.geom_core import hull
-from descent_geom.mean_width import _grid_cache
+from descent_geom.cli import _doc_memo, main
+from descent_geom.geom_core import _grid_cache, hull
 from descent_geom.sep import Polyline
 
 MODULES = ("geom_core", "cones", "mean_width", "sep", "family", "descent", "cli")
@@ -19,10 +21,9 @@ MODULES = ("geom_core", "cones", "mean_width", "sep", "family", "descent", "cli"
 def cold_caches():
     """Every test starts as a fresh process does, with no document (nor the
     bodies built from it) or direction grid kept from an earlier test: the
-    package's three memos are cleared."""
+    package's two memos are cleared."""
     _doc_memo.clear()
     _grid_cache.clear()
-    _dirs_cache.clear()
 
 
 @pytest.fixture
@@ -139,6 +140,28 @@ def call_counter(monkeypatch):
         return calls
 
     return count
+
+
+def load_workloads():
+    """perfbench/workloads.py as a module, without touching sys.path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cli_call(argv, path=None):
+    """(exit code, stdout) of one CLI command, the stdout also written to
+    path when given."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(buf.getvalue())
+    return rc, buf.getvalue()
 
 
 def _monotone(rng, npts):

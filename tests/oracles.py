@@ -15,9 +15,10 @@ validators walk one member or knot at a time through it.  The per-pair
 connectedness and duplicate tests (is_connected_per_pair, kept_per_pair)
 measure every pair by geom_core.hausdorff: they check the bounds that
 spare the library most of those measurements, not hausdorff.  Completion
-keeps two of its earlier forms: the clip that formed every residual again
-at each cut (clip_polygon) and the width solver that built the f = 1 body
-of each gap before its first target (solve_gap_eager).  The solver shares
+keeps two forms: the clip that forms every residual again at each cut
+(clip_polygon), the library's own algorithm, here also counting the cuts,
+and the width solver that built the f = 1 body of each gap before its first
+target (solve_gap_eager).  The solver shares
 the library's interpolants and slopes: it checks when the library builds
 which interpolant, not the interpolants.
 """
@@ -623,9 +624,10 @@ def kept_per_pair(bodies, grid=None):
     return kept
 
 
-def clip_polygon(subject, eqs, floor):
-    """family._clip_polygon as it formed the residual of every point of the
-    ring at every remaining halfspace again at each cut."""
+def clip_polygon(subject, eqs, floor, cuts=None):
+    """family._clip_polygon: the residual of every point of the ring at
+    every remaining halfspace, formed again at each cut.  cuts, when given,
+    gains the row of eqs of each halfspace that cuts the ring."""
     out = np.asarray(subject, dtype=float)
     while len(eqs) and len(out):
         r = eqs[:, -1] + sum(out[:, k:k + 1] * eqs[:, k] for k in range(out.shape[1]))
@@ -634,6 +636,8 @@ def clip_polygon(subject, eqs, floor):
         if len(cut) == 0:
             break
         i = cut[0]
+        if cuts is not None:
+            cuts.append(eqs[i])
         r, inside = r[:, i], inside[:, i]
         prev = np.arange(-1, len(out) - 1)
         j = np.flatnonzero(inside != inside[prev])

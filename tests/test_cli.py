@@ -327,15 +327,38 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("text, message", [
-        ("not json", "error: "),
-        ('{"points": []}', "error: expected a nonempty point list, got a list of 0 points"),
+    CURVE_COMMANDS = ("check sep", "bounds length")
+
+    @pytest.mark.parametrize("commands, text, message", [
+        (CURVE_COMMANDS, "not json", "error: "),
+        (CURVE_COMMANDS, '{"points": []}',
+         "error: expected a nonempty point list, got a list of 0 points"),
+        # a "dim" that is not an integer, in a curve, a body and a family member
+        (CURVE_COMMANDS, '{"points": [[0, 0], [1, 0]], "dim": "two"}',
+         "error: polyline JSON 'dim' must be an integer, got 'two'"),
+        (CURVE_COMMANDS, '{"points": [[0, 0], [1, 0]], "dim": null}',
+         "error: polyline JSON 'dim' must be an integer, got None"),
+        (("report cone-limit --body - --p0 1,0,0 --u 1,1,1",),
+         '{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "dim": "two"}',
+         "error: body JSON 'dim' must be an integer, got 'two'"),
+        (("family check",),
+         '{"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]], "dim": null},'
+         ' {"vertices": [[0, 0], [2, 0], [0, 2]]}]}',
+         "error: body JSON 'dim' must be an integer, got None"),
     ])
-    def test_bad_json_exit_2(self, text, message, capsys, monkeypatch):
-        for what in ("check sep", "bounds length"):
+    def test_bad_json_exit_2(self, commands, text, message, capsys, monkeypatch):
+        for what in commands:
             code, out, err = run_cli(what.split(), stdin_text=text, capsys=capsys,
                                      monkeypatch=monkeypatch)
             assert code == 2 and out == "" and err.startswith(message), what
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", "0,0\n1,0,3\n"])
+    def test_bad_csv_exit_2(self, text, tmp_path, capsys):
+        # a cell that is not a number, and rows of different lengths
+        cpath = tmp_path / "curve.csv"
+        cpath.write_text(text)
+        code, out, err = run_cli(["check", "sep", "--curve", str(cpath)], capsys=capsys)
+        assert code == 2 and out == "" and err.startswith(f"error: cannot read curve CSV {cpath}: ")
 
     def test_round_trip_bodies(self, capsys, monkeypatch):
         code, fam_json, _ = run_cli(["gen", "disks", "--levels", "5"], capsys=capsys)
@@ -558,15 +581,15 @@ class TestConfigReach:
 
 def _record_grid_builds(monkeypatch):
     """(dimension, size) of every SphereGrid built, as it is built."""
-    mean_width = importlib.import_module("descent_geom.mean_width")
+    geom_core = importlib.import_module("descent_geom.geom_core")
     built = []
-    real = mean_width.SphereGrid.make
+    real = geom_core.SphereGrid.make
 
-    def recorded(cls, n, size=mean_width._DEFAULT_GRID_SIZE, seed=0):
+    def recorded(cls, n, size=geom_core._DEFAULT_GRID_SIZE, seed=0):
         built.append((n, size))
         return real(n, size, seed)
 
-    monkeypatch.setattr(mean_width.SphereGrid, "make", classmethod(recorded))
+    monkeypatch.setattr(geom_core.SphereGrid, "make", classmethod(recorded))
     return built
 
 
@@ -596,7 +619,7 @@ class TestGridBuilds:
                                + grid, capsys=capsys)
         assert code == 0
         path.write_text(out)
-        importlib.import_module("descent_geom.mean_width")._grid_cache.clear()
+        importlib.import_module("descent_geom.geom_core")._grid_cache.clear()
         built = _record_grid_builds(monkeypatch)
         code, _, _ = run_cli(["family", "check", "--family", str(path)] + grid, capsys=capsys)
         assert code in (0, 1)

@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from descent_geom import cones
+from descent_geom import cones, geom_core
 from descent_geom.errors import InvalidInput, PreconditionViolated
 from descent_geom.cones import (
     CircularCone,
@@ -24,9 +25,24 @@ from descent_geom.cones import (
     tangent_cone,
 )
 from descent_geom.descent import disk_family
-from descent_geom.geom_core import contains, hull, support, support_many, unit_directions
+from descent_geom.geom_core import (
+    body_from_dict,
+    contains,
+    default_grid,
+    hull,
+    support,
+    support_many,
+    unit_directions,
+)
 
-from .conftest import disk_polygon, embedded_polytope, joggled_bodies, random_polytope
+from .conftest import (
+    cli_call,
+    disk_polygon,
+    embedded_polytope,
+    joggled_bodies,
+    load_workloads,
+    random_polytope,
+)
 from .oracles import (
     in_cone_lp,
     nnls_kkt_gap,
@@ -600,23 +616,18 @@ def _planar_cone_pairs(rng):
     return pairs
 
 
+def _full_sample_hausdorff(A, B, dirs):
+    """sector_angular_hausdorff for n >= 3 with every row of each sample
+    measured against the whole other sample."""
+    S = [np.vstack([dirs[C.member_mask(dirs, tol=1e-9)], C.generators]) for C in (A, B)]
+    return max(float(np.arccos(np.clip(support_many(P, Q), -1.0, 1.0)).max())
+               for P, Q in (S, S[::-1]))
+
+
 class TestSampledSectorHausdorff:
-    def test_matches_the_full_sample(self, rng, monkeypatch):
+    def test_matches_the_full_sample(self, rng):
         # cap-body normal cones against their limits in R^3 and R^4, and
         # each cone against itself, where every grid node is in both samples
-        def full(A, B, dirs):
-            S = [np.vstack([dirs[C.member_mask(dirs, tol=1e-9)], C.generators]) for C in (A, B)]
-            return max(np.arccos(np.clip(support_many(P, Q), -1.0, 1.0)).max()
-                       for P, Q in (S, S[::-1]))
-
-        measured = []  # rows of each support_many call against a whole sample
-
-        def spy(X, Y):
-            measured.append((len(X), len(Y)))
-            return support_many(X, Y)
-
-        monkeypatch.setattr(cones, "support_many", spy)
-        pruned = []  # (rows open, rows measured) of the 10 000-node case
         for n, size in ((3, 4000), (3, 4000), (4, 4000), (4, 4000), (3, 10000)):
             K = random_polytope(rng, n=n, npts=25)
             p0 = K.vertices[0]
@@ -626,19 +637,34 @@ class TestSampledSectorHausdorff:
             for eps in (0.5, 0.05):
                 Ne = normal_cone(cap_body(K, p0 + eps * u), p0 + eps * u)
                 for A, B in ((Ne, limit), (limit, Ne), (Ne, Ne)):
-                    measured.clear()
                     got = sector_angular_hausdorff(A, B, dirs)
-                    assert got == pytest.approx(full(A, B, dirs), abs=1e-15)
-                    if size == 10000 and B is limit:
-                        # the rows of A's sample outside B's, and those of them
-                        # measured against B's whole sample
-                        mA, mB = A.member_mask(dirs, tol=1e-9), limit.member_mask(dirs, tol=1e-9)
-                        rows = int((mA & ~mB).sum()) + len(A.generators)
-                        whole = int(mB.sum()) + len(limit.generators)
-                        pruned.append((rows, sum(x for x, y in measured if y == whole)))
-        # 866 rows left open by the masks, 79 measured when this was written
-        assert len(pruned) == 2 and all(0 < m < r for r, m in pruned)
-        assert sum(m for _, m in pruned) < sum(r for r, _ in pruned) / 5
+                    assert got == pytest.approx(_full_sample_hausdorff(A, B, dirs), abs=1e-15)
+
+    def test_cone_limit_on_the_stored_tops(self, tmp_path):
+        # report cone-limit on the R^3 and R^4 tops of family_validation's
+        # store, against every sample row measured on _cap_cone's cones
+        wl = load_workloads()
+        wl.Workload("family_validation", 3, str(tmp_path)).setup(cli_call)
+        eps = [0.5, 0.25, 0.1, 0.01]  # report cone-limit's default --eps
+        checked = 0
+        for name in ("chain3", "disks3", "disks4"):
+            path = str(tmp_path / f"{name}_top.json")
+            with open(path) as fh:
+                K = body_from_dict(json.load(fh))
+            dirs = unit_directions(K.dim, 10000, 0)  # the CLI's grid, --grid-size capped
+            for p0 in K.vertices[:2]:
+                u = (p0 - K.vertices.mean(axis=0))
+                rc, out = cli_call(["report", "cone-limit", "--body", path,
+                                    f"--p0={wl.fmt_point(p0)}", f"--u={wl.fmt_point(u)}"])
+                assert rc in (0, 1)
+                limit = cone_intersect_halfspace(normal_cone(K, p0), u / np.linalg.norm(u))
+                for e, row in zip(eps, json.loads(out)["rows"]):
+                    Ne = cones._cap_cone(K, cones._ridges(K), p0 + e * u / np.linalg.norm(u))
+                    assert Ne is not None
+                    want = _full_sample_hausdorff(Ne, limit, dirs)
+                    assert row["metric"] == pytest.approx(want, abs=1e-15), (name, e)
+                    checked += 1
+        assert checked == 24
 
 
 class TestPlanarSectorHausdorff:
@@ -678,21 +704,21 @@ class TestPlanarSectorHausdorff:
 
     def test_cone_limit_makes_each_grid_once(self, monkeypatch):
         made = []
-        real = cones.unit_directions
-        monkeypatch.setattr(cones, "unit_directions", lambda *a: made.append(a) or real(*a))
+        real = geom_core.unit_directions
+        monkeypatch.setattr(geom_core, "unit_directions", lambda *a: made.append(a) or real(*a))
         cube = hull(np.array(list(itertools.product((0.0, 1.0), repeat=3))))
         reps = [normal_cone_limit_report(cube, (1, 1, 1), (1, 2, 3), [0.5, 0.1], grid_size=size)
                 for size in (3000, 3000, 2000)]
         assert made == [(3, 3000, 0), (3, 2000, 0)]
         assert reps[0] == reps[1]
         with pytest.raises(ValueError):
-            cones._directions(3, 3000, 0)[0, 0] = 1.0  # kept read-only
+            default_grid(3, 3000, 0).directions[0, 0] = 1.0  # kept read-only
 
     def test_cone_limit_builds_no_grid_in_the_plane(self, unit_square, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a direction grid was built")
 
-        monkeypatch.setattr(cones, "unit_directions", refuse)
+        monkeypatch.setattr(geom_core, "unit_directions", refuse)
         rep = normal_cone_limit_report(unit_square, (1, 0.5), (1, 0), [0.5, 0.1, 0.01])
         assert rep["sandwich_ok"] and rep["metric_decreasing"]
         # the cap cone at p0 + eps u is the sector of half-angle atan(2 eps)

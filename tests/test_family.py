@@ -1,6 +1,3 @@
-import contextlib
-import importlib.util
-import io
 import itertools
 import json
 import os
@@ -53,7 +50,7 @@ from descent_geom.family import (
     validate_stratification,
 )
 
-from .conftest import disk_polygon, nested_pair, random_polytope
+from .conftest import cli_call, disk_polygon, load_workloads, nested_pair, random_polytope
 from .oracles import (
     clip_polygon,
     in_convex_hull_lp,
@@ -296,15 +293,14 @@ class TestPlanarRings:
             assert np.array_equal(pts, S.vertices) == kept
             assert np.all(rel_depth_many(C, pts)[0] >= -floor)
 
-    def test_clip_equals_the_per_cut_table(self, rng, call_counter):
-        cuts = call_counter("family", "_clip_ring")
+    def test_clip_equals_the_per_cut_table(self, rng):
         most = 0
         for subject, eqs, floor in _clip_cases(rng):
-            before = len(cuts)
+            cuts = []
             got = family._clip_polygon(subject, eqs, floor)
-            want = clip_polygon(subject, eqs, floor)
+            want = clip_polygon(subject, eqs, floor, cuts)
             assert got.shape == want.shape and np.array_equal(got, want)
-            most = max(most, len(cuts) - before)
+            most = max(most, len(cuts))
         assert most >= 20
 
     def test_uncut_intersection_is_the_subject(self, rng):
@@ -672,28 +668,6 @@ class TestIsConnected:
         assert not is_connected(Family(fam.bodies, tuple(p + off for p in fam.params), fam.h))
 
 
-def _load_workloads():
-    """perfbench/workloads.py as a module, without touching sys.path."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _cli_call(argv, path=None):
-    """(exit code, stdout) of one CLI command, the stdout also written to
-    path when given."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
-    return rc, buf.getvalue()
-
-
 def _translated(fam, frac):
     """fam with its middle member translated by frac of the top member's
     diameter: honest widths and steps, a jump at that member."""
@@ -711,18 +685,18 @@ def connected_corpus():
     to 3), the stored families of family_validation at seeds 1 to 3
     (stored true), Cantor levels 2 to 7, cantor_disks at those levels,
     example61 and disks in R^2 to R^4."""
-    wl = _load_workloads()
+    wl = load_workloads()
     cases = []
     for seed in (1, 2, 3):
         for n, npoints, levels in [(2, *size) for size in wl.PLANAR_SIZES] + [(3, 16, 4)]:
-            rc, out = _cli_call(["gen", "random", "--n", str(n), "--npoints", str(npoints),
+            rc, out = cli_call(["gen", "random", "--n", str(n), "--npoints", str(npoints),
                                  "--levels", str(levels), "--seed", str(seed)])
             assert rc == 0
             cases.append((f"gen-r{n}-{npoints}x{levels}-{seed}", family_from_dict(json.loads(out)),
                           False))
         with tempfile.TemporaryDirectory() as wd:
             w = wl.Workload("family_validation", seed, wd)
-            w.setup(_cli_call)
+            w.setup(cli_call)
             for name in ("chain2", "chain3", "disks3", "disks4", "cantor_family",
                          "example61_family"):
                 with open(os.path.join(wd, name + ".json")) as fh:

@@ -11,11 +11,10 @@ from descent_geom.errors import (
     PreconditionViolated,
 )
 from descent_geom.cones import cap_body
-from descent_geom.geom_core import hull, unit_directions
+from descent_geom.geom_core import _grid_cache, hull, unit_directions
 from descent_geom.mean_width import (
     SphereGrid,
     _mean_width_3d,
-    _grid_cache,
     cap_gradient,
     default_grid,
     first_variation,

@@ -47,10 +47,12 @@ def worker(src, seeds):
     from descent_geom import cli
     from workloads import Workload, fmt_point
 
-    # the memos a first run finds empty; an older tree lacks the cones one
+    # the memos a first run finds empty, wherever the tree keeps them: older
+    # trees keep the grids in mean_width, and some the cone-limit's in cones
     memos = [cli._doc_memo] + [
         getattr(importlib.import_module("descent_geom." + mod), name, None)
-        for mod, name in (("mean_width", "_grid_cache"), ("cones", "_dirs_cache"))]
+        for mod, name in (("geom_core", "_grid_cache"), ("mean_width", "_grid_cache"),
+                          ("cones", "_dirs_cache"))]
     memos = [memo for memo in memos if memo is not None]
 
     out = sys.stdout
