@@ -28,6 +28,7 @@ values load no scipy.
 """
 
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -390,10 +391,10 @@ def body_from_dict(d):
 
 
 def _declared_dim(d, what):
-    """The integer "dim" field of a JSON object d of the kind what."""
+    """The "dim" field of a JSON object d of the kind what, an integer."""
     try:
-        return int(d["dim"])
-    except (TypeError, ValueError):
+        return operator.index(d["dim"])
+    except TypeError:
         raise InvalidInput(f"{what} JSON 'dim' must be an integer, got {d['dim']!r}")
 
 

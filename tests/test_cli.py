@@ -338,6 +338,8 @@ class TestErrorsAndDeterminism:
          "error: polyline JSON 'dim' must be an integer, got 'two'"),
         (CURVE_COMMANDS, '{"points": [[0, 0], [1, 0]], "dim": null}',
          "error: polyline JSON 'dim' must be an integer, got None"),
+        (CURVE_COMMANDS, '{"points": [[0, 0], [1, 0]], "dim": 2.9}',
+         "error: polyline JSON 'dim' must be an integer, got 2.9"),
         (("report cone-limit --body - --p0 1,0,0 --u 1,1,1",),
          '{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "dim": "two"}',
          "error: body JSON 'dim' must be an integer, got 'two'"),

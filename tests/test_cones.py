@@ -653,13 +653,14 @@ class TestSampledSectorHausdorff:
                 K = body_from_dict(json.load(fh))
             dirs = unit_directions(K.dim, 10000, 0)  # the CLI's grid, --grid-size capped
             for p0 in K.vertices[:2]:
-                u = (p0 - K.vertices.mean(axis=0))
+                u = p0 - K.vertices.mean(axis=0)
                 rc, out = cli_call(["report", "cone-limit", "--body", path,
                                     f"--p0={wl.fmt_point(p0)}", f"--u={wl.fmt_point(u)}"])
                 assert rc in (0, 1)
-                limit = cone_intersect_halfspace(normal_cone(K, p0), u / np.linalg.norm(u))
+                u /= np.linalg.norm(u)
+                limit = cone_intersect_halfspace(normal_cone(K, p0), u)
                 for e, row in zip(eps, json.loads(out)["rows"]):
-                    Ne = cones._cap_cone(K, cones._ridges(K), p0 + e * u / np.linalg.norm(u))
+                    Ne = cones._cap_cone(K, cones._ridges(K), p0 + e * u)
                     assert Ne is not None
                     want = _full_sample_hausdorff(Ne, limit, dirs)
                     assert row["metric"] == pytest.approx(want, abs=1e-15), (name, e)

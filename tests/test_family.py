@@ -690,7 +690,7 @@ def connected_corpus():
     for seed in (1, 2, 3):
         for n, npoints, levels in [(2, *size) for size in wl.PLANAR_SIZES] + [(3, 16, 4)]:
             rc, out = cli_call(["gen", "random", "--n", str(n), "--npoints", str(npoints),
-                                 "--levels", str(levels), "--seed", str(seed)])
+                                "--levels", str(levels), "--seed", str(seed)])
             assert rc == 0
             cases.append((f"gen-r{n}-{npoints}x{levels}-{seed}", family_from_dict(json.loads(out)),
                           False))
