@@ -149,9 +149,22 @@ def _parse_point(s, option):
     return np.array(_parse_numbers(s, option))
 
 
+def _env_seed(s):
+    """The seed set by DESCENT_GEOM_SEED, a non-negative integer."""
+    try:
+        seed = int(s)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise InvalidInput(f"DESCENT_GEOM_SEED must be a non-negative integer, got {s!r}")
+    return seed
+
+
 def _check_options(args):
-    """--tol must be a finite number >= 0, --step a finite number > 0 and
-    --grid-size at least 1, in every dimension."""
+    """--seed must be >= 0, --tol a finite number >= 0, --step a finite
+    number > 0 and --grid-size at least 1, in every dimension."""
+    if args.seed < 0:
+        raise InvalidInput(f"--seed must be a non-negative integer, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise InvalidInput(f"--tol must be a finite number >= 0, got {args.tol!r}")
     if args.grid_size < 1:
@@ -558,12 +571,12 @@ def main(argv=None) -> int:
                 and argv[i][1:2] in "0123456789.":
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
-    env_seed = os.environ.get("DESCENT_GEOM_SEED")
-    if env_seed is not None:
-        args.seed = int(env_seed)
-    elif args.seed is None:
-        args.seed = 0
     try:
+        env_seed = os.environ.get("DESCENT_GEOM_SEED")
+        if env_seed is not None:
+            args.seed = _env_seed(env_seed)
+        elif args.seed is None:
+            args.seed = 0
         _check_options(args)
         return args.fn(args)
     except (DescentGeomError, OSError, json.JSONDecodeError) as e:

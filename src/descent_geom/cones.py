@@ -42,7 +42,7 @@ from .geom_core import (
     contains,
     dedup_points,
     default_grid,
-    extend_hull,
+    hull,
     rounding_floor,
     support_many,
 )
@@ -212,9 +212,9 @@ def normal_cone_mask(K: ConvexBody, q, dirs, tol=1e-9):
 
 
 def cap_body(K: ConvexBody, p) -> ConvexBody:
-    """Hull of K and the point p; equals K whenever p already lies in K.  A
-    planar K takes p into its ring without Qhull (geom_core.extend_hull)."""
-    return extend_hull(K, [as_point(p, K.dim)])[0]
+    """The cap body K^p = co(K u {p}): hull() of K's vertices and the point
+    p, equal to K whenever p already lies in K."""
+    return hull(np.vstack([K.vertices, as_point(p, K.dim)]))
 
 
 def _ridges(K: ConvexBody):

@@ -7,10 +7,10 @@ and keeps its diameter and its mean width (`ConvexBody.kept_width`).
 In R^n, n >= 3, hull() takes its input in canonical order, so a body built
 from its own extreme points keeps Qhull's facets.  A planar body's
 counterclockwise ring is its only boundary: hull() reads a clear ring
-without Qhull, extend_hull grows one point by point, and its facets are
-the ring's edges.  Relative depth (rel_depth_many) is read off the
-facets; containment and distances ask it first and pass only the points
-it leaves open to one batched nearest-point kernel, _nearest, chosen by
+without Qhull, and its facets are the ring's edges.  Relative depth
+(rel_depth_many) is read off the facets; containment and distances ask
+it first and pass only the points it leaves open to one batched
+nearest-point kernel, _nearest, chosen by
 the body's affine dimension k: a closed form over the facet simplices for
 k <= 3 (edges for k <= 2; for k = 3 the nearest vertex when it certifies
 itself, else the facet triangles), and for k >= 4 the least-distance
@@ -121,8 +121,11 @@ def as_points(pts):
     """Coerce to a nonempty (m, n) float array of finite points."""
     try:
         P = np.asarray(pts, dtype=float)
-    except ValueError:
-        raise DimensionMismatch("points have mixed dimensions")
+    except (TypeError, ValueError):
+        # Rows of different lengths leave sequences among the entries.
+        if any(isinstance(x, (list, tuple, np.ndarray)) for x in np.asarray(pts, dtype=object).flat):
+            raise DimensionMismatch("points have mixed dimensions")
+        raise InvalidInput("coordinates must be numbers")
     if P.ndim in (1, 2) and len(P) == 0:  # before [] would promote to shape (1, 0)
         raise InvalidInput("expected a nonempty point list, got a list of 0 points")
     if P.ndim == 1:
@@ -535,65 +538,6 @@ def _ring_margin(P) -> float:
             and np.arctan2(cross, (Ep * E).sum(axis=1)).sum() < 3.0 * np.pi):
         return 0.0
     return min(float(least), float((cross / chord).min()))
-
-
-def extend_hull(K: ConvexBody, P) -> list:
-    """The hulls of K with the points P[:1], P[:2], ... ([] when P is
-    empty): each is hull() of the previous one's vertices and the next point.
-
-    A planar body whose vertices form a clear ring (_ring_margin) takes each
-    point without hull() while that is clearly decided.  The loop keeps the
-    bounding box of the points seen and lower bounds on the width and on
-    every edge and vertex height the ring has had.  While the cross products
-    cr of p with the edges keep min|cr| / diam above the clearance tol,
-    every side is decided exactly, p replaces the run of edges it sees, and
-    the new edges and heights are at least min|cr| / diam.  Rank 2 holds
-    while the width floor exceeds an upper bound on affine_basis's cut.  The
-    ring starts at its lexicographically smallest vertex: p or the old one.
-    Any other point goes to hull(), and the ring is read again from its
-    result.
-    """
-    out = []
-    least = None  # None: read the ring and its bounds off K
-    for p in np.asarray(P, dtype=float):
-        if least is None:
-            least = _ring_margin(K.vertices) if K.dim == 2 else 0.0
-            width = 0.0
-            box = K.vertices.min(axis=0).tolist() + K.vertices.max(axis=0).tolist()
-        if least:
-            R = K.vertices
-            m = len(R)
-            x, y = p.tolist()
-            box[:] = min(box[0], x), min(box[1], y), max(box[2], x), max(box[3], y)
-            scale = max(-box[0], -box[1], box[2], box[3])
-            diam = math.hypot(box[2] - box[0], box[3] - box[1])
-            # s_max <= sqrt(m + 1) * diam, s_min >= width / sqrt(2)
-            cut = 4.0 * rank_cut(math.sqrt(m + 1) * diam, scale, m + 1)
-            if width <= cut:
-                # At most the width of the triangle of R[0], the vertex farthest
-                # from it and the vertex farthest from their line.
-                d = R[np.argmax(((R - R[0]) ** 2).sum(axis=1))] - R[0]
-                width = np.abs(_cross(d, R - R[0])).max() / (2.0 * math.hypot(*d))
-            D = R - p
-            cr = _cross(D, np.concatenate((D[1:], D[:1])))  # negative on the edges p sees
-            clear = min(least, np.abs(cr).min() / diam)
-            if clear > 4.0 * TAU_PT * (1.0 + scale) and width > cut:
-                seen = cr < 0.0
-                if seen.any():  # else p lies clearly inside, and K stays
-                    a = int(np.argmax(seen > seen[np.arange(-1, m - 1)]))  # the first edge p sees
-                    j = a + int(seen.sum())  # R[a + 1] .. R[j - 1] are cut off
-                    if j > m:  # R[0] is cut off, so p is below it
-                        V = np.vstack((p, R[j - m:a + 1]))
-                    elif (x, y) < tuple(R[0].tolist()):
-                        V = np.vstack((p, R[j:], R[:a + 1]))
-                    else:
-                        V = np.vstack((R[:a + 1], p, R[j:]))
-                    least, K = clear, ConvexBody(V, 2)
-                out.append(K)
-                continue
-        K, least = hull(np.vstack([K.vertices, p])), None
-        out.append(K)
-    return out
 
 
 def support(K: ConvexBody, x) -> float:

@@ -10,9 +10,8 @@ widths of the prefix hulls come from one pass over the points that builds
 no body (_path_widths): running extremes on the line, and in the plane
 Melkman's online hull with an exactly signed orientation test and the
 perimeter updated as edges leave and enter.  Prefix hulls as bodies
-(prefix_hulls, which gives the widths above the plane) are grown by
-geom_core.extend_hull: in the plane each point goes into the previous
-counterclockwise ring, and hull() runs only where that is not clear.
+(prefix_hulls, which gives the widths above the plane) are each hull() of
+the previous one's vertices and the next point.
 """
 
 import math
@@ -31,7 +30,6 @@ from .geom_core import (
     _orient,
     _row_norms,
     as_points,
-    extend_hull,
     hull,
 )
 from .mean_width import SphereGrid, lipschitz_constant, mean_width
@@ -192,9 +190,11 @@ def is_sep(gamma: Polyline, tol: float = 1e-9):
 
 def prefix_hulls(gamma: Polyline):
     """Convex hulls of the vertex prefixes: each is hull() of the previous
-    one's vertices and the next point (geom_core.extend_hull)."""
-    K = hull(gamma.points[:1])
-    return [K] + extend_hull(K, gamma.points[1:])
+    one's vertices and the next point."""
+    out = [hull(gamma.points[:1])]
+    for p in gamma.points[1:]:
+        out.append(hull(np.vstack([out[-1].vertices, p])))
+    return out
 
 
 def _sees(a, b, p):

@@ -347,6 +347,18 @@ class TestErrorsAndDeterminism:
          '{"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]], "dim": null},'
          ' {"vertices": [[0, 0], [2, 0], [0, 2]]}]}',
          "error: body JSON 'dim' must be an integer, got None"),
+        # coordinates that are not numbers, in a curve, a body and a family
+        # member; rows of different lengths
+        (CURVE_COMMANDS, '{"points": {"a": 1}}', "error: coordinates must be numbers"),
+        (CURVE_COMMANDS, '{"points": [[0, 0], [1, {"x": 1}]]}', "error: coordinates must be numbers"),
+        (CURVE_COMMANDS, '{"points": [["a", "b"], ["c", "d"]]}', "error: coordinates must be numbers"),
+        (CURVE_COMMANDS, '{"points": [[0, 0], [1]]}', "error: points have mixed dimensions"),
+        (("report cone-limit --body - --p0 1,0,0 --u 1,1,1",), '{"vertices": {"a": 1}}',
+         "error: coordinates must be numbers"),
+        (("family check",),
+         '{"bodies": [{"vertices": [[0, 0], [1, 0], [0, {"x": 1}]]},'
+         ' {"vertices": [[0, 0], [2, 0], [0, 2]]}]}',
+         "error: coordinates must be numbers"),
     ])
     def test_bad_json_exit_2(self, commands, text, message, capsys, monkeypatch):
         for what in commands:
@@ -382,6 +394,22 @@ class TestErrorsAndDeterminism:
         monkeypatch.delenv("DESCENT_GEOM_SEED")
         b = run_cli(["gen", "random", "--levels", "4", "--seed", "5"], capsys=capsys)[1]
         assert a == b
+
+    @pytest.mark.parametrize("argv", [
+        "gen random", "gen random --n 3", "gen random --n 4", "gen disks --n 4",
+        "fixtures example61", "fixtures cantor --level 2",
+    ])
+    def test_negative_seed_exit_2(self, argv, capsys):
+        code, out, err = run_cli(["--seed", "-3"] + argv.split(), capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be a non-negative integer, got -3\n"
+
+    @pytest.mark.parametrize("value", ["-2", "abc", "1.5", ""])
+    def test_bad_env_seed_exit_2(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("DESCENT_GEOM_SEED", value)
+        code, out, err = run_cli(["gen", "random", "--seed", "5"], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: DESCENT_GEOM_SEED must be a non-negative integer, got {value!r}\n"
 
     def test_csv_curve_ingestion(self, tmp_path, capsys, monkeypatch):
         cpath = tmp_path / "curve.csv"

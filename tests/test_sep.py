@@ -8,7 +8,7 @@ import pytest
 from descent_geom import cli, geom_core, sep
 from descent_geom.errors import PreconditionViolated
 from descent_geom.cones import normal_cone, sphere_measure
-from descent_geom.geom_core import extend_hull, hull
+from descent_geom.geom_core import hull
 from descent_geom.mean_width import mean_width, normal_sector_vector_flux
 from descent_geom.sep import (
     Polyline,
@@ -241,39 +241,36 @@ class TestPrefixHulls:
         for g in prefix_corpus(seed):
             assert_prefix_hulls_are_hulls(g)
 
+    def test_matches_hull_of_each_prefix_above_the_plane(self):
+        # The log spiral lifted to the cone z = |p| / 2, and a seeded
+        # monotone walk in R^4: both SEPs.
+        P = log_spiral(0.4, 2.5, 150).points
+        cone = Polyline.make(np.column_stack([P, 0.5 * np.linalg.norm(P, axis=1)]))
+        rng = np.random.default_rng(4)
+        walk = Polyline.make(np.cumsum(rng.random((40, 4)), axis=0))
+        for g in (cone, walk):
+            assert is_sep(g)["ok"]
+            assert_prefix_hulls_are_hulls(g)
+
     def test_rank_is_left_to_hull_when_in_doubt(self, monkeypatch):
-        # Under a coarse rank cut hull() reads thin prefixes as segments; the
-        # ring must then decline rather than report rank 2.
+        # Under a coarse rank cut hull() reads thin prefixes as segments;
+        # each prefix hull must still be hull()'s body of its prefix.
         monkeypatch.setattr(geom_core, "_RANK_RTOL", 0.05)
         thin = Polyline.make([(0, 0), (1, 0), (0.5, 0.2)] + [(k, 0.05 * (-1) ** k) for k in range(2, 12)])
         for g in [thin] + prefix_corpus(2)[4:]:  # the walks
             assert_prefix_hulls_are_hulls(g)
 
-    def test_spiral_makes_at_most_one_qhull_run(self, qhull_calls):
+    def test_each_sep_point_is_a_vertex_of_its_prefix_hull(self):
+        # Manselli-Pucci: a self-expanding path leaves each prefix hull at its
+        # newest point.
         g = log_spiral(0.4, 2.5, 400)
         Ks = prefix_hulls(g)
-        assert len(qhull_calls) <= 1
-        # Each point of a SEP is a vertex of its prefix hull (Manselli-Pucci).
         assert all(p.tolist() in K.vertices.tolist() for p, K in zip(g.points, Ks))
 
-    def test_ring_declines_what_it_cannot_place_clearly(self, qhull_calls):
-        K = hull([(0, 0), (1, 0), (0, 1)])
-        assert extend_hull(K, [(0.25, 0.25)])[0] is K  # clearly inside
-        assert len(qhull_calls) == 0
-        for p in ([0.5, 0.5], [2.0, 0.0], [1.0 + 1e-12, 0.0]):  # on an edge line
-            qhull_calls.clear()
-            (grown,) = extend_hull(K, [p])
-            assert len(qhull_calls) == 1  # the hull() fallback
-            assert np.array_equal(grown.vertices, hull(np.vstack([K.vertices, p])).vertices)
-        # A segment has no ring; hull() reads the triangle's ring instead.
-        qhull_calls.clear()
-        (tri,) = extend_hull(hull([(0, 0), (1, 0)]), [(0.5, 1.0)])
-        assert len(qhull_calls) == 0
-        assert tri.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]
-
-    def test_extending_by_no_points_gives_no_bodies(self):
-        assert extend_hull(hull([(0, 0), (1, 0), (0, 1)]), []) == []
-        assert extend_hull(hull([(0, 0, 0), (1, 0, 0)]), np.empty((0, 3))) == []
+    def test_one_point_curve_gives_one_body(self):
+        for p in ([(0.5, 1.0)], [(0.5, 1.0, -2.0)]):
+            (K,) = prefix_hulls(Polyline.make(p))
+            assert K.dim_affine == 0 and K.vertices.tolist() == [list(p[0])]
 
     def test_bounds_length_runs_is_sep_once(self, tmp_path, capsys, call_counter):
         path = tmp_path / "spiral.json"
