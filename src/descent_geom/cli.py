@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DescentGeomError, InvalidInput
 from .cones import normal_cone_limit_report
-from .geom_core import _Memo, body_from_dict, hull, project, rel_depth_many, rounding_floor
+from .geom_core import MAX_DIM, _Memo, body_from_dict, hull, project, rel_depth_many, rounding_floor
 from .mean_width import default_grid
 from .sep import (
     hull_width,
@@ -162,7 +162,8 @@ def _env_seed(s):
 
 def _check_options(args):
     """--seed must be >= 0, --tol a finite number >= 0, --step a finite
-    number > 0 and --grid-size at least 1, in every dimension."""
+    number > 0 and --grid-size at least 1, in every dimension; gen's --n
+    from 1 to MAX_DIM and its --npoints at least 1."""
     if args.seed < 0:
         raise InvalidInput(f"--seed must be a non-negative integer, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
@@ -172,6 +173,10 @@ def _check_options(args):
     step = getattr(args, "step", None)
     if step is not None and not (math.isfinite(step) and step > 0.0):
         raise InvalidInput(f"--step must be a finite number > 0, got {step!r}")
+    if args.cmd == "gen" and not 1 <= args.n <= MAX_DIM:
+        raise InvalidInput(f"--n must be from 1 to {MAX_DIM}, got {args.n}")
+    if args.cmd == "gen" and args.npoints < 1:
+        raise InvalidInput(f"--npoints must be at least 1, got {args.npoints}")
 
 
 def _config(args):

@@ -13,8 +13,8 @@ Without building a cone, x in N_K(q) is one support-gap test, <x, v - q>
 small for every vertex v: normal_cone_mask, of which in_normal_cone is
 one row; cap_support_batch makes it at the apex of the cap body, against
 K's own vertices.
-Membership in a cone and the angle to it are nonnegative least squares
-problems on its generators, solved in numpy (geom_core._nnls).  The
+Membership in a built cone is read off its rows (member_mask); nonnegative
+least squares on its generators (geom_core._nnls) serves projection only.  The
 angular Hausdorff distance of the cone-limit study is exact in the plane,
 where a cone's directions are arcs read off its generators, and measured
 on a direction grid for n >= 3.
@@ -90,14 +90,9 @@ class PolyCone:
         return self.generators.shape[0] == 0
 
     def contains(self, x, tol=_MEMBER_TOL) -> bool:
-        """Membership by the residual of nonnegative least squares on the
-        generators (_nnls): at most tol * (1 + |x|)."""
+        """Membership of one direction: member_mask at tol * (1 + |x|)."""
         x = as_point(x, self.dim)
-        nx = np.linalg.norm(x)
-        if self.is_zero:
-            return nx <= tol
-        _, res = _nnls(self.generators.T, x)
-        return res <= tol * (1.0 + nx)
+        return bool(self.member_mask(x[None], tol * (1.0 + np.linalg.norm(x)))[0])
 
     def member_mask(self, dirs, tol=_MEMBER_TOL):
         """Vectorized membership of many directions, by the rows: <d, row> >=
@@ -171,13 +166,32 @@ def _body_at(K: ConvexBody, q, tol):
     if not contains(K, q, tol):
         raise InvalidInput("q is not a point of K")
     _, B, eqs, S = K.facets
-    n, k = K.dim, len(B)
+    n, k = K.dim, K.dim_affine
     A = dedup_points(eqs[eqs[:, :-1] @ q + eqs[:, -1] >= -tol, :-1])
     W = np.linalg.svd(np.eye(n) - B.T @ B)[0][:, : n - k].T if k < n else B[:0]
     V, at = K.vertices, (S[..., None] == np.flatnonzero((K.vertices == q).all(axis=1))).any(axis=(1, 2))
     if k >= 2 and at.any() and (V @ eqs[:, :-1].T + eqs[:, -1]).max() <= rounding_floor(K):
         V = V[np.unique(S[at])]
     return q, A, W, _unit(V - q)
+
+
+def _outward(K: ConvexBody, p0, u):
+    """p0 as a vector, N_K(p0) and u at unit length, to push K out from p0
+    along u: PreconditionViolated, one message per failure, unless p0 lies in
+    K (by normal_cone), on its boundary, and u outside T_K(p0), N_K(p0)'s polar."""
+    p0, u = as_point(p0, K.dim), as_point(u, K.dim)
+    nu = np.linalg.norm(u)
+    if nu == 0.0:
+        raise InvalidInput("u must be nonzero")
+    try:
+        N0 = normal_cone(K, p0)
+    except InvalidInput:
+        raise PreconditionViolated("p0 must lie in K") from None
+    if N0.is_zero:
+        raise PreconditionViolated("p0 must lie on the boundary of K")
+    if PolyCone(K.dim, -N0.rows, -N0.generators).contains(u / nu):
+        raise PreconditionViolated("u lies in the tangent cone at p0")
+    return p0, N0, u / nu
 
 
 def tangent_cone(K: ConvexBody, q, tol=TAU_PT) -> PolyCone:
@@ -492,20 +506,7 @@ def normal_cone_limit_report(
     direction grid is built; for n >= 3 it is measured on grid_size
     directions of the sphere grid default_grid(n, grid_size, seed).
     """
-    p0 = as_point(p0, K.dim)
-    u = as_point(u, K.dim)
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        raise InvalidInput("u must be nonzero")
-    u = u / nu
-    if not contains(K, p0, 1e-7):
-        raise PreconditionViolated("p0 must lie in K")
-    p0, A, W, D = _body_at(K, p0, TAU_PT)
-    N0 = PolyCone(K.dim, np.vstack([A, W, -W]), -D)  # normal_cone(K, p0)
-    if N0.is_zero:
-        raise PreconditionViolated("p0 must lie on the boundary of K")
-    if PolyCone(K.dim, D, np.vstack([-A, W, -W])).contains(u, tol=1e-8):  # tangent_cone
-        raise PreconditionViolated("u lies in the tangent cone at p0")
+    p0, N0, u = _outward(K, p0, u)
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise InvalidInput("eps_list must be nonempty and positive")

@@ -64,7 +64,7 @@ def _off_plane(bodies, k, X):
     """The parts of the rows X[j] orthogonal to the directions of
     Aff(bodies[k[j]]): X[j] less its projection onto the span of that
     body's basis rows, for every row at once per affine dimension."""
-    dims = np.array([len(K.facets.basis) for K in bodies])
+    dims = np.array([K.dim_affine for K in bodies])
     out = np.empty_like(X)
     for dim in set(dims[k].tolist()):
         own, j = np.flatnonzero(dims == dim), np.flatnonzero(dims[k] == dim)
@@ -105,7 +105,7 @@ def _intervals(bodies, A, B, rows=None):
     hi = np.min(t, axis=1, initial=1.0, where=valid & ~par & (beta > 0))
     lo = np.max(t, axis=1, initial=0.0, where=valid & ~par & (beta < 0))
     hit = ~(valid & par & (alpha > 1e-12 * scale)).any(axis=1) & ~(lo > hi + 1e-12)
-    j = np.flatnonzero(hit & (np.array([len(K.facets.basis) for K in bodies])[k] < A.shape[1]))
+    j = np.flatnonzero(hit & (np.array([K.dim_affine for K in bodies])[k] < A.shape[1]))
     if len(j):
         y = A[j] - np.array([bodies[i].facets.center for i in k[j].tolist()])
         o0, o1 = _off_plane(bodies, k[j], y), _off_plane(bodies, k[j], D[j])

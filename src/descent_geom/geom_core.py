@@ -15,7 +15,7 @@ the body's affine dimension k: a closed form over the facet simplices for
 k <= 3 (edges for k <= 2; for k = 3 the nearest vertex when it certifies
 itself, else the facet triangles), and for k >= 4 the least-distance
 program on the facets, solved by _nnls, the package's one active-set
-solver (cones decides membership with it).  project, contains, includes
+solver (cones projects onto cones with it).  project, contains, includes
 and hausdorff all read that kernel.
 Functions here are pure over immutable arrays.  A body keeps what it
 computes on itself, read-only, so concurrent use on shared bodies is safe;
@@ -118,7 +118,8 @@ def as_point(x, dim=None):
 
 
 def as_points(pts):
-    """Coerce to a nonempty (m, n) float array of finite points."""
+    """Coerce to a nonempty (m, n) float array of finite points.  A
+    coordinate given as a bool (JSON true or false) is not a number."""
     try:
         P = np.asarray(pts, dtype=float)
     except (TypeError, ValueError):
@@ -129,9 +130,11 @@ def as_points(pts):
     if P.ndim in (1, 2) and len(P) == 0:  # before [] would promote to shape (1, 0)
         raise InvalidInput("expected a nonempty point list, got a list of 0 points")
     if P.ndim == 1:
-        P = P[None, :]
+        P, pts = P[None, :], [pts]
     if P.ndim != 2 or P.shape[1] == 0:
         raise InvalidInput(f"expected a nonempty point list, got shape {P.shape}")
+    if not isinstance(pts, np.ndarray) and any(type(x) is bool for row in pts for x in row):
+        raise InvalidInput("coordinates must be numbers")
     if not np.all(np.isfinite(P)):
         raise InvalidInput("coordinates must be finite")
     if P.shape[1] > MAX_DIM:
@@ -212,17 +215,17 @@ def rank_cut(s_max, scale, m):
     return max(_RANK_RTOL * s_max, 4.0 * _EPS * scale * math.sqrt(m))
 
 
-def affine_basis(P):
+def affine_basis(P, k=None):
     """Orthonormal basis of the affine hull of the rows of P.
 
     Returns (centroid, basis) where basis has shape (k, n) and k is the
-    affine dimension: the singular values of the centred rows above
-    rank_cut, and at most m - 1 for m rows.
+    affine dimension, unless given: the singular values of the centred rows
+    above rank_cut, and at most m - 1 for m rows.
     """
     m = len(P)
     c = P.mean(axis=0)
     _, s, Vt = np.linalg.svd(P - c, full_matrices=False)
-    k = int(np.sum(s > rank_cut(s[0], np.abs(P).max(), m)))
+    k = int(np.sum(s > rank_cut(s[0], np.abs(P).max(), m))) if k is None else k
     return c, Vt[:min(k, m - 1)]
 
 
@@ -285,11 +288,9 @@ def _ring_facets(V) -> Facets:
 
 def _facets(V, k) -> Facets:
     n = V.shape[1]
-    if k != n or n == 1:
-        c, B = affine_basis(V)
-        k = B.shape[0]
     if k == n > 1:  # in the plane from the ring, else Qhull in original coordinates
         return _ring_facets(V) if n == 2 else _full_facets(V, _qhull(V))
+    c, B = affine_basis(V, k)
     if k == 0:
         return Facets(c, B, np.zeros((0, n + 1)), np.zeros((0, 1), dtype=int))
     if k == 1:
@@ -415,7 +416,9 @@ def hull(points) -> ConvexBody:
     """Convex hull of a point set as a canonical ConvexBody.
 
     The stored vertex list is exactly the set of extreme points, so
-    hull(hull(P).vertices) == hull(P).  Planar points that clearly form a
+    hull(hull(P).vertices) == hull(P): when Qhull drops points and the kept
+    ones read another affine_basis rank than P, the body is their hull().
+    Planar points that clearly form a
     strictly convex ring (_ring_margin) in the given order, or reversed when
     the first turn is clockwise, and span the plane by affine_basis's rule
     are that vertex list up to rotation: they are read off in O(m), with no
@@ -445,6 +448,8 @@ def hull(points) -> ConvexBody:
         return ConvexBody(_canonical_order(V, n), 1)
     h = _qhull(P if k == n else (P - c) @ B.T)  # full-dimensional: original coordinates
     V = _canonical_order(P[h.vertices], n)
+    if len(V) < len(P) and len(affine_basis(V)[1]) != k:
+        return hull(V)
     K = ConvexBody(np.ascontiguousarray(V), k)
     if n >= 3 and np.array_equal(V, P):
         # Qhull ran on K.vertices itself (a canonical body reloaded), and

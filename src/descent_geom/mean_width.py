@@ -24,7 +24,6 @@ from .geom_core import (
     ConvexBody,
     SphereGrid,
     as_point,
-    contains,
     default_grid,
     hausdorff,
     hull,
@@ -33,11 +32,11 @@ from .geom_core import (
 )
 from .cones import (
     _arcs,
+    _outward,
     cap_body,
     normal_cone,
     normal_cone_mask,
     sphere_measure,
-    tangent_cone,
 )
 
 
@@ -201,17 +200,13 @@ def first_variation(K: ConvexBody, p0, u, eps, grid: SphereGrid = None):
     first-order term and remainder.
 
     The first-order term is (2/omega_n) * eps * flux of <theta, u> over
-    the sector N_K(p0) n {u}*; the remainder is nonnegative up to
-    quadrature tolerance and of order greater than one in eps.
+    the sector N_K(p0) n {u}*, for p0 and u as cones._outward requires; the
+    remainder is nonnegative up to quadrature tolerance and of order greater
+    than one in eps.
     """
-    p0 = as_point(p0, K.dim)
-    u = as_point(u, K.dim)
     if eps <= 0:
         raise InvalidInput("eps must be positive")
-    if not contains(K, p0, 1e-7 * (1.0 + K.diameter())):
-        raise PreconditionViolated("p0 must lie on the boundary of K")
-    if tangent_cone(K, p0, tol=1e-7 * (1.0 + K.diameter())).contains(u, tol=1e-8):
-        raise PreconditionViolated("u lies in the tangent cone at p0")
+    p0, u = _outward(K, p0, u)[0], as_point(u, K.dim)
     w0 = mean_width(K, grid)
     w1 = mean_width(cap_body(K, p0 + eps * u), grid)
     delta_w = w1 - w0

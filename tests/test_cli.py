@@ -235,6 +235,18 @@ class TestConeLimitOptions:
                                  capsys=capsys)
         assert code == 2 and out == "" and err.startswith("error: ") and option in err
 
+    @pytest.mark.parametrize("p0, message", [
+        ("2.00000005,0.5", "p0 must lie in K"),
+        ("2.0000005,0.5", "p0 must lie in K"),
+        ("1,0.5", "p0 must lie on the boundary of K"),
+    ])
+    def test_p0_off_the_boundary_exits_2(self, p0, message, tmp_path, capsys):
+        body = tmp_path / "rect.json"
+        body.write_text(json.dumps({"vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}))
+        code, out, err = run_cli(["report", "cone-limit", "--body", str(body), "--p0", p0,
+                                  "--u", "1,0"], capsys=capsys)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
     def test_interior_p0_exits_2(self, tmp_path, capsys):
         body = tmp_path / "cube.json"
         body.write_text(json.dumps({"vertices": list(itertools.product((0, 1), repeat=3))}))
@@ -359,12 +371,36 @@ class TestErrorsAndDeterminism:
          '{"bodies": [{"vertices": [[0, 0], [1, 0], [0, {"x": 1}]]},'
          ' {"vertices": [[0, 0], [2, 0], [0, 2]]}]}',
          "error: coordinates must be numbers"),
+        # booleans, which numpy would read as 1 and 0
+        (CURVE_COMMANDS, '{"points": [[0, true], [1, false], [2, 3.5]]}',
+         "error: coordinates must be numbers"),
+        (CURVE_COMMANDS, '{"points": [false, 1]}', "error: coordinates must be numbers"),
+        (("report cone-limit --body - --p0 1,0,0 --u 1,1,1",),
+         '{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, true]]}',
+         "error: coordinates must be numbers"),
+        (("family check",),
+         '{"bodies": [{"vertices": [[0, 0], [1, 0], [0, true]]},'
+         ' {"vertices": [[0, 0], [2, 0], [0, 2]]}]}',
+         "error: coordinates must be numbers"),
     ])
     def test_bad_json_exit_2(self, commands, text, message, capsys, monkeypatch):
         for what in commands:
             code, out, err = run_cli(what.split(), stdin_text=text, capsys=capsys,
                                      monkeypatch=monkeypatch)
             assert code == 2 and out == "" and err.startswith(message), what
+
+    @pytest.mark.parametrize("argv, message", [
+        ("gen random --n -1", "--n must be from 1 to 8, got -1"),
+        ("gen random --n 0", "--n must be from 1 to 8, got 0"),
+        ("gen random --n 9", "--n must be from 1 to 8, got 9"),
+        ("gen disks --n -2", "--n must be from 1 to 8, got -2"),
+        ("gen disks --n 0", "--n must be from 1 to 8, got 0"),
+        ("gen random --n 2 --npoints -3", "--npoints must be at least 1, got -3"),
+        ("gen random --npoints 0", "--npoints must be at least 1, got 0"),
+    ])
+    def test_gen_dimension_and_point_count_exit_2(self, argv, message, capsys):
+        code, out, err = run_cli(argv.split(), capsys=capsys)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("text", ["a,b\n1,2\n", "0,0\n1,0,3\n"])
     def test_bad_csv_exit_2(self, text, tmp_path, capsys):

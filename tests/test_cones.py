@@ -25,6 +25,7 @@ from descent_geom.cones import (
     tangent_cone,
 )
 from descent_geom.descent import disk_family
+from descent_geom.mean_width import first_variation
 from descent_geom.geom_core import (
     body_from_dict,
     contains,
@@ -152,8 +153,10 @@ def _probes(rng, n, *gen_sets):
     return P[r > 1e-6] / r[r > 1e-6, None]
 
 
-def _nnls_mask(C, P):
-    return np.array([C.contains(x) for x in P])
+def _lp_mask(C, P):
+    """Membership by LP feasibility on the generators, independent of the
+    rows that contains and member_mask read."""
+    return np.array([in_cone_lp(x, C.generators) for x in P])
 
 
 class TestConeOracles:
@@ -163,7 +166,7 @@ class TestConeOracles:
             assert np.all(normal_cone_mask(K, q, N.generators))
             P = _probes(rng, K.dim, N.generators)
             want = normal_cone_mask(K, q, P)
-            assert np.array_equal(_nnls_mask(N, P), want)
+            assert np.array_equal(_lp_mask(N, P), want)
             assert np.array_equal(N.member_mask(P), want)
             # unit probes: tol * (1 + |x|) is the mask's tolerance
             assert np.array_equal([in_normal_cone(K, q, x, 0.5e-9) for x in P], want)
@@ -174,7 +177,7 @@ class TestConeOracles:
             T = tangent_cone(K, q)
             P = _probes(rng, K.dim, T.generators)[::6]
             want = np.array([in_cone_lp(x, K.vertices - q) for x in P])
-            assert np.array_equal(_nnls_mask(T, P), want)
+            assert np.array_equal(_lp_mask(T, P), want)
             assert np.array_equal(T.member_mask(P), want)
 
     def test_halfspace_cut(self, rng):
@@ -184,7 +187,7 @@ class TestConeOracles:
                 I = cone_intersect_halfspace(N, u)
                 P = _probes(rng, K.dim, N.generators, I.generators)
                 want = normal_cone_mask(K, q, P) & (P @ u >= 0.0)
-                assert np.array_equal(_nnls_mask(I, P), want)
+                assert np.array_equal(_lp_mask(I, P), want)
                 assert np.array_equal(I.member_mask(P), want)
                 for i, g in enumerate(I.generators):
                     assert not in_cone_lp(g, np.delete(I.generators, i, axis=0))
@@ -271,8 +274,9 @@ def _cone_answers(cases):
 
 class TestSolverVerdicts:
     def test_same_as_with_scipy_nnls(self, rng, monkeypatch):
-        # contains, angle_to and _reduce_generators (cone_intersect_halfspace)
-        # on cones of random, flat and segment bodies in R^2..R^5
+        # angle_to and _reduce_generators (cone_intersect_halfspace) on cones
+        # of random, flat and segment bodies in R^2..R^5; contains reads the
+        # rows, not the solver, so it must not move either
         cases = _solver_cases(rng)
         got, solve = _cone_answers(cases), cones._nnls
         monkeypatch.setattr(cones, "_nnls", nnls_scipy)
@@ -579,6 +583,24 @@ class TestNormalConeLimit:
     def test_inward_direction_rejected(self, unit_square):
         with pytest.raises(PreconditionViolated):
             normal_cone_limit_report(unit_square, (1, 0.5), (-1, 0), [0.1])
+
+    @pytest.mark.parametrize("K, p0, u, message", [
+        # 5e-8 and 5e-7 beyond the edge x = 2 of [0, 2] x [0, 1], and inside
+        ("rect", (2 + 5e-8, 0.5), (1, 0), "p0 must lie in K"),
+        ("rect", (2 + 5e-7, 0.5), (1, 0), "p0 must lie in K"),
+        ("rect", (1, 0.5), (1, 0), "p0 must lie on the boundary of K"),
+        ("rect", (2, 0.5), (-1, 0.3), "u lies in the tangent cone at p0"),
+        # 5e-8 beyond a face of the unit cube
+        ("cube", (1 + 5e-8, 0.5, 0.5), (1, 0.3, 0.2), "p0 must lie in K"),
+    ])
+    def test_one_precondition_check_for_both_callers(self, K, p0, u, message):
+        K = {"rect": hull([(0, 0), (2, 0), (2, 1), (0, 1)]),
+             "cube": hull(list(itertools.product((0, 1), repeat=3)))}[K]
+        for call in (lambda: normal_cone_limit_report(K, p0, u, [0.1], grid_size=100),
+                     lambda: first_variation(K, p0, u, 0.1)):
+            with pytest.raises(PreconditionViolated) as e:
+                call()
+            assert str(e.value) == message
 
     def test_upper_semicontinuity(self, unit_square):
         # accumulation directions land in N_K(p0) (angular tol 1e-3)

@@ -466,6 +466,47 @@ class TestFacets:
             M = hull(np.vstack([K.vertices, K.centroid()]))  # an interior input point
             assert "facets" not in vars(M)
 
+    # Sets of _near_flat_sets whose reload keeps another vertex set and, for
+    # the second, another affine dimension: Qhull on the kept vertices'
+    # affine hull drops a vertex that it kept on all points' (CHANGES.md).
+    RELOAD_KEEPS_OTHER_VERTICES = (554, 3757)
+
+    @staticmethod
+    def _near_flat_sets(count):
+        """Seeded point sets in R^2..R^4, flat to within 1e-7.5 or less in
+        one or two coordinates, half of them far from the origin."""
+        rng = np.random.default_rng(0)
+        for _ in range(count):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(4, 14))
+            P = rng.standard_normal((m, n))
+            P[:, -1] *= 10 ** rng.uniform(-9.5, -7.5)
+            if rng.random() < 0.3 and n >= 3:
+                P[:, -2] *= 10 ** rng.uniform(-9.5, -7.5)
+            if rng.random() < 0.5:
+                P += 10 ** rng.uniform(0, 4) * rng.standard_normal(n)
+            yield P
+
+    def test_affine_dimension_is_the_kept_vertices(self):
+        # the facets' basis has dim_affine rows, and a reload reads the same
+        # dimension, on every set but the named ones
+        for i, P in enumerate(self._near_flat_sets(4000)):
+            K = hull(P)
+            assert len(K.facets.basis) == K.dim_affine, i
+            L = hull(K.vertices)
+            if i not in self.RELOAD_KEEPS_OTHER_VERTICES:
+                assert L.dim_affine == K.dim_affine, i
+                assert np.array_equal(L.vertices, K.vertices), i
+
+    def test_lifted_square_with_interior_points(self):
+        # The interior grid flattens the affine hull of all points to a
+        # plane, while the four corners alone span R^3.
+        g = np.linspace(0.05, 0.95, 10)
+        corners = [(0, 0, 1e-8), (1, 0, -1e-8), (1, 1, 1e-8), (0, 1, -1e-8)]
+        K = hull(np.vstack([corners, [(x, y, 0.0) for x in g for y in g]]))
+        L = hull(K.vertices)
+        assert K.dim_affine == L.dim_affine == len(K.facets.basis) == 3
+        assert np.array_equal(K.vertices, L.vertices) and len(K.facets.equations) == 4
+
     def test_reloaded_example61_runs_qhull_once_per_member(self, qhull_calls):
         # five of its members are flat disks in R^3
         fam = example61_family()

@@ -8,7 +8,9 @@ JSON files passed between commands as in a shell pipeline: at seeds 1, 2
 and 3, the `family_validation` store and all of its queries, twice (the
 second pass reads every document again in the same process), `report
 cone-limit` at up to CONE_VERTICES vertices of each stored R^3 top body (p0
-the vertex, u from the body's vertex mean to it), four cycles of
+the vertex, u from the body's vertex mean to it) and on each stored planar
+top at the points OFF_EDGE beyond its first edge and at its vertex mean (u
+that edge's outer normal), four cycles of
 `planar_pipeline` jobs (perfbench/workloads.py), each job whose `descend`
 passed followed by `bounds length` on its curve, and an R^3 pipeline (`gen
 random --n 3 --npoints 16 --levels 4`, `descend` from the top member's
@@ -26,8 +28,11 @@ checks, a `descend` on its family and one `descend` from an interior point
 of its top member (halfway from its vertex mean to its first vertex), which
 `descend` snaps to the boundary by a ray from the centroid; last, `family
 check` on two written two-member documents, one that fails at the distance
-test (JUMP) and one with members in two dimensions (MIXED).  Prints one
-line per command: its index, exit code, the sha256 of its stdout and of its
+test (JUMP) and one with members in two dimensions (MIXED), `check sep` on
+a curve with boolean coordinates (BOOLEAN), `report cone-limit` at a corner
+of the body LIFTED, and `gen random --n -1`.  Prints one
+line per command: its index, exit code (1 with the exception's type and
+message as stderr when one escapes the CLI), the sha256 of its stdout and of its
 stderr (first 32 hex digits each) and the command, with the working
 directory written as $WD in all three; a command that writes a CSV file
 (`--csv`) ends its line with csv= and the sha256 of that file's text, or
@@ -61,6 +66,15 @@ JUMP = {"bodies": [{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
 # A planar triangle and a wider R^3 tetrahedron: exit 2.
 MIXED = {"bodies": [{"vertices": [[0, 0], [1, 0], [0, 1]]},
                     {"vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]]}]}
+# JSON true and false are not coordinates: exit 2.
+BOOLEAN = {"points": [[0, True], [1, False], [2, 3.5]]}
+# The unit square's corners lifted alternately to z = +-1e-8, and a 10 x 10
+# grid of interior points at z = 0: flat by all points, a tetrahedron by its
+# vertices.
+LIFTED = {"vertices": [[0, 0, 1e-8], [1, 0, -1e-8], [1, 1, 1e-8], [0, 1, -1e-8]]
+          + [[0.05 + 0.1 * i, 0.05 + 0.1 * j, 0] for i in range(10) for j in range(10)]}
+# Distances beyond a planar top's edge at which cone-limit is asked.
+OFF_EDGE = (5e-8, 5e-7)
 
 
 def couple_queries(curve, fam, n_members, csv):
@@ -110,15 +124,29 @@ def fixture_commands(wd):
 
 
 def written_commands(wd):
-    """argv of `family check` on the JUMP and MIXED documents, written to
-    wd."""
-    cmds = []
-    for name, doc in (("jump", JUMP), ("mixed", MIXED)):
-        path = os.path.join(wd, name + ".json")
-        with open(path, "w") as fh:
+    """argv of `family check` on the JUMP and MIXED documents, `check sep`
+    on BOOLEAN and `report cone-limit` on LIFTED, all written to wd, and of
+    `gen random --n -1`."""
+    path = {}
+    for name, doc in (("jump", JUMP), ("mixed", MIXED), ("boolean", BOOLEAN), ("lifted", LIFTED)):
+        path[name] = os.path.join(wd, name + ".json")
+        with open(path[name], "w") as fh:
             json.dump(doc, fh)
-        cmds.append(["family", "check", "--family", path])
-    return cmds
+    return [["family", "check", "--family", path["jump"]],
+            ["family", "check", "--family", path["mixed"]],
+            ["check", "sep", "--curve", path["boolean"]],
+            ["report", "cone-limit", "--body", path["lifted"], "--p0=1,1,1e-08", "--u=1,1,0"],
+            ["gen", "random", "--n", "-1"]]
+
+
+def planar_cone_limit_points(V):
+    """(p0, u) of the cone-limit queries on a planar ring V: u the outer unit
+    normal of the edge V[0] -> V[1], p0 OFF_EDGE beyond its middle along u,
+    then the vertex mean."""
+    e = V[1] - V[0]
+    u = np.array([e[1], -e[0]]) / np.linalg.norm(e)
+    mid = (V[0] + V[1]) / 2.0
+    return [(mid + d * u, u) for d in OFF_EDGE] + [(V.mean(axis=0), u)]
 
 
 def main(argv=None):
@@ -138,7 +166,11 @@ def main(argv=None):
                 os.remove(csv)
             buf, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
-                rc = cli.main(argv)
+                try:
+                    rc = cli.main(argv)
+                except Exception as e:  # a process would exit 1 with a traceback
+                    rc = 1
+                    err.write(f"{type(e).__name__}: {e}\n")
             text = buf.getvalue()
             if out is not None:
                 with open(out, "w") as fh:
@@ -197,6 +229,9 @@ def main(argv=None):
                     for v in V[:CONE_VERTICES] if V.shape[1] == 3 else ():
                         call(["report", "cone-limit", "--body", os.path.join(sub, top),
                               f"--p0={fmt_point(v)}", f"--u={fmt_point(v - V.mean(axis=0))}"])
+                    for p0, u in planar_cone_limit_points(V) if V.shape[1] == 2 else ():
+                        call(["report", "cone-limit", "--body", os.path.join(sub, top),
+                              f"--p0={fmt_point(p0)}", f"--u={fmt_point(u)}"])
             fam, curve = (os.path.join(wd, f"random3_{seed}{part}.json") for part in ("", "_curve"))
             if call(["gen", "random", "--n", "3", "--npoints", "16", "--levels", "4",
                      "--seed", str(seed)], fam)[0] == 0 and descend(fam, curve) == 0:
